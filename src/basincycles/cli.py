@@ -245,13 +245,6 @@ def _cmd_simulate(args) -> int:
     return 4 if infeasible else 0
 
 
-def _cmd_export_tree(args) -> int:
-    landscape = _read_landscape(args.input)
-    tree = enumerate_path_cycles(landscape)
-    _emit(f"// {_HEADER}\n" + tree_to_dot(tree), args.out)
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="basincycles",
@@ -323,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export-tree", help="cycle hierarchy as graph-description text")
     p.add_argument("input")
     add_common(p)
-    p.set_defaults(func=_cmd_export_tree)
+    p.set_defaults(func=_cmd_path_cycles, dot=True)
 
     return parser
 

@@ -16,11 +16,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .energy import DEFAULT_SCALE, INFINITY, Energy
+from .energy import DEFAULT_SCALE, Energy
 from .errors import TooLarge
 from .graphcycles import DecompositionTrace, run_decomposition
-from .landscape import Landscape, StateSet, make_landscape
-from .pathcycles import enumerate_path_cycles, is_path_cycle, set_key
+from .landscape import Landscape, StateSet, exterior_boundary, make_landscape
+from .pathcycles import boundary_floor, enumerate_path_cycles, is_path_cycle, set_key
 
 _BRUTE_FORCE_LIMIT = 20
 
@@ -159,15 +159,7 @@ class EquivalenceReport:
 
 
 def _expected_exit_height(landscape: Landscape, members: StateSet) -> Energy:
-    outside = [
-        landscape.energy(y)
-        for x in members
-        for y in landscape.neighbors(x)
-        if y not in members
-    ]
-    if not outside:
-        return INFINITY
-    return (min(outside) - landscape.min_energy(members)).clamp_nonneg()
+    return (boundary_floor(landscape, members) - landscape.min_energy(members)).clamp_nonneg()
 
 
 def _check_conditions(landscape: Landscape, trace: DecompositionTrace) -> list[ConditionRecord]:
@@ -177,15 +169,12 @@ def _check_conditions(landscape: Landscape, trace: DecompositionTrace) -> list[C
         cycles_ok = all(is_path_cycle(landscape, cls) for cls in level.classes)
 
         costs_ok = True
-        singles = [cls for cls in level.classes if len(cls) == 1]
-        bigs = [cls for cls in level.classes if len(cls) > 1]
-        for big in bigs:
+        singles = {s for cls in level.classes if len(cls) == 1 for s in cls}
+        for big in (cls for cls in level.classes if len(cls) > 1):
             floor = landscape.min_energy(big)
-            for single in singles:
-                (a,) = tuple(single)
-                touching = any(landscape.rate(x, a) > 0 for x in big)
-                if not touching:
-                    continue
+            # the boundary holds exactly the states with a positive-rate edge in
+            for a in exterior_boundary(landscape, big) & singles:
+                single = frozenset((a,))
                 expected_out = landscape.energy(a) - floor
                 if level.cost_between(big, single) != expected_out:
                     costs_ok = False

@@ -15,7 +15,10 @@ Starting from the partition into singletons with the Metropolis seed cost
 
 The rounds continue until the partition is the single whole-space class.
 Every class of every round is a cycle; the union over rounds is the
-hierarchy the rest of the package consumes.
+hierarchy the rest of the package consumes.  Each class's exit and merge
+heights are taken from the round that forms it, and its maximal proper
+subcycles are the classes that round merged, so the hierarchy is never
+rebuilt by comparing classes pairwise.
 
 All arithmetic is exact; equal-cost ties resolve by set semantics so the
 trace is independent of state enumeration order.
@@ -311,54 +314,46 @@ class DecompositionTrace:
         return frozenset(self.cycles)
 
     def maximal_proper(self, members: Iterable[str]) -> tuple[StateSet, ...]:
-        """The maximal cycles strictly contained in the given cycle."""
+        """The maximal cycles strictly contained in the given cycle: the
+        classes it was merged from in the round that formed it."""
         target = frozenset(members)
         if target not in self.exit_heights:
             raise UnknownClass(f"{sorted(target)} is not a cycle of this trace")
-        proper = [c for c in self.cycles if c < target]
-        maximal = [
-            c for c in proper if not any(c < other for other in proper if other != c)
-        ]
-        return tuple(sorted(maximal, key=set_key))
+        for before, step in zip(self.levels, self.merges):
+            if target in step.minimal:
+                return tuple(cls for cls in before.classes if cls <= target)
+        return ()
 
 
 def run_decomposition(landscape: Landscape, seed_costs=None) -> DecompositionTrace:
     """Iterate the recursion from the singleton partition until the single
-    whole-space class, keeping the complete trace."""
+    whole-space class, keeping the complete trace.
+
+    Both heights of a class are read from the round that forms it.  A living
+    class keeps its exit height, because its cost row only loses entries
+    when destinations merge under ``min``.  Its merge height, the largest
+    exit height among its constituents, is also the largest exit height
+    strictly inside it: every merged class exits no lower than it merged.
+    """
     level = initial_level(landscape, seed_costs)
     levels = [level]
     merges = []
+    exit_heights = dict(level.exit_height)
+    merge_heights = dict(level.exit_height)  # a singleton merges at its exit height
     while not level.is_terminal:
         if len(levels) > landscape.n:
             raise NonTermination("recursion exceeded the state count")
         level, blocks, minimal = advance(level)
         levels.append(level)
         merges.append(MergeStep(blocks, minimal))
-
-    exit_heights: dict = {}
-    for lvl in levels:
-        for cls in lvl.classes:
-            height = lvl.exit_height[cls]
-            best = exit_heights.get(cls)
-            if best is None or height > best:
-                exit_heights[cls] = height
-
-    cycles = tuple(sorted(exit_heights, key=lambda c: (len(c), set_key(c))))
-    zero = Energy(0, landscape.scale)
-    merge_heights: dict = {}
-    for cyc in cycles:
-        if len(cyc) == 1:
-            merge_heights[cyc] = exit_heights[cyc]
-        else:
-            inner = max(
-                (exit_heights[c] for c in cycles if c < cyc), default=zero
-            )
-            merge_heights[cyc] = max(inner, zero)
+        for block in minimal:
+            exit_heights[block] = level.exit_height[block]
+            merge_heights[block] = level.merge_height[block]
 
     return DecompositionTrace(
         levels=tuple(levels),
         merges=tuple(merges),
-        cycles=cycles,
+        cycles=tuple(sorted(exit_heights, key=lambda c: (len(c), set_key(c)))),
         exit_heights=exit_heights,
         merge_heights=merge_heights,
         iterations=len(levels) - 1,

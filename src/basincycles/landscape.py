@@ -380,15 +380,19 @@ class TransitionMatrix:
         return self.matrix[self._index[x]]
 
     def cumulative(self) -> np.ndarray:
-        """Per-row cumulative distributions with the last column pinned to 1."""
+        """Per-row cumulative distributions, pinned to 1 from each row's last
+        positive entry on, so float shortfall never lands on a non-neighbour."""
         cum = np.cumsum(self.matrix, axis=1)
-        cum[:, -1] = 1.0
+        last = self.matrix.shape[1] - 1 - np.argmax(self.matrix[:, ::-1] > 0, axis=1)
+        cum[np.arange(self.matrix.shape[1]) >= last[:, None]] = 1.0
         return cum
 
 
-def transition_matrix(landscape: Landscape, beta: float, allow_zero: bool = False) -> TransitionMatrix:
-    if beta < 0 or (beta == 0 and not allow_zero):
-        raise NonpositiveBeta(f"beta must be > 0, got {beta}")
+def transition_matrix(landscape: Landscape, beta: float) -> TransitionMatrix:
+    """The Metropolis matrix for any ``beta >= 0``; ``beta = 0`` is the
+    sampler's diagnostic mode."""
+    if beta < 0:
+        raise NonpositiveBeta(f"beta must be >= 0, got {beta}")
     states = landscape.states
     index = {s: i for i, s in enumerate(states)}
     n = len(states)
@@ -408,4 +412,6 @@ def metropolis_kernel(landscape: Landscape, beta: float) -> TransitionMatrix:
     """The Metropolis chain at inverse temperature ``beta > 0``:
     off-diagonal ``q(x,y) * exp(-beta * (H(y) - H(x))^+)``, diagonal as the
     row remainder."""
-    return transition_matrix(landscape, beta, allow_zero=False)
+    if beta <= 0:
+        raise NonpositiveBeta(f"beta must be > 0, got {beta}")
+    return transition_matrix(landscape, beta)

@@ -4,12 +4,16 @@ A nonempty set is a path cycle when it is a singleton, or when it is
 connected and its internal maximum lies strictly below the floor of its
 exterior boundary.  Every connected component of a sub-level set
 ``{x : H(x) <= c}`` is a cycle, and any two cycles are nested or disjoint,
-so the full family forms a tree over the state space.
+so the full family forms a tree over the state space: the merge tree of the
+landscape (Becker & Karplus, J. Chem. Phys. 106 (1997) 1495).
 
-The enumeration sweeps distinct energy values in ascending order while
-merging components with a union-find structure; all states of one energy
-value are activated together before components are snapshotted, which is
-what keeps flat plateaus from emitting spurious sub-plateau sets.
+``enumerate_path_cycles`` builds that tree in one union-find sweep over the
+distinct energies in ascending order.  All states of one energy join before
+any component is judged, which keeps flat plateaus from emitting spurious
+sub-plateau sets.  Each state enters as a leaf; each component that grows at
+a level becomes a node whose children are the top cycles it joined, and that
+level is the boundary floor of every non-singleton child.  Containment and
+heights are thus recorded as the tree forms, never rediscovered from sets.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from typing import Iterable, Optional
 
 from .energy import INFINITY, Energy
 from .errors import LevelBelowStart, NotACycle
-from .landscape import Landscape, StateSet, exterior_boundary, ground, is_connected_subset
+from .landscape import Landscape, StateSet, exterior_boundary, is_connected_subset
 
 
 def set_key(members: Iterable[str]) -> tuple[str, ...]:
@@ -110,107 +114,89 @@ class CycleTree:
 
 
 class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
+    def __init__(self, items: Iterable[str]):
+        self.parent = {x: x for x in items}
+        self.size = dict.fromkeys(self.parent, 1)
 
-    def find(self, i: int) -> int:
-        root = i
+    def find(self, x: str) -> str:
+        root = x
         while self.parent[root] != root:
             root = self.parent[root]
-        while self.parent[i] != root:
-            self.parent[i], i = root, self.parent[i]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
         return root
 
-    def union(self, a: int, b: int) -> int:
+    def union(self, a: str, b: str) -> None:
         ra, rb = self.find(a), self.find(b)
         if ra == rb:
-            return ra
+            return
         if self.size[ra] < self.size[rb]:
             ra, rb = rb, ra
         self.parent[rb] = ra
         self.size[ra] += self.size[rb]
-        return ra
 
 
-def _sweep_components(landscape: Landscape) -> list[StateSet]:
-    """Every connected component of every sub-level set, each exactly once,
-    in ascending order of the level that created it."""
-    states = landscape.states
-    index = {s: i for i, s in enumerate(states)}
-    by_level: dict[Energy, list[str]] = {}
-    for s in states:
-        by_level.setdefault(landscape.energy(s), []).append(s)
-
-    uf = _UnionFind(len(states))
-    comp_members: dict[int, set[str]] = {}
-    active: set[str] = set()
-    emitted: list[StateSet] = []
-
-    for level in sorted(by_level):
-        fresh = by_level[level]
-        for s in fresh:
-            comp_members[index[s]] = {s}
-        active.update(fresh)
-        # all states of this energy join before any component is judged
-        for s in fresh:
-            for nbr in landscape.neighbors(s):
-                if nbr in active:
-                    ra, rb = uf.find(index[s]), uf.find(index[nbr])
-                    if ra != rb:
-                        merged = uf.union(ra, rb)
-                        other = rb if merged == ra else ra
-                        comp_members[merged].update(comp_members.pop(other))
-        dirty = {uf.find(index[s]) for s in fresh}
-        for root in sorted(dirty, key=lambda r: set_key(comp_members[r])):
-            emitted.append(frozenset(comp_members[root]))
-    return emitted
+def _merge(landscape: Landscape, level: Energy, children: list[CycleNode]) -> CycleNode:
+    """The component formed at ``level`` from the top cycles it joins; the
+    level is the boundary floor of every non-singleton child."""
+    lows = [landscape.energy(next(iter(c.ground))) for c in children]
+    low = min(lows)
+    members = frozenset().union(*(c.members for c in children))
+    ground = frozenset().union(*(c.ground for c, h in zip(children, lows) if h == low))
+    node = CycleNode(members, INFINITY, level - low, ground, INFINITY, True, children=children)
+    for child, h in zip(children, lows):
+        child.parent = node
+        if len(child.members) > 1:
+            child.boundary_floor, child.depth = level, level - h
+    return node
 
 
 def enumerate_path_cycles(landscape: Landscape) -> CycleTree:
     """Every path cycle of the landscape, organized as a nested tree.
 
-    Non-singleton cycles come out of the sub-level sweep; every singleton is
-    added as a leaf (flagged trivial when the state is not a local minimum);
-    the root is the whole space.
+    One union-find sweep over the distinct energies in ascending order.  Each
+    state enters as a leaf whose floor is its lowest neighbour; every
+    component that grows at a level becomes a node over the top cycles it
+    joined.  The last node standing is the whole space.
     """
-    sets: dict[StateSet, None] = {}
-    for comp in _sweep_components(landscape):
-        if len(comp) > 1:
-            sets[comp] = None
+    by_level: dict[Energy, list[str]] = {}
     for s in landscape.states:
-        sets[frozenset((s,))] = None
-    whole = frozenset(landscape.states)
-    sets[whole] = None
-
-    ordered = sorted(sets, key=lambda m: (len(m), set_key(m)))
+        by_level.setdefault(landscape.energy(s), []).append(s)
+    zero = Energy(0, landscape.scale)
+    uf = _UnionFind(landscape.states)
+    active: set[str] = set()
+    top: dict[str, CycleNode] = {}  # union-find root -> largest cycle of its component
     nodes: list[CycleNode] = []
-    for members in ordered:
-        floor = boundary_floor(landscape, members)
-        low = landscape.min_energy(members)
-        high = landscape.max_energy(members)
-        nodes.append(
-            CycleNode(
-                members=members,
-                depth=floor - low,
-                resistance=high - low,
-                ground=ground(landscape, members),
-                boundary_floor=floor,
-                nontrivial=len(members) > 1 or high < floor,
-            )
-        )
 
-    # smallest strict superset = parent; the family is laminar so this is
-    # unambiguous and the ascending size order makes the first hit smallest
-    for i, node in enumerate(nodes):
-        for candidate in nodes[i + 1 :]:
-            if len(candidate.members) > len(node.members) and node.members < candidate.members:
-                node.parent = candidate
-                candidate.children.append(node)
-                break
-    root = nodes[-1]
+    for level in sorted(by_level):
+        fresh = by_level[level]
+        # the level's states and the components below the level they touch
+        joined = {uf.find(n) for s in fresh for n in landscape.neighbors(s) if n in active}
+        joined.update(fresh)
+        active.update(fresh)
+        for s in fresh:
+            floor = landscape.min_energy(landscape.neighbors(s))
+            leaf = frozenset((s,))
+            top[s] = CycleNode(leaf, floor - level, zero, leaf, floor, level < floor)
+            nodes.append(top[s])
+            # all states of this energy join before any component is judged
+            for nbr in landscape.neighbors(s):
+                if nbr in active:
+                    uf.union(s, nbr)
+        groups: dict[str, list[CycleNode]] = {}
+        for old in joined:
+            groups.setdefault(uf.find(old), []).append(top.pop(old))
+        for root, children in groups.items():
+            top[root] = children[0]
+            if len(children) > 1:
+                top[root] = _merge(landscape, level, children)
+                nodes.append(top[root])
+
+    (root,) = top.values()
+    keys = {node: set_key(node.members) for node in nodes}
+    nodes.sort(key=lambda node: (len(node.members), keys[node]))
     for node in nodes:
-        node.children.sort(key=lambda c: set_key(c.members))
+        node.children.sort(key=keys.__getitem__)
     return CycleTree(root, tuple(nodes))
 
 

@@ -183,7 +183,7 @@ def simulate_hitting_time(
     """Sample the first-entry time into ``spec.target`` across replicas."""
     spec.validate()
     landscape = spec.landscape
-    kernel = transition_matrix(landscape, spec.beta, allow_zero=True)
+    kernel = transition_matrix(landscape, spec.beta)
     index = {s: i for i, s in enumerate(kernel.states)}
     target_mask = np.zeros(len(kernel.states), dtype=bool)
     for s in spec.target:
@@ -369,7 +369,7 @@ def sample_single_steps(
 ) -> dict[str, int]:
     """Diagnostic: frequency of each landing state after one step.  Uses one
     shared stream (replica independence is irrelevant for a single step)."""
-    kernel = transition_matrix(landscape, beta, allow_zero=True)
+    kernel = transition_matrix(landscape, beta)
     index = {s: i for i, s in enumerate(kernel.states)}
     cum = kernel.cumulative()[index[start]]
     draws = np.random.default_rng(_mask64(seed)).random(trials)

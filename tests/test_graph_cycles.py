@@ -12,6 +12,7 @@ from basincycles import (
     initial_level,
     make_landscape,
     metropolis_costs,
+    random_landscape,
     run_decomposition,
     zero_cost_reaches,
 )
@@ -303,3 +304,43 @@ def test_structural_invariants_random(data):
             for b in shared:
                 if a != b:
                     assert nxt.cost_between(a, b) == cur.cost_between(a, b)
+
+
+def _reference_heights(trace, zero):
+    """The quadratic definitions: exit height is the largest over every round
+    the class lives in; a non-singleton's merge height is the largest exit
+    height strictly inside it, clamped at zero; maximal proper cycles are the
+    strict subcycles no other strict subcycle contains."""
+    exit_heights = {}
+    for level in trace.levels:
+        for cls in level.classes:
+            height = level.exit_height[cls]
+            if cls not in exit_heights or height > exit_heights[cls]:
+                exit_heights[cls] = height
+    merge_heights = {}
+    maximal = {}
+    for cyc in exit_heights:
+        proper = [c for c in exit_heights if c < cyc]
+        if len(cyc) == 1:
+            merge_heights[cyc] = exit_heights[cyc]
+        else:
+            merge_heights[cyc] = max([zero] + [exit_heights[c] for c in proper])
+        maximal[cyc] = tuple(
+            sorted((c for c in proper if not any(c < o for o in proper)), key=set_key)
+        )
+    return exit_heights, merge_heights, maximal
+
+
+def test_heights_recorded_at_formation_match_definitions():
+    for seed in range(150):
+        rng = random.Random(seed)
+        L = random_landscape(seed=seed, max_states=10, max_energy=rng.choice([1, 3, 8]))
+        generic = {(x, y): E(rng.randint(0, 4)) for x in L.states for y in L.neighbors(x)}
+        for seed_costs in (None, generic):
+            trace = run_decomposition(L, seed_costs=seed_costs)
+            exit_heights, merge_heights, maximal = _reference_heights(trace, E(0))
+            assert trace.exit_heights == exit_heights
+            assert trace.merge_heights == merge_heights
+            assert trace.cycles == tuple(sorted(exit_heights, key=lambda c: (len(c), set_key(c))))
+            for cyc in trace.cycles:
+                assert trace.maximal_proper(cyc) == maximal[cyc]

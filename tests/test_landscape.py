@@ -226,6 +226,25 @@ def test_kernel_no_edge_means_zero(fig1):
     assert metropolis_kernel(fig1, 2.0).prob("e", "g") == 0.0
 
 
+def _landing_mass(kern):
+    """Probability that the inverse-CDF draw lands on each column."""
+    return np.diff(kern.cumulative(), axis=1, prepend=0.0)
+
+
+def test_cumulative_never_teleports(fig1):
+    # float shortfall in a row's sum must stay on the row's last reachable
+    # state; i -> k is not an edge of the chain
+    kern = metropolis_kernel(fig1, 1.0)
+    i, k = kern.states.index("i"), kern.states.index("k")
+    assert kern.matrix[i, k] == 0.0
+    assert _landing_mass(kern)[i, k] == 0.0
+    for beta in (1.0, 7.3):
+        kern = metropolis_kernel(fig1, beta)
+        mass = _landing_mass(kern)
+        assert (mass[kern.matrix == 0.0] == 0.0).all()
+        assert (kern.cumulative()[:, -1] == 1.0).all()
+
+
 def test_kernel_rows_and_entries(fig1):
     for beta in (0.3, 1.0, 4.0):
         kern = metropolis_kernel(fig1, beta)

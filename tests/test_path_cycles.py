@@ -11,13 +11,14 @@ from basincycles import (
     brute_force_path_cycles,
     depth,
     enumerate_path_cycles,
+    ground,
     is_path_cycle,
     make_landscape,
     resistance_height,
     sublevel_component,
 )
 from basincycles.errors import LevelBelowStart, NotACycle
-from basincycles.pathcycles import tree_to_dict, tree_to_dot
+from basincycles.pathcycles import boundary_floor, set_key, tree_to_dict, tree_to_dot
 
 from conftest import make_fig1_shuffled
 
@@ -33,9 +34,7 @@ FIG1_CYCLES = (
 )
 
 
-@settings(max_examples=120, deadline=None)
-@given(st.data())
-def test_sweep_matches_oracle(data):
+def _draw_landscape(data):
     n = data.draw(st.integers(2, 8))
     energies = data.draw(
         st.lists(st.integers(0, 6), min_size=n, max_size=n), label="energies"
@@ -50,11 +49,45 @@ def test_sweep_matches_oracle(data):
     ids = [f"s{i}" for i in range(n)]
     edges = {frozenset((ids[i], ids[p])) for i, p in enumerate(parents, start=1)}
     edges.update(frozenset((ids[a], ids[b])) for a, b in extra if a != b)
-    L = make_landscape(
+    return make_landscape(
         {ids[i]: energies[i] for i in range(n)},
         sorted(tuple(sorted(e)) for e in edges),
     )
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_sweep_matches_oracle(data):
+    L = _draw_landscape(data)
     assert enumerate_path_cycles(L).member_sets() == brute_force_path_cycles(L)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_sweep_tree_matches_definitions(data):
+    # the links and quantities recorded during the sweep against their
+    # definitions: parent = smallest strict superset among the oracle's
+    # cycles, and each quantity recomputed from the members
+    L = _draw_landscape(data)
+    oracle = brute_force_path_cycles(L)
+    tree = enumerate_path_cycles(L)
+    for node in tree.nodes:
+        supersets = [c for c in oracle if node.members < c]
+        if supersets:
+            assert node.parent.members == min(supersets, key=len)
+            assert node in node.parent.children
+        else:
+            assert node.parent is None and node is tree.root
+        keys = [set_key(child.members) for child in node.children]
+        assert keys == sorted(keys)
+        floor = boundary_floor(L, node.members)
+        low = L.min_energy(node.members)
+        high = L.max_energy(node.members)
+        assert node.boundary_floor == floor
+        assert node.depth == floor - low
+        assert node.resistance == high - low
+        assert node.ground == ground(L, node.members)
+        assert node.nontrivial == (len(node.members) > 1 or high < floor)
 
 
 def test_is_path_cycle(fig1):
