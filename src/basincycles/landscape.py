@@ -379,13 +379,39 @@ class TransitionMatrix:
     def row(self, x: str) -> np.ndarray:
         return self.matrix[self._index[x]]
 
-    def cumulative(self) -> np.ndarray:
-        """Per-row cumulative distributions, pinned to 1 from each row's last
-        positive entry on, so float shortfall never lands on a non-neighbour."""
-        cum = np.cumsum(self.matrix, axis=1)
-        last = self.matrix.shape[1] - 1 - np.argmax(self.matrix[:, ::-1] > 0, axis=1)
-        cum[np.arange(self.matrix.shape[1]) >= last[:, None]] = 1.0
-        return cum
+    def jumps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-state tables of the jump chain: ``(leave, nbr, cdf)``.
+
+        ``leave[x]`` is the probability of leaving ``x`` in one step, summed
+        from the row's off-diagonal entries and clamped to 1; it is never
+        taken as ``1 - matrix[x, x]``, which cancels to 0 at large beta.
+        ``nbr[x]`` lists the states reachable from ``x`` in one step, padded
+        to the largest degree by repeating the last one (``x`` itself when
+        there is none).  ``cdf[x]`` is the jump distribution over ``nbr[x]``,
+        normalised by ``leave[x]`` and pinned to 1 from the last neighbour
+        on, so float shortfall never lands off the row's neighbours.
+        """
+        positive = self.matrix > 0
+        np.fill_diagonal(positive, False)
+        rows, cols = np.nonzero(positive)  # row-major: each row's neighbours in order
+        prob = self.matrix[rows, cols]
+        n = len(self.states)
+        degree = np.bincount(rows, minlength=n)
+        ends = np.cumsum(degree)
+        slot = np.arange(rows.size) - np.repeat(ends - degree, degree)
+        last = np.arange(n)
+        some = degree > 0
+        last[some] = cols[ends[some] - 1]
+        width = max(1, int(degree.max()))
+        nbr = np.repeat(last[:, None], width, axis=1)
+        nbr[rows, slot] = cols
+        leave = np.minimum(np.bincount(rows, weights=prob, minlength=n), 1.0)
+        mass = np.zeros((n, width))
+        mass[rows, slot] = prob
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cdf = np.cumsum(mass, axis=1) / leave[:, None]
+        cdf[np.arange(width) >= (degree - 1)[:, None]] = 1.0
+        return leave, nbr, cdf
 
 
 def transition_matrix(landscape: Landscape, beta: float) -> TransitionMatrix:

@@ -2,10 +2,13 @@
 
 The sampler runs independent Metropolis chains and records the first step
 index at which each chain enters a target set (censored at ``max_steps``).
-Replica ``r`` consumes draws only from the stream keyed ``(seed, r)``, so
-results are reproducible and independent of batching, replica order, or any
-execution parallelism.  Holding steps (the diagonal remainder) count toward
-the hitting time.
+It walks the jump chain: each jump skips all holding steps at the current
+state with one geometric draw, so holding steps still count toward the
+hitting time and its law stays exact, while the work per replica is one
+iteration per jump, not per step.  Each jump takes two draws, and replica
+``r`` consumes draws only from the stream keyed ``(seed, r)``, so results
+are reproducible and independent of batching, replica order, or any
+execution parallelism.
 
 ``beta = 0`` is accepted only by the raw sampler as a diagnostic mode; the
 window and visit checks require ``beta > 0`` like every analysis path.
@@ -25,7 +28,7 @@ from .landscape import Landscape, StateSet, exterior_boundary, transition_matrix
 from .pathcycles import boundary_floor, is_path_cycle
 
 _MAX_STEP_CAP = 1_000_000_000
-_CHUNK = 2048
+_JUMPS = 1024  # jumps per draw refill, two draws each
 
 
 def _mask64(seed: int) -> int:
@@ -125,13 +128,28 @@ def _summarize(beta, taus, censored, window, secondary) -> HittingTimeStats:
     )
 
 
-def _run_chains(cum, start_idx, target_mask, sec_idx, max_steps, seed, replicas):
-    """Walk ``replicas`` chains in lockstep over per-replica streams.
+def _land(nbr, cdf, state, u):
+    """Destination of a jump from each ``state`` for draws ``u`` in [0, 1)."""
+    return nbr[state, (cdf[state] <= u[:, None]).sum(axis=1)]
 
-    Returns (tau, censored, sec) arrays; ``sec[r]`` is the first index at
+
+def _run_chains(jumps, start_idx, target_mask, sec_idx, max_steps, seed, replicas):
+    """Walk ``replicas`` jump chains in lockstep over per-replica streams.
+
+    ``jumps`` is the kernel's ``(leave, nbr, cdf)`` tables.  Each iteration
+    moves every live replica by one jump, on two draws from its own stream
+    ``(seed, r)``.  The first, ``u1`` in (0, 1], gives the steps the jump
+    takes, ``G = 1 + floor(log(u1) / log1p(-leave))``: geometric with success
+    probability ``leave``, so one draw covers every holding step and the
+    clock keeps the exact law of the step chain.  The second picks the
+    destination from the neighbour CDF.  A replica whose next arrival would
+    pass ``max_steps`` is censored there.
+
+    Returns (tau, censored, sec) arrays; ``sec[r]`` is the first step at
     which replica r stood on the secondary state (-1 if never, tracked only
     up to the target hit).
     """
+    leave, nbr, cdf = jumps
     tau = np.full(replicas, max_steps, dtype=np.int64)
     censored = np.ones(replicas, dtype=bool)
     sec = np.full(replicas, -1, dtype=np.int64)
@@ -147,33 +165,51 @@ def _run_chains(cum, start_idx, target_mask, sec_idx, max_steps, seed, replicas)
     gens = [np.random.default_rng([seed, r]) for r in range(replicas)]
     alive = np.arange(replicas)
     state = np.full(replicas, start_idx, dtype=np.intp)
-    step = 0
-    while alive.size and step < max_steps:
-        span = min(_CHUNK, max_steps - step)
-        draws = np.empty((alive.size, span))
-        for i, r in enumerate(alive):
-            draws[i] = gens[r].random(span)
-        rowsel = np.arange(alive.size)
-        for t in range(span):
-            rows = cum[state]
-            state = (rows <= draws[rowsel, t, None]).sum(axis=1)
-            now = step + t + 1
-            if sec_idx is not None:
-                fresh = (state == sec_idx) & (sec[alive] < 0)
-                if fresh.any():
-                    sec[alive[fresh]] = now
-            hit = target_mask[state]
-            if hit.any():
-                done = alive[hit]
-                tau[done] = now
-                censored[done] = False
-                keep = ~hit
-                alive = alive[keep]
-                state = state[keep]
-                rowsel = rowsel[keep]
-                if alive.size == 0:
-                    break
-        step += span
+    clock = np.zeros(replicas, dtype=np.int64)
+    # every jump takes at least one step, so max_steps jumps reach the cap
+    jumped = 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_stay = np.log1p(-leave)
+        while alive.size and jumped < max_steps:
+            span = min(_JUMPS, max_steps - jumped)
+            draws = np.empty((alive.size, span, 2))
+            for i, r in enumerate(alive):
+                draws[i] = gens[r].random((span, 2))
+            # log(u1) for u1 = 1 - draw in (0, 1], in place
+            first = draws[:, :, 0]
+            np.log1p(np.negative(first, out=first), out=first)
+            rowsel = np.arange(alive.size)
+            for t in range(span):
+                u = draws[rowsel, t]
+                # holding steps before the jump: 0 when leave is 1, inf when
+                # leave is 0 (NaN if u1 is also 1)
+                hold = np.floor(u[:, 0] / log_stay[state])
+                # arrival clock + hold + 1 must not pass max_steps; inf and
+                # NaN fail the test, so they are censored before the cast
+                keep = hold < max_steps - clock
+                if not keep.all():
+                    alive, state, clock = alive[keep], state[keep], clock[keep]
+                    rowsel, hold, u = rowsel[keep], hold[keep], u[keep]
+                    if alive.size == 0:
+                        break
+                clock += hold.astype(np.int64) + 1
+                state = _land(nbr, cdf, state, u[:, 1])
+                if sec_idx is not None:
+                    fresh = state == sec_idx
+                    if fresh.any():
+                        fresh &= sec[alive] < 0
+                        sec[alive[fresh]] = clock[fresh]
+                hit = target_mask[state]
+                if hit.any():
+                    done = alive[hit]
+                    tau[done] = clock[hit]
+                    censored[done] = False
+                    keep = ~hit
+                    alive, state, clock = alive[keep], state[keep], clock[keep]
+                    rowsel = rowsel[keep]
+                    if alive.size == 0:
+                        break
+            jumped += span
     return tau, censored, sec
 
 
@@ -190,7 +226,7 @@ def simulate_hitting_time(
         target_mask[index[s]] = True
     sec_idx = index[spec.secondary_target] if spec.secondary_target else None
     tau, censored, sec = _run_chains(
-        kernel.cumulative(),
+        kernel.jumps(),
         index[spec.start],
         target_mask,
         sec_idx,
@@ -367,12 +403,15 @@ def check_visit_before_exit(
 def sample_single_steps(
     landscape: Landscape, beta: float, start: str, trials: int, seed: int
 ) -> dict[str, int]:
-    """Diagnostic: frequency of each landing state after one step.  Uses one
-    shared stream (replica independence is irrelevant for a single step)."""
+    """Diagnostic: frequency of each landing state after one step, drawn from
+    the sampler's jump tables: hold when ``u1 >= leave``, otherwise jump to
+    the neighbour ``u2`` picks.  Uses one shared stream (replica independence
+    is irrelevant for a single step)."""
     kernel = transition_matrix(landscape, beta)
-    index = {s: i for i, s in enumerate(kernel.states)}
-    cum = kernel.cumulative()[index[start]]
-    draws = np.random.default_rng(_mask64(seed)).random(trials)
-    landed = (cum[None, :] <= draws[:, None]).sum(axis=1)
+    x = kernel.states.index(start)
+    leave, nbr, cdf = kernel.jumps()
+    u = np.random.default_rng(_mask64(seed)).random((trials, 2))
+    here = np.full(trials, x, dtype=np.intp)
+    landed = np.where(u[:, 0] < leave[x], _land(nbr, cdf, here, u[:, 1]), x)
     counts = np.bincount(landed, minlength=len(kernel.states))
     return {s: int(counts[i]) for i, s in enumerate(kernel.states) if counts[i]}

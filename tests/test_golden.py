@@ -21,6 +21,12 @@ CASES = [
     (("path-cycles", "--dot"), "path-cycles.dot"),
     (("graph-cycles", "--iterations"), "graph-cycles-iterations.json"),
     (("verify",), "verify.json"),
+    # pins the sampler's draw stream: a change to it shows up as a diff
+    (
+        ("simulate", "--cycle", "i,j", "--betas", "2,3", "--replicas", "200",
+         "--seed", "20260810", "--start", "i", "--visit", "j"),
+        "simulate.json",
+    ),
 ]
 
 FUZZ_SHA256 = "d560751a586a598ae5a697576339fc64babf6c1394252eb09a66feb32ef77557"

@@ -31,6 +31,7 @@ from basincycles.errors import (
     ScaleOverflow,
     UnknownStateInEdge,
 )
+from basincycles.landscape import transition_matrix
 
 from conftest import FIG1_PATH
 
@@ -226,23 +227,46 @@ def test_kernel_no_edge_means_zero(fig1):
     assert metropolis_kernel(fig1, 2.0).prob("e", "g") == 0.0
 
 
-def _landing_mass(kern):
-    """Probability that the inverse-CDF draw lands on each column."""
-    return np.diff(kern.cumulative(), axis=1, prepend=0.0)
+def test_jump_tables(fig1):
+    # each row lists exactly the states reachable in one step, padded with
+    # its last one; the CDF ends at exactly 1 and leave is the off-diagonal
+    # row sum, so a draw never lands off the row's neighbours
+    for beta in (0.0, 1.0, 7.3):
+        kern = transition_matrix(fig1, beta)
+        leave, nbr, cdf = kern.jumps()
+        assert nbr.shape == cdf.shape == (fig1.n, 2)
+        for x, s in enumerate(kern.states):
+            reach = [kern.states.index(t) for t in fig1.neighbors(s)]
+            reach = sorted(y for y in reach if kern.matrix[x, y] > 0)
+            degree = len(reach)
+            assert list(nbr[x, :degree]) == reach
+            assert (nbr[x, degree:] == reach[-1]).all()
+            assert (kern.matrix[x, nbr[x]] > 0).all()
+            assert (cdf[x, degree - 1 :] == 1.0).all()
+            assert (np.diff(cdf[x]) >= 0).all()
+            off = math.fsum(kern.prob(s, t) for t in fig1.neighbors(s))
+            assert leave[x] == pytest.approx(off, rel=1e-15)
+            mass = np.diff(cdf[x, :degree], prepend=0.0) * leave[x]
+            assert mass == pytest.approx(kern.matrix[x, reach], rel=1e-12)
 
 
-def test_cumulative_never_teleports(fig1):
-    # float shortfall in a row's sum must stay on the row's last reachable
-    # state; i -> k is not an edge of the chain
-    kern = metropolis_kernel(fig1, 1.0)
-    i, k = kern.states.index("i"), kern.states.index("k")
-    assert kern.matrix[i, k] == 0.0
-    assert _landing_mass(kern)[i, k] == 0.0
-    for beta in (1.0, 7.3):
-        kern = metropolis_kernel(fig1, beta)
-        mass = _landing_mass(kern)
-        assert (mass[kern.matrix == 0.0] == 0.0).all()
-        assert (kern.cumulative()[:, -1] == 1.0).all()
+def test_jump_tables_leave_survives_cancellation(fig1):
+    # at beta 40 the row remainder rounds to a holding probability of
+    # exactly 1, but the off-diagonal sum keeps i's exit rate
+    kern = metropolis_kernel(fig1, 40.0)
+    i = kern.states.index("i")
+    leave, nbr, _ = kern.jumps()
+    assert 1.0 - kern.matrix[i, i] == 0.0
+    assert leave[i] > 0
+    assert leave[i] == pytest.approx(0.5 * math.exp(-40.0), rel=1e-12)
+    assert sorted(kern.states[y] for y in nbr[i]) == ["h", "j"]
+
+
+def test_jump_tables_single_state():
+    leave, nbr, cdf = transition_matrix(make_landscape({"x": 0}, []), 1.0).jumps()
+    assert leave.tolist() == [0.0]
+    assert nbr.tolist() == [[0]]
+    assert cdf.tolist() == [[1.0]]
 
 
 def test_kernel_rows_and_entries(fig1):

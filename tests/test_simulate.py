@@ -8,6 +8,7 @@ from basincycles import (
     SimulationSpec,
     check_exit_window,
     check_visit_before_exit,
+    make_landscape,
     metropolis_kernel,
     simulate_hitting_time,
 )
@@ -64,6 +65,41 @@ def test_beta_zero_chain_matches_linear_system(fig1):
     assert stats.mean == pytest.approx(expected, rel=0.05)
 
 
+@pytest.mark.parametrize(
+    "beta, exact, replicas",
+    [(2.0, 899.547, 1000), (3.0, 16970.954, 1000), (4.0, 331360.339, 400)],
+)
+def test_exit_mean_matches_linear_system(fig1, beta, exact, replicas):
+    # oracle: mean exit times from the i-j well solve (I - P_CC) m = 1, with
+    # the diagonal of I - P_CC assembled from the off-diagonal rates (no
+    # 1 - p(x, x) subtraction); exit times are near-exponential, so the
+    # standard error of the mean is about mean / sqrt(N)
+    import numpy as np
+
+    kernel = metropolis_kernel(fig1, beta)
+    cycle = ["i", "j"]
+    A = np.array(
+        [[-kernel.prob(x, y) for y in cycle] for x in cycle], dtype=np.float64
+    )
+    for a, x in enumerate(cycle):
+        A[a, a] = math.fsum(kernel.prob(x, y) for y in fig1.neighbors(x))
+    m = np.linalg.solve(A, np.ones(len(cycle)))
+    assert m[0] == pytest.approx(exact, rel=1e-6)
+
+    spec = SimulationSpec(
+        landscape=fig1,
+        beta=beta,
+        start="i",
+        target=frozenset({"h", "k"}),
+        max_steps=1_000_000_000,
+        replicas=replicas,
+        seed=2026,
+    )
+    stats = simulate_hitting_time(spec)
+    assert stats.censored_count == 0
+    assert abs(stats.mean - m[0]) <= 4 * stats.mean / math.sqrt(replicas)
+
+
 def test_start_inside_target(fig1):
     spec = SimulationSpec(
         landscape=fig1,
@@ -114,6 +150,42 @@ def test_censoring_reported(fig1):
     assert stats.censored_count == 30
     assert stats.all_censored
     assert stats.mean is None and stats.median is None
+
+
+def test_censoring_boundary_hit_at_max_steps():
+    # leave is 1 at beta 0 with q = 1: the first jump arrives at step 1,
+    # which is still inside max_steps = 1
+    landscape = make_landscape({"x": 0, "y": 1}, [("x", "y", "1")])
+    spec = SimulationSpec(
+        landscape=landscape,
+        beta=0.0,
+        start="x",
+        target=frozenset({"y"}),
+        max_steps=1,
+        replicas=20,
+        seed=3,
+    )
+    stats = simulate_hitting_time(spec)
+    assert stats.samples == (1,) * 20
+    assert stats.censored_count == 0
+
+
+@pytest.mark.parametrize("beta", [40.0, 1000.0])
+def test_unbounded_holds_are_censored(fig1, beta):
+    # at beta 40 i holds for about 5e17 steps per jump, past any cap; at
+    # beta 1000 its exit rates underflow to 0 and it never jumps
+    spec = SimulationSpec(
+        landscape=fig1,
+        beta=beta,
+        start="i",
+        target=frozenset({"h", "k"}),
+        max_steps=1_000_000_000,
+        replicas=50,
+        seed=4,
+    )
+    stats = simulate_hitting_time(spec)
+    assert stats.all_censored
+    assert stats.samples == (1_000_000_000,) * 50
 
 
 def test_step_law_against_kernel(fig1):
