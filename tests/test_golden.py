@@ -1,12 +1,14 @@
-"""Golden outputs: the CLI's stdout on the paper's figure and on a fixed-seed
-fuzz campaign must stay byte-identical across refactors.
+"""Golden outputs: the CLI's stdout on the paper's figure, on two small grids
+and on a fixed-seed fuzz campaign must stay byte-identical across refactors.
 
-The files under ``data/golden`` are the outputs of the commands below on
-``data/fig1.json``.  Regenerate them only for an intended change of output,
-and say why in the change log.
+The files under ``data/golden`` are the outputs of the commands below.
+Regenerate them only for an intended change of output, and say why in the
+change log.
 """
 
 import hashlib
+import json
+import random
 
 import pytest
 
@@ -15,6 +17,11 @@ from basincycles.cli import main
 from conftest import DATA, FIG1_PATH
 
 GOLDEN = DATA / "golden"
+
+# (max_energy, input file): 8 x 8 grids whose per-round cost matrices pin the
+# renormalization on plateaus (0..2) and on nearly tie-free energies (0..1000)
+GRIDS = [(2, "grid8-e2.json"), (1000, "grid8-e1000.json")]
+GRID_SEED = 20261018
 
 CASES = [
     (("path-cycles",), "path-cycles.json"),
@@ -29,7 +36,43 @@ CASES = [
     ),
 ]
 
+# (input, argv, golden) on the grids
+GRID_CASES = [
+    ("grid8-e2.json", ("graph-cycles", "--iterations"), "grid8-e2-graph-cycles-iterations.json"),
+    ("grid8-e2.json", ("verify",), "grid8-e2-verify.json"),
+    ("grid8-e1000.json", ("graph-cycles", "--iterations"), "grid8-e1000-graph-cycles-iterations.json"),
+    ("grid8-e1000.json", ("verify",), "grid8-e1000-verify.json"),
+]
+
 FUZZ_SHA256 = "d560751a586a598ae5a697576339fc64babf6c1394252eb09a66feb32ef77557"
+
+
+def grid_text(side: int, max_energy: int, seed: int) -> str:
+    """A side x side 4-neighbour grid with integer energies uniform in
+    0..max_energy, drawn row by row from ``random.Random(seed)``; one state
+    and one edge per line."""
+    rng = random.Random(seed)
+    ids = [[f"r{r}c{c}" for c in range(side)] for r in range(side)]
+    states = [
+        {"id": ids[r][c], "energy": str(rng.randint(0, max_energy))}
+        for r in range(side)
+        for c in range(side)
+    ]
+    edges = []
+    for r in range(side):
+        for c in range(side):
+            if c + 1 < side:
+                edges.append([ids[r][c], ids[r][c + 1]])
+            if r + 1 < side:
+                edges.append([ids[r][c], ids[r + 1][c]])
+    lines = ['{', '  "energy_scale": 1000000,', '  "states": [']
+    lines.append(",\n".join(f"    {json.dumps(s)}" for s in states))
+    lines.append("  ],")
+    lines.append('  "edges": [')
+    lines.append(",\n".join(f"    {json.dumps(e)}" for e in edges))
+    lines.append("  ]")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def _stdout(capsys, argv):
@@ -37,12 +80,26 @@ def _stdout(capsys, argv):
     return code, capsys.readouterr().out
 
 
-@pytest.mark.parametrize("argv, name", CASES, ids=[name for _, name in CASES])
-def test_fig1_output_matches_golden(capsys, argv, name):
+@pytest.mark.parametrize("max_energy, name", GRIDS, ids=[name for _, name in GRIDS])
+def test_grid_inputs_match_their_generator(max_energy, name):
+    assert (DATA / name).read_text(encoding="utf-8") == grid_text(8, max_energy, GRID_SEED)
+
+
+def _check_golden(capsys, source, argv, name):
     command, *flags = argv
-    code, out = _stdout(capsys, [command, str(FIG1_PATH), *flags])
+    code, out = _stdout(capsys, [command, str(source), *flags])
     assert code == 0
     assert out == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("argv, name", CASES, ids=[name for _, name in CASES])
+def test_fig1_output_matches_golden(capsys, argv, name):
+    _check_golden(capsys, FIG1_PATH, argv, name)
+
+
+@pytest.mark.parametrize("source, argv, name", GRID_CASES, ids=[name for _, _, name in GRID_CASES])
+def test_grid_output_matches_golden(capsys, source, argv, name):
+    _check_golden(capsys, DATA / source, argv, name)
 
 
 def test_fuzz_campaign_digest(capsys):
