@@ -162,18 +162,32 @@ def _expected_exit_height(landscape: Landscape, members: StateSet) -> Energy:
     return (boundary_floor(landscape, members) - landscape.min_energy(members)).clamp_nonneg()
 
 
-def _check_conditions(landscape: Landscape, trace: DecompositionTrace) -> list[ConditionRecord]:
+def _check_conditions(
+    landscape: Landscape, trace: DecompositionTrace, expected_exit: dict
+) -> list[ConditionRecord]:
+    """Every round's conditions, checked against expectations derived once
+    per distinct class: they depend only on the landscape and the members,
+    and most classes live through many rounds.  ``expected_exit`` collects
+    each class's expected exit height."""
     zero = Energy(0, landscape.scale)
+    is_cycle: dict[StateSet, bool] = {}
+    surroundings: dict[StateSet, tuple] = {}  # big class -> (floor, boundary)
     records = []
     for level in trace.levels:
-        cycles_ok = all(is_path_cycle(landscape, cls) for cls in level.classes)
+        for cls in level.classes:
+            if cls not in is_cycle:
+                is_cycle[cls] = is_path_cycle(landscape, cls)
+                expected_exit[cls] = _expected_exit_height(landscape, cls)
+        cycles_ok = all(is_cycle[cls] for cls in level.classes)
 
         costs_ok = True
         singles = {s for cls in level.classes if len(cls) == 1 for s in cls}
         for big in (cls for cls in level.classes if len(cls) > 1):
-            floor = landscape.min_energy(big)
+            if big not in surroundings:
+                surroundings[big] = (landscape.min_energy(big), exterior_boundary(landscape, big))
+            floor, boundary = surroundings[big]
             # the boundary holds exactly the states with a positive-rate edge in
-            for a in exterior_boundary(landscape, big) & singles:
+            for a in boundary & singles:
                 single = frozenset((a,))
                 expected_out = landscape.energy(a) - floor
                 if level.cost_between(big, single) != expected_out:
@@ -181,10 +195,7 @@ def _check_conditions(landscape: Landscape, trace: DecompositionTrace) -> list[C
                 if level.cost_between(single, big) != zero:
                     costs_ok = False
 
-        heights_ok = all(
-            level.exit_height[cls] == _expected_exit_height(landscape, cls)
-            for cls in level.classes
-        )
+        heights_ok = all(level.exit_height[cls] == expected_exit[cls] for cls in level.classes)
 
         merge_ok = True
         if level.index >= 1:
@@ -217,10 +228,13 @@ def verify_equivalence(landscape: Landscape) -> EquivalenceReport:
     graph_only = sorted(graph_sets - path_sets, key=set_key)
     path_only = sorted(path_sets - graph_sets, key=set_key)
 
+    expected_exit: dict[StateSet, Energy] = {}
+    conditions = _check_conditions(landscape, trace, expected_exit)
+
     he_violations = []
     hm_violations = []
     for cyc in trace.cycles:
-        expected = _expected_exit_height(landscape, cyc)
+        expected = expected_exit[cyc]  # every cycle is a class of some round
         got = trace.exit_heights[cyc]
         if got != expected:
             he_violations.append((cyc, got, expected))
@@ -238,7 +252,7 @@ def verify_equivalence(landscape: Landscape) -> EquivalenceReport:
         path_only=path_only,
         he_violations=he_violations,
         hm_violations=hm_violations,
-        conditions=_check_conditions(landscape, trace),
+        conditions=conditions,
         cycle_count=len(trace.cycles),
     )
 

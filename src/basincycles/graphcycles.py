@@ -20,13 +20,20 @@ heights are taken from the round that forms it, and its maximal proper
 subcycles are the classes that round merged, so the hierarchy is never
 rebuilt by comparing classes pairwise.
 
-All arithmetic is exact; equal-cost ties resolve by set semantics so the
-trace is independent of state enumeration order.
+The rounds compute on plain ints: every cost and height is a count of
+``1/scale`` energy units, with ``math.inf`` as the one infinity (it compares
+and adds exactly against ints), so the arithmetic stays exact.  Each class's
+sort key is computed once, when the class is created.  ``Energy`` appears
+only at the boundary: in the ``PartitionLevel`` views, built on first read,
+and in the trace's exit and merge heights.  Equal-cost ties resolve by set
+semantics, so the trace is independent of state enumeration order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Optional
 
 from .energy import INFINITY, Energy
@@ -39,7 +46,7 @@ from .errors import (
 from .landscape import Landscape, StateSet
 from .pathcycles import set_key
 
-CostRows = dict  # class -> {class -> Energy}, finite entries only
+UnitRows = dict  # class -> {class -> int units}, finite entries only
 
 
 def metropolis_costs(landscape: Landscape) -> dict[tuple[str, str], Energy]:
@@ -82,19 +89,52 @@ def _validate_seed(landscape: Landscape, costs: Mapping) -> dict[tuple[str, str]
 @dataclass(frozen=True)
 class PartitionLevel:
     """One round of the recursion: the partition, its cost matrix, and the
-    derived exit heights and renormalized costs.
+    derived exit and merge heights.
 
-    ``cost`` and ``renormalized`` store finite entries only, as nested
-    ``{source: {destination: Energy}}`` maps; missing means infinite.
-    ``merge_height`` is None for the initial round.
+    The round itself is stored in int units of ``1/scale``: ``cost_units``
+    as ``{source: {destination: int}}`` with finite entries only (missing
+    means infinite), ``exit_units`` as each class's cheapest outgoing cost
+    (``math.inf`` for none) and ``merge_units`` as each class's merge height
+    (None for the initial round).  ``keys`` maps every class of the trace to
+    its sorted member tuple; the levels of one trace share it.
+
+    ``cost``, ``exit_height``, ``renormalized`` and ``merge_height`` are the
+    same quantities as ``Energy`` dicts, each built when it is first read;
+    ``renormalized`` is the cost minus the source's exit height.  Infinite
+    heights are ``INFINITY`` itself.
     """
 
     index: int
     classes: tuple[StateSet, ...]
-    cost: CostRows
-    exit_height: dict
-    renormalized: CostRows
-    merge_height: Optional[dict]
+    cost_units: UnitRows
+    exit_units: dict
+    merge_units: Optional[dict]
+    scale: int
+    keys: dict = field(compare=False, repr=False)
+
+    @cached_property
+    def cost(self) -> dict:
+        return {
+            src: {dst: Energy(v, self.scale) for dst, v in row.items()}
+            for src, row in self.cost_units.items()
+        }
+
+    @cached_property
+    def exit_height(self) -> dict:
+        return {cls: _energy(h, self.scale) for cls, h in self.exit_units.items()}
+
+    @cached_property
+    def renormalized(self) -> dict:
+        return {
+            src: {dst: Energy(v - self.exit_units[src], self.scale) for dst, v in row.items()}
+            for src, row in self.cost_units.items()
+        }
+
+    @cached_property
+    def merge_height(self) -> Optional[dict]:
+        if self.merge_units is None:
+            return None
+        return {cls: _energy(h, self.scale) for cls, h in self.merge_units.items()}
 
     @property
     def is_terminal(self) -> bool:
@@ -106,16 +146,23 @@ class PartitionLevel:
     def cost_between(self, a: StateSet, b: StateSet) -> Energy:
         self._check(a)
         self._check(b)
-        return self.cost.get(a, {}).get(b, INFINITY)
+        return _energy(self.cost_units.get(a, {}).get(b, math.inf), self.scale)
 
     def renormalized_between(self, a: StateSet, b: StateSet) -> Energy:
         self._check(a)
         self._check(b)
-        return self.renormalized.get(a, {}).get(b, INFINITY)
+        row = self.cost_units.get(a, {})
+        if b not in row:
+            return INFINITY
+        return Energy(row[b] - self.exit_units[a], self.scale)
 
     def _check(self, cls: StateSet) -> None:
-        if cls not in self.exit_height:
+        if cls not in self.exit_units:
             raise UnknownClass(f"{sorted(cls)} is not a class of round {self.index}")
+
+
+def _energy(units, scale: int) -> Energy:
+    return INFINITY if units == math.inf else Energy(units, scale)
 
 
 @dataclass(frozen=True)
@@ -127,17 +174,10 @@ class MergeStep:
     minimal: tuple[StateSet, ...]
 
 
-def _finish_level(index: int, classes, cost: CostRows, merge_height) -> PartitionLevel:
-    classes = tuple(sorted(classes, key=set_key))
-    exit_height = {}
-    renormalized: CostRows = {}
-    for cls in classes:
-        row = cost.get(cls, {})
-        exit_height[cls] = min(row.values(), default=INFINITY)
-        if row:
-            floor = exit_height[cls]
-            renormalized[cls] = {dst: v - floor for dst, v in row.items()}
-    return PartitionLevel(index, classes, cost, exit_height, renormalized, merge_height)
+def _finish_level(index: int, classes, cost: UnitRows, merge, scale: int, keys: dict) -> PartitionLevel:
+    classes = tuple(sorted(classes, key=keys.__getitem__))
+    exit_units = {cls: min(cost[cls].values()) if cls in cost else math.inf for cls in classes}
+    return PartitionLevel(index, classes, cost, exit_units, merge, scale, keys)
 
 
 def initial_level(landscape: Landscape, seed_costs=None) -> PartitionLevel:
@@ -146,11 +186,12 @@ def initial_level(landscape: Landscape, seed_costs=None) -> PartitionLevel:
         pair_costs = metropolis_costs(landscape)
     else:
         pair_costs = _validate_seed(landscape, seed_costs)
-    cost: CostRows = {}
+    single = {s: frozenset((s,)) for s in landscape.states}
+    cost: UnitRows = {}
     for (x, y), value in pair_costs.items():
-        cost.setdefault(frozenset((x,)), {})[frozenset((y,))] = value
-    classes = [frozenset((s,)) for s in landscape.states]
-    return _finish_level(0, classes, cost, None)
+        cost.setdefault(single[x], {})[single[y]] = value.units
+    keys = {cls: (s,) for s, cls in single.items()}
+    return _finish_level(0, single.values(), cost, None, landscape.scale, keys)
 
 
 def zero_cost_reaches(level: PartitionLevel, source: StateSet, destination: StateSet) -> bool:
@@ -176,13 +217,12 @@ def zero_cost_reaches(level: PartitionLevel, source: StateSet, destination: Stat
 
 
 def _zero_adjacency(level: PartitionLevel) -> dict:
-    adjacency = {}
-    for src, row in level.renormalized.items():
-        zero = Energy(0, next(iter(row.values())).scale) if row else None
-        outs = [dst for dst, v in row.items() if v == zero]
-        if outs:
-            adjacency[src] = sorted(outs, key=set_key)
-    return adjacency
+    """Each class's zero-renormalized-cost destinations, in row order."""
+    exits = level.exit_units
+    return {
+        src: [dst for dst, v in row.items() if v == exits[src]]
+        for src, row in level.cost_units.items()
+    }
 
 
 def _strongly_connected(nodes, adjacency) -> list[list]:
@@ -240,6 +280,8 @@ def advance(level: PartitionLevel) -> tuple[PartitionLevel, tuple[StateSet, ...]
 
     adjacency = _zero_adjacency(level)
     components = _strongly_connected(level.classes, adjacency)
+    exits = level.exit_units
+    keys = level.keys
 
     group_of = {}
     for gi, comp in enumerate(components):
@@ -247,53 +289,48 @@ def advance(level: PartitionLevel) -> tuple[PartitionLevel, tuple[StateSet, ...]
             group_of[cls] = gi
 
     blocks = []
-    minimal_flags = []
+    minimal = []
+    container = {}  # class of this round -> its class in the next round
+    merge = {}
     for gi, comp in enumerate(components):
-        union = frozenset().union(*comp)
-        blocks.append(union)
         # minimal: no member class has a zero-cost step into another group
-        escapes = any(
-            group_of[dst] != gi for cls in comp for dst in adjacency.get(cls, ())
-        )
-        minimal_flags.append(not escapes)
-
-    new_classes = []
-    container = {}
-    for gi, comp in enumerate(components):
-        if minimal_flags[gi]:
-            merged = blocks[gi]
-            new_classes.append(merged)
-            for cls in comp:
-                container[cls] = merged
+        if len(comp) == 1:
+            block = comp[0]
+            escapes = block in adjacency  # every nonempty row has a zero-cost step
         else:
+            block = frozenset().union(*comp)
+            if block not in keys:
+                keys[block] = set_key(block)
+            escapes = any(group_of[dst] != gi for cls in comp for dst in adjacency[cls])
+        blocks.append(block)
+        if escapes:
             for cls in comp:
-                new_classes.append(cls)
                 container[cls] = cls
+                merge[cls] = exits[cls]
+        else:
+            minimal.append(block)
+            for cls in comp:
+                container[cls] = block
+            merge[block] = max(exits[cls] for cls in comp)
 
-    merge_height = {}
-    for cls, dest in container.items():
-        height = level.exit_height[cls]
-        best = merge_height.get(dest)
-        if best is None or height > best:
-            merge_height[dest] = height
-
-    cost: CostRows = {}
-    for src, row in level.renormalized.items():
-        base = merge_height[container[src]]
+    # each destination keeps its cheapest renormalized cost, lifted by the
+    # source's merge height; ``container`` holds one object per next class
+    cost: UnitRows = {}
+    for src, row in level.cost_units.items():
+        a = container[src]
+        shift = merge[a] - exits[src]
+        out = cost.setdefault(a, {})
         for dst, value in row.items():
-            a, b = container[src], container[dst]
-            if a == b:
-                continue
-            candidate = base + value
-            current = cost.setdefault(a, {}).get(b)
-            if current is None or candidate < current:
-                cost[a][b] = candidate
+            b = container[dst]
+            if b is not a:
+                value += shift
+                if value < out.get(b, math.inf):
+                    out[b] = value
+    cost = {a: row for a, row in cost.items() if row}
 
-    next_level = _finish_level(level.index + 1, new_classes, cost, merge_height)
-    block_order = tuple(sorted(blocks, key=set_key))
-    minimal_order = tuple(
-        sorted((b for b, m in zip(blocks, minimal_flags) if m), key=set_key)
-    )
+    next_level = _finish_level(level.index + 1, merge, cost, merge, level.scale, keys)
+    block_order = tuple(sorted(blocks, key=keys.__getitem__))
+    minimal_order = tuple(sorted(minimal, key=keys.__getitem__))
     return next_level, block_order, minimal_order
 
 
@@ -338,8 +375,8 @@ def run_decomposition(landscape: Landscape, seed_costs=None) -> DecompositionTra
     level = initial_level(landscape, seed_costs)
     levels = [level]
     merges = []
-    exit_heights = dict(level.exit_height)
-    merge_heights = dict(level.exit_height)  # a singleton merges at its exit height
+    exit_units = dict(level.exit_units)
+    merge_units = dict(level.exit_units)  # a singleton merges at its exit height
     while not level.is_terminal:
         if len(levels) > landscape.n:
             raise NonTermination("recursion exceeded the state count")
@@ -347,63 +384,62 @@ def run_decomposition(landscape: Landscape, seed_costs=None) -> DecompositionTra
         levels.append(level)
         merges.append(MergeStep(blocks, minimal))
         for block in minimal:
-            exit_heights[block] = level.exit_height[block]
-            merge_heights[block] = level.merge_height[block]
+            exit_units[block] = level.exit_units[block]
+            merge_units[block] = level.merge_units[block]
 
+    scale = landscape.scale
+    keys = level.keys
     return DecompositionTrace(
         levels=tuple(levels),
         merges=tuple(merges),
-        cycles=tuple(sorted(exit_heights, key=lambda c: (len(c), set_key(c)))),
-        exit_heights=exit_heights,
-        merge_heights=merge_heights,
+        cycles=tuple(sorted(exit_units, key=lambda c: (len(c), keys[c]))),
+        exit_heights={c: _energy(h, scale) for c, h in exit_units.items()},
+        merge_heights={c: _energy(h, scale) for c, h in merge_units.items()},
         iterations=len(levels) - 1,
-        scale=landscape.scale,
+        scale=scale,
     )
 
 
 # -- export --------------------------------------------------------------------
 
 
-def _members(cls: StateSet) -> list[str]:
-    return list(set_key(cls))
-
-
-def _rows_to_list(rows: CostRows) -> list[dict]:
+def _rows_to_list(rows: dict, keys: dict) -> list[dict]:
     entries = []
-    for src in sorted(rows, key=set_key):
-        for dst in sorted(rows[src], key=set_key):
-            entries.append(
-                {"from": _members(src), "to": _members(dst), "value": str(rows[src][dst])}
-            )
+    for src in sorted(rows, key=keys.__getitem__):
+        row = rows[src]
+        for dst in sorted(row, key=keys.__getitem__):
+            entries.append({"from": list(keys[src]), "to": list(keys[dst]), "value": str(row[dst])})
     return entries
 
 
-def _heights_to_list(heights: dict) -> list[dict]:
+def _heights_to_list(heights: dict, keys: dict) -> list[dict]:
     return [
-        {"class": _members(cls), "value": str(heights[cls])}
-        for cls in sorted(heights, key=set_key)
+        {"class": list(keys[cls]), "value": str(heights[cls])}
+        for cls in sorted(heights, key=keys.__getitem__)
     ]
 
 
 def level_to_dict(level: PartitionLevel) -> dict:
+    keys = level.keys
     doc = {
         "index": level.index,
-        "classes": [_members(c) for c in level.classes],
-        "cost": _rows_to_list(level.cost),
-        "exit_height": _heights_to_list(level.exit_height),
-        "renormalized_cost": _rows_to_list(level.renormalized),
+        "classes": [list(keys[c]) for c in level.classes],
+        "cost": _rows_to_list(level.cost, keys),
+        "exit_height": _heights_to_list(level.exit_height, keys),
+        "renormalized_cost": _rows_to_list(level.renormalized, keys),
     }
     if level.merge_height is not None:
-        doc["merge_height"] = _heights_to_list(level.merge_height)
+        doc["merge_height"] = _heights_to_list(level.merge_height, keys)
     return doc
 
 
 def trace_to_dict(trace: DecompositionTrace, include_levels: bool = False) -> dict:
+    keys = trace.levels[-1].keys
     doc: dict = {
         "iterations": trace.iterations,
         "cycles": [
             {
-                "members": _members(c),
+                "members": list(keys[c]),
                 "exit_height": str(trace.exit_heights[c]),
                 "merge_height": str(trace.merge_heights[c]),
             }
@@ -415,8 +451,8 @@ def trace_to_dict(trace: DecompositionTrace, include_levels: bool = False) -> di
         doc["merges"] = [
             {
                 "into_iteration": i + 1,
-                "merged": [_members(b) for b in step.blocks],
-                "merged_minimal": [_members(b) for b in step.minimal],
+                "merged": [list(keys[b]) for b in step.blocks],
+                "merged_minimal": [list(keys[b]) for b in step.minimal],
             }
             for i, step in enumerate(trace.merges)
         ]

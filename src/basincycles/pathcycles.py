@@ -92,11 +92,12 @@ class CycleNode:
 
 class CycleTree:
     """All path cycles of a landscape, nested-or-disjoint, rooted at the
-    whole space."""
+    whole space.  ``keys`` maps each node to its sorted member tuple."""
 
-    def __init__(self, root: CycleNode, nodes: tuple[CycleNode, ...]):
+    def __init__(self, root: CycleNode, nodes: tuple[CycleNode, ...], keys: dict):
         self.root = root
         self.nodes = nodes
+        self.keys = keys
         self._by_members = {node.members: node for node in nodes}
 
     def node(self, members: Iterable[str]) -> CycleNode:
@@ -197,7 +198,7 @@ def enumerate_path_cycles(landscape: Landscape) -> CycleTree:
     nodes.sort(key=lambda node: (len(node.members), keys[node]))
     for node in nodes:
         node.children.sort(key=keys.__getitem__)
-    return CycleTree(root, tuple(nodes))
+    return CycleTree(root, tuple(nodes), keys)
 
 
 def depth(landscape: Landscape, members: Iterable[str]) -> Energy:
@@ -220,16 +221,16 @@ def resistance_height(landscape: Landscape, members: Iterable[str]) -> Energy:
 
 
 def tree_to_dict(tree: CycleTree) -> dict:
-    order = {node.members: i for i, node in enumerate(tree.nodes)}
+    order = {node: i for i, node in enumerate(tree.nodes)}
     nodes = []
     for node in tree.nodes:
         nodes.append(
             {
-                "members": list(set_key(node.members)),
+                "members": list(tree.keys[node]),
                 "gamma": str(node.depth),
                 "gamma_tilde": str(node.resistance),
                 "ground": list(set_key(node.ground)),
-                "parent_index": order[node.parent.members] if node.parent else None,
+                "parent_index": order[node.parent] if node.parent else None,
             }
         )
     return {"nodes": nodes}
@@ -241,17 +242,17 @@ def _dot_escape(text: str) -> str:
 
 def tree_to_dot(tree: CycleTree, graph_name: str = "cycles") -> str:
     """Graph-description text: one node per cycle, edges parent -> child."""
-    order = {node.members: i for i, node in enumerate(tree.nodes)}
+    order = {node: i for i, node in enumerate(tree.nodes)}
     lines = [f"digraph {graph_name} {{"]
     lines.append('  node [shape=box, fontname="monospace"];')
     for node in tree.nodes:
-        label = _dot_escape("{" + ",".join(set_key(node.members)) + "}")
+        label = _dot_escape("{" + ",".join(tree.keys[node]) + "}")
         lines.append(
-            f'  n{order[node.members]} [label="{label}\\n'
+            f'  n{order[node]} [label="{label}\\n'
             f'Γ={node.depth}, Γ̃={node.resistance}"];'
         )
     for node in tree.nodes:
         for child in node.children:
-            lines.append(f"  n{order[node.members]} -> n{order[child.members]};")
+            lines.append(f"  n{order[node]} -> n{order[child]};")
     lines.append("}")
     return "\n".join(lines) + "\n"

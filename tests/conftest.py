@@ -1,8 +1,9 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
-from basincycles import load_landscape, make_landscape
+from basincycles import DEFAULT_SCALE, load_landscape, make_landscape
 
 DATA = Path(__file__).parent / "data"
 FIG1_PATH = DATA / "fig1.json"
@@ -30,3 +31,27 @@ def make_fig1_shuffled(rng):
     rng.shuffle(edges)
     edges = [(y, x) if rng.random() < 0.5 else (x, y) for x, y in edges]
     return make_landscape([(s, FIG1_ENERGIES[s]) for s in order], edges)
+
+
+def draw_landscape(data, scale=DEFAULT_SCALE):
+    """A connected landscape on 2-8 states with energies 0..6 (whole units):
+    a random spanning tree plus up to 12 extra edges."""
+    n = data.draw(st.integers(2, 8))
+    energies = data.draw(
+        st.lists(st.integers(0, 6), min_size=n, max_size=n), label="energies"
+    )
+    parents = [data.draw(st.integers(0, i - 1)) for i in range(1, n)]
+    extra = data.draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=12
+        ),
+        label="extra-edges",
+    )
+    ids = [f"s{i}" for i in range(n)]
+    edges = {frozenset((ids[i], ids[p])) for i, p in enumerate(parents, start=1)}
+    edges.update(frozenset((ids[a], ids[b])) for a, b in extra if a != b)
+    return make_landscape(
+        {ids[i]: energies[i] for i in range(n)},
+        sorted(tuple(sorted(e)) for e in edges),
+        scale,
+    )

@@ -24,7 +24,7 @@ from basincycles.errors import (
 from basincycles.graphcycles import trace_to_dict
 from basincycles.pathcycles import set_key
 
-from conftest import make_fig1_shuffled
+from conftest import draw_landscape, make_fig1_shuffled
 
 E = Energy.from_int
 
@@ -344,3 +344,73 @@ def test_heights_recorded_at_formation_match_definitions():
             assert trace.cycles == tuple(sorted(exit_heights, key=lambda c: (len(c), set_key(c))))
             for cyc in trace.cycles:
                 assert trace.maximal_proper(cyc) == maximal[cyc]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_level_views_match_the_rounds(data):
+    L = draw_landscape(data, scale=7)
+    generic = {
+        (x, y): Energy(data.draw(st.integers(0, 20), label="seed-cost"), 7)
+        for x in sorted(L.states)
+        for y in sorted(L.neighbors(x))
+    }
+    for seed_costs in (None, generic):
+        trace = run_decomposition(L, seed_costs=seed_costs)
+        for level in trace.levels:
+            assert set(level.cost) <= set(level.classes)
+            assert set(level.renormalized) == set(level.cost)
+            assert set(level.exit_height) == set(level.classes)
+            for a in level.classes:
+                row = level.cost.get(a, {})
+                assert level.exit_height[a] == min(row.values(), default=INFINITY)
+                for b, value in row.items():
+                    assert value.scale == 7
+                    assert level.renormalized[a][b] == value - level.exit_height[a]
+                for b in level.classes:
+                    want = row.get(b, INFINITY)
+                    got = level.cost_between(a, b)
+                    assert got is INFINITY if want is INFINITY else got == want
+                    want = level.renormalized.get(a, {}).get(b, INFINITY)
+                    got = level.renormalized_between(a, b)
+                    assert got is INFINITY if want is INFINITY else got == want
+            if level.index == 0:
+                assert level.merge_height is None
+            else:
+                assert set(level.merge_height) == set(level.classes)
+        (whole,) = trace.levels[-1].classes
+        assert trace.levels[-1].exit_height[whole] is INFINITY
+        assert trace.exit_heights[whole] is INFINITY
+
+
+def _grid(side, seed):
+    rng = random.Random(seed)
+    ids = [[f"r{r}c{c}" for c in range(side)] for r in range(side)]
+    edges = [(ids[r][c], ids[r][c + 1]) for r in range(side) for c in range(side - 1)]
+    edges += [(ids[r][c], ids[r + 1][c]) for r in range(side - 1) for c in range(side)]
+    return make_landscape({s: rng.randint(0, 1000) for row in ids for s in row}, edges)
+
+
+def test_rounds_build_no_energy(monkeypatch):
+    """The rounds run on int units: no ``Energy`` is made until a view is read."""
+    level = initial_level(_grid(10, 3))
+    made = []
+    original = Energy.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Energy, "__init__", counting)
+    levels = [level]
+    while not level.is_terminal:
+        level, _, _ = advance(level)
+        levels.append(level)
+    assert len(levels) > 10
+    assert made == []
+    views = ("cost", "exit_height", "renormalized", "merge_height")
+    assert not any(name in lvl.__dict__ for lvl in levels for name in views)
+    assert levels[-1].exit_height[levels[-1].classes[0]] is INFINITY
+    assert made == []
+    levels[1].cost
+    assert made

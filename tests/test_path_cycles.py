@@ -20,7 +20,7 @@ from basincycles import (
 from basincycles.errors import LevelBelowStart, NotACycle
 from basincycles.pathcycles import boundary_floor, set_key, tree_to_dict, tree_to_dot
 
-from conftest import make_fig1_shuffled
+from conftest import draw_landscape, make_fig1_shuffled
 
 FIG1_CYCLES = (
     [frozenset(s) for s in "abcdefghijk"]
@@ -34,31 +34,10 @@ FIG1_CYCLES = (
 )
 
 
-def _draw_landscape(data):
-    n = data.draw(st.integers(2, 8))
-    energies = data.draw(
-        st.lists(st.integers(0, 6), min_size=n, max_size=n), label="energies"
-    )
-    parents = [data.draw(st.integers(0, i - 1)) for i in range(1, n)]
-    extra = data.draw(
-        st.lists(
-            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=12
-        ),
-        label="extra-edges",
-    )
-    ids = [f"s{i}" for i in range(n)]
-    edges = {frozenset((ids[i], ids[p])) for i, p in enumerate(parents, start=1)}
-    edges.update(frozenset((ids[a], ids[b])) for a, b in extra if a != b)
-    return make_landscape(
-        {ids[i]: energies[i] for i in range(n)},
-        sorted(tuple(sorted(e)) for e in edges),
-    )
-
-
 @settings(max_examples=120, deadline=None)
 @given(st.data())
 def test_sweep_matches_oracle(data):
-    L = _draw_landscape(data)
+    L = draw_landscape(data)
     assert enumerate_path_cycles(L).member_sets() == brute_force_path_cycles(L)
 
 
@@ -68,7 +47,7 @@ def test_sweep_tree_matches_definitions(data):
     # the links and quantities recorded during the sweep against their
     # definitions: parent = smallest strict superset among the oracle's
     # cycles, and each quantity recomputed from the members
-    L = _draw_landscape(data)
+    L = draw_landscape(data)
     oracle = brute_force_path_cycles(L)
     tree = enumerate_path_cycles(L)
     for node in tree.nodes:
