@@ -1,3 +1,5 @@
+import json
+import random
 from pathlib import Path
 
 import pytest
@@ -55,3 +57,31 @@ def draw_landscape(data, scale=DEFAULT_SCALE):
         sorted(tuple(sorted(e)) for e in edges),
         scale,
     )
+
+
+def grid_text(side: int, max_energy: int, seed: int) -> str:
+    """A side x side 4-neighbour grid with integer energies uniform in
+    0..max_energy, drawn row by row from ``random.Random(seed)``; one state
+    and one edge per line."""
+    rng = random.Random(seed)
+    ids = [[f"r{r}c{c}" for c in range(side)] for r in range(side)]
+    states = [
+        {"id": ids[r][c], "energy": str(rng.randint(0, max_energy))}
+        for r in range(side)
+        for c in range(side)
+    ]
+    edges = []
+    for r in range(side):
+        for c in range(side):
+            if c + 1 < side:
+                edges.append([ids[r][c], ids[r][c + 1]])
+            if r + 1 < side:
+                edges.append([ids[r][c], ids[r + 1][c]])
+    lines = ['{', '  "energy_scale": 1000000,', '  "states": [']
+    lines.append(",\n".join(f"    {json.dumps(s)}" for s in states))
+    lines.append("  ],")
+    lines.append('  "edges": [')
+    lines.append(",\n".join(f"    {json.dumps(e)}" for e in edges))
+    lines.append("  ]")
+    lines.append("}")
+    return "\n".join(lines) + "\n"

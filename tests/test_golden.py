@@ -7,14 +7,12 @@ change log.
 """
 
 import hashlib
-import json
-import random
 
 import pytest
 
 from basincycles.cli import main
 
-from conftest import DATA, FIG1_PATH
+from conftest import DATA, FIG1_PATH, grid_text
 
 GOLDEN = DATA / "golden"
 
@@ -45,34 +43,6 @@ GRID_CASES = [
 ]
 
 FUZZ_SHA256 = "d560751a586a598ae5a697576339fc64babf6c1394252eb09a66feb32ef77557"
-
-
-def grid_text(side: int, max_energy: int, seed: int) -> str:
-    """A side x side 4-neighbour grid with integer energies uniform in
-    0..max_energy, drawn row by row from ``random.Random(seed)``; one state
-    and one edge per line."""
-    rng = random.Random(seed)
-    ids = [[f"r{r}c{c}" for c in range(side)] for r in range(side)]
-    states = [
-        {"id": ids[r][c], "energy": str(rng.randint(0, max_energy))}
-        for r in range(side)
-        for c in range(side)
-    ]
-    edges = []
-    for r in range(side):
-        for c in range(side):
-            if c + 1 < side:
-                edges.append([ids[r][c], ids[r][c + 1]])
-            if r + 1 < side:
-                edges.append([ids[r][c], ids[r + 1][c]])
-    lines = ['{', '  "energy_scale": 1000000,', '  "states": [']
-    lines.append(",\n".join(f"    {json.dumps(s)}" for s in states))
-    lines.append("  ],")
-    lines.append('  "edges": [')
-    lines.append(",\n".join(f"    {json.dumps(e)}" for e in edges))
-    lines.append("  ]")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
 
 
 def _stdout(capsys, argv):

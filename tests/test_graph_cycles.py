@@ -10,6 +10,7 @@ from basincycles import (
     INFINITY,
     advance,
     initial_level,
+    load_landscape,
     make_landscape,
     metropolis_costs,
     random_landscape,
@@ -24,7 +25,7 @@ from basincycles.errors import (
 from basincycles.graphcycles import trace_to_dict
 from basincycles.pathcycles import set_key
 
-from conftest import draw_landscape, make_fig1_shuffled
+from conftest import draw_landscape, grid_text, make_fig1_shuffled
 
 E = Energy.from_int
 
@@ -383,17 +384,9 @@ def test_level_views_match_the_rounds(data):
         assert trace.exit_heights[whole] is INFINITY
 
 
-def _grid(side, seed):
-    rng = random.Random(seed)
-    ids = [[f"r{r}c{c}" for c in range(side)] for r in range(side)]
-    edges = [(ids[r][c], ids[r][c + 1]) for r in range(side) for c in range(side - 1)]
-    edges += [(ids[r][c], ids[r + 1][c]) for r in range(side - 1) for c in range(side)]
-    return make_landscape({s: rng.randint(0, 1000) for row in ids for s in row}, edges)
-
-
 def test_rounds_build_no_energy(monkeypatch):
     """The rounds run on int units: no ``Energy`` is made until a view is read."""
-    level = initial_level(_grid(10, 3))
+    level = initial_level(load_landscape(grid_text(10, 1000, 3)))
     made = []
     original = Energy.__init__
 
