@@ -43,41 +43,24 @@ from .errors import (
     NonTermination,
     UnknownClass,
 )
-from .landscape import Landscape, StateSet
+from .landscape import Landscape, StateSet, metropolis_costs, reach
 from .pathcycles import set_key
 
 UnitRows = dict  # class -> {class -> int units}, finite entries only
 
 
-def metropolis_costs(landscape: Landscape) -> dict[tuple[str, str], Energy]:
-    """Seed costs on ordered connected pairs: the positive part of the
-    energy climb."""
-    costs = {}
-    for x in landscape.states:
-        hx = landscape.energy(x)
-        for y in landscape.neighbors(x):
-            costs[(x, y)] = (landscape.energy(y) - hx).clamp_nonneg()
-    return costs
-
-
 def _validate_seed(landscape: Landscape, costs: Mapping) -> dict[tuple[str, str], Energy]:
     """A generic seed must be finite exactly on the q-positive ordered pairs
     and nonnegative there."""
-    zero = Energy(0, landscape.scale)
     out = {}
-    expected = set()
-    for x in landscape.states:
-        for y in landscape.neighbors(x):
-            expected.add((x, y))
-    for pair, value in costs.items():
-        x, y = pair
-        if not isinstance(value, Energy):
-            value = landscape.energy_value(value)
+    expected = metropolis_costs(landscape).keys()
+    for (x, y), value in costs.items():
+        value = landscape.energy_value(value)
         if value.is_infinite:
             continue
         if (x, y) not in expected:
             raise MalformedInput(f"seed cost on non-edge pair ({x!r}, {y!r})")
-        if value < zero:
+        if value.units < 0:
             raise MalformedInput(f"negative seed cost on ({x!r}, {y!r}): {value}")
         out[(x, y)] = value
     missing = expected - out.keys()
@@ -201,19 +184,8 @@ def zero_cost_reaches(level: PartitionLevel, source: StateSet, destination: Stat
     destination = frozenset(destination)
     level._check(source)
     level._check(destination)
-    if source == destination:
-        return True
     adjacency = _zero_adjacency(level)
-    seen = {source}
-    stack = [source]
-    while stack:
-        for nxt in adjacency.get(stack.pop(), ()):
-            if nxt == destination:
-                return True
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return False
+    return destination in reach([source], lambda cls: adjacency.get(cls, ()))
 
 
 def _zero_adjacency(level: PartitionLevel) -> dict:
@@ -226,7 +198,8 @@ def _zero_adjacency(level: PartitionLevel) -> dict:
 
 
 def _strongly_connected(nodes, adjacency) -> list[list]:
-    """Kosaraju; deterministic given the canonical node order."""
+    """Kosaraju; deterministic given the canonical node order.  Both passes
+    walk the graph themselves, not through ``reach`` (see ``landscape``)."""
     order = []
     seen = set()
     for start in nodes:

@@ -10,6 +10,13 @@ symmetric connectivity rate ``q`` on unordered pairs.  Validation enforces:
 Self-loops are never stored; the diagonal of the Metropolis kernel is the row
 remainder.  A landscape is immutable after validation and safe to share
 between threads.
+
+``reach`` is the package's one graph walk; every connectivity question calls
+it with its own step function.  Two walks stay apart on purpose: the bitmask
+flood fill of ``brute_force_path_cycles``, because the oracle must share no
+code with what it checks, and both passes of the graph-cycle Kosaraju, whose
+first pass needs a post-order and whose second, sent through ``reach`` with
+a filter against the components already found, made the rounds slower.
 """
 
 from __future__ import annotations
@@ -18,7 +25,8 @@ import io
 import json
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping
+from operator import attrgetter
+from typing import Callable, Hashable, Iterable, Mapping
 
 import numpy as np
 
@@ -32,10 +40,50 @@ from .errors import (
     MalformedInput,
     NonpositiveBeta,
     RowSumExceedsOne,
+    ScaleOverflow,
     UnknownStateInEdge,
 )
 
 StateSet = frozenset
+_units = attrgetter("units")
+
+
+def reach(starts: Iterable[Hashable], step: Callable[[Hashable], Iterable[Hashable]]) -> set:
+    """Every node reachable from ``starts``, the starts included, where
+    ``step(node)`` yields the nodes one move away."""
+    seen = set(starts)
+    stack = list(seen)
+    while stack:
+        for nxt in step(stack.pop()):
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return seen
+
+
+def _exact_energy(value, scale: int) -> Energy:
+    """An input energy at ``scale``: an exact string, an int of whole units
+    (not a bool), or an ``Energy`` already at that scale."""
+    if isinstance(value, str):
+        return Energy.parse(value, scale)
+    if isinstance(value, Energy):
+        if not value.is_infinite and value.scale != scale:
+            raise ScaleOverflow(f"energy {value!r} is not at scale {scale}")
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Energy.from_int(value, scale)
+    raise MalformedInput(f"energies must be exact (string, int or Energy), got {value!r}")
+
+
+def _exact_rate(value) -> Fraction:
+    """An input rate: an exact string, an int (not a bool), or a Fraction."""
+    if isinstance(value, str):
+        return parse_exact(value)
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    raise MalformedInput(f"rates must be exact (string, int or Fraction), got {value!r}")
 
 
 class Landscape:
@@ -65,13 +113,7 @@ class Landscape:
     def energy_value(self, value) -> Energy:
         """Coerce an int (whole energy units), exact string, or Energy to the
         landscape's scale."""
-        if isinstance(value, Energy):
-            return value
-        if isinstance(value, bool) or isinstance(value, float):
-            raise MalformedInput(f"energies must be exact, got {value!r}")
-        if isinstance(value, int):
-            return Energy.from_int(value, self.scale)
-        return Energy.parse(value, self.scale)
+        return _exact_energy(value, self.scale)
 
     def rate(self, x: str, y: str) -> Fraction:
         if x == y:
@@ -101,14 +143,15 @@ class Landscape:
                 raise ForeignState(f"unknown state {state!r}")
         return got
 
+    # a landscape's energies are finite and share its scale: units order them
     def min_energy(self, members: Iterable[str]) -> Energy:
-        return min((self._energy[x] for x in members), default=INFINITY)
+        return min((self._energy[x] for x in members), key=_units, default=INFINITY)
 
     def max_energy(self, members: Iterable[str]) -> Energy:
         vals = [self._energy[x] for x in members]
         if not vals:
             raise EmptySet("state set must be nonempty")
-        return max(vals)
+        return max(vals, key=_units)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Landscape):
@@ -146,18 +189,12 @@ def make_landscape(energies, edges, scale: int = DEFAULT_SCALE) -> Landscape:
             edge_specs.append((str(x), str(y), None))
         else:
             x, y, q = edge
-            if isinstance(q, str):
-                q = parse_exact(q)
-            elif isinstance(q, int) and not isinstance(q, bool):
-                q = Fraction(q)
-            elif not isinstance(q, Fraction):
-                raise MalformedInput(f"rates must be exact, got {q!r}")
-            edge_specs.append((str(x), str(y), q))
+            edge_specs.append((str(x), str(y), _exact_rate(q)))
     return _build(items, edge_specs, scale)
 
 
 def _build(state_items, edge_specs, scale) -> Landscape:
-    if not isinstance(scale, int) or scale <= 0:
+    if not isinstance(scale, int) or isinstance(scale, bool) or scale <= 0:
         raise MalformedInput(f"energy_scale must be a positive integer, got {scale!r}")
     if not state_items:
         raise MalformedInput("landscape has no states")
@@ -166,16 +203,7 @@ def _build(state_items, edge_specs, scale) -> Landscape:
     for sid, value in state_items:
         if sid in energy:
             raise DuplicateState(f"state {sid!r} declared twice")
-        if isinstance(value, Energy):
-            e = value
-        elif isinstance(value, bool) or isinstance(value, float):
-            raise MalformedInput(f"energy of {sid!r} must be exact, got {value!r}")
-        elif isinstance(value, int):
-            e = Energy.from_int(value, scale)
-        elif isinstance(value, str):
-            e = Energy.parse(value, scale)
-        else:
-            raise MalformedInput(f"energy of {sid!r} must be exact, got {value!r}")
+        e = _exact_energy(value, scale)
         if e.is_infinite:
             raise MalformedInput(f"energy of {sid!r} must be finite")
         states.append(sid)
@@ -227,13 +255,7 @@ def _build(state_items, edge_specs, scale) -> Landscape:
             raise RowSumExceedsOne(f"outgoing rates of {s!r} sum to {row[s]} > 1")
 
     # irreducibility of the positive-rate graph
-    seen = {states[0]}
-    stack = [states[0]]
-    while stack:
-        for nbr in adjacency[stack.pop()]:
-            if nbr not in seen:
-                seen.add(nbr)
-                stack.append(nbr)
+    seen = reach([states[0]], adjacency.__getitem__)
     if len(seen) != len(states):
         missing = sorted(set(states) - seen)[:3]
         raise DisconnectedGraph(f"states unreachable from {states[0]!r}: {missing}...")
@@ -276,12 +298,7 @@ def load_landscape(source, format: str = "json") -> Landscape:
     for entry in raw_states:
         if not isinstance(entry, dict) or "id" not in entry or "energy" not in entry:
             raise MalformedInput(f"state entries need 'id' and 'energy': {entry!r}")
-        value = entry["energy"]
-        if not isinstance(value, (str, int)) or isinstance(value, bool):
-            raise MalformedInput(
-                f"energy of {entry['id']!r} must be a decimal string or integer"
-            )
-        state_items.append((str(entry["id"]), value))
+        state_items.append((str(entry["id"]), entry["energy"]))
 
     raw_edges = doc.get("edges", [])
     if not isinstance(raw_edges, list):
@@ -295,12 +312,8 @@ def load_landscape(source, format: str = "json") -> Landscape:
             if not isinstance(pair, list) or len(pair) != 2:
                 raise MalformedInput(f"edge 'pair' must be a two-element list: {entry!r}")
             q = entry.get("q")
-            if q is None:
-                edge_specs.append((str(pair[0]), str(pair[1]), None))
-            else:
-                if not isinstance(q, (str, int)) or isinstance(q, bool):
-                    raise MalformedInput("edge rate 'q' must be a decimal string or integer")
-                edge_specs.append((str(pair[0]), str(pair[1]), parse_exact(str(q))))
+            q = None if q is None else _exact_rate(q)
+            edge_specs.append((str(pair[0]), str(pair[1]), q))
         else:
             raise MalformedInput(f"unrecognized edge entry: {entry!r}")
 
@@ -349,18 +362,22 @@ def ground(landscape: Landscape, members: Iterable[str]) -> StateSet:
 def is_connected_subset(landscape: Landscape, members: Iterable[str]) -> bool:
     """True iff every pair of members is joined by a path inside the set."""
     inside = landscape.subset(members)
-    start = next(iter(inside))
-    seen = {start}
-    stack = [start]
-    while stack:
-        for nbr in landscape.neighbors(stack.pop()):
-            if nbr in inside and nbr not in seen:
-                seen.add(nbr)
-                stack.append(nbr)
+    seen = reach([next(iter(inside))], lambda x: inside.intersection(landscape.neighbors(x)))
     return len(seen) == len(inside)
 
 
 # -- Metropolis kernel ---------------------------------------------------------
+
+
+def metropolis_costs(landscape: Landscape) -> dict[tuple[str, str], Energy]:
+    """Seed costs on ordered connected pairs: the positive part of the
+    energy climb."""
+    costs = {}
+    for x in landscape.states:
+        hx = landscape.energy(x)
+        for y in landscape.neighbors(x):
+            costs[(x, y)] = (landscape.energy(y) - hx).clamp_nonneg()
+    return costs
 
 
 class TransitionMatrix:
@@ -375,9 +392,6 @@ class TransitionMatrix:
 
     def prob(self, x: str, y: str) -> float:
         return float(self.matrix[self._index[x], self._index[y]])
-
-    def row(self, x: str) -> np.ndarray:
-        return self.matrix[self._index[x]]
 
     def jumps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-state tables of the jump chain: ``(leave, nbr, cdf)``.
@@ -423,13 +437,9 @@ def transition_matrix(landscape: Landscape, beta: float) -> TransitionMatrix:
     index = {s: i for i, s in enumerate(states)}
     n = len(states)
     mat = np.zeros((n, n), dtype=np.float64)
-    for i, x in enumerate(states):
-        hx = landscape.energy(x)
-        for y in landscape.neighbors(x):
-            climb = (landscape.energy(y) - hx).clamp_nonneg()
-            mat[i, index[y]] = float(landscape.rate(x, y)) * math.exp(
-                -beta * climb.to_float()
-            )
+    for (x, y), climb in metropolis_costs(landscape).items():
+        mat[index[x], index[y]] = float(landscape.rate(x, y)) * math.exp(-beta * climb.to_float())
+    for i in range(n):
         mat[i, i] = max(0.0, 1.0 - mat[i].sum())
     return TransitionMatrix(states, mat)
 

@@ -23,7 +23,7 @@ from typing import Iterable, Optional
 
 from .energy import INFINITY, Energy
 from .errors import LevelBelowStart, NotACycle
-from .landscape import Landscape, StateSet, exterior_boundary, is_connected_subset
+from .landscape import Landscape, StateSet, exterior_boundary, is_connected_subset, reach
 
 
 def set_key(members: Iterable[str]) -> tuple[str, ...]:
@@ -57,14 +57,11 @@ def sublevel_component(landscape: Landscape, start: str, cutoff) -> StateSet:
         raise LevelBelowStart(
             f"cutoff {level} below the energy of {start!r} ({landscape.energy(start)})"
         )
-    seen = {start}
-    stack = [start]
-    while stack:
-        for nbr in landscape.neighbors(stack.pop()):
-            if nbr not in seen and landscape.energy(nbr) <= level:
-                seen.add(nbr)
-                stack.append(nbr)
-    return frozenset(seen)
+
+    def below(x):
+        return [y for y in landscape.neighbors(x) if landscape.energy(y) <= level]
+
+    return frozenset(reach([start], below))
 
 
 @dataclass(eq=False)

@@ -25,7 +25,7 @@ import numpy as np
 from .energy import Energy
 from .errors import InvalidSpec, NonpositiveBeta, NotACycle, StateOutsideCycle
 from .landscape import Landscape, StateSet, exterior_boundary, transition_matrix
-from .pathcycles import boundary_floor, is_path_cycle
+from .pathcycles import depth, resistance_height
 
 _MAX_STEP_CAP = 1_000_000_000
 _JUMPS = 1024  # jumps per draw refill, two draws each
@@ -240,13 +240,23 @@ def simulate_hitting_time(
     return _summarize(spec.beta, tau, censored, window, secondary)
 
 
-def _require_nontrivial_cycle(landscape: Landscape, members: Iterable[str]) -> StateSet:
+def _check_arguments(
+    landscape: Landscape, members: Iterable[str], beta_list: Sequence[float], epsilon: float
+) -> tuple[StateSet, list[float], Energy, Energy]:
+    """The arguments both law checks share, in this order: a nontrivial path
+    cycle, ``epsilon > 0`` and every beta > 0.  Returns the cycle, the
+    distinct betas in ascending order, and the cycle's depth and resistance."""
     cycle = landscape.subset(members)
-    if not is_path_cycle(landscape, cycle):
-        raise NotACycle(f"{sorted(cycle)} is not a path cycle")
-    if landscape.max_energy(cycle) >= boundary_floor(landscape, cycle):
+    gamma, gamma_tilde = depth(landscape, cycle), resistance_height(landscape, cycle)
+    # nontrivial: the internal maximum lies below the boundary floor
+    if gamma <= gamma_tilde:
         raise NotACycle(f"{sorted(cycle)} is a trivial cycle (no exit barrier)")
-    return cycle
+    if epsilon <= 0:
+        raise InvalidSpec(f"epsilon must be positive, got {epsilon}")
+    for beta in beta_list:
+        if beta <= 0:
+            raise NonpositiveBeta(f"beta must be > 0, got {beta}")
+    return cycle, sorted(set(float(b) for b in beta_list)), gamma, gamma_tilde
 
 
 def default_exit_steps(beta: float, cycle_depth: Energy) -> int:
@@ -284,13 +294,7 @@ def check_exit_window(
     max_steps: Optional[int] = None,
 ) -> list[ExitWindowCheck]:
     """Fraction of exits inside the predicted window, per beta and start."""
-    cycle = _require_nontrivial_cycle(landscape, cycle)
-    if epsilon <= 0:
-        raise InvalidSpec(f"epsilon must be positive, got {epsilon}")
-    for beta in beta_list:
-        if beta <= 0:
-            raise NonpositiveBeta(f"beta must be > 0, got {beta}")
-    depth = boundary_floor(landscape, cycle) - landscape.min_energy(cycle)
+    cycle, betas, cycle_depth, _ = _check_arguments(landscape, cycle, beta_list, epsilon)
     target = exterior_boundary(landscape, cycle)
     if starts is None:
         starts = sorted(cycle)
@@ -301,10 +305,9 @@ def check_exit_window(
                 raise StateOutsideCycle(f"start {s!r} is outside the cycle")
 
     results = []
-    betas = sorted(set(float(b) for b in beta_list))
-    gamma = depth.to_float()
+    gamma = cycle_depth.to_float()
     for bi, beta in enumerate(betas):
-        steps = max_steps if max_steps is not None else default_exit_steps(beta, depth)
+        steps = max_steps if max_steps is not None else default_exit_steps(beta, cycle_depth)
         lo = math.exp(beta * (gamma - epsilon))
         hi = math.exp(beta * (gamma + epsilon))
         for si, start in enumerate(sorted(starts)):
@@ -320,7 +323,7 @@ def check_exit_window(
             stats = simulate_hitting_time(spec, window=(lo, hi))
             results.append(
                 ExitWindowCheck(
-                    beta=beta, start=start, depth=depth, epsilon=epsilon, stats=stats
+                    beta=beta, start=start, depth=cycle_depth, epsilon=epsilon, stats=stats
                 )
             )
     return results
@@ -353,21 +356,13 @@ def check_visit_before_exit(
 ) -> list[VisitBeforeExitCheck]:
     """Per-beta fraction of chains that visit ``visit`` before the exterior
     boundary and before the resistance-scale time bound."""
-    cycle = _require_nontrivial_cycle(landscape, cycle)
-    if epsilon <= 0:
-        raise InvalidSpec(f"epsilon must be positive, got {epsilon}")
-    for beta in beta_list:
-        if beta <= 0:
-            raise NonpositiveBeta(f"beta must be > 0, got {beta}")
+    cycle, betas, _, resistance = _check_arguments(landscape, cycle, beta_list, epsilon)
     for s, what in ((start, "start"), (visit, "visit")):
         if s not in cycle:
             raise StateOutsideCycle(f"{what} state {s!r} is outside the cycle")
-    low = landscape.min_energy(cycle)
-    resistance = landscape.max_energy(cycle) - low
     target = exterior_boundary(landscape, cycle)
 
     results = []
-    betas = sorted(set(float(b) for b in beta_list))
     for bi, beta in enumerate(betas):
         bound = math.exp(beta * (resistance.to_float() + epsilon))
         steps = _MAX_STEP_CAP if not math.isfinite(bound) else max(1, math.ceil(bound))

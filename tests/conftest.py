@@ -59,6 +59,27 @@ def draw_landscape(data, scale=DEFAULT_SCALE):
     )
 
 
+def components(landscape, members):
+    """The connected components of ``members`` in the positive-rate graph,
+    by union-find over the edge list: a reference that shares no code with
+    the package's graph walk."""
+    parent = {x: x for x in members}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for x, y in landscape.edge_pairs():
+        if x in parent and y in parent:
+            parent[find(x)] = find(y)
+    groups = {}
+    for x in members:
+        groups.setdefault(find(x), set()).add(x)
+    return list(groups.values())
+
+
 def grid_text(side: int, max_energy: int, seed: int) -> str:
     """A side x side 4-neighbour grid with integer energies uniform in
     0..max_energy, drawn row by row from ``random.Random(seed)``; one state

@@ -47,6 +47,23 @@ def test_validate_failure_exit_2(tmp_path, capsys):
     assert "RowSumExceedsOne" in err
 
 
+def test_boolean_energy_scale_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bool-scale.json"
+    bad.write_text(
+        json.dumps(
+            {
+                "energy_scale": True,
+                "states": [{"id": "x", "energy": "0"}, {"id": "y", "energy": "1"}],
+                "edges": [["x", "y"]],
+            }
+        )
+    )
+    code, out, err = run_cli(capsys, "validate", str(bad))
+    assert code == 2
+    assert out == ""
+    assert "MalformedInput" in err
+
+
 def test_missing_file_exit_2(capsys):
     code, _, err = run_cli(capsys, "validate", "no-such-file.json")
     assert code == 2

@@ -87,6 +87,27 @@ def test_zero_cost_reaches_fig1(fig1):
         zero_cost_reaches(lvl, fs("ab"), fs("c"))
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_zero_cost_reaches_matches_the_merge_blocks(data):
+    # two classes reach each other at zero cost exactly when Kosaraju put
+    # them in one strongly connected block of that round
+    L = draw_landscape(data)
+    generic = {
+        (x, y): E(data.draw(st.integers(0, 3), label="seed-cost"))
+        for x in sorted(L.states)
+        for y in sorted(L.neighbors(x))
+    }
+    for seed_costs in (None, generic):
+        trace = run_decomposition(L, seed_costs=seed_costs)
+        for level, step in zip(trace.levels, trace.merges):
+            block_of = {cls: b for b in step.blocks for cls in level.classes if cls <= b}
+            for a in level.classes:
+                for b in level.classes:
+                    both = zero_cost_reaches(level, a, b) and zero_cost_reaches(level, b, a)
+                    assert both == (block_of[a] == block_of[b])
+
+
 def test_advance_iteration_one(fig1):
     lvl0 = initial_level(fig1)
     lvl1, blocks, minimal = advance(lvl0)

@@ -8,16 +8,21 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from basincycles import (
+    Energy,
     dumps_landscape,
     exterior_boundary,
     ground,
+    initial_level,
     is_connected_subset,
     load_landscape,
     make_landscape,
+    metropolis_costs,
     metropolis_kernel,
     random_landscape,
+    sublevel_component,
 )
 from basincycles.errors import (
     AsymmetricEdge,
@@ -33,7 +38,7 @@ from basincycles.errors import (
 )
 from basincycles.landscape import transition_matrix
 
-from conftest import FIG1_PATH
+from conftest import FIG1_PATH, components, draw_landscape
 
 
 def test_fig1_loads(fig1):
@@ -107,6 +112,40 @@ def test_float_energy_rejected():
     doc = {"states": [{"id": "x", "energy": 0.5}], "edges": []}
     with pytest.raises(MalformedInput):
         load_landscape(json.dumps(doc))
+
+
+# every entry point that takes an exact energy from a caller
+ENERGY_ENTRIES = {
+    "energy_value": lambda L, v: L.energy_value(v),
+    "sublevel_component": lambda L, v: sublevel_component(L, "i", v),
+    "seed_costs": lambda L, v: initial_level(L, {**metropolis_costs(L), ("a", "b"): v}),
+}
+
+
+@pytest.mark.parametrize("value", [None, [1], {}, 1.5, True], ids=repr)
+@pytest.mark.parametrize("entry", sorted(ENERGY_ENTRIES))
+def test_inexact_energy_values_are_malformed(fig1, entry, value):
+    with pytest.raises(MalformedInput):
+        ENERGY_ENTRIES[entry](fig1, value)
+
+
+def test_energy_at_another_scale_rejected(fig1):
+    # units order a landscape's energies only if they share its scale
+    with pytest.raises(ScaleOverflow):
+        make_landscape({"x": Energy(1, 10), "y": 0}, [("x", "y")])
+    for entry in ENERGY_ENTRIES.values():
+        with pytest.raises(ScaleOverflow):
+            entry(fig1, Energy(5, 10))
+    assert fig1.energy_value(Energy(5, fig1.scale)) == Energy(5, fig1.scale)
+
+
+@pytest.mark.parametrize("scale", [True, False, 0, -3, "1000", 1.5])
+def test_energy_scale_must_be_a_positive_int(scale):
+    doc = {"energy_scale": scale, "states": [{"id": "x", "energy": "0"}], "edges": []}
+    with pytest.raises(MalformedInput):
+        load_landscape(json.dumps(doc))
+    with pytest.raises(MalformedInput):
+        make_landscape({"x": 0}, [], scale)
 
 
 def test_scale_overflow_on_load():
@@ -204,6 +243,15 @@ def test_connectivity_matches_brute_force(fig1):
     for _ in range(300):
         combo = rng.sample(states, rng.randint(5, 11))
         assert is_connected_subset(fig1, combo) == oracle(combo)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_is_connected_subset_matches_union_find(data):
+    L = draw_landscape(data)
+    for _ in range(5):
+        members = data.draw(st.sets(st.sampled_from(sorted(L.states)), min_size=1))
+        assert is_connected_subset(L, members) == (len(components(L, members)) == 1)
 
 
 def test_kernel_two_state_values(two_state):

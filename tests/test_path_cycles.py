@@ -20,7 +20,7 @@ from basincycles import (
 from basincycles.errors import LevelBelowStart, NotACycle
 from basincycles.pathcycles import boundary_floor, set_key, tree_to_dict, tree_to_dot
 
-from conftest import draw_landscape, make_fig1_shuffled
+from conftest import components, draw_landscape, make_fig1_shuffled
 
 FIG1_CYCLES = (
     [frozenset(s) for s in "abcdefghijk"]
@@ -85,6 +85,24 @@ def test_sublevel_component(fig1):
     assert sublevel_component(fig1, "e", "2.9") == frozenset("cdef")
     with pytest.raises(LevelBelowStart):
         sublevel_component(fig1, "b", 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_sublevel_component_is_the_component_below_the_cutoff(data):
+    L = draw_landscape(data)
+    states = sorted(L.states)
+    for _ in range(5):
+        x = data.draw(st.sampled_from(states))
+        low = L.energy(x).units // L.scale
+        cutoff = data.draw(st.integers(low, 7) | st.integers(low, 6).map(lambda c: f"{c}.5"))
+        level = L.energy_value(cutoff)
+        comp = sublevel_component(L, x, cutoff)
+        assert x in comp
+        assert all(L.energy(y) <= level for y in comp)
+        assert len(components(L, comp)) == 1
+        for y in comp:
+            assert all(z in comp or L.energy(z) > level for z in L.neighbors(y))
 
 
 def test_fig1_enumeration(fig1):
