@@ -8,13 +8,17 @@ from basincycles import (
     Energy,
     brute_force_path_cycles,
     enumerate_path_cycles,
+    load_landscape,
     make_landscape,
     random_landscape,
     run_decomposition,
     verify_equivalence,
 )
+from basincycles import equivalence
 from basincycles.equivalence import report_to_dict
 from basincycles.errors import TooLarge
+
+from conftest import DATA, FIG1_PATH
 
 E = Energy.from_int
 
@@ -128,3 +132,84 @@ def test_generator_parameters():
         L = random_landscape(seed=seed, min_states=3, max_states=5, max_energy=2)
         assert 3 <= L.n <= 5
         assert all(L.energy(s) <= E(2) for s in L.states)
+
+
+# -- fault detection: verify must notice a tampered trace ------------------------
+
+FAULT_INPUTS = [FIG1_PATH, DATA / "grid8-e2.json"]
+
+
+def _fresh_with_single(trace):
+    """The first round that forms a non-singleton class with a singleton
+    class on its boundary: (that round's level, the class, the singleton).
+    On fig1 this is round 1, {c,d,e,f} and {b}."""
+    for level, step in zip(trace.levels[1:], trace.merges):
+        for big in step.minimal:
+            for single in level.cost_units.get(big, ()) if len(big) > 1 else ():
+                if len(single) == 1:
+                    return level, big, single
+    raise AssertionError("no fresh class with a singleton neighbour")
+
+
+def _verify_tampered(monkeypatch, path, tamper):
+    """Run verify on the landscape at ``path`` with ``tamper`` applied to the
+    trace it computes.  Returns the report, the index of the round
+    ``_fresh_with_single`` picked and that round's class."""
+    original = equivalence.run_decomposition
+    picked = []
+
+    def tampered(landscape, *args, **kwargs):
+        trace = original(landscape, *args, **kwargs)
+        level, big, single = _fresh_with_single(trace)
+        picked.append((level.index, big))
+        return tamper(landscape, trace, level, big, single)
+
+    monkeypatch.setattr(equivalence, "run_decomposition", tampered)
+    report = verify_equivalence(load_landscape(path.read_text()))
+    assert not report.ok
+    return (report, *picked[0])
+
+
+def _bump_merge(landscape, trace, level, big, single):
+    level.merge_units[big] += 1
+    return trace
+
+
+def _bump_cost(landscape, trace, level, big, single):
+    level.cost_units[big][single] += 1
+    return trace
+
+
+def _bump_exit(landscape, trace, level, big, single):
+    level.exit_units[big] += 1
+    return trace
+
+
+@pytest.mark.parametrize("path", FAULT_INPUTS, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "tamper, record",
+    [
+        (_bump_merge, "merge_heights_ok"),
+        (_bump_cost, "boundary_costs_ok"),
+        (_bump_exit, "exit_heights_ok"),
+    ],
+    ids=["merge", "cost", "exit"],
+)
+def test_tampered_round_fails_its_condition(monkeypatch, path, tamper, record):
+    report, index, _ = _verify_tampered(monkeypatch, path, tamper)
+    assert not getattr(report.conditions[index], record)
+    assert report.set_equal
+
+
+@pytest.mark.parametrize("path", FAULT_INPUTS, ids=lambda p: p.name)
+def test_tampered_trace_heights_are_violations(monkeypatch, path):
+    def bump_heights(landscape, trace, level, big, single):
+        one = Energy(1, trace.scale)
+        trace.exit_heights[big] = trace.exit_heights[big] + one
+        trace.merge_heights[big] = trace.merge_heights[big] + one
+        return trace
+
+    report, _, big = _verify_tampered(monkeypatch, path, bump_heights)
+    assert [c for c, _, _ in report.he_violations] == [big]
+    assert [c for c, _, _ in report.hm_violations] == [big]
+    assert all(record.ok for record in report.conditions)
