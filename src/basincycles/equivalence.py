@@ -4,15 +4,18 @@ For a valid landscape with the Metropolis seed, the family of graph cycles
 must equal the family of path cycles, the exit height of every cycle must
 equal its boundary depth clamped at zero, and the merge height of every
 non-singleton must equal its internal height.  ``verify_equivalence`` checks
-all of that mechanically and also re-derives, round by round, the structural
-conditions the recursion is supposed to maintain.
+that, and each round's structural conditions in the int units the round
+stores, against the sweep's cycle tree: a set is a path cycle exactly when
+it is a node, and the node holds its depth, internal height and ground.
 
-``brute_force_path_cycles`` is the independent oracle: an exhaustive bitmask
-scan over connected subsets that shares no code with the sweep enumeration.
+The tests keep the check independent: they hold the tree to the definitions
+and to ``brute_force_path_cycles``, an exhaustive bitmask scan over
+connected subsets that shares no code with the sweep enumeration.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -20,7 +23,7 @@ from .energy import DEFAULT_SCALE, Energy
 from .errors import TooLarge
 from .graphcycles import DecompositionTrace, run_decomposition
 from .landscape import Landscape, StateSet, exterior_boundary, make_landscape
-from .pathcycles import boundary_floor, enumerate_path_cycles, is_path_cycle, set_key
+from .pathcycles import CycleTree, enumerate_path_cycles, set_key
 
 _BRUTE_FORCE_LIMIT = 20
 
@@ -158,57 +161,46 @@ class EquivalenceReport:
         )
 
 
-def _expected_exit_height(landscape: Landscape, members: StateSet) -> Energy:
-    return (boundary_floor(landscape, members) - landscape.min_energy(members)).clamp_nonneg()
-
-
 def _check_conditions(
-    landscape: Landscape, trace: DecompositionTrace, expected_exit: dict
+    landscape: Landscape, trace: DecompositionTrace, tree: CycleTree, path_sets: set
 ) -> list[ConditionRecord]:
-    """Every round's conditions, checked against expectations derived once
-    per distinct class: they depend only on the landscape and the members,
-    and most classes live through many rounds.  ``expected_exit`` collects
-    each class's expected exit height."""
-    zero = Energy(0, landscape.scale)
-    is_cycle: dict[StateSet, bool] = {}
-    surroundings: dict[StateSet, tuple] = {}  # big class -> (floor, boundary)
+    """Every round's conditions, compared in the round's int units against
+    the tree node of each class.  A class without a node is not a path cycle;
+    the conditions that need its node skip it."""
+    boundaries: dict[StateSet, StateSet] = {}  # cached per distinct big class
     records = []
     for level in trace.levels:
-        for cls in level.classes:
-            if cls not in is_cycle:
-                is_cycle[cls] = is_path_cycle(landscape, cls)
-                expected_exit[cls] = _expected_exit_height(landscape, cls)
-        cycles_ok = all(is_cycle[cls] for cls in level.classes)
+        nodes = {cls: tree.node(cls) for cls in level.classes if cls in path_sets}
+        costs = level.cost_units
 
         costs_ok = True
         singles = {s for cls in level.classes if len(cls) == 1 for s in cls}
-        for big in (cls for cls in level.classes if len(cls) > 1):
-            if big not in surroundings:
-                surroundings[big] = (landscape.min_energy(big), exterior_boundary(landscape, big))
-            floor, boundary = surroundings[big]
+        for big in (cls for cls in nodes if len(cls) > 1):
+            if big not in boundaries:
+                boundaries[big] = exterior_boundary(landscape, big)
+            floor = landscape.energy(next(iter(nodes[big].ground))).units
             # the boundary holds exactly the states with a positive-rate edge in
-            for a in boundary & singles:
+            for a in boundaries[big] & singles:
                 single = frozenset((a,))
-                expected_out = landscape.energy(a) - floor
-                if level.cost_between(big, single) != expected_out:
+                if costs.get(big, {}).get(single, math.inf) != landscape.energy(a).units - floor:
                     costs_ok = False
-                if level.cost_between(single, big) != zero:
+                if costs.get(single, {}).get(big, math.inf) != 0:
                     costs_ok = False
 
-        heights_ok = all(level.exit_height[cls] == expected_exit[cls] for cls in level.classes)
+        heights_ok = all(
+            level.exit_units[cls] == (math.inf if n.depth.is_infinite else max(n.depth.units, 0))
+            for cls, n in nodes.items()
+        )
 
-        merge_ok = True
-        if level.index >= 1:
-            fresh = trace.merges[level.index - 1].minimal
-            for cls in fresh:
-                span = landscape.max_energy(cls) - landscape.min_energy(cls)
-                if level.merge_height[cls] != span:
-                    merge_ok = False
+        fresh = trace.merges[level.index - 1].minimal if level.index else ()
+        merge_ok = all(
+            level.merge_units[cls] == nodes[cls].resistance.units for cls in fresh if cls in nodes
+        )
 
         records.append(
             ConditionRecord(
                 iteration=level.index,
-                classes_are_cycles=cycles_ok,
+                classes_are_cycles=len(nodes) == len(level.classes),
                 boundary_costs_ok=costs_ok,
                 exit_heights_ok=heights_ok,
                 merge_heights_ok=merge_ok,
@@ -228,21 +220,21 @@ def verify_equivalence(landscape: Landscape) -> EquivalenceReport:
     graph_only = sorted(graph_sets - path_sets, key=set_key)
     path_only = sorted(path_sets - graph_sets, key=set_key)
 
-    expected_exit: dict[StateSet, Energy] = {}
-    conditions = _check_conditions(landscape, trace, expected_exit)
+    conditions = _check_conditions(landscape, trace, tree, path_sets)
 
     he_violations = []
     hm_violations = []
     for cyc in trace.cycles:
-        expected = expected_exit[cyc]  # every cycle is a class of some round
+        if cyc not in path_sets:
+            continue  # listed in graph_only
+        node = tree.node(cyc)
+        expected = node.depth.clamp_nonneg()
         got = trace.exit_heights[cyc]
         if got != expected:
             he_violations.append((cyc, got, expected))
+        # a singleton merges at its exit height
+        expected_m = node.resistance if len(cyc) > 1 else expected
         got_m = trace.merge_heights[cyc]
-        if len(cyc) > 1:
-            expected_m = landscape.max_energy(cyc) - landscape.min_energy(cyc)
-        else:
-            expected_m = trace.exit_heights[cyc]
         if got_m != expected_m:
             hm_violations.append((cyc, got_m, expected_m))
 

@@ -1,6 +1,9 @@
 """Cross-validation of the two decompositions against each other and the
 exhaustive oracle."""
 
+import dataclasses
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,6 +11,7 @@ from basincycles import (
     Energy,
     brute_force_path_cycles,
     enumerate_path_cycles,
+    is_path_cycle,
     load_landscape,
     make_landscape,
     random_landscape,
@@ -17,8 +21,9 @@ from basincycles import (
 from basincycles import equivalence
 from basincycles.equivalence import report_to_dict
 from basincycles.errors import TooLarge
+from basincycles.pathcycles import boundary_floor
 
-from conftest import DATA, FIG1_PATH
+from conftest import DATA, FIG1_PATH, grid_text
 
 E = Energy.from_int
 
@@ -93,6 +98,46 @@ def test_random_corpus_small():
         L = random_landscape(seed=1_000_000 + i)
         report = verify_equivalence(L)
         assert report.ok, (i, report_to_dict(report))
+
+
+def _star(rng):
+    # the hub sits mid-range, so some leaves are wells and some are not
+    leaves = [f"l{i:02d}" for i in range(50)]
+    energies = {"hub": 3, **{x: rng.randint(0, 6) for x in leaves}}
+    return make_landscape(energies, [("hub", x) for x in leaves])
+
+
+def _clique(rng):
+    ids = [f"k{i:02d}" for i in range(12)]
+    edges = [(x, y) for i, x in enumerate(ids) for y in ids[i + 1 :]]
+    return make_landscape({x: rng.randint(0, 6) for x in ids}, edges)
+
+
+def _chain(rng):
+    ids = [f"c{i:03d}" for i in range(200)]
+    return make_landscape({x: rng.randint(0, 1000) for x in ids}, list(zip(ids, ids[1:])))
+
+
+@pytest.mark.parametrize("family", [_star, _clique, _chain], ids=["star", "clique", "chain"])
+def test_structured_family(family):
+    L = family(random.Random(5))
+    tree = enumerate_path_cycles(L)
+    report = verify_equivalence(L)
+    assert report.ok, report_to_dict(report)
+    assert report.cycle_count == len(tree)
+    # the tree verify reads, against the definitions it no longer recomputes
+    for node in tree.nodes:
+        assert is_path_cycle(L, node.members)
+        floor = boundary_floor(L, node.members)
+        assert node.depth.clamp_nonneg() == (floor - L.min_energy(node.members)).clamp_nonneg()
+
+
+@pytest.mark.parametrize("side", [30, 100])
+def test_plateau_grid(side):
+    L = load_landscape(grid_text(side, 2, seed=side))
+    report = verify_equivalence(L)
+    assert report.ok, report_to_dict(report)
+    assert report.cycle_count == len(enumerate_path_cycles(L))
 
 
 def test_report_dict_shape(fig1):
@@ -213,3 +258,42 @@ def test_tampered_trace_heights_are_violations(monkeypatch, path):
     assert [c for c, _, _ in report.he_violations] == [big]
     assert [c for c, _, _ in report.hm_violations] == [big]
     assert all(record.ok for record in report.conditions)
+
+
+@pytest.mark.parametrize(
+    "path, bad",
+    [(FIG1_PATH, frozenset("ac")), (DATA / "grid8-e2.json", frozenset(("r0c0", "r0c2")))],
+    ids=["fig1", "grid8-e2"],
+)
+def test_non_cycle_class_is_graph_only(monkeypatch, path, bad):
+    # a disconnected set among the cycles and the classes of one round: it is
+    # reported, and the checks that need its tree node pass over it
+    def add_bad(landscape, trace, level, big, single):
+        levels = list(trace.levels)
+        levels[level.index] = dataclasses.replace(level, classes=level.classes + (bad,))
+        return dataclasses.replace(trace, levels=tuple(levels), cycles=trace.cycles + (bad,))
+
+    report, index, _ = _verify_tampered(monkeypatch, path, add_bad)
+    assert report.graph_only == [bad] and report.path_only == []
+    assert report.he_violations == [] and report.hm_violations == []
+    record = report.conditions[index]
+    assert not record.classes_are_cycles
+    assert record.boundary_costs_ok and record.exit_heights_ok and record.merge_heights_ok
+    assert sum(not r.ok for r in report.conditions) == 1
+
+
+def test_verify_reads_the_rounds_in_units(monkeypatch):
+    # verify compares the int units each round stores, so it builds none of
+    # the rounds' Energy views
+    original = equivalence.run_decomposition
+    traces = []
+
+    def capture(landscape, *args, **kwargs):
+        traces.append(original(landscape, *args, **kwargs))
+        return traces[-1]
+
+    monkeypatch.setattr(equivalence, "run_decomposition", capture)
+    assert verify_equivalence(load_landscape((DATA / "grid8-e1000.json").read_text())).ok
+    views = {"cost", "exit_height", "renormalized", "merge_height"}
+    for level in traces[0].levels:
+        assert not views & vars(level).keys(), level.index
