@@ -25,7 +25,7 @@ from basincycles.errors import (
 from basincycles.graphcycles import trace_to_dict
 from basincycles.pathcycles import set_key
 
-from conftest import draw_landscape, grid_text, make_fig1_shuffled
+from conftest import components, draw_landscape, grid_text, make_fig1_shuffled
 
 E = Energy.from_int
 
@@ -272,6 +272,28 @@ def test_generic_seed_costs(fig1):
         for cls in level.classes:
             union |= cls
         assert union == set(fig1.states)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_generic_seed_hierarchy(data):
+    # any valid seed, not only the Metropolis one, yields connected cycles,
+    # nested or disjoint, whose heights order along the nesting
+    L = draw_landscape(data)
+    seed = {
+        (x, y): E(data.draw(st.integers(0, 6), label="seed-cost"))
+        for x in sorted(L.states)
+        for y in sorted(L.neighbors(x))
+    }
+    trace = run_decomposition(L, seed_costs=seed)
+    for b in trace.cycles:
+        assert len(components(L, b)) == 1, sorted(b)
+        if len(b) > 1:
+            assert trace.merge_heights[b] <= trace.exit_heights[b], sorted(b)
+        for a in trace.cycles:
+            assert a <= b or b <= a or not a & b
+            if a < b:
+                assert trace.exit_heights[a] <= trace.merge_heights[b], (sorted(a), sorted(b))
 
 
 def test_seed_cost_validation(fig1):
