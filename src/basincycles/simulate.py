@@ -35,6 +35,15 @@ def _mask64(seed: int) -> int:
     return seed & 0xFFFFFFFFFFFFFFFF
 
 
+def _exp(x: float) -> float:
+    """``math.exp`` that overflows to ``inf`` instead of raising, so the
+    ``isfinite`` guards on time scales see large beta."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def _subseed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1, np.uint64)[0])
 
@@ -261,7 +270,7 @@ def _check_arguments(
 
 def default_exit_steps(beta: float, cycle_depth: Energy) -> int:
     """Censoring threshold for exit sampling: well past the predicted scale."""
-    raw = 100.0 * math.exp(beta * (cycle_depth.to_float() + 1.0))
+    raw = 100.0 * _exp(beta * (cycle_depth.to_float() + 1.0))
     if not math.isfinite(raw) or raw >= _MAX_STEP_CAP:
         return _MAX_STEP_CAP
     return max(1, math.ceil(raw))
@@ -308,8 +317,8 @@ def check_exit_window(
     gamma = cycle_depth.to_float()
     for bi, beta in enumerate(betas):
         steps = max_steps if max_steps is not None else default_exit_steps(beta, cycle_depth)
-        lo = math.exp(beta * (gamma - epsilon))
-        hi = math.exp(beta * (gamma + epsilon))
+        lo = _exp(beta * (gamma - epsilon))
+        hi = _exp(beta * (gamma + epsilon))
         for si, start in enumerate(sorted(starts)):
             spec = SimulationSpec(
                 landscape=landscape,
@@ -364,7 +373,7 @@ def check_visit_before_exit(
 
     results = []
     for bi, beta in enumerate(betas):
-        bound = math.exp(beta * (resistance.to_float() + epsilon))
+        bound = _exp(beta * (resistance.to_float() + epsilon))
         steps = _MAX_STEP_CAP if not math.isfinite(bound) else max(1, math.ceil(bound))
         spec = SimulationSpec(
             landscape=landscape,

@@ -1,6 +1,7 @@
 """CLI surface: subcommands, exit codes, deterministic output."""
 
 import json
+import math
 
 import pytest
 
@@ -180,6 +181,23 @@ def test_simulate_all_censored_exit_4(capsys):
         "1",
     )
     assert code == 4
+
+
+@pytest.mark.parametrize(
+    "extra", [(), ("--visit", "j"), ("--max-steps", "1000")], ids=["plain", "visit", "max-steps"]
+)
+def test_simulate_huge_beta_is_infeasible_not_a_crash(capsys, extra):
+    # exp(beta * depth) overflows a float past beta ~ 709 / depth: the step cap
+    # and the window's upper end become inf, every replica is censored
+    code, out, _ = run_cli(
+        capsys, "simulate", FIG1, "--cycle", "i,j", "--betas", "300", "--seed", "1", *extra
+    )
+    assert code == 4
+    rows = json.loads(out)["exit_window"]
+    assert [row["start"] for row in rows] == ["i", "j"]
+    for row in rows:
+        assert row["censored"] == row["replicas"] == 1000
+        assert math.isfinite(row["window"][0]) and row["window"][1] == math.inf
 
 
 def test_simulate_tsv(capsys):

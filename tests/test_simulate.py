@@ -5,6 +5,7 @@ import math
 import pytest
 
 from basincycles import (
+    Energy,
     SimulationSpec,
     check_exit_window,
     check_visit_before_exit,
@@ -18,7 +19,7 @@ from basincycles.errors import (
     NotACycle,
     StateOutsideCycle,
 )
-from basincycles.simulate import sample_single_steps
+from basincycles.simulate import _MAX_STEP_CAP, default_exit_steps, sample_single_steps
 
 
 def test_beta_zero_geometric_diagnostic(two_state):
@@ -186,6 +187,11 @@ def test_unbounded_holds_are_censored(fig1, beta):
     stats = simulate_hitting_time(spec)
     assert stats.all_censored
     assert stats.samples == (1_000_000_000,) * 50
+
+
+def test_default_exit_steps_caps_an_overflowing_scale():
+    # exp(300 * 4) is past the float range
+    assert default_exit_steps(300.0, Energy.from_int(3)) == _MAX_STEP_CAP
 
 
 def test_step_law_against_kernel(fig1):
