@@ -177,13 +177,14 @@ def _run_chains(jumps, start_idx, target_mask, sec_idx, max_steps, seed, replica
     clock = np.zeros(replicas, dtype=np.int64)
     # every jump takes at least one step, so max_steps jumps reach the cap
     jumped = 0
+    buf = np.empty((replicas, min(_JUMPS, max_steps), 2))
     with np.errstate(divide="ignore", invalid="ignore"):
         log_stay = np.log1p(-leave)
         while alive.size and jumped < max_steps:
             span = min(_JUMPS, max_steps - jumped)
-            draws = np.empty((alive.size, span, 2))
+            draws = buf[: alive.size, :span]
             for i, r in enumerate(alive):
-                draws[i] = gens[r].random((span, 2))
+                gens[r].random(out=draws[i])
             # log(u1) for u1 = 1 - draw in (0, 1], in place
             first = draws[:, :, 0]
             np.log1p(np.negative(first, out=first), out=first)
