@@ -125,7 +125,7 @@ def test_structured_family(family):
     report = verify_equivalence(L)
     assert report.ok, report_to_dict(report)
     assert report.cycle_count == len(tree)
-    # the tree verify reads, against the definitions it no longer recomputes
+    # the tree that verify reads, against the definitions verify does not compute
     for node in tree.nodes:
         assert is_path_cycle(L, node.members)
         floor = boundary_floor(L, node.members)
@@ -189,8 +189,8 @@ def _fresh_with_single(trace):
     class on its boundary: (that round's level, the class, the singleton).
     On fig1 this is round 1, {c,d,e,f} and {b}."""
     for level, step in zip(trace.levels[1:], trace.merges):
-        for big in step.minimal:
-            for single in level.cost_units.get(big, ()) if len(big) > 1 else ():
+        for big in (cls for cls in step.minimal if len(cls) > 1):
+            for single in level.cost_units.get(big, ()):
                 if len(single) == 1:
                     return level, big, single
     raise AssertionError("no fresh class with a singleton neighbour")
