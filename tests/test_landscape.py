@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -78,6 +79,35 @@ def test_row_sum_guard():
             {"x": 0, "y": 1, "z": 2},
             [("x", "y", "0.8"), ("x", "z", "0.8"), ("y", "z", "0.1")],
         )
+
+
+@pytest.mark.parametrize(
+    "rates", [["1/3", "2/3"], ["1/2", "1/3", "1/6"], ["0.1", "0.2", "0.7"]]
+)
+def test_row_sum_exactly_one_over_mixed_denominators(rates):
+    leaves = [f"y{i}" for i in range(len(rates))]
+    L = make_landscape(
+        {"x": 0, **dict.fromkeys(leaves, 1)},
+        [("x", y, q) for y, q in zip(leaves, rates)],
+    )
+    assert sum(L.rate("x", y) for y in leaves) == 1
+
+
+def test_row_sum_over_one_by_a_billionth():
+    message = "outgoing rates of 'x' sum to 1000000001/1000000000 > 1"
+    with pytest.raises(RowSumExceedsOne, match=f"^{re.escape(message)}$"):
+        make_landscape(
+            {"x": 0, "y": 1, "z": 2}, [("x", "y", "0.5"), ("x", "z", "0.500000001")]
+        )
+
+
+def test_default_rates_fill_the_maximum_degree_row():
+    # a 3x3 grid: the centre has degree 4, so every default rate is 1/4
+    edges = [(f"r{r}c{c}", f"r{r}c{c + 1}") for r in range(3) for c in range(2)]
+    edges += [(f"r{r}c{c}", f"r{r + 1}c{c}") for r in range(2) for c in range(3)]
+    L = make_landscape({f"r{r}c{c}": 0 for r in range(3) for c in range(3)}, edges)
+    assert sum(L.rate("r1c1", y) for y in L.neighbors("r1c1")) == 1
+    assert all(L.rate(a, b) == Fraction(1, 4) for a, b in edges)
 
 
 def test_duplicate_state():
