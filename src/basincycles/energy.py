@@ -1,17 +1,22 @@
-"""Exact fixed-point energy arithmetic.
+"""Exact fixed-point energies.
 
-Energies and all derived costs are integer counts of ``1/scale`` units, so
-ordering, addition and subtraction never round.  The decompositions branch on
-exact equalities (zero renormalized cost, flat plateaus), which is why floats
-are banned everywhere outside the Monte Carlo sampler.
+An energy is an integer count of ``1/scale`` units.  The package computes on
+those ints, never on ``Energy`` objects, so comparisons and differences never
+round.  The decompositions branch on exact equalities (zero renormalized
+cost, flat plateaus), which is why floats are banned everywhere outside the
+Monte Carlo sampler.
 
-A single distinguished ``INFINITY`` value absorbs addition and dominates every
-finite value; it stands for the cost between disconnected sets and for minima
-over empty sets.
+``math.inf`` is the one infinity: it stands for the cost between
+disconnected sets and for minima over empty sets, and it compares and adds
+exactly against ints.  ``INFINITY`` is its ``Energy`` (``INFINITY.units`` is
+``math.inf``), and ``from_units`` is the one way back from units, mapping
+``math.inf`` to ``INFINITY`` itself.  ``Energy`` only parses, formats and
+serves the public views.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import MalformedInput, ScaleOverflow
@@ -97,62 +102,15 @@ class Energy:
             return float("inf")
         return self.units / self.scale
 
-    # -- arithmetic --------------------------------------------------------
-
-    def _match(self, other: "Energy") -> None:
-        if self.scale != other.scale:
-            raise ValueError(f"mixed scales: {self.scale} vs {other.scale}")
-
-    def __add__(self, other: "Energy") -> "Energy":
-        if self.is_infinite or other.is_infinite:
-            return INFINITY
-        self._match(other)
-        return Energy(self.units + other.units, self.scale)
-
-    def __sub__(self, other: "Energy") -> "Energy":
-        if other.is_infinite:
-            raise ValueError("cannot subtract infinity")
-        if self.is_infinite:
-            return INFINITY
-        self._match(other)
-        return Energy(self.units - other.units, self.scale)
-
-    def clamp_nonneg(self) -> "Energy":
-        """The positive part: max(self, 0)."""
-        if self.is_infinite or self.units >= 0:
-            return self
-        return Energy(0, self.scale)
-
-    # -- ordering ----------------------------------------------------------
+    # -- identity ----------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Energy):
             return NotImplemented
-        if self.is_infinite or other.is_infinite:
-            return self is other
-        return self.scale == other.scale and self.units == other.units
+        return self.units == other.units and self.scale == other.scale
 
     def __hash__(self) -> int:
-        if self.is_infinite:
-            return hash("energy-inf")
         return hash((self.units, self.scale))
-
-    def __lt__(self, other: "Energy") -> bool:
-        if self.is_infinite:
-            return False
-        if other.is_infinite:
-            return True
-        self._match(other)
-        return self.units < other.units
-
-    def __le__(self, other: "Energy") -> bool:
-        return self == other or self < other
-
-    def __gt__(self, other: "Energy") -> bool:
-        return not self <= other
-
-    def __ge__(self, other: "Energy") -> bool:
-        return not self < other
 
     # -- rendering -----------------------------------------------------------
 
@@ -168,5 +126,10 @@ class Energy:
 
 
 INFINITY = Energy.__new__(Energy)
-INFINITY.units = None  # type: ignore[assignment]
+INFINITY.units = math.inf  # type: ignore[assignment]
 INFINITY.scale = 0
+
+
+def from_units(units, scale: int) -> Energy:
+    """The ``Energy`` of ``units`` at ``scale``; ``INFINITY`` for ``math.inf``."""
+    return INFINITY if units == math.inf else Energy(units, scale)

@@ -19,7 +19,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .energy import DEFAULT_SCALE, Energy
+from .energy import Energy, from_units
 from .errors import TooLarge
 from .graphcycles import DecompositionTrace, run_decomposition
 from .landscape import Landscape, StateSet, exterior_boundary, make_landscape
@@ -40,7 +40,7 @@ def brute_force_path_cycles(landscape: Landscape) -> set[StateSet]:
         raise TooLarge(f"{n} states exceeds the exhaustive-scan guard")
     states = sorted(landscape.states)
     pos = {s: i for i, s in enumerate(states)}
-    energies = [landscape.energy(s) for s in states]
+    energies = [landscape.energy(s).units for s in states]
     nbr_mask = [0] * n
     for s in states:
         for t in landscape.neighbors(s):
@@ -84,17 +84,14 @@ def brute_force_path_cycles(landscape: Landscape) -> set[StateSet]:
 
 def random_landscape(
     seed=None,
-    rng: random.Random | None = None,
     min_states: int = 2,
     max_states: int = 10,
     max_energy: int = 6,
     extra_edge_prob: float = 0.25,
-    scale: int = DEFAULT_SCALE,
 ) -> Landscape:
     """A random connected landscape: spanning tree plus extra edges, with
     small-integer energies so plateaus and exact ties occur constantly."""
-    if rng is None:
-        rng = random.Random(seed)
+    rng = random.Random(seed)
     n = rng.randint(min_states, max_states)
     ids = [f"s{i}" for i in range(n)]
     energies = {sid: rng.randint(0, max_energy) for sid in ids}
@@ -107,7 +104,7 @@ def random_landscape(
     rng.shuffle(order)
     edge_list = sorted(tuple(sorted(e)) for e in edges)
     rng.shuffle(edge_list)
-    return make_landscape([(sid, energies[sid]) for sid in order], edge_list, scale)
+    return make_landscape([(sid, energies[sid]) for sid in order], edge_list)
 
 
 @dataclass
@@ -188,7 +185,7 @@ def _check_conditions(
                     costs_ok = False
 
         heights_ok = all(
-            level.exit_units[cls] == (math.inf if n.depth.is_infinite else max(n.depth.units, 0))
+            level.exit_units[cls] == max(n.depth.units, 0)
             for cls, n in nodes.items()
         )
 
@@ -228,7 +225,7 @@ def verify_equivalence(landscape: Landscape) -> EquivalenceReport:
         if cyc not in path_sets:
             continue  # listed in graph_only
         node = tree.node(cyc)
-        expected = node.depth.clamp_nonneg()
+        expected = from_units(max(node.depth.units, 0), landscape.scale)
         got = trace.exit_heights[cyc]
         if got != expected:
             he_violations.append((cyc, got, expected))

@@ -20,12 +20,13 @@ heights are taken from the round that forms it, and its maximal proper
 subcycles are the classes that round merged, so the hierarchy is never
 rebuilt by comparing classes pairwise.
 
-The rounds compute on plain ints: every cost and height is a count of
-``1/scale`` energy units, with ``math.inf`` as the one infinity (it compares
-and adds exactly against ints), so the arithmetic stays exact.  Each class's
-sort key is computed once, when the class is created.  ``Energy`` appears
-only at the boundary: in the ``PartitionLevel`` views, built on first read,
-and in the trace's exit and merge heights.  Equal-cost ties resolve by set
+The rounds compute on plain ints, like the rest of the package: every cost
+and height is a count of ``1/scale`` energy units, with ``math.inf`` as the
+one infinity, so the arithmetic stays exact.  Each class's sort key is
+computed once, when the class is created.  ``Energy`` appears only at the
+boundary: the seed costs are read through their ``units``, and
+``energy.from_units`` builds the ``PartitionLevel`` views, on first read, and
+the trace's exit and merge heights.  Equal-cost ties resolve by set
 semantics, so the trace is independent of state enumeration order.
 """
 
@@ -36,7 +37,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Optional
 
-from .energy import INFINITY, Energy
+from .energy import INFINITY, Energy, from_units
 from .errors import (
     AlreadyTerminal,
     MalformedInput,
@@ -104,7 +105,7 @@ class PartitionLevel:
 
     @cached_property
     def exit_height(self) -> dict:
-        return {cls: _energy(h, self.scale) for cls, h in self.exit_units.items()}
+        return {cls: from_units(h, self.scale) for cls, h in self.exit_units.items()}
 
     @cached_property
     def renormalized(self) -> dict:
@@ -117,7 +118,7 @@ class PartitionLevel:
     def merge_height(self) -> Optional[dict]:
         if self.merge_units is None:
             return None
-        return {cls: _energy(h, self.scale) for cls, h in self.merge_units.items()}
+        return {cls: from_units(h, self.scale) for cls, h in self.merge_units.items()}
 
     @property
     def is_terminal(self) -> bool:
@@ -129,7 +130,7 @@ class PartitionLevel:
     def cost_between(self, a: StateSet, b: StateSet) -> Energy:
         self._check(a)
         self._check(b)
-        return _energy(self.cost_units.get(a, {}).get(b, math.inf), self.scale)
+        return from_units(self.cost_units.get(a, {}).get(b, math.inf), self.scale)
 
     def renormalized_between(self, a: StateSet, b: StateSet) -> Energy:
         self._check(a)
@@ -142,10 +143,6 @@ class PartitionLevel:
     def _check(self, cls: StateSet) -> None:
         if cls not in self.exit_units:
             raise UnknownClass(f"{sorted(cls)} is not a class of round {self.index}")
-
-
-def _energy(units, scale: int) -> Energy:
-    return INFINITY if units == math.inf else Energy(units, scale)
 
 
 @dataclass(frozen=True)
@@ -366,8 +363,8 @@ def run_decomposition(landscape: Landscape, seed_costs=None) -> DecompositionTra
         levels=tuple(levels),
         merges=tuple(merges),
         cycles=tuple(sorted(exit_units, key=lambda c: (len(c), keys[c]))),
-        exit_heights={c: _energy(h, scale) for c, h in exit_units.items()},
-        merge_heights={c: _energy(h, scale) for c, h in merge_units.items()},
+        exit_heights={c: from_units(h, scale) for c, h in exit_units.items()},
+        merge_heights={c: from_units(h, scale) for c, h in merge_units.items()},
         iterations=len(levels) - 1,
         scale=scale,
     )

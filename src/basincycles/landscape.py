@@ -246,13 +246,15 @@ def _build(state_items, edge_specs, scale) -> Landscape:
         for pair in defaulted:
             rates[pair] = default_rate
 
-    row: dict[str, Fraction] = {s: Fraction(0) for s in states}
+    # row sums as int numerators over the rates' common denominator
+    den = math.lcm(*{q.denominator for q in rates.values()})
+    row = dict.fromkeys(states, 0)
     for pair, q in rates.items():
         for s in pair:
-            row[s] += q
+            row[s] += q.numerator * (den // q.denominator)
     for s in states:
-        if row[s] > 1:
-            raise RowSumExceedsOne(f"outgoing rates of {s!r} sum to {row[s]} > 1")
+        if row[s] > den:
+            raise RowSumExceedsOne(f"outgoing rates of {s!r} sum to {Fraction(row[s], den)} > 1")
 
     # irreducibility of the positive-rate graph
     seen = reach([states[0]], adjacency.__getitem__)
@@ -269,10 +271,8 @@ def _build(state_items, edge_specs, scale) -> Landscape:
 # -- file format -------------------------------------------------------------
 
 
-def load_landscape(source, format: str = "json") -> Landscape:
-    """Parse a landscape document from a path, byte/str content, or stream."""
-    if format != "json":
-        raise MalformedInput(f"unsupported format {format!r}")
+def load_landscape(source) -> Landscape:
+    """Parse a JSON landscape document from byte/str content or a stream."""
     if isinstance(source, (bytes, bytearray)):
         text = source.decode("utf-8")
     elif isinstance(source, str):
@@ -355,8 +355,8 @@ def exterior_boundary(landscape: Landscape, members: Iterable[str]) -> StateSet:
 def ground(landscape: Landscape, members: Iterable[str]) -> StateSet:
     """The states of the set attaining its minimal energy."""
     inside = landscape.subset(members)
-    floor = landscape.min_energy(inside)
-    return frozenset(x for x in inside if landscape.energy(x) == floor)
+    floor = landscape.min_energy(inside).units
+    return frozenset(x for x in inside if landscape.energy(x).units == floor)
 
 
 def is_connected_subset(landscape: Landscape, members: Iterable[str]) -> bool:
@@ -374,9 +374,9 @@ def metropolis_costs(landscape: Landscape) -> dict[tuple[str, str], Energy]:
     energy climb."""
     costs = {}
     for x in landscape.states:
-        hx = landscape.energy(x)
+        hx = landscape.energy(x).units
         for y in landscape.neighbors(x):
-            costs[(x, y)] = (landscape.energy(y) - hx).clamp_nonneg()
+            costs[(x, y)] = Energy(max(0, landscape.energy(y).units - hx), landscape.scale)
     return costs
 
 

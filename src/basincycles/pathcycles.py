@@ -8,12 +8,14 @@ so the full family forms a tree over the state space: the merge tree of the
 landscape (Becker & Karplus, J. Chem. Phys. 106 (1997) 1495).
 
 ``enumerate_path_cycles`` builds that tree in one union-find sweep over the
-distinct energies in ascending order.  All states of one energy join before
-any component is judged, which keeps flat plateaus from emitting spurious
-sub-plateau sets.  Each state enters as a leaf; each component that grows at
-a level becomes a node whose children are the top cycles it joined, and that
-level is the boundary floor of every non-singleton child.  Containment and
-heights are thus recorded as the tree forms, never rediscovered from sets.
+distinct energies in ascending order, each level an int count of ``1/scale``
+units.  All states of one energy join before any component is judged, which
+keeps flat plateaus from emitting spurious sub-plateau sets.  Each state
+enters as a leaf; each component that grows at a level becomes a node whose
+children are the top cycles it joined, and that level is the boundary floor
+of every non-singleton child.  Containment and heights are thus recorded as
+the tree forms, never rediscovered from sets; the nodes hold them as
+``Energy`` views.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .energy import INFINITY, Energy
+from .energy import INFINITY, Energy, from_units
 from .errors import LevelBelowStart, NotACycle
 from .landscape import Landscape, StateSet, exterior_boundary, is_connected_subset, reach
 
@@ -43,7 +45,7 @@ def is_path_cycle(landscape: Landscape, members: Iterable[str]) -> bool:
         return True
     if not is_connected_subset(landscape, inside):
         return False
-    return landscape.max_energy(inside) < boundary_floor(landscape, inside)
+    return landscape.max_energy(inside).units < boundary_floor(landscape, inside).units
 
 
 def sublevel_component(landscape: Landscape, start: str, cutoff) -> StateSet:
@@ -53,13 +55,13 @@ def sublevel_component(landscape: Landscape, start: str, cutoff) -> StateSet:
     energy values behave like the largest value not above them.
     """
     level = landscape.energy_value(cutoff)
-    if level < landscape.energy(start):
+    if level.units < landscape.energy(start).units:
         raise LevelBelowStart(
             f"cutoff {level} below the energy of {start!r} ({landscape.energy(start)})"
         )
 
     def below(x):
-        return [y for y in landscape.neighbors(x) if landscape.energy(y) <= level]
+        return [y for y in landscape.neighbors(x) if landscape.energy(y).units <= level.units]
 
     return frozenset(reach([start], below))
 
@@ -134,33 +136,38 @@ class _UnionFind:
         self.size[ra] += self.size[rb]
 
 
-def _merge(landscape: Landscape, level: Energy, children: list[CycleNode]) -> CycleNode:
-    """The component formed at ``level`` from the top cycles it joins; the
-    level is the boundary floor of every non-singleton child."""
-    lows = [landscape.energy(next(iter(c.ground))) for c in children]
+def _merge(landscape: Landscape, level: int, children: list[CycleNode]) -> CycleNode:
+    """The component formed at ``level`` (int units) from the top cycles it
+    joins; the level is the boundary floor of every non-singleton child."""
+    scale = landscape.scale
+    lows = [landscape.energy(next(iter(c.ground))).units for c in children]
     low = min(lows)
     members = frozenset().union(*(c.members for c in children))
     ground = frozenset().union(*(c.ground for c, h in zip(children, lows) if h == low))
-    node = CycleNode(members, INFINITY, level - low, ground, INFINITY, True, children=children)
+    resistance = Energy(level - low, scale)
+    node = CycleNode(members, INFINITY, resistance, ground, INFINITY, True, children=children)
+    floor = Energy(level, scale)
     for child, h in zip(children, lows):
         child.parent = node
         if len(child.members) > 1:
-            child.boundary_floor, child.depth = level, level - h
+            child.boundary_floor, child.depth = floor, Energy(level - h, scale)
     return node
 
 
 def enumerate_path_cycles(landscape: Landscape) -> CycleTree:
     """Every path cycle of the landscape, organized as a nested tree.
 
-    One union-find sweep over the distinct energies in ascending order.  Each
-    state enters as a leaf whose floor is its lowest neighbour; every
-    component that grows at a level becomes a node over the top cycles it
-    joined.  The last node standing is the whole space.
+    One union-find sweep over the distinct energies in ascending order, each
+    level an int count of units.  Each state enters as a leaf whose floor is
+    its lowest neighbour; every component that grows at a level becomes a
+    node over the top cycles it joined.  The last node standing is the whole
+    space.
     """
-    by_level: dict[Energy, list[str]] = {}
+    scale = landscape.scale
+    by_level: dict[int, list[str]] = {}
     for s in landscape.states:
-        by_level.setdefault(landscape.energy(s), []).append(s)
-    zero = Energy(0, landscape.scale)
+        by_level.setdefault(landscape.energy(s).units, []).append(s)
+    zero = Energy(0, scale)
     uf = _UnionFind(landscape.states)
     active: set[str] = set()
     top: dict[str, CycleNode] = {}  # union-find root -> largest cycle of its component
@@ -175,7 +182,8 @@ def enumerate_path_cycles(landscape: Landscape) -> CycleTree:
         for s in fresh:
             floor = landscape.min_energy(landscape.neighbors(s))
             leaf = frozenset((s,))
-            top[s] = CycleNode(leaf, floor - level, zero, leaf, floor, level < floor)
+            rise = floor.units - level
+            top[s] = CycleNode(leaf, from_units(rise, scale), zero, leaf, floor, rise > 0)
             nodes.append(top[s])
             # all states of this energy join before any component is judged
             for nbr in landscape.neighbors(s):
@@ -203,7 +211,10 @@ def depth(landscape: Landscape, members: Iterable[str]) -> Energy:
     inside = landscape.subset(members)
     if not is_path_cycle(landscape, inside):
         raise NotACycle(f"{sorted(inside)} is not a path cycle")
-    return boundary_floor(landscape, inside) - landscape.min_energy(inside)
+    return from_units(
+        boundary_floor(landscape, inside).units - landscape.min_energy(inside).units,
+        landscape.scale,
+    )
 
 
 def resistance_height(landscape: Landscape, members: Iterable[str]) -> Energy:
@@ -211,7 +222,9 @@ def resistance_height(landscape: Landscape, members: Iterable[str]) -> Energy:
     inside = landscape.subset(members)
     if not is_path_cycle(landscape, inside):
         raise NotACycle(f"{sorted(inside)} is not a path cycle")
-    return landscape.max_energy(inside) - landscape.min_energy(inside)
+    return Energy(
+        landscape.max_energy(inside).units - landscape.min_energy(inside).units, landscape.scale
+    )
 
 
 # -- export --------------------------------------------------------------------
@@ -237,10 +250,10 @@ def _dot_escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def tree_to_dot(tree: CycleTree, graph_name: str = "cycles") -> str:
+def tree_to_dot(tree: CycleTree) -> str:
     """Graph-description text: one node per cycle, edges parent -> child."""
     order = {node: i for i, node in enumerate(tree.nodes)}
-    lines = [f"digraph {graph_name} {{"]
+    lines = ["digraph cycles {"]
     lines.append('  node [shape=box, fontname="monospace"];')
     for node in tree.nodes:
         label = _dot_escape("{" + ",".join(tree.keys[node]) + "}")

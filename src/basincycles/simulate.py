@@ -259,7 +259,7 @@ def _check_arguments(
     cycle = landscape.subset(members)
     gamma, gamma_tilde = depth(landscape, cycle), resistance_height(landscape, cycle)
     # nontrivial: the internal maximum lies below the boundary floor
-    if gamma <= gamma_tilde:
+    if gamma.units <= gamma_tilde.units:
         raise NotACycle(f"{sorted(cycle)} is a trivial cycle (no exit barrier)")
     if epsilon <= 0:
         raise InvalidSpec(f"epsilon must be positive, got {epsilon}")

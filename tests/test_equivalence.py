@@ -44,7 +44,7 @@ def test_fig1_exit_height_is_boundary_depth(fig1):
     big = frozenset("cdefghij")
     # boundary of the big cycle is {b, k}; its floor sits 5 above the ground
     assert trace.exit_heights[big] == E(5)
-    assert min(fig1.energy("b"), fig1.energy("k")) - fig1.min_energy(big) == E(5)
+    assert min(fig1.energy("b").units, fig1.energy("k").units) - fig1.min_energy(big).units == E(5).units
 
 
 def test_single_state_trivially_equal():
@@ -129,7 +129,7 @@ def test_structured_family(family):
     for node in tree.nodes:
         assert is_path_cycle(L, node.members)
         floor = boundary_floor(L, node.members)
-        assert node.depth.clamp_nonneg() == (floor - L.min_energy(node.members)).clamp_nonneg()
+        assert max(node.depth.units, 0) == max(floor.units - L.min_energy(node.members).units, 0)
 
 
 @pytest.mark.parametrize("side", [30, 100])
@@ -169,14 +169,14 @@ def test_equivalence_random(data):
     trace = run_decomposition(L)
     for cyc in trace.cycles:
         if len(cyc) > 1 and cyc != frozenset(ids):
-            assert trace.merge_heights[cyc] < trace.exit_heights[cyc]
+            assert trace.merge_heights[cyc].units < trace.exit_heights[cyc].units
 
 
 def test_generator_parameters():
     for seed in range(30):
         L = random_landscape(seed=seed, min_states=3, max_states=5, max_energy=2)
         assert 3 <= L.n <= 5
-        assert all(L.energy(s) <= E(2) for s in L.states)
+        assert all(L.energy(s).units <= E(2).units for s in L.states)
 
 
 # -- fault detection: verify must notice a tampered trace ------------------------
@@ -249,9 +249,8 @@ def test_tampered_round_fails_its_condition(monkeypatch, path, tamper, record):
 @pytest.mark.parametrize("path", FAULT_INPUTS, ids=lambda p: p.name)
 def test_tampered_trace_heights_are_violations(monkeypatch, path):
     def bump_heights(landscape, trace, level, big, single):
-        one = Energy(1, trace.scale)
-        trace.exit_heights[big] = trace.exit_heights[big] + one
-        trace.merge_heights[big] = trace.merge_heights[big] + one
+        trace.exit_heights[big] = Energy(trace.exit_heights[big].units + 1, trace.scale)
+        trace.merge_heights[big] = Energy(trace.merge_heights[big].units + 1, trace.scale)
         return trace
 
     report, _, big = _verify_tampered(monkeypatch, path, bump_heights)

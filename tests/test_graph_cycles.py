@@ -1,6 +1,7 @@
 """The recursive decomposition: golden values, algebra, invariants."""
 
 import random
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,6 +29,7 @@ from basincycles.pathcycles import set_key
 from conftest import components, draw_landscape, grid_text, make_fig1_shuffled
 
 E = Energy.from_int
+_units = attrgetter("units")
 
 
 def fs(letters):
@@ -289,11 +291,14 @@ def test_generic_seed_hierarchy(data):
     for b in trace.cycles:
         assert len(components(L, b)) == 1, sorted(b)
         if len(b) > 1:
-            assert trace.merge_heights[b] <= trace.exit_heights[b], sorted(b)
+            assert trace.merge_heights[b].units <= trace.exit_heights[b].units, sorted(b)
         for a in trace.cycles:
             assert a <= b or b <= a or not a & b
             if a < b:
-                assert trace.exit_heights[a] <= trace.merge_heights[b], (sorted(a), sorted(b))
+                assert trace.exit_heights[a].units <= trace.merge_heights[b].units, (
+                    sorted(a),
+                    sorted(b),
+                )
 
 
 def test_seed_cost_validation(fig1):
@@ -359,7 +364,7 @@ def _reference_heights(trace, zero):
     for level in trace.levels:
         for cls in level.classes:
             height = level.exit_height[cls]
-            if cls not in exit_heights or height > exit_heights[cls]:
+            if cls not in exit_heights or height.units > exit_heights[cls].units:
                 exit_heights[cls] = height
     merge_heights = {}
     maximal = {}
@@ -368,7 +373,7 @@ def _reference_heights(trace, zero):
         if len(cyc) == 1:
             merge_heights[cyc] = exit_heights[cyc]
         else:
-            merge_heights[cyc] = max([zero] + [exit_heights[c] for c in proper])
+            merge_heights[cyc] = max([zero] + [exit_heights[c] for c in proper], key=_units)
         maximal[cyc] = tuple(
             sorted((c for c in proper if not any(c < o for o in proper)), key=set_key)
         )
@@ -407,10 +412,12 @@ def test_level_views_match_the_rounds(data):
             assert set(level.exit_height) == set(level.classes)
             for a in level.classes:
                 row = level.cost.get(a, {})
-                assert level.exit_height[a] == min(row.values(), default=INFINITY)
+                assert level.exit_height[a] == min(row.values(), key=_units, default=INFINITY)
                 for b, value in row.items():
                     assert value.scale == 7
-                    assert level.renormalized[a][b] == value - level.exit_height[a]
+                    assert level.renormalized[a][b] == Energy(
+                        value.units - level.exit_height[a].units, 7
+                    )
                 for b in level.classes:
                     want = row.get(b, INFINITY)
                     got = level.cost_between(a, b)

@@ -17,6 +17,7 @@ from basincycles import (
     resistance_height,
     sublevel_component,
 )
+from basincycles.energy import from_units
 from basincycles.errors import LevelBelowStart, NotACycle
 from basincycles.pathcycles import boundary_floor, set_key, tree_to_dict, tree_to_dot
 
@@ -63,10 +64,10 @@ def test_sweep_tree_matches_definitions(data):
         low = L.min_energy(node.members)
         high = L.max_energy(node.members)
         assert node.boundary_floor == floor
-        assert node.depth == floor - low
-        assert node.resistance == high - low
+        assert node.depth == from_units(floor.units - low.units, L.scale)
+        assert node.resistance == Energy(high.units - low.units, L.scale)
         assert node.ground == ground(L, node.members)
-        assert node.nontrivial == (len(node.members) > 1 or high < floor)
+        assert node.nontrivial == (len(node.members) > 1 or high.units < floor.units)
 
 
 def test_is_path_cycle(fig1):
@@ -83,6 +84,7 @@ def test_sublevel_component(fig1):
     # cutoffs between landscape levels act like the level below them
     assert sublevel_component(fig1, "i", "0.5") == {"i"}
     assert sublevel_component(fig1, "e", "2.9") == frozenset("cdef")
+    assert sublevel_component(fig1, "b", "inf") == frozenset("abcdefghijk")
     with pytest.raises(LevelBelowStart):
         sublevel_component(fig1, "b", 2)
 
@@ -99,10 +101,10 @@ def test_sublevel_component_is_the_component_below_the_cutoff(data):
         level = L.energy_value(cutoff)
         comp = sublevel_component(L, x, cutoff)
         assert x in comp
-        assert all(L.energy(y) <= level for y in comp)
+        assert all(L.energy(y).units <= level.units for y in comp)
         assert len(components(L, comp)) == 1
         for y in comp:
-            assert all(z in comp or L.energy(z) > level for z in L.neighbors(y))
+            assert all(z in comp or L.energy(z).units > level.units for z in L.neighbors(y))
 
 
 def test_fig1_enumeration(fig1):
@@ -171,7 +173,7 @@ def test_resistance_below_depth_on_nontrivial():
         tree = enumerate_path_cycles(L)
         for node in tree.nodes:
             if node.nontrivial:
-                assert node.resistance < node.depth, sorted(node.members)
+                assert node.resistance.units < node.depth.units, sorted(node.members)
 
 
 def _random_chainlike(seed):
