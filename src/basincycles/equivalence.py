@@ -184,10 +184,7 @@ def _check_conditions(
                 if costs.get(single, {}).get(big, math.inf) != 0:
                     costs_ok = False
 
-        heights_ok = all(
-            level.exit_units[cls] == max(n.depth.units, 0)
-            for cls, n in nodes.items()
-        )
+        heights_ok = all(level.exit_units[cls] == max(n.depth.units, 0) for cls, n in nodes.items())
 
         fresh = trace.merges[level.index - 1].minimal if level.index else ()
         merge_ok = all(

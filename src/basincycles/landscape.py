@@ -246,15 +246,19 @@ def _build(state_items, edge_specs, scale) -> Landscape:
         for pair in defaulted:
             rates[pair] = default_rate
 
-    # row sums as int numerators over the rates' common denominator
-    den = math.lcm(*{q.denominator for q in rates.values()})
-    row = dict.fromkeys(states, 0)
+    # each row summed as int numerators over its own common denominator,
+    # which grows with the row's degree, not with the distinct denominators
+    # of the whole landscape
+    row: dict[str, list[tuple[int, int]]] = {s: [] for s in states}
     for pair, q in rates.items():
+        parts = q.as_integer_ratio()
         for s in pair:
-            row[s] += q.numerator * (den // q.denominator)
-    for s in states:
-        if row[s] > den:
-            raise RowSumExceedsOne(f"outgoing rates of {s!r} sum to {Fraction(row[s], den)} > 1")
+            row[s].append(parts)
+    for s, parts in row.items():
+        den = math.lcm(*(d for _, d in parts))
+        total = sum(n * (den // d) for n, d in parts)
+        if total > den:
+            raise RowSumExceedsOne(f"outgoing rates of {s!r} sum to {Fraction(total, den)} > 1")
 
     # irreducibility of the positive-rate graph
     seen = reach([states[0]], adjacency.__getitem__)

@@ -211,10 +211,8 @@ def depth(landscape: Landscape, members: Iterable[str]) -> Energy:
     inside = landscape.subset(members)
     if not is_path_cycle(landscape, inside):
         raise NotACycle(f"{sorted(inside)} is not a path cycle")
-    return from_units(
-        boundary_floor(landscape, inside).units - landscape.min_energy(inside).units,
-        landscape.scale,
-    )
+    low = landscape.min_energy(inside).units
+    return from_units(boundary_floor(landscape, inside).units - low, landscape.scale)
 
 
 def resistance_height(landscape: Landscape, members: Iterable[str]) -> Energy:
@@ -222,9 +220,8 @@ def resistance_height(landscape: Landscape, members: Iterable[str]) -> Energy:
     inside = landscape.subset(members)
     if not is_path_cycle(landscape, inside):
         raise NotACycle(f"{sorted(inside)} is not a path cycle")
-    return Energy(
-        landscape.max_energy(inside).units - landscape.min_energy(inside).units, landscape.scale
-    )
+    low = landscape.min_energy(inside).units
+    return Energy(landscape.max_energy(inside).units - low, landscape.scale)
 
 
 # -- export --------------------------------------------------------------------

@@ -93,11 +93,17 @@ def test_row_sum_exactly_one_over_mixed_denominators(rates):
     assert sum(L.rate("x", y) for y in leaves) == 1
 
 
-def test_row_sum_over_one_by_a_billionth():
-    message = "outgoing rates of 'x' sum to 1000000001/1000000000 > 1"
+@pytest.mark.parametrize(
+    "rates, total",
+    [(["0.5", "0.500000001"], "1000000001/1000000000"), (["1/2", "1/3", "1/5"], "31/30")],
+)
+def test_row_sum_just_over_one(rates, total):
+    leaves = [f"y{i}" for i in range(len(rates))]
+    message = f"outgoing rates of 'x' sum to {total} > 1"
     with pytest.raises(RowSumExceedsOne, match=f"^{re.escape(message)}$"):
         make_landscape(
-            {"x": 0, "y": 1, "z": 2}, [("x", "y", "0.5"), ("x", "z", "0.500000001")]
+            {"x": 0, **dict.fromkeys(leaves, 1)},
+            [("x", y, q) for y, q in zip(leaves, rates)],
         )
 
 
