@@ -1,4 +1,4 @@
-"""Exact fixed-point arithmetic."""
+"""Exact fixed-point energies: parsing, formatting, identity and the one infinity."""
 
 import math
 import operator
