@@ -20,7 +20,6 @@ from .graphcycles import (
     PartitionLevel,
     advance,
     initial_level,
-    metropolis_costs,
     run_decomposition,
     zero_cost_reaches,
 )
@@ -33,6 +32,7 @@ from .landscape import (
     is_connected_subset,
     load_landscape,
     make_landscape,
+    metropolis_costs,
     metropolis_kernel,
 )
 from .pathcycles import (

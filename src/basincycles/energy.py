@@ -17,11 +17,13 @@ serves the public views.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 from .errors import MalformedInput, ScaleOverflow
 
 DEFAULT_SCALE = 1_000_000
+_WHOLE = re.compile(r"\A[+-]?[0-9]+\Z")
 
 
 def parse_exact(text: str) -> Fraction:
@@ -81,8 +83,15 @@ class Energy:
 
     @classmethod
     def parse(cls, text: str, scale: int = DEFAULT_SCALE) -> "Energy":
-        if text.strip() == "inf":
+        text = text.strip()
+        if text == "inf":
             return INFINITY
+        if _WHOLE.match(text):  # a whole number scales in int arithmetic
+            try:
+                units = int(text) * scale
+            except ValueError as exc:  # past the int conversion digit limit
+                raise MalformedInput(f"not an exact number: {text!r}") from exc
+            return cls(units, scale)
         frac = parse_exact(text) * scale
         if frac.denominator != 1:
             raise ScaleOverflow(f"{text!r} is not representable at scale {scale}")

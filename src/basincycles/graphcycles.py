@@ -3,15 +3,16 @@
 Starting from the partition into singletons with the Metropolis seed cost
 ``(H(j) - H(i))^+`` on connected pairs (infinite otherwise), each round:
 
-1. subtracts every class's exit height (its cheapest outgoing cost) to get
-   the renormalized cost,
+1. takes each class's exit height, its cheapest outgoing cost; a step that
+   costs exactly that has zero renormalized cost,
 2. groups classes that reach each other through zero-renormalized-cost paths
    (strongly connected components of the zero-cost digraph),
-3. merges exactly the groups with no zero-cost escape into another group;
-   non-minimal groups dissolve back into their previous classes,
-4. assigns each new class its merge height (the largest exit height among
-   its constituents) and rebuilds the cost matrix from the renormalized
-   costs between constituents.
+3. merges exactly the groups with no zero-cost escape into another group
+   (the minimal groups); every other class lives on as it was,
+4. gives each new class its merge height (the largest exit height among its
+   constituents) and its cost row: towards each other class, the cheapest
+   constituent cost lifted by the merge height minus that constituent's
+   exit height.
 
 The rounds continue until the partition is the single whole-space class.
 Every class of every round is a cycle; the union over rounds is the
@@ -20,19 +21,28 @@ heights are taken from the round that forms it, and its maximal proper
 subcycles are the classes that round merged, so the hierarchy is never
 rebuilt by comparing classes pairwise.
 
+A round does only the work the previous round's merges made.  Its search
+(step 2) is one Tarjan pass started from the classes the previous round
+formed, every singleton in round 0, since every minimal group contains one
+(``run_decomposition`` proves it).  A class that does not merge keeps its
+exit height and its row; the row is copied only when it has an entry into a
+merged class, which a reverse index of in-edges finds, and that entry is
+relabelled to the new class.  Consecutive levels therefore share every row
+no merge touched.  ``advance`` runs the same round searched from every class.
+
 The rounds compute on plain ints, like the rest of the package: every cost
 and height is a count of ``1/scale`` energy units, with ``math.inf`` as the
 one infinity, so the arithmetic stays exact.  Each class's sort key is
 computed once, when the class is created.  ``Energy`` appears only at the
-boundary: the seed costs are read through their ``units``, and
-``energy.from_units`` builds the ``PartitionLevel`` views, on first read, and
-the trace's exit and merge heights.  Equal-cost ties resolve by set
+boundary: ``energy.from_units`` builds the ``PartitionLevel`` views, on first
+read, and the trace's exit and merge heights.  Equal-cost ties resolve by set
 semantics, so the trace is independent of state enumeration order.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import insort
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Optional
@@ -44,17 +54,17 @@ from .errors import (
     NonTermination,
     UnknownClass,
 )
-from .landscape import Landscape, StateSet, metropolis_costs, reach
+from .landscape import Landscape, StateSet, _climb_units, reach
 from .pathcycles import set_key
 
 UnitRows = dict  # class -> {class -> int units}, finite entries only
 
 
-def _validate_seed(landscape: Landscape, costs: Mapping) -> dict[tuple[str, str], Energy]:
+def _validate_seed(landscape: Landscape, costs: Mapping) -> dict[tuple[str, str], int]:
     """A generic seed must be finite exactly on the q-positive ordered pairs
-    and nonnegative there."""
+    and nonnegative there.  Returns its finite costs in int units."""
     out = {}
-    expected = metropolis_costs(landscape).keys()
+    expected = _climb_units(landscape).keys()
     for (x, y), value in costs.items():
         value = landscape.energy_value(value)
         if value.is_infinite:
@@ -63,7 +73,7 @@ def _validate_seed(landscape: Landscape, costs: Mapping) -> dict[tuple[str, str]
             raise MalformedInput(f"seed cost on non-edge pair ({x!r}, {y!r})")
         if value.units < 0:
             raise MalformedInput(f"negative seed cost on ({x!r}, {y!r}): {value}")
-        out[(x, y)] = value
+        out[(x, y)] = value.units
     missing = expected - out.keys()
     if missing:
         raise MalformedInput(f"seed cost missing on edge pairs: {sorted(missing)[:3]}")
@@ -80,7 +90,8 @@ class PartitionLevel:
     means infinite), ``exit_units`` as each class's cheapest outgoing cost
     (``math.inf`` for none) and ``merge_units`` as each class's merge height
     (None for the initial round).  ``keys`` maps every class of the trace to
-    its sorted member tuple; the levels of one trace share it.
+    its sorted member tuple; the levels of one trace share it, and a row no
+    merge touched is the same dict in consecutive levels.
 
     ``cost``, ``exit_height``, ``renormalized`` and ``merge_height`` are the
     same quantities as ``Energy`` dicts, each built when it is first read;
@@ -148,30 +159,43 @@ class PartitionLevel:
 @dataclass(frozen=True)
 class MergeStep:
     """The zero-cost merge groups of one round and the minimal ones that
-    actually became new classes."""
+    actually became new classes.
 
-    blocks: tuple[StateSet, ...]
+    ``level`` is the partition the round started from.  ``blocks``, every
+    strongly connected group of its zero-cost digraph, is read only by the
+    ``--iterations`` export and the API, so it is searched for when first
+    read.
+    """
+
+    level: PartitionLevel = field(repr=False)
     minimal: tuple[StateSet, ...]
 
-
-def _finish_level(index: int, classes, cost: UnitRows, merge, scale: int, keys: dict) -> PartitionLevel:
-    classes = tuple(sorted(classes, key=keys.__getitem__))
-    exit_units = {cls: min(cost[cls].values()) if cls in cost else math.inf for cls in classes}
-    return PartitionLevel(index, classes, cost, exit_units, merge, scale, keys)
+    @cached_property
+    def blocks(self) -> tuple[StateSet, ...]:
+        return _block_order(self.level, _zero_components(self.level, self.level.classes))
 
 
 def initial_level(landscape: Landscape, seed_costs=None) -> PartitionLevel:
     """The singleton partition with its seed cost matrix."""
     if seed_costs is None:
-        pair_costs = metropolis_costs(landscape)
+        pair_costs = _climb_units(landscape)
     else:
         pair_costs = _validate_seed(landscape, seed_costs)
     single = {s: frozenset((s,)) for s in landscape.states}
     cost: UnitRows = {}
-    for (x, y), value in pair_costs.items():
-        cost.setdefault(single[x], {})[single[y]] = value.units
+    for (x, y), units in pair_costs.items():
+        cost.setdefault(single[x], {})[single[y]] = units
     keys = {cls: (s,) for s, cls in single.items()}
-    return _finish_level(0, single.values(), cost, None, landscape.scale, keys)
+    classes = tuple(sorted(single.values(), key=keys.__getitem__))
+    exit_units = {cls: min(cost[cls].values()) if cls in cost else math.inf for cls in classes}
+    return PartitionLevel(0, classes, cost, exit_units, None, landscape.scale, keys)
+
+
+def _zero_steps(level: PartitionLevel, cls: StateSet) -> list:
+    """The classes one zero-renormalized-cost step from ``cls``."""
+    row = level.cost_units.get(cls, {})
+    height = level.exit_units[cls]
+    return [dst for dst, v in row.items() if v == height]
 
 
 def zero_cost_reaches(level: PartitionLevel, source: StateSet, destination: StateSet) -> bool:
@@ -181,127 +205,157 @@ def zero_cost_reaches(level: PartitionLevel, source: StateSet, destination: Stat
     destination = frozenset(destination)
     level._check(source)
     level._check(destination)
-    adjacency = _zero_adjacency(level)
-    return destination in reach([source], lambda cls: adjacency.get(cls, ()))
+    return destination in reach([source], lambda cls: _zero_steps(level, cls))
 
 
-def _zero_adjacency(level: PartitionLevel) -> dict:
-    """Each class's zero-renormalized-cost destinations, in row order."""
-    exits = level.exit_units
-    return {
-        src: [dst for dst, v in row.items() if v == exits[src]]
-        for src, row in level.cost_units.items()
-    }
+def _zero_components(level: PartitionLevel, starts: Iterable[StateSet]) -> list[tuple[list, bool]]:
+    """Tarjan's strongly connected components of the zero-cost digraph over
+    the classes reachable from ``starts``, each with whether a member has a
+    zero-cost step out of it.  The set searched is closed under steps, so
+    these are components of the whole digraph.  The walk is its own, not
+    ``reach``, since it numbers the classes (see ``landscape``)."""
+    number: dict = {}
+    low: dict = {}
+    steps: dict = {}
+    component: dict = {}  # class -> index into ``found``, once complete
+    path = []
+    found = []
 
+    def visit(cls):
+        number[cls] = low[cls] = len(number)
+        path.append(cls)
+        steps[cls] = _zero_steps(level, cls)
+        return cls, iter(steps[cls])
 
-def _strongly_connected(nodes, adjacency) -> list[list]:
-    """Kosaraju; deterministic given the canonical node order.  Both passes
-    walk the graph themselves, not through ``reach`` (see ``landscape``)."""
-    order = []
-    seen = set()
-    for start in nodes:
-        if start in seen:
+    for root in starts:
+        if root in number:
             continue
-        seen.add(start)
-        stack = [(start, iter(adjacency.get(start, ())))]
-        while stack:
-            node, it = stack[-1]
-            pushed = False
-            for nxt in it:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append((nxt, iter(adjacency.get(nxt, ()))))
-                    pushed = True
+        frames = [visit(root)]
+        while frames:
+            cls, todo = frames[-1]
+            for nxt in todo:
+                if nxt not in number:
+                    frames.append(visit(nxt))
                     break
-            if not pushed:
-                order.append(node)
-                stack.pop()
-    reverse: dict = {}
-    for src, outs in adjacency.items():
-        for dst in outs:
-            reverse.setdefault(dst, []).append(src)
-    assigned = set()
-    components = []
-    for node in reversed(order):
-        if node in assigned:
-            continue
-        comp = []
-        stack = [node]
-        assigned.add(node)
-        while stack:
-            cur = stack.pop()
-            comp.append(cur)
-            for prv in reverse.get(cur, ()):
-                if prv not in assigned:
-                    assigned.add(prv)
-                    stack.append(prv)
-        components.append(comp)
-    return components
+                if nxt not in component:  # still on the path: same component
+                    low[cls] = min(low[cls], number[nxt])
+            else:
+                frames.pop()
+                if frames:
+                    parent = frames[-1][0]
+                    low[parent] = min(low[parent], low[cls])
+                if low[cls] == number[cls]:
+                    k = len(found)
+                    members = []
+                    while not members or members[-1] is not cls:
+                        members.append(path.pop())
+                        component[members[-1]] = k
+                    escapes = any(component[d] != k for m in members for d in steps[m])
+                    found.append((members, escapes))
+    return found
+
+
+def _union(members: list, keys: dict) -> StateSet:
+    """The class made of ``members``, with its sort key recorded."""
+    block = members[0] if len(members) == 1 else frozenset().union(*members)
+    if block not in keys:
+        keys[block] = set_key(block)
+    return block
+
+
+def _block_order(level: PartitionLevel, components: list) -> tuple[StateSet, ...]:
+    """The components' member unions, in class order."""
+    keys = level.keys
+    return tuple(sorted((_union(members, keys) for members, _ in components), key=keys.__getitem__))
+
+
+def _in_edges(rows: UnitRows) -> dict:
+    """Each class's sources: the classes whose rows hold an entry into it."""
+    into: dict = {}
+    for src, row in rows.items():
+        for dst in row:
+            into.setdefault(dst, set()).add(src)
+    return into
+
+
+def _merge_round(level: PartitionLevel, starts: Iterable[StateSet], into: dict):
+    """One round of the recursion, searched from ``starts``.  ``into`` is
+    ``level``'s reverse index; it is brought up to the next level in place.
+
+    Returns the next level, its new classes in class order and every
+    component the search found.
+    """
+    rows, exits, keys = level.cost_units, level.exit_units, level.keys
+    components = _zero_components(level, starts)
+    groups = {}  # new class -> the classes it merges
+    container = {}  # merged class -> its new class
+    for members, escapes in components:
+        if not escapes:
+            block = _union(members, keys)
+            groups[block] = members
+            for cls in members:
+                container[cls] = block
+
+    next_rows = dict(rows)
+    next_exits = dict(exits)
+    merge_units = dict(exits)  # a class that does not merge keeps its exit height
+    for cls in container:
+        del next_rows[cls], next_exits[cls], merge_units[cls]
+    # each destination keeps its cheapest renormalized cost, lifted by the
+    # new class's merge height
+    for block, members in groups.items():
+        height = max(exits[cls] for cls in members)
+        row = {}
+        for cls in members:
+            shift = height - exits[cls]
+            for dst, value in rows[cls].items():
+                into[dst].discard(cls)
+                dst = container.get(dst, dst)
+                if dst is not block:
+                    value += shift
+                    if value < row.get(dst, math.inf):
+                        row[dst] = value
+        if row:
+            next_rows[block] = row
+        next_exits[block] = min(row.values(), default=math.inf)
+        merge_units[block] = height
+    # a living row keeps its values and relabels its entries into merged
+    # classes; it is copied once, so the previous level keeps its own
+    copied = set()
+    for cls, block in container.items():
+        gained = into.setdefault(block, set())
+        for src in into.pop(cls):
+            if src not in copied:
+                copied.add(src)
+                next_rows[src] = dict(rows[src])
+            row = next_rows[src]
+            value = row.pop(cls)
+            if value < row.get(block, math.inf):
+                row[block] = value
+            gained.add(src)
+    for block in groups:
+        for dst in next_rows.get(block, ()):
+            into[dst].add(block)
+
+    classes = [cls for cls in level.classes if cls not in container]
+    for block in groups:
+        insort(classes, block, key=keys.__getitem__)
+    next_level = PartitionLevel(
+        level.index + 1, tuple(classes), next_rows, next_exits, merge_units, level.scale, keys
+    )
+    return next_level, tuple(sorted(groups, key=keys.__getitem__)), components
 
 
 def advance(level: PartitionLevel) -> tuple[PartitionLevel, tuple[StateSet, ...], tuple[StateSet, ...]]:
-    """One round of the recursion.
+    """One round of the recursion, searched from every class.
 
     Returns the next level together with the merge groups and the minimal
     merge groups of this round.
     """
     if level.is_terminal:
         raise AlreadyTerminal("the partition is already the whole space")
-
-    adjacency = _zero_adjacency(level)
-    components = _strongly_connected(level.classes, adjacency)
-    exits = level.exit_units
-    keys = level.keys
-
-    group_of = {}
-    for gi, comp in enumerate(components):
-        for cls in comp:
-            group_of[cls] = gi
-
-    blocks = []
-    minimal = []
-    container = {}  # class of this round -> its class in the next round
-    merge = {}
-    for gi, comp in enumerate(components):
-        # minimal: no member class has a zero-cost step into another group
-        if len(comp) == 1:
-            block = comp[0]
-            escapes = block in adjacency  # every nonempty row has a zero-cost step
-        else:
-            block = frozenset().union(*comp)
-            if block not in keys:
-                keys[block] = set_key(block)
-            escapes = any(group_of[dst] != gi for cls in comp for dst in adjacency[cls])
-        blocks.append(block)
-        if escapes:
-            for cls in comp:
-                container[cls] = cls
-                merge[cls] = exits[cls]
-        else:
-            minimal.append(block)
-            for cls in comp:
-                container[cls] = block
-            merge[block] = max(exits[cls] for cls in comp)
-
-    # each destination keeps its cheapest renormalized cost, lifted by the
-    # source's merge height; ``container`` holds one object per next class
-    cost: UnitRows = {}
-    for src, row in level.cost_units.items():
-        a = container[src]
-        shift = merge[a] - exits[src]
-        out = cost.setdefault(a, {})
-        for dst, value in row.items():
-            b = container[dst]
-            if b is not a:
-                value += shift
-                if value < out.get(b, math.inf):
-                    out[b] = value
-    cost = {a: row for a, row in cost.items() if row}
-
-    next_level = _finish_level(level.index + 1, merge, cost, merge, level.scale, keys)
-    block_order = tuple(sorted(blocks, key=keys.__getitem__))
-    minimal_order = tuple(sorted(minimal, key=keys.__getitem__))
-    return next_level, block_order, minimal_order
+    next_level, minimal, components = _merge_round(level, level.classes, _in_edges(level.cost_units))
+    return next_level, _block_order(level, components), minimal
 
 
 @dataclass(frozen=True)
@@ -341,19 +395,34 @@ def run_decomposition(landscape: Landscape, seed_costs=None) -> DecompositionTra
     when destinations merge under ``min``.  Its merge height, the largest
     exit height among its constituents, is also the largest exit height
     strictly inside it: every merged class exits no lower than it merged.
+
+    Each round after the first searches only from the classes the round
+    before formed.  That finds every minimal group, because every minimal
+    group of round k + 1 with no class formed in round k was already
+    minimal in round k.  Proof: let G be such a group.  Its classes lived
+    through round k, so their rows changed only by relabelling entries into
+    merged classes, with the same values and exit heights; a class has a
+    zero-cost step into a new class exactly when it had one into a
+    constituent.  G has no zero-cost escape, so every zero-cost step of its
+    classes in round k already stayed inside G, and the paths joining them
+    ran inside G too.  So G was a group of round k with no escape, and
+    merged then, which contradicts its classes living on.
     """
     level = initial_level(landscape, seed_costs)
     levels = [level]
     merges = []
     exit_units = dict(level.exit_units)
     merge_units = dict(level.exit_units)  # a singleton merges at its exit height
+    into = _in_edges(level.cost_units)
+    fresh = level.classes
     while not level.is_terminal:
         if len(levels) > landscape.n:
             raise NonTermination("recursion exceeded the state count")
-        level, blocks, minimal = advance(level)
+        before = level
+        level, fresh, _ = _merge_round(before, fresh, into)
         levels.append(level)
-        merges.append(MergeStep(blocks, minimal))
-        for block in minimal:
+        merges.append(MergeStep(before, fresh))
+        for block in fresh:
             exit_units[block] = level.exit_units[block]
             merge_units[block] = level.merge_units[block]
 

@@ -14,9 +14,9 @@ between threads.
 ``reach`` is the package's one graph walk; every connectivity question calls
 it with its own step function.  Two walks stay apart on purpose: the bitmask
 flood fill of ``brute_force_path_cycles``, because the oracle must share no
-code with what it checks, and both passes of the graph-cycle Kosaraju, whose
-first pass needs a post-order and whose second, sent through ``reach`` with
-a filter against the components already found, made the rounds slower.
+code with what it checks, and the Tarjan search of the graph-cycle rounds,
+which numbers each class in depth-first order and keeps its low link, and
+so needs more than the set of classes reached.
 """
 
 from __future__ import annotations
@@ -373,15 +373,23 @@ def is_connected_subset(landscape: Landscape, members: Iterable[str]) -> bool:
 # -- Metropolis kernel ---------------------------------------------------------
 
 
+def _climb_units(landscape: Landscape) -> dict[tuple[str, str], int]:
+    """The one Metropolis climb: on every ordered connected pair, the
+    positive part of the energy climb in int units."""
+    height = {s: e.units for s, e in landscape._energy.items()}
+    climbs = {}
+    for x in landscape.states:
+        hx = height[x]
+        for y in landscape._adjacency[x]:
+            climbs[(x, y)] = max(0, height[y] - hx)
+    return climbs
+
+
 def metropolis_costs(landscape: Landscape) -> dict[tuple[str, str], Energy]:
     """Seed costs on ordered connected pairs: the positive part of the
-    energy climb."""
-    costs = {}
-    for x in landscape.states:
-        hx = landscape.energy(x).units
-        for y in landscape.neighbors(x):
-            costs[(x, y)] = Energy(max(0, landscape.energy(y).units - hx), landscape.scale)
-    return costs
+    energy climb, as ``Energy`` views of the climb's units."""
+    scale = landscape.scale
+    return {pair: Energy(units, scale) for pair, units in _climb_units(landscape).items()}
 
 
 class TransitionMatrix:
@@ -441,8 +449,9 @@ def transition_matrix(landscape: Landscape, beta: float) -> TransitionMatrix:
     index = {s: i for i, s in enumerate(states)}
     n = len(states)
     mat = np.zeros((n, n), dtype=np.float64)
-    for (x, y), climb in metropolis_costs(landscape).items():
-        mat[index[x], index[y]] = float(landscape.rate(x, y)) * math.exp(-beta * climb.to_float())
+    scale = landscape.scale
+    for (x, y), climb in _climb_units(landscape).items():
+        mat[index[x], index[y]] = float(landscape.rate(x, y)) * math.exp(-beta * (climb / scale))
     for i in range(n):
         mat[i, i] = max(0.0, 1.0 - mat[i].sum())
     return TransitionMatrix(states, mat)

@@ -90,3 +90,54 @@ def test_round_trip_through_text(units, scale):
 @given(st.fractions(max_denominator=1000))
 def test_parse_format_exact_inverse(value):
     assert parse_exact(format_exact(value)) == value
+
+
+def _parse_by_fraction(text, scale):
+    """``Energy.parse`` without its whole-number shortcut: every string
+    through ``Fraction``."""
+    if text.strip() == "inf":
+        return INFINITY
+    frac = parse_exact(text) * scale
+    if frac.denominator != 1:
+        raise ScaleOverflow(f"{text!r} is not representable at scale {scale}")
+    return Energy(int(frac), scale)
+
+
+def _outcome(parse, text, scale):
+    try:
+        return parse(text, scale)
+    except Exception as exc:  # the exception type is part of the outcome
+        return type(exc)
+
+
+WHOLE_LIKE = [
+    "0", "7", "-3", "+12", "007", "-0", " 42\n", "\t+5 ",
+    "1_000", "١٢", "12.", "1e3", "+-1", "--1", "+", "", "1 2", "0x10",
+    "9" * 5000, "-" + "1" * 4301,
+]
+
+
+@pytest.mark.parametrize("text", WHOLE_LIKE)
+@pytest.mark.parametrize("scale", [1, 10, 1_000_000])
+def test_whole_number_shortcut_parses_like_fraction(text, scale):
+    assert _outcome(Energy.parse, text, scale) == _outcome(_parse_by_fraction, text, scale)
+
+
+@given(
+    st.one_of(st.text(), st.from_regex(r"\A\s*[+-]?[0-9_]{0,6}[.eE/]?[0-9]{0,3}\s*\Z")),
+    st.sampled_from([1, 7, 1_000_000]),
+)
+def test_parse_matches_the_fraction_path(text, scale):
+    assert _outcome(Energy.parse, text, scale) == _outcome(_parse_by_fraction, text, scale)
+
+
+def test_whole_numbers_skip_fraction(monkeypatch):
+    from basincycles import energy
+
+    def refuse(text):
+        raise AssertionError(f"{text!r} went through Fraction")
+
+    monkeypatch.setattr(energy, "parse_exact", refuse)
+    assert Energy.parse(" -12 ", 1000).units == -12000
+    with pytest.raises(AssertionError):
+        Energy.parse("1.5", 1000)

@@ -23,10 +23,12 @@ from basincycles.errors import (
     MalformedInput,
     UnknownClass,
 )
-from basincycles.graphcycles import trace_to_dict
+from basincycles.cli import main
+from basincycles.equivalence import verify_equivalence
+from basincycles.graphcycles import MergeStep, trace_to_dict
 from basincycles.pathcycles import set_key
 
-from conftest import components, draw_landscape, grid_text, make_fig1_shuffled
+from conftest import DATA, components, draw_landscape, grid_text, make_fig1_shuffled
 
 E = Energy.from_int
 _units = attrgetter("units")
@@ -92,7 +94,7 @@ def test_zero_cost_reaches_fig1(fig1):
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_zero_cost_reaches_matches_the_merge_blocks(data):
-    # two classes reach each other at zero cost exactly when Kosaraju put
+    # two classes reach each other at zero cost exactly when the search put
     # them in one strongly connected block of that round
     L = draw_landscape(data)
     generic = {
@@ -457,3 +459,112 @@ def test_rounds_build_no_energy(monkeypatch):
     assert made == []
     levels[1].cost
     assert made
+
+
+def _generic_seed(data, L, top=3):
+    return {
+        (x, y): E(data.draw(st.integers(0, top), label="seed-cost"))
+        for x in sorted(L.states)
+        for y in sorted(L.neighbors(x))
+    }
+
+
+def _advance_all(L, seed_costs=None):
+    """Every level and every (blocks, minimal) pair, each round searched from
+    every class by ``advance``."""
+    level = initial_level(L, seed_costs)
+    levels, steps = [level], []
+    while not level.is_terminal:
+        level, blocks, minimal = advance(level)
+        levels.append(level)
+        steps.append((blocks, minimal))
+    return levels, steps
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_every_minimal_group_holds_a_class_of_the_round_before(data):
+    # the locality that lets ``run_decomposition`` search only from the
+    # classes the previous round formed; ``advance`` searches every class
+    L = draw_landscape(data)
+    for seed_costs in (None, _generic_seed(data, L)):
+        levels, steps = _advance_all(L, seed_costs)
+        fresh = set(levels[0].classes)
+        for before, (_, minimal) in zip(levels, steps):
+            assert minimal
+            for block in minimal:
+                parts = [cls for cls in before.classes if cls <= block]
+                assert len(parts) > 1
+                assert any(cls in fresh for cls in parts), sorted(block)
+            fresh = set(minimal)
+
+
+def _assert_rounds_match_advance(L, seed_costs=None):
+    trace = run_decomposition(L, seed_costs=seed_costs)
+    levels, steps = _advance_all(L, seed_costs)
+    assert len(trace.levels) == len(levels)
+    for got, want in zip(trace.levels, levels):
+        assert got.index == want.index
+        assert got.classes == want.classes
+        assert got.cost_units == want.cost_units
+        assert got.exit_units == want.exit_units
+        assert got.merge_units == want.merge_units
+    assert [(step.blocks, step.minimal) for step in trace.merges] == steps
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_merge_following_rounds_match_advance(data):
+    L = draw_landscape(data)
+    for seed_costs in (None, _generic_seed(data, L, top=6)):
+        _assert_rounds_match_advance(L, seed_costs)
+
+
+@pytest.mark.parametrize("name", ["fig1", "grid8-e2", "grid8-e1000"])
+def test_merge_following_rounds_match_advance_on_the_golden_inputs(name):
+    _assert_rounds_match_advance(load_landscape((DATA / f"{name}.json").read_text()))
+
+
+@pytest.fixture
+def block_reads(monkeypatch):
+    """The merge steps whose ``blocks`` were read."""
+    reads = []
+    search = MergeStep.blocks.func
+
+    def counting(step):
+        reads.append(step)
+        return search(step)
+
+    monkeypatch.setattr(MergeStep, "blocks", property(counting))
+    return reads
+
+
+def test_graph_cycles_searches_blocks_only_for_iterations(block_reads, tmp_path):
+    source = str(DATA / "grid8-e1000.json")
+    assert main(["graph-cycles", source, "--out", str(tmp_path / "plain.json")]) == 0
+    assert block_reads == []
+    assert main(["graph-cycles", source, "--iterations", "--out", str(tmp_path / "full.json")]) == 0
+    assert block_reads
+
+
+def test_verify_searches_no_blocks(block_reads):
+    assert verify_equivalence(load_landscape((DATA / "grid8-e1000.json").read_text())).ok
+    assert block_reads == []
+
+
+def test_untouched_rows_are_shared_between_levels():
+    trace = run_decomposition(load_landscape(grid_text(10, 1000, 3)))
+    shared = copied = 0
+    for before, after in zip(trace.levels, trace.levels[1:]):
+        merged = set(before.classes) - set(after.classes)
+        for src, row in after.cost_units.items():
+            old = before.cost_units.get(src)
+            if old is None:
+                continue  # formed in this round
+            if merged.isdisjoint(old):
+                assert row is old
+                shared += 1
+            else:
+                assert row is not old
+                copied += 1
+    assert shared and copied

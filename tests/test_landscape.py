@@ -37,7 +37,7 @@ from basincycles.errors import (
     ScaleOverflow,
     UnknownStateInEdge,
 )
-from basincycles.landscape import transition_matrix
+from basincycles.landscape import _climb_units, transition_matrix
 
 from conftest import FIG1_PATH, components, draw_landscape
 
@@ -387,3 +387,24 @@ def test_random_landscapes_validate():
         # every row is sub-stochastic by construction
         for s in L.states:
             assert sum(L.rate(s, t) for t in L.neighbors(s)) <= 1
+
+
+def test_one_climb_in_units(fig1, monkeypatch):
+    # the seed, its validation and the kernel read the int-unit climb;
+    # ``metropolis_costs`` only wraps it in ``Energy`` views
+    climbs = _climb_units(fig1)
+    assert metropolis_costs(fig1) == {pair: Energy(u, fig1.scale) for pair, u in climbs.items()}
+    assert list(metropolis_costs(fig1)) == list(climbs)
+    assert initial_level(fig1, metropolis_costs(fig1)) == initial_level(fig1)
+    made = []
+    original = Energy.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Energy, "__init__", counting)
+    level = initial_level(fig1)
+    assert level.cost_units[frozenset("a")][frozenset("b")] == climbs[("a", "b")]
+    transition_matrix(fig1, 2.0)
+    assert made == []
