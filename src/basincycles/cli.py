@@ -107,7 +107,22 @@ def _cmd_verify(args) -> int:
     return 0 if report.ok else 3
 
 
+def _check_fuzz_args(args) -> None:
+    """The generator's shape must describe at least one landscape."""
+    if args.count < 0:
+        raise UsageError(f"--count must be at least 0, got {args.count}")
+    if args.min_states < 1:
+        raise UsageError(f"--min-states must be at least 1, got {args.min_states}")
+    if args.max_states < args.min_states:
+        raise UsageError(f"--max-states {args.max_states} is below --min-states {args.min_states}")
+    if args.max_energy < 0:
+        raise UsageError(f"--max-energy must be at least 0, got {args.max_energy}")
+    if not 0 <= args.extra_edges <= 1:
+        raise UsageError(f"--extra-edges must lie in [0, 1], got {args.extra_edges}")
+
+
 def _cmd_fuzz(args) -> int:
+    _check_fuzz_args(args)
     failures = []
     for i in range(args.count):
         landscape = random_landscape(

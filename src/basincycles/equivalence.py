@@ -161,40 +161,48 @@ class EquivalenceReport:
 def _check_conditions(
     landscape: Landscape, trace: DecompositionTrace, tree: CycleTree, path_sets: set
 ) -> list[ConditionRecord]:
-    """Every round's conditions, compared in the round's int units against
-    the tree node of each class.  A class without a node is not a path cycle;
-    the conditions that need its node skip it."""
+    """Every round's conditions, compared on the round's slots and int units
+    against the tree node of each class.  A class without a node is not a
+    path cycle; the conditions that need its node skip it."""
     boundaries: dict[StateSet, StateSet] = {}  # cached per distinct big class
+    single_slot = {next(iter(cls)): slot for slot, cls in trace.levels[0].members.items()}
     records = []
     for level in trace.levels:
-        nodes = {cls: tree.node(cls) for cls in level.classes if cls in path_sets}
-        costs = level.cost_units
+        members, rows, lifts, exits = level.members, level.rows, level.lifts, level.exits
+        nodes = {slot: tree.node(cls) for slot, cls in members.items() if cls in path_sets}
 
         costs_ok = True
-        singles = {s for cls in level.classes if len(cls) == 1 for s in cls}
-        for big in (cls for cls in nodes if len(cls) > 1):
-            if big not in boundaries:
-                boundaries[big] = exterior_boundary(landscape, big)
-            floor = landscape.energy(next(iter(nodes[big].ground))).units
-            # the boundary holds exactly the states with a positive-rate edge in
-            for a in boundaries[big] & singles:
-                single = frozenset((a,))
-                if costs.get(big, {}).get(single, math.inf) != landscape.energy(a).units - floor:
+        for big, node in nodes.items():
+            cls = members[big]
+            if len(cls) == 1:
+                continue
+            if cls not in boundaries:
+                boundaries[cls] = exterior_boundary(landscape, cls)
+            floor = landscape.energy(next(iter(node.ground))).units
+            row, lift = rows.get(big, {}), lifts.get(big, 0)
+            # the boundary holds exactly the states with a positive-rate edge
+            # in; a singleton's slot is lifted by nothing
+            for a in boundaries[cls]:
+                single = single_slot[a]
+                if len(members.get(single, ())) != 1:
+                    continue  # a has merged
+                if row.get(single, math.inf) + lift != landscape.energy(a).units - floor:
                     costs_ok = False
-                if costs.get(single, {}).get(big, math.inf) != 0:
+                if rows.get(single, {}).get(big, math.inf) != 0:
                     costs_ok = False
 
-        heights_ok = all(level.exit_units[cls] == max(n.depth.units, 0) for cls, n in nodes.items())
+        heights_ok = all(exits[slot] == max(n.depth.units, 0) for slot, n in nodes.items())
 
-        fresh = trace.merges[level.index - 1].minimal if level.index else ()
         merge_ok = all(
-            level.merge_units[cls] == nodes[cls].resistance.units for cls in fresh if cls in nodes
+            height == nodes[slot].resistance.units
+            for slot, height in level.formed.items()
+            if slot in nodes
         )
 
         records.append(
             ConditionRecord(
                 iteration=level.index,
-                classes_are_cycles=len(nodes) == len(level.classes),
+                classes_are_cycles=len(nodes) == len(members),
                 boundary_costs_ok=costs_ok,
                 exit_heights_ok=heights_ok,
                 merge_heights_ok=merge_ok,

@@ -24,25 +24,33 @@ rebuilt by comparing classes pairwise.
 A round does only the work the previous round's merges made.  Its search
 (step 2) is one Tarjan pass started from the classes the previous round
 formed, every singleton in round 0, since every minimal group contains one
-(``run_decomposition`` proves it).  A class that does not merge keeps its
-exit height and its row; the row is copied only when it has an entry into a
-merged class, which a reverse index of in-edges finds, and that entry is
-relabelled to the new class.  Consecutive levels therefore share every row
-no merge touched.  ``advance`` runs the same round searched from every class.
+(``run_decomposition`` proves it).  The rounds name each live class by an
+int *slot*.  A new class takes the slot of its constituent with the most
+row entries, the host, so the rows pointing into the host and the host's
+own row keep their slot.  The host's row is copied once, and its lift
+(merge height minus the host's exit height) joins the row's lazy offset: a
+row stores its costs minus its slot's lift.  Only the other constituents'
+entries are folded in one by one, and only the rows with an entry into
+one of them, which a reverse index of in-edges finds, are copied and
+relabelled to the host's slot.  So a big class that absorbs a small one
+pays for the small one's edges, not for its own boundary, and consecutive
+levels share every other row.  ``advance`` runs the same round searched
+from every class.
 
 The rounds compute on plain ints, like the rest of the package: every cost
 and height is a count of ``1/scale`` energy units, with ``math.inf`` as the
 one infinity, so the arithmetic stays exact.  Each class's sort key is
-computed once, when the class is created.  ``Energy`` appears only at the
-boundary: ``energy.from_units`` builds the ``PartitionLevel`` views, on first
-read, and the trace's exit and merge heights.  Equal-cost ties resolve by set
-semantics, so the trace is independent of state enumeration order.
+computed once, when the class is created, by merging its constituents'
+keys.  The frozenset-keyed reads of a ``PartitionLevel`` and its ``Energy``
+views are built from the slots on first read; ``energy.from_units`` builds
+the ``Energy`` views and the trace's exit and merge heights.  Equal-cost
+ties resolve by set semantics, so the trace is independent of state
+enumeration order and of which constituent hosts a merge.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import insort
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Optional
@@ -55,9 +63,8 @@ from .errors import (
     UnknownClass,
 )
 from .landscape import Landscape, StateSet, _climb_units, reach
-from .pathcycles import set_key
 
-UnitRows = dict  # class -> {class -> int units}, finite entries only
+SlotRows = dict  # slot -> {slot -> int units minus the source's lift}, finite entries only
 
 
 def _validate_seed(landscape: Landscape, costs: Mapping) -> dict[tuple[str, str], int]:
@@ -85,27 +92,73 @@ class PartitionLevel:
     """One round of the recursion: the partition, its cost matrix, and the
     derived exit and merge heights.
 
-    The round itself is stored in int units of ``1/scale``: ``cost_units``
-    as ``{source: {destination: int}}`` with finite entries only (missing
-    means infinite), ``exit_units`` as each class's cheapest outgoing cost
-    (``math.inf`` for none) and ``merge_units`` as each class's merge height
-    (None for the initial round).  ``keys`` maps every class of the trace to
-    its sorted member tuple; the levels of one trace share it, and a row no
-    merge touched is the same dict in consecutive levels.
+    The round itself is stored on int slots, in int units of ``1/scale``.
+    ``members`` maps each live slot to its class.  ``rows`` holds each
+    slot's finite costs as ``{source: {destination: int}}`` (missing means
+    infinite), each stored minus the source's lift: the true cost is the
+    stored value plus ``lifts.get(source, 0)``.  ``exits`` is each slot's
+    cheapest true outgoing cost (``math.inf`` for none) and ``formed`` the
+    merge height of each class this round formed (empty for round 0); a
+    class that lives on merges at its exit height.  A slot names the same
+    class until a merge it hosts, so consecutive levels share every row
+    that no merge touched.  ``keys`` maps every class of the trace to its
+    sorted member tuple; the levels of one trace share it.
 
-    ``cost``, ``exit_height``, ``renormalized`` and ``merge_height`` are the
-    same quantities as ``Energy`` dicts, each built when it is first read;
-    ``renormalized`` is the cost minus the source's exit height.  Infinite
-    heights are ``INFINITY`` itself.
+    ``classes`` (in class order), ``cost_units``, ``exit_units`` and
+    ``merge_units`` (None for the initial round) are the same round keyed by
+    class, in true units.  ``cost``, ``exit_height``, ``renormalized`` and
+    ``merge_height`` are the same quantities as ``Energy`` dicts;
+    ``renormalized`` is the cost minus the source's exit height.  Each view
+    is built when it is first read.  Infinite heights are ``INFINITY``
+    itself.  Two levels are equal when these views are, whichever slots
+    hold their classes.
     """
 
     index: int
-    classes: tuple[StateSet, ...]
-    cost_units: UnitRows
-    exit_units: dict
-    merge_units: Optional[dict]
+    members: dict
+    rows: SlotRows
+    lifts: dict
+    exits: dict
+    formed: dict
     scale: int
     keys: dict = field(compare=False, repr=False)
+
+    def __eq__(self, other):
+        if not isinstance(other, PartitionLevel):
+            return NotImplemented
+        return self._round() == other._round()
+
+    def _round(self) -> tuple:
+        return self.index, self.scale, self.classes, self.cost_units, self.exit_units, self.merge_units
+
+    @cached_property
+    def classes(self) -> tuple[StateSet, ...]:
+        return tuple(sorted(self.members.values(), key=self.keys.__getitem__))
+
+    @cached_property
+    def slot_of(self) -> dict:
+        return {cls: slot for slot, cls in self.members.items()}
+
+    @cached_property
+    def cost_units(self) -> dict:
+        members, lifts = self.members, self.lifts
+        out = {}
+        for src, row in self.rows.items():
+            lift = lifts.get(src, 0)
+            out[members[src]] = {members[dst]: v + lift for dst, v in row.items()}
+        return out
+
+    @cached_property
+    def exit_units(self) -> dict:
+        members = self.members
+        return {members[slot]: h for slot, h in self.exits.items()}
+
+    @cached_property
+    def merge_units(self) -> Optional[dict]:
+        if self.index == 0:
+            return None
+        members, formed = self.members, self.formed
+        return {members[slot]: formed.get(slot, h) for slot, h in self.exits.items()}
 
     @cached_property
     def cost(self) -> dict:
@@ -133,27 +186,30 @@ class PartitionLevel:
 
     @property
     def is_terminal(self) -> bool:
-        return len(self.classes) == 1
+        return len(self.members) == 1
 
     def class_set(self) -> frozenset:
-        return frozenset(self.classes)
+        return frozenset(self.members.values())
 
     def cost_between(self, a: StateSet, b: StateSet) -> Energy:
-        self._check(a)
-        self._check(b)
-        return from_units(self.cost_units.get(a, {}).get(b, math.inf), self.scale)
+        return from_units(self._cost(a, b), self.scale)
 
     def renormalized_between(self, a: StateSet, b: StateSet) -> Energy:
-        self._check(a)
-        self._check(b)
-        row = self.cost_units.get(a, {})
-        if b not in row:
+        value = self._cost(a, b)
+        if value == math.inf:
             return INFINITY
-        return Energy(row[b] - self.exit_units[a], self.scale)
+        return Energy(value - self.exits[self._slot(a)], self.scale)
 
-    def _check(self, cls: StateSet) -> None:
-        if cls not in self.exit_units:
-            raise UnknownClass(f"{sorted(cls)} is not a class of round {self.index}")
+    def _cost(self, a: StateSet, b: StateSet):
+        src, dst = self._slot(a), self._slot(b)
+        value = self.rows.get(src, {}).get(dst, math.inf)
+        return value + self.lifts.get(src, 0)
+
+    def _slot(self, cls: StateSet) -> int:
+        try:
+            return self.slot_of[cls]
+        except KeyError:
+            raise UnknownClass(f"{sorted(cls)} is not a class of round {self.index}") from None
 
 
 @dataclass(frozen=True)
@@ -172,105 +228,116 @@ class MergeStep:
 
     @cached_property
     def blocks(self) -> tuple[StateSet, ...]:
-        return _block_order(self.level, _zero_components(self.level, self.level.classes))
+        return _block_order(self.level, _zero_components(self.level, self.level.members))
 
 
 def initial_level(landscape: Landscape, seed_costs=None) -> PartitionLevel:
-    """The singleton partition with its seed cost matrix."""
+    """The singleton partition with its seed cost matrix.  Slot ``i`` holds
+    the ``i``-th state in sorted order."""
     if seed_costs is None:
         pair_costs = _climb_units(landscape)
     else:
         pair_costs = _validate_seed(landscape, seed_costs)
-    single = {s: frozenset((s,)) for s in landscape.states}
-    cost: UnitRows = {}
+    states = sorted(landscape.states)
+    slot = {s: i for i, s in enumerate(states)}
+    members = {i: frozenset((s,)) for i, s in enumerate(states)}
+    rows: SlotRows = {}
     for (x, y), units in pair_costs.items():
-        cost.setdefault(single[x], {})[single[y]] = units
-    keys = {cls: (s,) for s, cls in single.items()}
-    classes = tuple(sorted(single.values(), key=keys.__getitem__))
-    exit_units = {cls: min(cost[cls].values()) if cls in cost else math.inf for cls in classes}
-    return PartitionLevel(0, classes, cost, exit_units, None, landscape.scale, keys)
+        rows.setdefault(slot[x], {})[slot[y]] = units
+    keys = {members[i]: (s,) for i, s in enumerate(states)}
+    exits = {i: min(rows[i].values()) if i in rows else math.inf for i in members}
+    return PartitionLevel(0, members, rows, {}, exits, {}, landscape.scale, keys)
 
 
-def _zero_steps(level: PartitionLevel, cls: StateSet) -> list:
-    """The classes one zero-renormalized-cost step from ``cls``."""
-    row = level.cost_units.get(cls, {})
-    height = level.exit_units[cls]
-    return [dst for dst, v in row.items() if v == height]
+def _zero_steps(level: PartitionLevel, slot: int) -> list:
+    """The slots one zero-renormalized-cost step from ``slot``."""
+    row = level.rows.get(slot)
+    if not row:
+        return []
+    low = level.exits[slot] - level.lifts.get(slot, 0)
+    return [dst for dst, v in row.items() if v == low]
 
 
 def zero_cost_reaches(level: PartitionLevel, source: StateSet, destination: StateSet) -> bool:
     """True iff a path of classes from source to destination exists whose
     every step has zero renormalized cost.  Every class reaches itself."""
-    source = frozenset(source)
-    destination = frozenset(destination)
-    level._check(source)
-    level._check(destination)
-    return destination in reach([source], lambda cls: _zero_steps(level, cls))
+    src = level._slot(frozenset(source))
+    dst = level._slot(frozenset(destination))
+    return dst in reach([src], lambda slot: _zero_steps(level, slot))
 
 
-def _zero_components(level: PartitionLevel, starts: Iterable[StateSet]) -> list[tuple[list, bool]]:
+def _zero_components(level: PartitionLevel, starts: Iterable[int]) -> list[tuple[list, bool]]:
     """Tarjan's strongly connected components of the zero-cost digraph over
-    the classes reachable from ``starts``, each with whether a member has a
+    the slots reachable from ``starts``, each with whether a member has a
     zero-cost step out of it.  The set searched is closed under steps, so
     these are components of the whole digraph.  The walk is its own, not
-    ``reach``, since it numbers the classes (see ``landscape``)."""
+    ``reach``, since it numbers the slots (see ``landscape``)."""
     number: dict = {}
     low: dict = {}
     steps: dict = {}
-    component: dict = {}  # class -> index into ``found``, once complete
+    component: dict = {}  # slot -> index into ``found``, once complete
     path = []
     found = []
 
-    def visit(cls):
-        number[cls] = low[cls] = len(number)
-        path.append(cls)
-        steps[cls] = _zero_steps(level, cls)
-        return cls, iter(steps[cls])
+    def visit(slot):
+        number[slot] = low[slot] = len(number)
+        path.append(slot)
+        steps[slot] = _zero_steps(level, slot)
+        return slot, iter(steps[slot])
 
     for root in starts:
         if root in number:
             continue
         frames = [visit(root)]
         while frames:
-            cls, todo = frames[-1]
+            slot, todo = frames[-1]
             for nxt in todo:
                 if nxt not in number:
                     frames.append(visit(nxt))
                     break
                 if nxt not in component:  # still on the path: same component
-                    low[cls] = min(low[cls], number[nxt])
+                    low[slot] = min(low[slot], number[nxt])
             else:
                 frames.pop()
                 if frames:
                     parent = frames[-1][0]
-                    low[parent] = min(low[parent], low[cls])
-                if low[cls] == number[cls]:
+                    low[parent] = min(low[parent], low[slot])
+                if low[slot] == number[slot]:
                     k = len(found)
-                    members = []
-                    while not members or members[-1] is not cls:
-                        members.append(path.pop())
-                        component[members[-1]] = k
-                    escapes = any(component[d] != k for m in members for d in steps[m])
-                    found.append((members, escapes))
+                    group = []
+                    while not group or group[-1] != slot:
+                        group.append(path.pop())
+                        component[group[-1]] = k
+                    escapes = any(component[d] != k for m in group for d in steps[m])
+                    found.append((group, escapes))
     return found
 
 
-def _union(members: list, keys: dict) -> StateSet:
-    """The class made of ``members``, with its sort key recorded."""
-    block = members[0] if len(members) == 1 else frozenset().union(*members)
+def _union(parts: list, keys: dict) -> StateSet:
+    """The union of the classes ``parts``, with its sort key recorded.  The
+    key sorts the parts' keys laid end to end; they are sorted runs, which
+    the sort merges."""
+    if len(parts) == 1:
+        return parts[0]
+    block = parts[0].union(*parts[1:])
     if block not in keys:
-        keys[block] = set_key(block)
+        key = []
+        for part in parts:
+            key += keys[part]
+        key.sort()
+        keys[block] = tuple(key)
     return block
 
 
 def _block_order(level: PartitionLevel, components: list) -> tuple[StateSet, ...]:
     """The components' member unions, in class order."""
-    keys = level.keys
-    return tuple(sorted((_union(members, keys) for members, _ in components), key=keys.__getitem__))
+    members, keys = level.members, level.keys
+    blocks = (_union([members[slot] for slot in group], keys) for group, _ in components)
+    return tuple(sorted(blocks, key=keys.__getitem__))
 
 
-def _in_edges(rows: UnitRows) -> dict:
-    """Each class's sources: the classes whose rows hold an entry into it."""
+def _in_edges(rows: SlotRows) -> dict:
+    """Each slot's sources: the slots whose rows hold an entry into it."""
     into: dict = {}
     for src, row in rows.items():
         for dst in row:
@@ -278,72 +345,86 @@ def _in_edges(rows: UnitRows) -> dict:
     return into
 
 
-def _merge_round(level: PartitionLevel, starts: Iterable[StateSet], into: dict):
+def _merge_round(level: PartitionLevel, starts: Iterable[int], into: dict):
     """One round of the recursion, searched from ``starts``.  ``into`` is
     ``level``'s reverse index; it is brought up to the next level in place.
 
     Returns the next level, its new classes in class order and every
     component the search found.
     """
-    rows, exits, keys = level.cost_units, level.exit_units, level.keys
+    rows, lifts, exits, members = level.rows, level.lifts, level.exits, level.members
+    keys = level.keys
     components = _zero_components(level, starts)
-    groups = {}  # new class -> the classes it merges
-    container = {}  # merged class -> its new class
-    for members, escapes in components:
+    host_of = {}  # merged slot -> the slot of its new class
+    groups = []
+    for group, escapes in components:
         if not escapes:
-            block = _union(members, keys)
-            groups[block] = members
-            for cls in members:
-                container[cls] = block
+            host = max(group, key=lambda slot: len(rows[slot]))
+            groups.append((host, group))
+            for slot in group:
+                host_of[slot] = host
 
     next_rows = dict(rows)
+    next_lifts = dict(lifts)
     next_exits = dict(exits)
-    merge_units = dict(exits)  # a class that does not merge keeps its exit height
-    for cls in container:
-        del next_rows[cls], next_exits[cls], merge_units[cls]
-    # each destination keeps its cheapest renormalized cost, lifted by the
-    # new class's merge height
-    for block, members in groups.items():
-        height = max(exits[cls] for cls in members)
-        row = {}
-        for cls in members:
-            shift = height - exits[cls]
-            for dst, value in rows[cls].items():
-                into[dst].discard(cls)
-                dst = container.get(dst, dst)
-                if dst is not block:
+    next_members = dict(members)
+    formed = {}
+    # each destination keeps its cheapest lifted cost; the host's own
+    # entries keep their stored values under the host's new lift
+    for host, group in groups:
+        height = max(exits[slot] for slot in group)
+        lift = lifts.get(host, 0) + height - exits[host]
+        row = dict(rows[host])
+        parts = [members[host]]
+        for slot in group:
+            if slot == host:
+                continue
+            shift = lifts.get(slot, 0) + height - exits[slot] - lift
+            for dst, value in rows[slot].items():
+                into[dst].discard(slot)
+                dst = host_of.get(dst, dst)
+                if dst != host:
                     value += shift
                     if value < row.get(dst, math.inf):
                         row[dst] = value
-        if row:
-            next_rows[block] = row
-        next_exits[block] = min(row.values(), default=math.inf)
-        merge_units[block] = height
-    # a living row keeps its values and relabels its entries into merged
-    # classes; it is copied once, so the previous level keeps its own
-    copied = set()
-    for cls, block in container.items():
-        gained = into.setdefault(block, set())
-        for src in into.pop(cls):
+                    into[dst].add(host)
+            parts.append(members[slot])
+            del next_rows[slot], next_exits[slot], next_members[slot]
+            next_lifts.pop(slot, None)
+        next_rows[host] = row
+        next_lifts[host] = lift
+        next_members[host] = _union(parts, keys)
+        formed[host] = height
+    # a living row keeps its values and relabels its entries into absorbed
+    # slots to their host; it is copied once, so the previous level keeps
+    # its own, and a host drops its entries into its own group
+    copied = set(formed)
+    for slot, host in host_of.items():
+        if slot == host:
+            continue
+        for src in into.pop(slot):
             if src not in copied:
                 copied.add(src)
                 next_rows[src] = dict(rows[src])
             row = next_rows[src]
-            value = row.pop(cls)
-            if value < row.get(block, math.inf):
-                row[block] = value
-            gained.add(src)
-    for block in groups:
-        for dst in next_rows.get(block, ()):
-            into[dst].add(block)
+            value = row.pop(slot)
+            if src != host:
+                if value < row.get(host, math.inf):
+                    row[host] = value
+                into[host].add(src)
+    for host in formed:
+        row = next_rows[host]
+        if row:
+            next_exits[host] = min(row.values()) + next_lifts[host]
+        else:
+            del next_rows[host]
+            next_exits[host] = math.inf
 
-    classes = [cls for cls in level.classes if cls not in container]
-    for block in groups:
-        insort(classes, block, key=keys.__getitem__)
     next_level = PartitionLevel(
-        level.index + 1, tuple(classes), next_rows, next_exits, merge_units, level.scale, keys
+        level.index + 1, next_members, next_rows, next_lifts, next_exits, formed, level.scale, keys
     )
-    return next_level, tuple(sorted(groups, key=keys.__getitem__)), components
+    minimal = tuple(sorted((next_members[host] for host in formed), key=keys.__getitem__))
+    return next_level, minimal, components
 
 
 def advance(level: PartitionLevel) -> tuple[PartitionLevel, tuple[StateSet, ...], tuple[StateSet, ...]]:
@@ -354,7 +435,7 @@ def advance(level: PartitionLevel) -> tuple[PartitionLevel, tuple[StateSet, ...]
     """
     if level.is_terminal:
         raise AlreadyTerminal("the partition is already the whole space")
-    next_level, minimal, components = _merge_round(level, level.classes, _in_edges(level.cost_units))
+    next_level, minimal, components = _merge_round(level, level.members, _in_edges(level.rows))
     return next_level, _block_order(level, components), minimal
 
 
@@ -411,20 +492,22 @@ def run_decomposition(landscape: Landscape, seed_costs=None) -> DecompositionTra
     level = initial_level(landscape, seed_costs)
     levels = [level]
     merges = []
-    exit_units = dict(level.exit_units)
-    merge_units = dict(level.exit_units)  # a singleton merges at its exit height
-    into = _in_edges(level.cost_units)
-    fresh = level.classes
+    exit_units = {level.members[slot]: h for slot, h in level.exits.items()}
+    merge_units = dict(exit_units)  # a singleton merges at its exit height
+    into = _in_edges(level.rows)
+    fresh = level.members
     while not level.is_terminal:
         if len(levels) > landscape.n:
             raise NonTermination("recursion exceeded the state count")
         before = level
-        level, fresh, _ = _merge_round(before, fresh, into)
+        level, minimal, _ = _merge_round(before, fresh, into)
         levels.append(level)
-        merges.append(MergeStep(before, fresh))
-        for block in fresh:
-            exit_units[block] = level.exit_units[block]
-            merge_units[block] = level.merge_units[block]
+        merges.append(MergeStep(before, minimal))
+        fresh = level.formed
+        for slot, height in fresh.items():
+            block = level.members[slot]
+            exit_units[block] = level.exits[slot]
+            merge_units[block] = height
 
     scale = landscape.scale
     keys = level.keys

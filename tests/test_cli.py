@@ -236,6 +236,35 @@ def test_fuzz_ok(capsys):
     assert doc["ok"] and doc["failures"] == [] and doc["count"] == 25
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--count", "-3"],
+        ["--min-states", "5", "--max-states", "2"],
+        ["--max-energy", "-1"],
+        ["--min-states", "0"],
+        ["--extra-edges", "-0.1"],
+        ["--extra-edges", "1.5"],
+        ["--extra-edges", "nan"],
+    ],
+    ids=[
+        "count", "states-order", "max-energy", "min-states", "edges-low", "edges-high", "edges-nan"
+    ],
+)
+def test_fuzz_rejects_a_bad_generator_shape(capsys, flags):
+    code, out, err = run_cli(capsys, "fuzz", "--count", "2", "--seed", "1", *flags)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+def test_fuzz_count_zero_is_an_empty_campaign(capsys):
+    code, out, _ = run_cli(capsys, "fuzz", "--count", "0", "--seed", "1")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["count"] == 0 and doc["failures"] == [] and doc["ok"]
+
+
 def test_violations_exit_3(capsys, tmp_path, monkeypatch):
     # the identities hold on every valid landscape, so force a failing report
     # to exercise the violation path and the counterexample emission

@@ -182,16 +182,18 @@ def test_generator_parameters():
 # -- fault detection: verify must notice a tampered trace ------------------------
 
 FAULT_INPUTS = [FIG1_PATH, DATA / "grid8-e2.json"]
+RECORDS = ("classes_are_cycles", "boundary_costs_ok", "exit_heights_ok", "merge_heights_ok")
 
 
 def _fresh_with_single(trace):
     """The first round that forms a non-singleton class with a singleton
-    class on its boundary: (that round's level, the class, the singleton).
-    On fig1 this is round 1, {c,d,e,f} and {b}."""
-    for level, step in zip(trace.levels[1:], trace.merges):
-        for big in (cls for cls in step.minimal if len(cls) > 1):
-            for single in level.cost_units.get(big, ()):
-                if len(single) == 1:
+    class on its boundary: (that round's level, the class's slot, the
+    singleton's slot).  On fig1 this is round 1, {c,d,e,f} and {b}."""
+    for level in trace.levels[1:]:
+        formed = sorted(level.formed, key=lambda slot: level.keys[level.members[slot]])
+        for big in (slot for slot in formed if len(level.members[slot]) > 1):
+            for single in sorted(level.rows.get(big, ())):
+                if len(level.members[single]) == 1:
                     return level, big, single
     raise AssertionError("no fresh class with a singleton neighbour")
 
@@ -206,7 +208,7 @@ def _verify_tampered(monkeypatch, path, tamper):
     def tampered(landscape, *args, **kwargs):
         trace = original(landscape, *args, **kwargs)
         level, big, single = _fresh_with_single(trace)
-        picked.append((level.index, big))
+        picked.append((level.index, level.members[big]))
         return tamper(landscape, trace, level, big, single)
 
     monkeypatch.setattr(equivalence, "run_decomposition", tampered)
@@ -215,18 +217,21 @@ def _verify_tampered(monkeypatch, path, tamper):
     return (report, *picked[0])
 
 
+# each tamper edits the slot data that verify reads, not a view built from it
+
+
 def _bump_merge(landscape, trace, level, big, single):
-    level.merge_units[big] += 1
+    level.formed[big] += 1
     return trace
 
 
 def _bump_cost(landscape, trace, level, big, single):
-    level.cost_units[big][single] += 1
+    level.rows[big][single] += 1
     return trace
 
 
 def _bump_exit(landscape, trace, level, big, single):
-    level.exit_units[big] += 1
+    level.exits[big] += 1
     return trace
 
 
@@ -241,16 +246,20 @@ def _bump_exit(landscape, trace, level, big, single):
     ids=["merge", "cost", "exit"],
 )
 def test_tampered_round_fails_its_condition(monkeypatch, path, tamper, record):
-    report, index, _ = _verify_tampered(monkeypatch, path, tamper)
-    assert not getattr(report.conditions[index], record)
+    report, index, big = _verify_tampered(monkeypatch, path, tamper)
+    # round 1 forms {c,d,e,f} on fig1 and {r0c0,r1c0} on grid8-e2
+    assert index == 1 and len(big) > 1
+    assert [name for name in RECORDS if not getattr(report.conditions[index], name)] == [record]
+    assert not any(not r.ok for r in report.conditions[:index])
     assert report.set_equal
 
 
 @pytest.mark.parametrize("path", FAULT_INPUTS, ids=lambda p: p.name)
 def test_tampered_trace_heights_are_violations(monkeypatch, path):
     def bump_heights(landscape, trace, level, big, single):
-        trace.exit_heights[big] = Energy(trace.exit_heights[big].units + 1, trace.scale)
-        trace.merge_heights[big] = Energy(trace.merge_heights[big].units + 1, trace.scale)
+        cls = level.members[big]
+        trace.exit_heights[cls] = Energy(trace.exit_heights[cls].units + 1, trace.scale)
+        trace.merge_heights[cls] = Energy(trace.merge_heights[cls].units + 1, trace.scale)
         return trace
 
     report, _, big = _verify_tampered(monkeypatch, path, bump_heights)
@@ -269,7 +278,8 @@ def test_non_cycle_class_is_graph_only(monkeypatch, path, bad):
     # reported, and the checks that need its tree node pass over it
     def add_bad(landscape, trace, level, big, single):
         levels = list(trace.levels)
-        levels[level.index] = dataclasses.replace(level, classes=level.classes + (bad,))
+        members = {**level.members, max(level.members) + 1: bad}
+        levels[level.index] = dataclasses.replace(level, members=members)
         return dataclasses.replace(trace, levels=tuple(levels), cycles=trace.cycles + (bad,))
 
     report, index, _ = _verify_tampered(monkeypatch, path, add_bad)
@@ -282,8 +292,8 @@ def test_non_cycle_class_is_graph_only(monkeypatch, path, bad):
 
 
 def test_verify_reads_the_rounds_in_units(monkeypatch):
-    # verify compares the int units each round stores, so it builds none of
-    # the rounds' Energy views
+    # verify compares the int units each round stores on its slots, so it
+    # builds none of the rounds' Energy views and no view keyed by class
     original = equivalence.run_decomposition
     traces = []
 
@@ -294,5 +304,6 @@ def test_verify_reads_the_rounds_in_units(monkeypatch):
     monkeypatch.setattr(equivalence, "run_decomposition", capture)
     assert verify_equivalence(load_landscape((DATA / "grid8-e1000.json").read_text())).ok
     views = {"cost", "exit_height", "renormalized", "merge_height"}
+    views |= {"classes", "slot_of", "cost_units", "exit_units", "merge_units"}
     for level in traces[0].levels:
         assert not views & vars(level).keys(), level.index

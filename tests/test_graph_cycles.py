@@ -1,5 +1,6 @@
 """The recursive decomposition: golden values, algebra, invariants."""
 
+import math
 import random
 from operator import attrgetter
 
@@ -26,6 +27,7 @@ from basincycles.errors import (
 from basincycles.cli import main
 from basincycles.equivalence import verify_equivalence
 from basincycles.graphcycles import MergeStep, trace_to_dict
+from basincycles.landscape import reach
 from basincycles.pathcycles import set_key
 
 from conftest import DATA, components, draw_landscape, grid_text, make_fig1_shuffled
@@ -509,6 +511,7 @@ def _assert_rounds_match_advance(L, seed_costs=None):
         assert got.cost_units == want.cost_units
         assert got.exit_units == want.exit_units
         assert got.merge_units == want.merge_units
+        assert got == want  # whichever slot hosts each merge
     assert [(step.blocks, step.minimal) for step in trace.merges] == steps
 
 
@@ -553,18 +556,109 @@ def test_verify_searches_no_blocks(block_reads):
 
 
 def test_untouched_rows_are_shared_between_levels():
+    # a slot's row is a new object only if the slot hosts a merge or its row
+    # had an entry into an absorbed slot; every other row is shared
     trace = run_decomposition(load_landscape(grid_text(10, 1000, 3)))
     shared = copied = 0
     for before, after in zip(trace.levels, trace.levels[1:]):
-        merged = set(before.classes) - set(after.classes)
-        for src, row in after.cost_units.items():
-            old = before.cost_units.get(src)
-            if old is None:
-                continue  # formed in this round
-            if merged.isdisjoint(old):
-                assert row is old
+        absorbed = before.members.keys() - after.members.keys()
+        for slot, row in after.rows.items():
+            if slot in after.formed:
+                assert row is not before.rows[slot]
+            elif absorbed.isdisjoint(before.rows[slot]):
+                assert row is before.rows[slot]
                 shared += 1
             else:
-                assert row is not old
+                assert row is not before.rows[slot]
+                assert absorbed.isdisjoint(row)
                 copied += 1
     assert shared and copied
+
+
+def _toothed_staircase(steps):
+    """A chain whose energies climb by one from a well at one end, with a
+    high tooth on every chain state: the well's class absorbs one chain
+    state per round while the teeth, all pointing into it, stay singletons."""
+    chain = [f"c{i:03d}" for i in range(steps)]
+    teeth = [f"t{i:03d}" for i in range(steps)]
+    energies = {**{c: i for i, c in enumerate(chain)}, **{t: 10 * steps for t in teeth}}
+    edges = list(zip(chain, chain[1:])) + list(zip(chain, teeth))
+    return make_landscape(energies, edges)
+
+
+def test_a_growing_class_keeps_its_slot_and_in_edges():
+    # rows relabelled per round stay bounded as the absorbing class's
+    # boundary grows: only rows into the absorbed chain state change
+    for steps in (10, 20, 40):
+        trace = run_decomposition(_toothed_staircase(steps))
+        assert trace.iterations >= steps - 1
+        for before, after in zip(trace.levels, trace.levels[1:]):
+            relabelled = [
+                slot
+                for slot, row in after.rows.items()
+                if slot not in after.formed and row is not before.rows[slot]
+            ]
+            assert len(relabelled) <= 2, (steps, after.index)
+
+
+def _reference_rounds(L, seed_costs=None):
+    """Every level as (classes, cost, exit, merge), straight from steps 1-4
+    of the module docstring on frozenset-keyed rows: each round re-maps every
+    row, and the zero-cost groups come from pairwise reachability."""
+    costs = metropolis_costs(L) if seed_costs is None else seed_costs
+    cost = {}
+    for (x, y), value in costs.items():
+        if not value.is_infinite:
+            cost.setdefault(frozenset([x]), {})[frozenset([y])] = value.units
+    classes = {frozenset([s]) for s in L.states}
+    merge = None
+    levels = []
+    while True:
+        exit_ = {c: min(cost.get(c, {}).values(), default=math.inf) for c in classes}
+        levels.append((classes, cost, exit_, merge))
+        if len(classes) == 1:
+            return levels
+        zero = {c: [d for d, v in cost.get(c, {}).items() if v == exit_[c]] for c in classes}
+        reaches = {c: reach([c], zero.__getitem__) for c in classes}
+        group = {c: frozenset(d for d in reaches[c] if c in reaches[d]) for c in classes}
+        container = {}
+        for g in set(group.values()):
+            if all(d in g for c in g for d in zero[c]):  # no zero-cost escape
+                for c in g:
+                    container[c] = frozenset().union(*g)
+        merge = {c: exit_[c] for c in classes if c not in container}
+        for c, block in container.items():
+            merge[block] = max(merge.get(block, 0), exit_[c])
+        lifted = {}
+        for src, row in cost.items():
+            new_src = container.get(src, src)
+            lift = merge[new_src] - exit_[src] if src in container else 0
+            for dst, v in row.items():
+                new_dst = container.get(dst, dst)
+                if new_dst != new_src and v + lift < lifted.get(new_src, {}).get(new_dst, math.inf):
+                    lifted.setdefault(new_src, {})[new_dst] = v + lift
+        classes, cost = set(merge), lifted
+
+
+def _assert_rounds_match_reference(L, seed_costs=None):
+    trace = run_decomposition(L, seed_costs=seed_costs)
+    want = _reference_rounds(L, seed_costs)
+    assert len(trace.levels) == len(want)
+    for level, (classes, cost, exit_, merge) in zip(trace.levels, want):
+        assert level.classes == tuple(sorted(classes, key=set_key))
+        assert level.cost_units == cost
+        assert level.exit_units == exit_
+        assert level.merge_units == merge
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_rounds_match_the_reference_round(data):
+    L = draw_landscape(data)
+    for seed_costs in (None, _generic_seed(data, L, top=6)):
+        _assert_rounds_match_reference(L, seed_costs)
+
+
+@pytest.mark.parametrize("name", ["fig1", "grid8-e2", "grid8-e1000"])
+def test_rounds_match_the_reference_round_on_the_golden_inputs(name):
+    _assert_rounds_match_reference(load_landscape((DATA / f"{name}.json").read_text()))
