@@ -7,9 +7,9 @@ symmetric connectivity rate ``q`` on unordered pairs.  Validation enforces:
 * sub-stochastic rows: for every ``x``, ``sum_y q(x, y) <= 1``,
 * irreducibility: the positive-rate graph is connected.
 
-Self-loops are never stored; the diagonal of the Metropolis kernel is the row
-remainder.  A landscape is immutable after validation and safe to share
-between threads.
+Self-loops are never stored; the diagonal of the Metropolis kernel is one
+minus the probability of leaving.  A landscape is immutable after validation
+and safe to share between threads.
 
 ``reach`` is the package's one graph walk; every connectivity question calls
 it with its own step function.  Two walks stay apart on purpose: the bitmask
@@ -393,74 +393,73 @@ def metropolis_costs(landscape: Landscape) -> dict[tuple[str, str], Energy]:
 
 
 class TransitionMatrix:
-    """Row-stochastic transition matrix over the landscape's states."""
+    """The Metropolis kernel as its positive off-diagonal entries and jump tables."""
 
-    __slots__ = ("states", "matrix", "_index")
+    __slots__ = ("states", "_index", "_off", "_tables")
 
-    def __init__(self, states: tuple[str, ...], matrix: np.ndarray):
+    def __init__(self, states: tuple[str, ...], index: dict, off: dict, tables: tuple):
         self.states = states
-        self.matrix = matrix
-        self._index = {s: i for i, s in enumerate(states)}
+        self._index = index
+        self._off = off
+        self._tables = tables
 
     def prob(self, x: str, y: str) -> float:
-        return float(self.matrix[self._index[x], self._index[y]])
+        """0.0 for a non-edge; the diagonal is ``1 - leave[x]``."""
+        try:
+            i, j = self._index[x], self._index[y]
+        except KeyError as exc:
+            raise ForeignState(f"unknown state {exc.args[0]!r}") from None
+        return 1.0 - float(self._tables[0][i]) if i == j else self._off.get((i, j), 0.0)
 
     def jumps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-state tables of the jump chain: ``(leave, nbr, cdf)``.
+        """The jump chain's per-state tables ``(leave, nbr, cdf)``, as stored.
 
-        ``leave[x]`` is the probability of leaving ``x`` in one step, summed
-        from the row's off-diagonal entries and clamped to 1; it is never
-        taken as ``1 - matrix[x, x]``, which cancels to 0 at large beta.
-        ``nbr[x]`` lists the states reachable from ``x`` in one step, padded
-        to the largest degree by repeating the last one (``x`` itself when
-        there is none).  ``cdf[x]`` is the jump distribution over ``nbr[x]``,
-        normalised by ``leave[x]`` and pinned to 1 from the last neighbour
-        on, so float shortfall never lands off the row's neighbours.
+        ``leave[x]``: the probability of leaving ``x`` in one step, the sum of
+        the row's off-diagonal entries clamped to 1 (one minus a holding
+        probability would cancel to 0 at large beta).  ``nbr[x]``: the states
+        one step from ``x`` in declaration order, padded by repeating the last
+        (``x`` itself when there is none).  ``cdf[x]``: the jump law over
+        ``nbr[x]``, normalised by ``leave[x]`` and pinned to 1 from the last
+        neighbour on, so float shortfall never lands off the row.
         """
-        positive = self.matrix > 0
-        np.fill_diagonal(positive, False)
-        rows, cols = np.nonzero(positive)  # row-major: each row's neighbours in order
-        prob = self.matrix[rows, cols]
-        n = len(self.states)
-        degree = np.bincount(rows, minlength=n)
-        ends = np.cumsum(degree)
-        slot = np.arange(rows.size) - np.repeat(ends - degree, degree)
-        last = np.arange(n)
-        some = degree > 0
-        last[some] = cols[ends[some] - 1]
-        width = max(1, int(degree.max()))
-        nbr = np.repeat(last[:, None], width, axis=1)
-        nbr[rows, slot] = cols
-        leave = np.minimum(np.bincount(rows, weights=prob, minlength=n), 1.0)
-        mass = np.zeros((n, width))
-        mass[rows, slot] = prob
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cdf = np.cumsum(mass, axis=1) / leave[:, None]
-        cdf[np.arange(width) >= (degree - 1)[:, None]] = 1.0
-        return leave, nbr, cdf
+        return self._tables
 
 
 def transition_matrix(landscape: Landscape, beta: float) -> TransitionMatrix:
-    """The Metropolis matrix for any ``beta >= 0``; ``beta = 0`` is the
-    sampler's diagnostic mode."""
-    if beta < 0:
-        raise NonpositiveBeta(f"beta must be >= 0, got {beta}")
-    states = landscape.states
-    index = {s: i for i, s in enumerate(states)}
-    n = len(states)
-    mat = np.zeros((n, n), dtype=np.float64)
-    scale = landscape.scale
+    """The Metropolis kernel for any finite ``beta >= 0``, in O(edges);
+    ``beta = 0`` is the sampler's diagnostic mode."""
+    if not (math.isfinite(beta) and beta >= 0):
+        raise NonpositiveBeta(f"beta must be finite and >= 0, got {beta}")
+    index = {s: i for i, s in enumerate(landscape.states)}
+    off = {}  # (row, column) -> probability; one that underflows to 0 is no jump
     for (x, y), climb in _climb_units(landscape).items():
-        mat[index[x], index[y]] = float(landscape.rate(x, y)) * math.exp(-beta * (climb / scale))
-    for i in range(n):
-        mat[i, i] = max(0.0, 1.0 - mat[i].sum())
-    return TransitionMatrix(states, mat)
+        p = float(landscape.rate(x, y)) * math.exp(-beta * (climb / landscape.scale))
+        if p > 0:
+            off[index[x], index[y]] = p
+    keys = sorted(off)  # row-major, each row's neighbours in declaration order
+    rows, cols = np.array(keys, dtype=np.intp).reshape(-1, 2).T
+    prob = np.array([off[key] for key in keys])
+    n = len(index)
+    degree = np.bincount(rows, minlength=n)
+    ends = np.cumsum(degree)
+    slot = np.arange(rows.size) - np.repeat(ends - degree, degree)
+    last = np.arange(n)
+    last[degree > 0] = cols[ends[degree > 0] - 1]
+    width = max(1, int(degree.max()))
+    nbr = np.repeat(last[:, None], width, axis=1)
+    nbr[rows, slot] = cols
+    leave = np.minimum(np.bincount(rows, weights=prob, minlength=n), 1.0)
+    mass = np.zeros((n, width))
+    mass[rows, slot] = prob
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cdf = np.cumsum(mass, axis=1) / leave[:, None]
+    cdf[np.arange(width) >= (degree - 1)[:, None]] = 1.0
+    return TransitionMatrix(landscape.states, index, off, (leave, nbr, cdf))
 
 
 def metropolis_kernel(landscape: Landscape, beta: float) -> TransitionMatrix:
-    """The Metropolis chain at inverse temperature ``beta > 0``:
-    off-diagonal ``q(x,y) * exp(-beta * (H(y) - H(x))^+)``, diagonal as the
-    row remainder."""
+    """The Metropolis chain at inverse temperature ``beta > 0``: off-diagonal
+    entries ``q(x,y) * exp(-beta * (H(y) - H(x))^+)``."""
     if beta <= 0:
         raise NonpositiveBeta(f"beta must be > 0, got {beta}")
     return transition_matrix(landscape, beta)

@@ -62,8 +62,8 @@ class SimulationSpec:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.beta < 0:
-            raise InvalidSpec(f"beta must be >= 0, got {self.beta}")
+        if not (math.isfinite(self.beta) and self.beta >= 0):
+            raise InvalidSpec(f"beta must be finite and >= 0, got {self.beta}")
         if self.max_steps < 1:
             raise InvalidSpec("max_steps must be at least 1")
         if self.replicas < 1:
@@ -254,18 +254,18 @@ def _check_arguments(
     landscape: Landscape, members: Iterable[str], beta_list: Sequence[float], epsilon: float
 ) -> tuple[StateSet, list[float], Energy, Energy]:
     """The arguments both law checks share, in this order: a nontrivial path
-    cycle, ``epsilon > 0`` and every beta > 0.  Returns the cycle, the
-    distinct betas in ascending order, and the cycle's depth and resistance."""
+    cycle, a finite ``epsilon > 0`` and finite betas > 0.  Returns the cycle,
+    the distinct betas in ascending order, and the cycle's depth and resistance."""
     cycle = landscape.subset(members)
     gamma, gamma_tilde = depth(landscape, cycle), resistance_height(landscape, cycle)
     # nontrivial: the internal maximum lies below the boundary floor
     if gamma.units <= gamma_tilde.units:
         raise NotACycle(f"{sorted(cycle)} is a trivial cycle (no exit barrier)")
-    if epsilon <= 0:
-        raise InvalidSpec(f"epsilon must be positive, got {epsilon}")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise InvalidSpec(f"epsilon must be finite and positive, got {epsilon}")
     for beta in beta_list:
-        if beta <= 0:
-            raise NonpositiveBeta(f"beta must be > 0, got {beta}")
+        if not (math.isfinite(beta) and beta > 0):
+            raise NonpositiveBeta(f"beta must be finite and > 0, got {beta}")
     return cycle, sorted(set(float(b) for b in beta_list)), gamma, gamma_tilde
 
 
@@ -412,6 +412,7 @@ def sample_single_steps(
     the sampler's jump tables: hold when ``u1 >= leave``, otherwise jump to
     the neighbour ``u2`` picks.  Uses one shared stream (replica independence
     is irrelevant for a single step)."""
+    landscape.subset([start])  # ForeignState for an unknown start
     kernel = transition_matrix(landscape, beta)
     x = kernel.states.index(start)
     leave, nbr, cdf = kernel.jumps()

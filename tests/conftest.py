@@ -1,7 +1,9 @@
 import json
+import math
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
@@ -106,3 +108,43 @@ def grid_text(side: int, max_energy: int, seed: int) -> str:
     lines.append("  ]")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def dense_kernel(kern):
+    """The kernel as an n x n matrix, read entry by entry from ``kern.prob``."""
+    return np.array([[kern.prob(x, y) for y in kern.states] for x in kern.states])
+
+
+def reference_jumps(landscape, beta):
+    """The jump tables ``(leave, nbr, cdf)`` derived the dense way: fill an
+    n x n Metropolis matrix from the energies and rates, then read each row's
+    positive off-diagonal entries back out in row-major order with
+    ``np.nonzero``.  The kernel builder must match it bit for bit."""
+    states = landscape.states
+    n = len(states)
+    matrix = np.zeros((n, n))
+    for i, x in enumerate(states):
+        for y in landscape.neighbors(x):
+            climb = max(0, landscape.energy(y).units - landscape.energy(x).units)
+            p = float(landscape.rate(x, y)) * math.exp(-beta * (climb / landscape.scale))
+            matrix[i, states.index(y)] = p
+    positive = matrix > 0
+    np.fill_diagonal(positive, False)
+    rows, cols = np.nonzero(positive)
+    prob = matrix[rows, cols]
+    degree = np.bincount(rows, minlength=n)
+    ends = np.cumsum(degree)
+    slot = np.arange(rows.size) - np.repeat(ends - degree, degree)
+    last = np.arange(n)
+    some = degree > 0
+    last[some] = cols[ends[some] - 1]
+    width = max(1, int(degree.max()))
+    nbr = np.repeat(last[:, None], width, axis=1)
+    nbr[rows, slot] = cols
+    leave = np.minimum(np.bincount(rows, weights=prob, minlength=n), 1.0)
+    mass = np.zeros((n, width))
+    mass[rows, slot] = prob
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cdf = np.cumsum(mass, axis=1) / leave[:, None]
+    cdf[np.arange(width) >= (degree - 1)[:, None]] = 1.0
+    return leave, nbr, cdf

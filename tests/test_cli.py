@@ -93,6 +93,19 @@ def test_unknown_cycle_state_is_usage_error(capsys):
     assert "NotACycle" in err
 
 
+@pytest.mark.parametrize("flag", ["--betas", "--epsilon"])
+@pytest.mark.parametrize("value", ["nan", "inf", "1e400"])
+def test_nonfinite_beta_or_epsilon_is_usage_error(capsys, flag, value):
+    given = {"--betas": "2", "--epsilon": "1", flag: value}
+    argv = [token for pair in given.items() for token in pair]
+    code, out, err = run_cli(
+        capsys, "simulate", FIG1, "--cycle", "i,j", "--replicas", "10", "--seed", "1", *argv
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage error:") and err.count("\n") == 1
+
+
 def test_verify_fig1(capsys):
     code, out, _ = run_cli(capsys, "verify", FIG1)
     assert code == 0

@@ -4,6 +4,7 @@ import json
 import math
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -39,7 +40,13 @@ from basincycles.errors import (
 )
 from basincycles.landscape import _climb_units, transition_matrix
 
-from conftest import FIG1_PATH, components, draw_landscape
+from conftest import (
+    FIG1_PATH,
+    components,
+    dense_kernel,
+    draw_landscape,
+    reference_jumps,
+)
 
 
 def test_fig1_loads(fig1):
@@ -318,29 +325,30 @@ def test_jump_tables(fig1):
     for beta in (0.0, 1.0, 7.3):
         kern = transition_matrix(fig1, beta)
         leave, nbr, cdf = kern.jumps()
+        matrix = dense_kernel(kern)
         assert nbr.shape == cdf.shape == (fig1.n, 2)
         for x, s in enumerate(kern.states):
             reach = [kern.states.index(t) for t in fig1.neighbors(s)]
-            reach = sorted(y for y in reach if kern.matrix[x, y] > 0)
+            reach = sorted(y for y in reach if matrix[x, y] > 0)
             degree = len(reach)
             assert list(nbr[x, :degree]) == reach
             assert (nbr[x, degree:] == reach[-1]).all()
-            assert (kern.matrix[x, nbr[x]] > 0).all()
+            assert (matrix[x, nbr[x]] > 0).all()
             assert (cdf[x, degree - 1 :] == 1.0).all()
             assert (np.diff(cdf[x]) >= 0).all()
             off = math.fsum(kern.prob(s, t) for t in fig1.neighbors(s))
             assert leave[x] == pytest.approx(off, rel=1e-15)
             mass = np.diff(cdf[x, :degree], prepend=0.0) * leave[x]
-            assert mass == pytest.approx(kern.matrix[x, reach], rel=1e-12)
+            assert mass == pytest.approx(matrix[x, reach], rel=1e-12)
 
 
 def test_jump_tables_leave_survives_cancellation(fig1):
-    # at beta 40 the row remainder rounds to a holding probability of
-    # exactly 1, but the off-diagonal sum keeps i's exit rate
+    # at beta 40 the holding probability rounds to exactly 1, but the
+    # off-diagonal sum keeps i's exit rate
     kern = metropolis_kernel(fig1, 40.0)
     i = kern.states.index("i")
     leave, nbr, _ = kern.jumps()
-    assert 1.0 - kern.matrix[i, i] == 0.0
+    assert 1.0 - dense_kernel(kern)[i, i] == 0.0
     assert leave[i] > 0
     assert leave[i] == pytest.approx(0.5 * math.exp(-40.0), rel=1e-12)
     assert sorted(kern.states[y] for y in nbr[i]) == ["h", "j"]
@@ -355,10 +363,10 @@ def test_jump_tables_single_state():
 
 def test_kernel_rows_and_entries(fig1):
     for beta in (0.3, 1.0, 4.0):
-        kern = metropolis_kernel(fig1, beta)
-        sums = kern.matrix.sum(axis=1)
+        matrix = dense_kernel(metropolis_kernel(fig1, beta))
+        sums = matrix.sum(axis=1)
         assert np.allclose(sums, 1.0, atol=1e-12)
-        assert (kern.matrix >= 0).all() and (kern.matrix <= 1).all()
+        assert (matrix >= 0).all() and (matrix <= 1).all()
 
 
 def test_kernel_detailed_balance(fig1):
@@ -378,6 +386,75 @@ def test_kernel_rejects_nonpositive_beta(fig1):
         metropolis_kernel(fig1, 0.0)
     with pytest.raises(NonpositiveBeta):
         metropolis_kernel(fig1, -1.0)
+
+
+@pytest.mark.parametrize(
+    "beta", [math.nan, math.inf, float("1e400")], ids=["nan", "inf", "1e400"]
+)
+def test_kernel_rejects_nonfinite_beta(fig1, beta):
+    # at beta = inf a zero climb gives inf * 0 = NaN on the edge
+    for build in (transition_matrix, metropolis_kernel):
+        with pytest.raises(NonpositiveBeta):
+            build(fig1, beta)
+
+
+def test_kernel_prob_of_an_unknown_state_is_foreign(fig1):
+    kern = metropolis_kernel(fig1, 1.0)
+    for x, y in (("a", "zz"), ("zz", "a"), ("zz", "zz")):
+        with pytest.raises(ForeignState):
+            kern.prob(x, y)
+
+
+def test_kernel_memory_is_linear_in_the_edges():
+    # a dense 5000 x 5000 float64 matrix alone would take 200 MB
+    ids = [f"s{i}" for i in range(5000)]
+    L = make_landscape({s: i % 7 for i, s in enumerate(ids)}, list(zip(ids, ids[1:])))
+    tracemalloc.start()
+    try:
+        transition_matrix(L, 3.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+JUMP_BETAS = (0.0, 1.0, 7.3, 40.0, 300.0)
+
+
+def assert_jumps_match_dense(landscape):
+    for beta in JUMP_BETAS:
+        got = transition_matrix(landscape, beta).jumps()
+        for table, want in zip(got, reference_jumps(landscape, beta)):
+            assert table.dtype == want.dtype
+            assert np.array_equal(table, want)
+
+
+def redeclared(landscape, order):
+    """The same landscape with its states declared in ``order``."""
+    edges = [(x, y, landscape.rate(x, y)) for x, y in landscape.edge_pairs()]
+    return make_landscape([(s, landscape.energy(s)) for s in order], edges)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_jump_tables_match_the_dense_reference(data):
+    L = draw_landscape(data)
+    assert_jumps_match_dense(redeclared(L, data.draw(st.permutations(L.states))))
+
+
+def test_jump_tables_match_the_dense_reference_on_random_landscapes():
+    # the tables list each row's neighbours in declaration order, not id
+    # order; at beta 300 a climb of 3 units or more underflows to 0.0 and
+    # is no jump
+    shuffled = wide = dropped = 0
+    for seed in range(150):
+        L = random_landscape(seed=seed, min_states=3, max_states=14, extra_edge_prob=0.3)
+        shuffled += list(L.states) != sorted(L.states)
+        wide += max(len(L.neighbors(s)) for s in L.states) > 2
+        kern = transition_matrix(L, 300.0)
+        dropped += any(kern.prob(x, y) == 0.0 for x in L.states for y in L.neighbors(x))
+        assert_jumps_match_dense(L)
+    assert min(shuffled, wide, dropped) > 100
 
 
 def test_random_landscapes_validate():

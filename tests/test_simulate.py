@@ -14,12 +14,15 @@ from basincycles import (
     simulate_hitting_time,
 )
 from basincycles.errors import (
+    ForeignState,
     InvalidSpec,
     NonpositiveBeta,
     NotACycle,
     StateOutsideCycle,
 )
 from basincycles.simulate import _MAX_STEP_CAP, default_exit_steps, sample_single_steps
+
+from conftest import dense_kernel
 
 
 def test_beta_zero_geometric_diagnostic(two_state):
@@ -48,7 +51,7 @@ def test_beta_zero_chain_matches_linear_system(fig1):
     states = list(kernel.states)
     keep = [s for s in states if s != "j"]
     idx = [states.index(s) for s in keep]
-    Q = kernel.matrix[np.ix_(idx, idx)]
+    Q = dense_kernel(kernel)[np.ix_(idx, idx)]
     m = np.linalg.solve(np.eye(len(keep)) - Q, np.ones(len(keep)))
     expected = m[keep.index("i")]
 
@@ -204,6 +207,37 @@ def test_step_law_against_kernel(fig1):
         got = counts.get(state, 0)
         sigma = math.sqrt(trials * p * (1 - p))
         assert abs(got - trials * p) <= 3 * sigma + 1e-9, (state, got, trials * p)
+
+
+NONFINITE = pytest.mark.parametrize(
+    "value", [math.nan, math.inf, float("1e400")], ids=["nan", "inf", "1e400"]
+)
+
+
+@NONFINITE
+def test_nonfinite_beta_rejected(fig1, value):
+    spec = SimulationSpec(landscape=fig1, beta=value, start="i", target=frozenset({"j"}))
+    with pytest.raises(InvalidSpec):
+        spec.validate()
+    with pytest.raises(NonpositiveBeta):
+        check_exit_window(fig1, {"i", "j"}, [2.0, value], 1.0, 10, 1)
+    with pytest.raises(NonpositiveBeta):
+        check_visit_before_exit(fig1, {"i", "j"}, "i", "j", [value], 1.0, 10, 1)
+    with pytest.raises(NonpositiveBeta):
+        sample_single_steps(fig1, value, "h", 10, seed=1)
+
+
+@NONFINITE
+def test_nonfinite_epsilon_rejected(fig1, value):
+    with pytest.raises(InvalidSpec):
+        check_exit_window(fig1, {"i", "j"}, [2.0], value, 10, 1)
+    with pytest.raises(InvalidSpec):
+        check_visit_before_exit(fig1, {"i", "j"}, "i", "j", [2.0], value, 10, 1)
+
+
+def test_single_steps_from_an_unknown_state_is_foreign(fig1):
+    with pytest.raises(ForeignState):
+        sample_single_steps(fig1, 1.0, "zz", 10, seed=1)
 
 
 def test_invalid_specs(fig1):
