@@ -9,6 +9,7 @@ seeds produce byte-identical stdout, modulo the versioned header field.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -336,8 +337,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main only parses with the tree, so one per process serves every call
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except UsageError as exc:

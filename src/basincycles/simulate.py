@@ -2,13 +2,27 @@
 
 The sampler runs independent Metropolis chains and records the first step
 index at which each chain enters a target set (censored at ``max_steps``).
-It walks the jump chain: each jump skips all holding steps at the current
-state with one geometric draw, so holding steps still count toward the
-hitting time and its law stays exact, while the work per replica is one
-iteration per jump, not per step.  Each jump takes two draws, and replica
-``r`` consumes draws only from the stream keyed ``(seed, r)``, so results
-are reproducible and independent of batching, replica order, or any
-execution parallelism.
+There are two exact paths, and ``_run_chains`` picks one per call from the
+size of the set the chain can visit before it is absorbed:
+
+* **Inversion** (the set is small).  The first-hit time's law is computed
+  from the absorbing chain on that set, through the dyadic powers of its
+  substochastic matrix, and each replica's time is drawn in one step by
+  inverting that law with one uniform; its landing state takes a second.
+  The cost is O(log max_steps) matrix products, so it does not grow with
+  beta or with the exit time.  This is the one-step first-passage draw of
+  Monte Carlo with absorbing Markov chains (MCAMC; Novotny, PRL 74 (1995)
+  1), applied to the whole set at once.
+* **Jump chain** (the set is large).  Each iteration moves every live
+  replica by one jump, and one geometric draw skips all the holding steps
+  before it, so holding steps still count toward the hitting time.  The
+  work is one iteration per jump.
+
+Both keep the exact law of the step chain.  Replica ``r`` draws only from
+its own stream: row ``r`` of one ``(replicas, 4)`` block from ``seed`` on
+the inversion path, the generator keyed ``(seed, r)`` on the jump chain.
+So results depend only on ``(seed, r)`` and the path, and a shorter batch
+is a prefix of a longer one.
 
 ``beta = 0`` is accepted only by the raw sampler as a diagnostic mode; the
 window and visit checks require ``beta > 0`` like every analysis path.
@@ -24,11 +38,17 @@ import numpy as np
 
 from .energy import Energy
 from .errors import InvalidSpec, NonpositiveBeta, NotACycle, StateOutsideCycle
-from .landscape import Landscape, StateSet, exterior_boundary, transition_matrix
+from .landscape import Landscape, StateSet, exterior_boundary, reach, transition_matrix
 from .pathcycles import depth, resistance_height
 
 _MAX_STEP_CAP = 1_000_000_000
+_MAX_STEPS = 2**63 - 1  # step counts are int64
 _JUMPS = 1024  # jumps per draw refill, two draws each
+# Inversion stores one |T| x |T| float64 power per bit of max_steps.  Past
+# this many bytes the jump chain runs instead: at the default 10^6 steps
+# that is |T| <= 228, at 2^63 - 1 steps |T| <= 129, so the powers' matrix
+# products stay well under a second, while larger sets are walked.
+_DENSE_BYTES = 8 << 20
 
 
 def _mask64(seed: int) -> int:
@@ -64,8 +84,8 @@ class SimulationSpec:
     def validate(self) -> None:
         if not (math.isfinite(self.beta) and self.beta >= 0):
             raise InvalidSpec(f"beta must be finite and >= 0, got {self.beta}")
-        if self.max_steps < 1:
-            raise InvalidSpec("max_steps must be at least 1")
+        if not 1 <= self.max_steps <= _MAX_STEPS:
+            raise InvalidSpec(f"max_steps must lie in [1, 2**63 - 1], got {self.max_steps}")
         if self.replicas < 1:
             raise InvalidSpec("replicas must be at least 1")
         if not self.landscape.has_state(self.start):
@@ -142,7 +162,151 @@ def _land(nbr, cdf, state, u):
     return nbr[state, (cdf[state] <= u[:, None]).sum(axis=1)]
 
 
-def _run_chains(jumps, start_idx, target_mask, sec_idx, max_steps, seed, replicas):
+def _transient(nbr, origin, absorb) -> list[int]:
+    """The states reachable from ``origin`` without entering ``absorb``, in
+    index order: every state the chain can stand on before absorption."""
+    return sorted(reach([origin], lambda x: [y for y in nbr[x].tolist() if not absorb[y]]))
+
+
+def _first_hit(kernel, transient, origin, absorb, u_time, u_land, budget):
+    """Draw each row's first entry into ``absorb`` from ``origin`` by inverting
+    its law; ``transient`` is ``_transient(nbr, origin, absorb)``.
+
+    ``Q`` is the kernel on the transient set T: its positive off-diagonal
+    entries, and ``1 - leave[x]`` on the diagonal.  ``R`` holds the entries
+    from T into the absorbing states.  With ``h_k[x]`` the probability of
+    absorption from x within ``2^k`` steps, ``h_0 = R 1`` and
+    ``h_{k+1} = h_k + Q^(2^k) h_k``: sums of positive terms, so no
+    ``1 - p`` cancels on the absorption side at any beta.  Each power's
+    diagonal is set from the same identity, one minus its row's
+    off-diagonal mass and ``h_k``, so the ulp lost in storing a diagonal
+    near 1 never compounds from one power to the next.
+
+    The first-hit CDF is ``F(t) = F(s) + alpha Q^s h(t - s)`` for
+    ``alpha`` the point mass at ``origin``.  Descending the bits from high
+    to low, a row takes step ``2^k`` while it fits in ``budget`` and keeps
+    ``F`` below its ``u_time`` in (0, 1]; that finds the largest
+    ``t <= budget`` with ``F(t) < u``, so the chain is absorbed at step
+    ``t + 1`` with probability ``F(t + 1) - F(t)``: the exact law.  A row
+    whose ``t`` reaches its budget is censored.  Otherwise it lands on
+    ``a`` with probability proportional to ``(alpha Q^t R)[a]``, picked by
+    ``u_land``.
+
+    Returns ``(t, landed)``: ``landed`` is the state entered at step
+    ``t + 1``, or -1 for a censored row.
+    """
+    leave, nbr, _ = kernel.jumps()
+    states = kernel.states
+    pos = {x: a for a, x in enumerate(transient)}
+    exits = sorted({y for x in transient for y in nbr[x].tolist() if absorb[y]})
+    col = {y: b for b, y in enumerate(exits)}
+    Q = np.zeros((len(transient), len(transient)))
+    R = np.zeros((len(transient), len(exits)))
+    for x in transient:
+        a = pos[x]
+        Q[a, a] = 1.0 - leave[x]
+        for y in set(nbr[x].tolist()) - {x}:
+            p = kernel.prob(states[x], states[y])
+            if absorb[y]:
+                R[a, col[y]] = p
+            else:
+                Q[a, pos[y]] = p
+
+    levels = int(budget.max()).bit_length()
+    hits, powers = [R.sum(axis=1)], [Q]
+    for _ in range(1, levels):
+        M, h = powers[-1], hits[-1]
+        hits.append(h + M @ h)
+        M = M @ M
+        np.fill_diagonal(M, 0.0)
+        np.fill_diagonal(M, np.maximum(1.0 - (M.sum(axis=1) + hits[-1]), 0.0))
+        powers.append(M)
+
+    t = np.zeros(u_time.size, dtype=np.int64)
+    cdf = np.zeros(u_time.size)
+    mass = np.zeros((u_time.size, len(transient)))  # alpha Q^t, row by row
+    mass[:, pos[origin]] = 1.0
+    for k in range(levels - 1, -1, -1):
+        ahead = cdf + mass @ hits[k]
+        # step <= budget - t, not t + step <= budget: no int64 overflow
+        go = ((1 << k) <= budget - t) & (ahead < u_time)
+        if go.any():
+            mass[go] = mass[go] @ powers[k]
+            cdf[go] = ahead[go]
+            t[go] += 1 << k
+
+    landed = np.full(u_time.size, -1, dtype=np.intp)
+    hit = t < budget
+    if hit.any():
+        weight = np.cumsum(mass[hit] @ R, axis=1)
+        pick = (weight < u_land[hit, None] * weight[:, -1:]).sum(axis=1)
+        landed[hit] = np.array(exits)[np.minimum(pick, len(exits) - 1)]
+    return t, landed
+
+
+def _run_chains(kernel, start_idx, target_mask, sec_idx, max_steps, seed, replicas):
+    """First-hit times of ``target_mask`` from ``start_idx`` for ``replicas``
+    chains of ``kernel``, censored at ``max_steps``.
+
+    A visit state ``sec_idx`` outside the target splits the run in two
+    phases under the strong Markov property: first to the target or the
+    visit state, then, for the replicas that reached the visit state, from
+    there to the target on the steps left.  Each phase's transient set T
+    comes from ``_transient``.  When the powers of the largest one fit in
+    ``_DENSE_BYTES``, every phase runs by inversion (``_first_hit``):
+    replica r takes the uniforms in row r of one ``(replicas, 4)`` block
+    from ``default_rng(seed)``, time then landing for the first phase,
+    time then landing for the second.  Otherwise the whole call walks the
+    jump chain (``_walk_chains``), with its per-replica streams.
+
+    Returns (tau, censored, sec) arrays; ``sec[r]`` is the first step at
+    which replica r stood on the secondary state (0 if it starts there, -1
+    if never, tracked only up to the target hit).
+    """
+    tau = np.full(replicas, max_steps, dtype=np.int64)
+    censored = np.ones(replicas, dtype=bool)
+    sec = np.full(replicas, -1, dtype=np.int64)
+    if sec_idx is not None and sec_idx == start_idx:
+        sec[:] = 0
+    if target_mask[start_idx]:
+        tau[:] = 0
+        censored[:] = False
+        return tau, censored, sec
+
+    nbr = kernel.jumps()[1]
+    phases = [(start_idx, target_mask)]
+    if sec_idx is not None and sec_idx != start_idx and not target_mask[sec_idx]:
+        stop = target_mask.copy()
+        stop[sec_idx] = True
+        phases = [(start_idx, stop), (sec_idx, target_mask)]
+    sets = [_transient(nbr, origin, absorb) for origin, absorb in phases]
+    if max(map(len, sets)) ** 2 * int(max_steps).bit_length() * 8 > _DENSE_BYTES:
+        return _walk_chains(
+            kernel.jumps(), start_idx, target_mask, sec_idx, max_steps, seed, replicas
+        )
+
+    u = 1.0 - np.random.default_rng(_mask64(seed)).random((replicas, 4))
+    walk = np.arange(replicas)
+    clock = np.zeros(replicas, dtype=np.int64)
+    for col, (origin, absorb), transient in zip((0, 2), phases, sets):
+        t, landed = _first_hit(
+            kernel, transient, origin, absorb, u[walk, col], u[walk, col + 1], max_steps - clock
+        )
+        hit = landed >= 0
+        clock = clock + t + 1
+        done = hit & target_mask[landed]
+        tau[walk[done]] = clock[done]
+        censored[walk[done]] = False
+        if sec_idx is not None:
+            visit = hit & (landed == sec_idx)
+            sec[walk[visit]] = clock[visit]
+            walk, clock = walk[visit & ~done], clock[visit & ~done]
+        if not walk.size:
+            break
+    return tau, censored, sec
+
+
+def _walk_chains(jumps, start_idx, target_mask, sec_idx, max_steps, seed, replicas):
     """Walk ``replicas`` jump chains in lockstep over per-replica streams.
 
     ``jumps`` is the kernel's ``(leave, nbr, cdf)`` tables.  Each iteration
@@ -236,7 +400,7 @@ def simulate_hitting_time(
         target_mask[index[s]] = True
     sec_idx = index[spec.secondary_target] if spec.secondary_target else None
     tau, censored, sec = _run_chains(
-        kernel.jumps(),
+        kernel,
         index[spec.start],
         target_mask,
         sec_idx,

@@ -148,3 +148,26 @@ def reference_jumps(landscape, beta):
         cdf = np.cumsum(mass, axis=1) / leave[:, None]
     cdf[np.arange(width) >= (degree - 1)[:, None]] = 1.0
     return leave, nbr, cdf
+
+
+def ks_two_sample(a, b):
+    """The two-sample Kolmogorov-Smirnov statistic of ``a`` and ``b`` and its
+    asymptotic p-value: Kolmogorov's series at Stephens' corrected
+    ``(sqrt(n) + 0.12 + 0.11 / sqrt(n)) * D``.  Ties (integer times) only
+    make it conservative."""
+    a, b = np.sort(np.asarray(a)), np.sort(np.asarray(b))
+    grid = np.concatenate([a, b])
+    d = float(
+        np.max(
+            np.abs(
+                np.searchsorted(a, grid, side="right") / a.size
+                - np.searchsorted(b, grid, side="right") / b.size
+            )
+        )
+    )
+    n = a.size * b.size / (a.size + b.size)
+    lam = (math.sqrt(n) + 0.12 + 0.11 / math.sqrt(n)) * d
+    if lam < 0.2:
+        return d, 1.0
+    p = 2 * sum((-1) ** (k - 1) * math.exp(-2 * k * k * lam * lam) for k in range(1, 101))
+    return d, min(max(p, 0.0), 1.0)

@@ -106,6 +106,30 @@ def test_nonfinite_beta_or_epsilon_is_usage_error(capsys, flag, value):
     assert err.startswith("usage error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("steps", [str(2**63), "100000000000000000000"])
+def test_max_steps_past_int64_is_usage_error(capsys, steps):
+    code, out, err = run_cli(
+        capsys, "simulate", FIG1, "--cycle", "i,j", "--betas", "2", "--replicas", "5",
+        "--seed", "1", "--max-steps", steps,
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage error:") and err.count("\n") == 1
+
+
+def test_parser_reuse_keeps_calls_apart(capsys):
+    # one argument tree serves every call: an option given to one call
+    # must not carry into the next
+    argv = ["simulate", FIG1, "--cycle", "i,j", "--betas", "2", "--replicas", "5", "--seed", "1"]
+    code, out, _ = run_cli(capsys, *argv, "--start", "i", "--visit", "j", "--tsv")
+    assert code == 0 and out.startswith("# basincycles")
+    code, out, _ = run_cli(capsys, *argv)
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["visit_before_exit"] == []
+    assert [row["start"] for row in doc["exit_window"]] == ["i", "j"]
+
+
 def test_verify_fig1(capsys):
     code, out, _ = run_cli(capsys, "verify", FIG1)
     assert code == 0

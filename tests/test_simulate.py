@@ -1,7 +1,10 @@
 """Monte Carlo sampler: stream contract, diagnostics, law checks."""
 
 import math
+import time
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from basincycles import (
@@ -13,6 +16,7 @@ from basincycles import (
     metropolis_kernel,
     simulate_hitting_time,
 )
+from basincycles import simulate
 from basincycles.errors import (
     ForeignState,
     InvalidSpec,
@@ -20,9 +24,17 @@ from basincycles.errors import (
     NotACycle,
     StateOutsideCycle,
 )
-from basincycles.simulate import _MAX_STEP_CAP, default_exit_steps, sample_single_steps
+from basincycles.landscape import transition_matrix
+from basincycles.simulate import (
+    _DENSE_BYTES,
+    _MAX_STEP_CAP,
+    _run_chains,
+    _walk_chains,
+    default_exit_steps,
+    sample_single_steps,
+)
 
-from conftest import dense_kernel
+from conftest import dense_kernel, ks_two_sample
 
 
 def test_beta_zero_geometric_diagnostic(two_state):
@@ -71,7 +83,14 @@ def test_beta_zero_chain_matches_linear_system(fig1):
 
 @pytest.mark.parametrize(
     "beta, exact, replicas",
-    [(2.0, 899.547, 1000), (3.0, 16970.954, 1000), (4.0, 331360.339, 400)],
+    [
+        (2.0, 899.547, 1000),
+        (3.0, 16970.954, 1000),
+        (4.0, 331360.339, 400),
+        (5.0, 6581788.864, 3000),
+        (6.0, 131644639.006, 3000),
+        (8.0, 52996010531.247, 3000),
+    ],
 )
 def test_exit_mean_matches_linear_system(fig1, beta, exact, replicas):
     # oracle: mean exit times from the i-j well solve (I - P_CC) m = 1, with
@@ -95,7 +114,7 @@ def test_exit_mean_matches_linear_system(fig1, beta, exact, replicas):
         beta=beta,
         start="i",
         target=frozenset({"h", "k"}),
-        max_steps=1_000_000_000,
+        max_steps=10**13,
         replicas=replicas,
         seed=2026,
     )
@@ -346,3 +365,160 @@ def test_holding_steps_count(two_state):
     stats = simulate_hitting_time(spec)
     expected = 1.0 / (0.5 * math.exp(-beta))  # = 8
     assert stats.mean == pytest.approx(expected, rel=0.08)
+
+
+def _chain_args(kernel, start, target, visit):
+    index = kernel.states.index
+    mask = np.zeros(len(kernel.states), dtype=bool)
+    mask[[index(s) for s in target]] = True
+    return index(start), mask, None if visit is None else index(visit)
+
+
+def _tilted_chain(n):
+    """States s0..s{n-1} on a path, the energy falling by one unit per step
+    toward s{n-1}: from s0 the first hit of s{n-1} takes about 3n steps at
+    beta 1, and the transient set is the other n - 1 states."""
+    ids = [f"s{i}" for i in range(n)]
+    return make_landscape({s: n - i for i, s in enumerate(ids)}, list(zip(ids, ids[1:])))
+
+
+@pytest.mark.parametrize("beta", [2.0, 3.0])
+def test_inversion_matches_the_jump_chain_on_fig1(fig1, beta):
+    # two-sample KS against the jump chain: exit times from i, then the
+    # visit check's times to j and to the exit, on fixed seeds
+    kernel = transition_matrix(fig1, beta)
+    for visit in (None, "j"):
+        args = (*_chain_args(kernel, "i", {"h", "k"}, visit), 10**9)
+        tau, censored, sec = _run_chains(kernel, *args, 41, 3000)
+        ref, ref_censored, ref_sec = _walk_chains(kernel.jumps(), *args, 42, 3000)
+        assert not censored.any() and not ref_censored.any()
+        assert ks_two_sample(tau, ref)[1] > 0.001
+        if visit is not None:
+            assert ks_two_sample(sec, ref_sec)[1] > 0.001
+
+
+@pytest.mark.parametrize("beta", [2.0, 3.0])
+def test_inversion_matches_the_exact_exit_law(fig1, beta):
+    # 20000 exit times from i against the CDF of the 2-state absorbing
+    # chain on {i, j}, iterated one step at a time: the largest gap must be
+    # below the KS critical value at level 0.001
+    kernel = transition_matrix(fig1, beta)
+    args = (*_chain_args(kernel, "i", {"h", "k"}, None), 10**9)
+    tau = np.sort(_run_chains(kernel, *args, 43, 20000)[0])
+    Q = np.array([[kernel.prob(x, y) for y in "ij"] for x in "ij"])
+    exits = np.array([kernel.prob("i", "h"), kernel.prob("j", "k")])
+    # a tail past 40 means has probability e^-40: fail before iterating
+    assert tau[-1] < 40 * np.linalg.solve(np.eye(2) - Q, np.ones(2))[0]
+    here, cdf = np.array([1.0, 0.0]), np.zeros(tau[-1] + 1)
+    for t in range(1, tau[-1] + 1):
+        cdf[t] = cdf[t - 1] + here @ exits
+        here = here @ Q
+    steps = np.arange(tau[-1] + 1)
+    below = np.searchsorted(tau, steps, side="left") / tau.size
+    upto = np.searchsorted(tau, steps, side="right") / tau.size
+    gap = max(np.max(np.abs(upto - cdf)), np.max(np.abs(below - np.r_[0.0, cdf[:-1]])))
+    assert gap < 1.95 / math.sqrt(tau.size)
+
+
+def test_visit_inside_the_target_is_the_landing_state(fig1):
+    # k is in the target: a replica that exits through k records its exit
+    # step as the visit, one that exits through h records none, and the
+    # share landing on k matches the jump chain's
+    kernel = transition_matrix(fig1, 0.5)
+    args = (*_chain_args(kernel, "i", {"h", "k"}, "k"), 10**6)
+    tau, _, sec = _run_chains(kernel, *args, 5, 3000)
+    assert np.all((sec == tau) | (sec == -1))
+    _, _, ref_sec = _walk_chains(kernel.jumps(), *args, 6, 3000)
+    share, ref_share = np.mean(sec >= 0), np.mean(ref_sec >= 0)
+    assert 0.05 < ref_share < 0.95
+    assert abs(share - ref_share) <= 4 * math.sqrt(2 * ref_share * (1 - ref_share) / 3000)
+
+
+def test_a_set_past_the_byte_budget_walks_the_jump_chain(monkeypatch):
+    # |T| = 229 at 10^6 steps: 229^2 * 20 * 8 B is just over the budget, so
+    # the call walks; with the budget doubled the same call inverts, and
+    # the two laws agree
+    landscape = _tilted_chain(230)
+    kernel = transition_matrix(landscape, 1.0)
+    args = (*_chain_args(kernel, "s0", {"s229"}, "s100"), 10**6)
+    assert 229**2 * 20 * 8 > _DENSE_BYTES >= 228**2 * 20 * 8
+    walked = _run_chains(kernel, *args, 8, 1000)
+    for got, ref in zip(walked, _walk_chains(kernel.jumps(), *args, 8, 1000)):
+        np.testing.assert_array_equal(got, ref)
+    monkeypatch.setattr(simulate, "_DENSE_BYTES", 2 * _DENSE_BYTES)
+    tau, censored, sec = _run_chains(kernel, *args, 8, 1000)
+    assert not censored.any() and not walked[1].any()
+    assert not np.array_equal(tau, walked[0])
+    assert ks_two_sample(tau, walked[0])[1] > 0.001
+    assert ks_two_sample(sec, walked[2])[1] > 0.001
+
+
+def test_dense_path_memory_at_the_byte_budget():
+    # |T| = 228 at 10^6 steps fits the budget: the call holds the 20 powers
+    # (8.3 MB) and, in the descent, a few copies of the replicas' mass rows
+    landscape = _tilted_chain(229)
+    kernel = transition_matrix(landscape, 1.0)
+    args = (*_chain_args(kernel, "s0", {"s228"}, None), 10**6)
+    tracemalloc.start()
+    try:
+        _, censored, _ = _run_chains(kernel, *args, 9, 200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not censored.any()
+    rows = 200 * 228 * 8
+    assert 228**2 * 20 * 8 <= peak <= _DENSE_BYTES + 4 * rows
+
+
+def test_large_beta_mean_at_the_int64_step_cap(fig1):
+    # beta 12: the well {i, j} leaks through j -> k with probability 7e-22
+    # a step, far below the ulp of j's diagonal; the mean still matches the
+    # linear solve, because each power's diagonal is rebuilt from the
+    # positive absorption sums.  2^63 - 1 steps is the largest cap.
+    spec = SimulationSpec(
+        landscape=fig1,
+        beta=12.0,
+        start="i",
+        target=frozenset({"h", "k"}),
+        max_steps=2**63 - 1,
+        replicas=3000,
+        seed=2026,
+    )
+    stats = simulate_hitting_time(spec)
+    exact = 8622513608429940.0
+    assert stats.censored_count == 0
+    assert abs(stats.mean - exact) <= 4 * stats.mean / math.sqrt(3000)
+
+
+def test_max_steps_past_int64_is_rejected(fig1):
+    good = dict(landscape=fig1, beta=2.0, start="i", target=frozenset({"h", "k"}), replicas=5)
+    for steps in (2**63, 10**20):
+        with pytest.raises(InvalidSpec):
+            simulate_hitting_time(SimulationSpec(**good, max_steps=steps))
+    # the largest cap runs on both paths: by inversion on fig1, walked on a
+    # chain whose transient set is past the byte budget at 63 bits
+    assert simulate_hitting_time(SimulationSpec(**good, max_steps=2**63 - 1)).censored_count == 0
+    chain = _tilted_chain(140)
+    spec = SimulationSpec(
+        landscape=chain, beta=1.0, start="s0", target=frozenset({"s139"}),
+        max_steps=2**63 - 1, replicas=5,
+    )
+    assert 139**2 * 63 * 8 > _DENSE_BYTES
+    assert simulate_hitting_time(spec).censored_count == 0
+
+
+def test_fig1_exit_at_beta_5_is_fast(fig1):
+    # the jump chain took about 12 s for this: e^{2 beta} jumps per exit
+    spec = SimulationSpec(
+        landscape=fig1,
+        beta=5.0,
+        start="i",
+        target=frozenset({"h", "k"}),
+        max_steps=10**9,
+        replicas=1000,
+        seed=3,
+    )
+    started = time.perf_counter()
+    stats = simulate_hitting_time(spec)
+    assert time.perf_counter() - started < 1.0
+    assert stats.censored_count == 0
