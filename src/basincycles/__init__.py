@@ -21,7 +21,6 @@ from .graphcycles import (
     advance,
     initial_level,
     run_decomposition,
-    zero_cost_reaches,
 )
 from .landscape import (
     Landscape,
@@ -91,5 +90,4 @@ __all__ = [
     "simulate_hitting_time",
     "sublevel_component",
     "verify_equivalence",
-    "zero_cost_reaches",
 ]

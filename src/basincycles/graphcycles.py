@@ -55,14 +55,14 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Optional
 
-from .energy import INFINITY, Energy, from_units
+from .energy import Energy, from_units
 from .errors import (
     AlreadyTerminal,
     MalformedInput,
     NonTermination,
     UnknownClass,
 )
-from .landscape import Landscape, StateSet, _climb_units, reach
+from .landscape import Landscape, StateSet, _climb_units
 
 SlotRows = dict  # slot -> {slot -> int units minus the source's lift}, finite entries only
 
@@ -136,10 +136,6 @@ class PartitionLevel:
         return tuple(sorted(self.members.values(), key=self.keys.__getitem__))
 
     @cached_property
-    def slot_of(self) -> dict:
-        return {cls: slot for slot, cls in self.members.items()}
-
-    @cached_property
     def cost_units(self) -> dict:
         members, lifts = self.members, self.lifts
         out = {}
@@ -191,26 +187,6 @@ class PartitionLevel:
     def class_set(self) -> frozenset:
         return frozenset(self.members.values())
 
-    def cost_between(self, a: StateSet, b: StateSet) -> Energy:
-        return from_units(self._cost(a, b), self.scale)
-
-    def renormalized_between(self, a: StateSet, b: StateSet) -> Energy:
-        value = self._cost(a, b)
-        if value == math.inf:
-            return INFINITY
-        return Energy(value - self.exits[self._slot(a)], self.scale)
-
-    def _cost(self, a: StateSet, b: StateSet):
-        src, dst = self._slot(a), self._slot(b)
-        value = self.rows.get(src, {}).get(dst, math.inf)
-        return value + self.lifts.get(src, 0)
-
-    def _slot(self, cls: StateSet) -> int:
-        try:
-            return self.slot_of[cls]
-        except KeyError:
-            raise UnknownClass(f"{sorted(cls)} is not a class of round {self.index}") from None
-
 
 @dataclass(frozen=True)
 class MergeStep:
@@ -256,14 +232,6 @@ def _zero_steps(level: PartitionLevel, slot: int) -> list:
         return []
     low = level.exits[slot] - level.lifts.get(slot, 0)
     return [dst for dst, v in row.items() if v == low]
-
-
-def zero_cost_reaches(level: PartitionLevel, source: StateSet, destination: StateSet) -> bool:
-    """True iff a path of classes from source to destination exists whose
-    every step has zero renormalized cost.  Every class reaches itself."""
-    src = level._slot(frozenset(source))
-    dst = level._slot(frozenset(destination))
-    return dst in reach([src], lambda slot: _zero_steps(level, slot))
 
 
 def _zero_components(level: PartitionLevel, starts: Iterable[int]) -> list[tuple[list, bool]]:

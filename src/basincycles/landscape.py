@@ -234,8 +234,8 @@ def _build(state_items, edge_specs, scale) -> Landscape:
         )
 
     adjacency: dict[str, list[str]] = {s: [] for s in states}
-    for pair in list(explicit) + sorted(defaulted, key=sorted):
-        x, y = sorted(pair)
+    for pair in [*explicit, *defaulted]:
+        x, y = pair
         adjacency[x].append(y)
         adjacency[y].append(x)
     max_degree = max((len(v) for v in adjacency.values()), default=0)
@@ -276,20 +276,22 @@ def _build(state_items, edge_specs, scale) -> Landscape:
 
 
 def load_landscape(source) -> Landscape:
-    """Parse a JSON landscape document from byte/str content or a stream."""
-    if isinstance(source, (bytes, bytearray)):
-        text = source.decode("utf-8")
-    elif isinstance(source, str):
-        text = source
-    elif isinstance(source, io.IOBase) or hasattr(source, "read"):
-        text = source.read()
-        if isinstance(text, bytes):
-            text = text.decode("utf-8")
-    else:
-        raise MalformedInput(f"cannot read landscape from {type(source).__name__}")
+    """Parse a JSON landscape document from byte/str content or a stream.
+    Text that is not UTF-8 or not JSON within the parser's integer-digit and
+    nesting limits raises ``MalformedInput``."""
     try:
+        if isinstance(source, (bytes, bytearray)):
+            text = source.decode("utf-8")
+        elif isinstance(source, str):
+            text = source
+        elif isinstance(source, io.IOBase) or hasattr(source, "read"):
+            text = source.read()
+            if isinstance(text, bytes):
+                text = text.decode("utf-8")
+        else:
+            raise MalformedInput(f"cannot read landscape from {type(source).__name__}")
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise MalformedInput(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise MalformedInput("top level must be an object")

@@ -392,8 +392,12 @@ def simulate_hitting_time(
 ) -> HittingTimeStats:
     """Sample the first-entry time into ``spec.target`` across replicas."""
     spec.validate()
-    landscape = spec.landscape
-    kernel = transition_matrix(landscape, spec.beta)
+    return _sample(spec, transition_matrix(spec.landscape, spec.beta), window)
+
+
+def _sample(spec: SimulationSpec, kernel, window) -> HittingTimeStats:
+    """``simulate_hitting_time`` for a validated ``spec`` on its ``kernel``;
+    ``check_exit_window`` builds one kernel per beta for all its starts."""
     index = {s: i for i, s in enumerate(kernel.states)}
     target_mask = np.zeros(len(kernel.states), dtype=bool)
     for s in spec.target:
@@ -484,6 +488,7 @@ def check_exit_window(
         steps = max_steps if max_steps is not None else default_exit_steps(beta, cycle_depth)
         lo = _exp(beta * (gamma - epsilon))
         hi = _exp(beta * (gamma + epsilon))
+        kernel = transition_matrix(landscape, beta)
         for si, start in enumerate(sorted(starts)):
             spec = SimulationSpec(
                 landscape=landscape,
@@ -494,7 +499,8 @@ def check_exit_window(
                 replicas=replicas,
                 seed=_subseed(_mask64(seed), 1, bi, si),
             )
-            stats = simulate_hitting_time(spec, window=(lo, hi))
+            spec.validate()
+            stats = _sample(spec, kernel, (lo, hi))
             results.append(
                 ExitWindowCheck(
                     beta=beta, start=start, depth=cycle_depth, epsilon=epsilon, stats=stats
@@ -568,20 +574,3 @@ def check_visit_before_exit(
         )
     return results
 
-
-def sample_single_steps(
-    landscape: Landscape, beta: float, start: str, trials: int, seed: int
-) -> dict[str, int]:
-    """Diagnostic: frequency of each landing state after one step, drawn from
-    the sampler's jump tables: hold when ``u1 >= leave``, otherwise jump to
-    the neighbour ``u2`` picks.  Uses one shared stream (replica independence
-    is irrelevant for a single step)."""
-    landscape.subset([start])  # ForeignState for an unknown start
-    kernel = transition_matrix(landscape, beta)
-    x = kernel.states.index(start)
-    leave, nbr, cdf = kernel.jumps()
-    u = np.random.default_rng(_mask64(seed)).random((trials, 2))
-    here = np.full(trials, x, dtype=np.intp)
-    landed = np.where(u[:, 0] < leave[x], _land(nbr, cdf, here, u[:, 1]), x)
-    counts = np.bincount(landed, minlength=len(kernel.states))
-    return {s: int(counts[i]) for i, s in enumerate(kernel.states) if counts[i]}

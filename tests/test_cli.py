@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import pytest
 
@@ -63,6 +64,29 @@ def test_boolean_energy_scale_exit_2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "MalformedInput" in err
+
+
+_DIGITS = sys.get_int_max_str_digits()
+_HOSTILE = {
+    "not-utf8": b"\xff\xfe{}",
+    "long-integer": b'{"energy_scale": ' + b"9" * (_DIGITS + 700) + b"}",
+    "deep-nesting": b"[" * 100_000 + b"]" * 100_000,
+}
+
+
+@pytest.mark.parametrize("name", list(_HOSTILE))
+def test_hostile_input_exit_2(tmp_path, capsys, name):
+    # undecodable text, an integer past the digit limit and nesting past the
+    # recursion limit are input errors, not crashes
+    if name == "long-integer" and not _DIGITS:
+        pytest.skip("integer string conversion is unlimited")
+    bad = tmp_path / f"{name}.json"
+    bad.write_bytes(_HOSTILE[name])
+    code, out, err = run_cli(capsys, "validate", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("MalformedInput: ")
+    assert err.count("\n") == 1
 
 
 def test_missing_file_exit_2(capsys):

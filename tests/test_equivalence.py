@@ -304,6 +304,6 @@ def test_verify_reads_the_rounds_in_units(monkeypatch):
     monkeypatch.setattr(equivalence, "run_decomposition", capture)
     assert verify_equivalence(load_landscape((DATA / "grid8-e1000.json").read_text())).ok
     views = {"cost", "exit_height", "renormalized", "merge_height"}
-    views |= {"classes", "slot_of", "cost_units", "exit_units", "merge_units"}
+    views |= {"classes", "cost_units", "exit_units", "merge_units"}
     for level in traces[0].levels:
         assert not views & vars(level).keys(), level.index

@@ -7,6 +7,7 @@ from operator import attrgetter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import basincycles
 from basincycles import (
     Energy,
     INFINITY,
@@ -17,7 +18,6 @@ from basincycles import (
     metropolis_costs,
     random_landscape,
     run_decomposition,
-    zero_cost_reaches,
 )
 from basincycles.errors import (
     AlreadyTerminal,
@@ -40,6 +40,12 @@ def fs(letters):
     return frozenset(letters)
 
 
+def between(view, a, b):
+    """A round's class-keyed cost view read from ``a`` to ``b``; a missing
+    entry is infinite."""
+    return view.get(a, {}).get(b, INFINITY)
+
+
 def test_initial_level_fig1(fig1):
     lvl = initial_level(fig1)
     assert lvl.index == 0
@@ -55,14 +61,14 @@ def test_initial_level_fig1(fig1):
         ("j", "k"): 4,
     }
     for (x, y), want in nonzero.items():
-        assert lvl.cost_between(fs(x), fs(y)) == E(want)
+        assert between(lvl.cost, fs(x), fs(y)) == E(want)
     # all other connected singleton pairs cost zero, disconnected infinite
     for x, y in fig1.edge_pairs():
         for src, dst in ((x, y), (y, x)):
             expected = E(nonzero.get((src, dst), 0))
-            assert lvl.cost_between(fs(src), fs(dst)) == expected
-    assert lvl.cost_between(fs("a"), fs("c")) is INFINITY
-    assert lvl.cost_between(fs("e"), fs("g")) is INFINITY
+            assert between(lvl.cost, fs(src), fs(dst)) == expected
+    assert between(lvl.cost, fs("a"), fs("c")) is INFINITY
+    assert between(lvl.cost, fs("e"), fs("g")) is INFINITY
 
 
 def test_initial_exit_heights_fig1(fig1):
@@ -81,37 +87,6 @@ def test_initial_level_flat():
         for value in row.values():
             assert value == E(0)
     assert all(h == E(0) for h in lvl.exit_height.values())
-
-
-def test_zero_cost_reaches_fig1(fig1):
-    lvl = initial_level(fig1)
-    assert zero_cost_reaches(lvl, fs("b"), fs("c"))
-    assert not zero_cost_reaches(lvl, fs("c"), fs("b"))
-    assert zero_cost_reaches(lvl, fs("g"), fs("c"))  # g -> f -> e -> d -> c
-    assert zero_cost_reaches(lvl, fs("a"), fs("a"))
-    with pytest.raises(UnknownClass):
-        zero_cost_reaches(lvl, fs("ab"), fs("c"))
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.data())
-def test_zero_cost_reaches_matches_the_merge_blocks(data):
-    # two classes reach each other at zero cost exactly when the search put
-    # them in one strongly connected block of that round
-    L = draw_landscape(data)
-    generic = {
-        (x, y): E(data.draw(st.integers(0, 3), label="seed-cost"))
-        for x in sorted(L.states)
-        for y in sorted(L.neighbors(x))
-    }
-    for seed_costs in (None, generic):
-        trace = run_decomposition(L, seed_costs=seed_costs)
-        for level, step in zip(trace.levels, trace.merges):
-            block_of = {cls: b for b in step.blocks for cls in level.classes if cls <= b}
-            for a in level.classes:
-                for b in level.classes:
-                    both = zero_cost_reaches(level, a, b) and zero_cost_reaches(level, b, a)
-                    assert both == (block_of[a] == block_of[b])
 
 
 def test_advance_iteration_one(fig1):
@@ -144,19 +119,19 @@ def test_advance_iteration_one(fig1):
         (fs("k"), fs("ij")): 0,
     }
     for (src, dst), want in expected_v1.items():
-        assert lvl1.cost_between(src, dst) == E(want)
+        assert between(lvl1.cost, src, dst) == E(want)
     # carried-over classes keep their old costs
-    assert lvl1.cost_between(fs("a"), fs("b")) == E(3)
-    assert lvl1.cost_between(fs("h"), fs("g")) == E(1)
+    assert between(lvl1.cost, fs("a"), fs("b")) == E(3)
+    assert between(lvl1.cost, fs("h"), fs("g")) == E(1)
 
 
 def test_advance_iteration_two(fig1):
     lvl1, _, _ = advance(initial_level(fig1))
     assert lvl1.exit_height[fs("ij")] == E(3)
     assert lvl1.exit_height[fs("cdef")] == E(3)
-    assert lvl1.renormalized_between(fs("cdef"), fs("b")) == E(1)
-    assert lvl1.renormalized_between(fs("ij"), fs("k")) == E(2)
-    assert lvl1.renormalized_between(fs("h"), fs("g")) == E(1)
+    assert between(lvl1.renormalized, fs("cdef"), fs("b")) == E(1)
+    assert between(lvl1.renormalized, fs("ij"), fs("k")) == E(2)
+    assert between(lvl1.renormalized, fs("h"), fs("g")) == E(1)
     lvl2, blocks, minimal = advance(lvl1)
     assert set(blocks) == {fs("ab"), fs("cdefg"), fs("hij"), fs("k")}
     assert set(minimal) == {fs("hij")}
@@ -227,7 +202,7 @@ def test_cost_stability(fig1):
         for a in shared:
             for b in shared:
                 if a != b:
-                    assert nxt.cost_between(a, b) == cur.cost_between(a, b)
+                    assert between(nxt.cost, a, b) == between(cur.cost, a, b)
 
 
 def test_partition_law(fig1):
@@ -356,7 +331,7 @@ def test_structural_invariants_random(data):
         for a in shared:
             for b in shared:
                 if a != b:
-                    assert nxt.cost_between(a, b) == cur.cost_between(a, b)
+                    assert between(nxt.cost, a, b) == between(cur.cost, a, b)
 
 
 def _reference_heights(trace, zero):
@@ -422,13 +397,6 @@ def test_level_views_match_the_rounds(data):
                     assert level.renormalized[a][b] == Energy(
                         value.units - level.exit_height[a].units, 7
                     )
-                for b in level.classes:
-                    want = row.get(b, INFINITY)
-                    got = level.cost_between(a, b)
-                    assert got is INFINITY if want is INFINITY else got == want
-                    want = level.renormalized.get(a, {}).get(b, INFINITY)
-                    got = level.renormalized_between(a, b)
-                    assert got is INFINITY if want is INFINITY else got == want
             if level.index == 0:
                 assert level.merge_height is None
             else:
@@ -603,8 +571,9 @@ def test_a_growing_class_keeps_its_slot_and_in_edges():
 
 def _reference_rounds(L, seed_costs=None):
     """Every level as (classes, cost, exit, merge), straight from steps 1-4
-    of the module docstring on frozenset-keyed rows: each round re-maps every
-    row, and the zero-cost groups come from pairwise reachability."""
+    of the module docstring on frozenset-keyed rows, and each round's
+    zero-cost groups' member unions in class order: each round re-maps every
+    row, and the groups come from pairwise reachability."""
     costs = metropolis_costs(L) if seed_costs is None else seed_costs
     cost = {}
     for (x, y), value in costs.items():
@@ -612,15 +581,17 @@ def _reference_rounds(L, seed_costs=None):
             cost.setdefault(frozenset([x]), {})[frozenset([y])] = value.units
     classes = {frozenset([s]) for s in L.states}
     merge = None
-    levels = []
+    levels, blocks = [], []
     while True:
         exit_ = {c: min(cost.get(c, {}).values(), default=math.inf) for c in classes}
         levels.append((classes, cost, exit_, merge))
         if len(classes) == 1:
-            return levels
+            return levels, blocks
         zero = {c: [d for d, v in cost.get(c, {}).items() if v == exit_[c]] for c in classes}
         reaches = {c: reach([c], zero.__getitem__) for c in classes}
         group = {c: frozenset(d for d in reaches[c] if c in reaches[d]) for c in classes}
+        unions = (frozenset().union(*g) for g in set(group.values()))
+        blocks.append(tuple(sorted(unions, key=set_key)))
         container = {}
         for g in set(group.values()):
             if all(d in g for c in g for d in zero[c]):  # no zero-cost escape
@@ -642,13 +613,14 @@ def _reference_rounds(L, seed_costs=None):
 
 def _assert_rounds_match_reference(L, seed_costs=None):
     trace = run_decomposition(L, seed_costs=seed_costs)
-    want = _reference_rounds(L, seed_costs)
+    want, blocks = _reference_rounds(L, seed_costs)
     assert len(trace.levels) == len(want)
     for level, (classes, cost, exit_, merge) in zip(trace.levels, want):
         assert level.classes == tuple(sorted(classes, key=set_key))
         assert level.cost_units == cost
         assert level.exit_units == exit_
         assert level.merge_units == merge
+    assert [step.blocks for step in trace.merges] == blocks
 
 
 @settings(max_examples=100, deadline=None)
@@ -662,3 +634,8 @@ def test_rounds_match_the_reference_round(data):
 @pytest.mark.parametrize("name", ["fig1", "grid8-e2", "grid8-e1000"])
 def test_rounds_match_the_reference_round_on_the_golden_inputs(name):
     _assert_rounds_match_reference(load_landscape((DATA / f"{name}.json").read_text()))
+
+
+def test_every_exported_name_resolves():
+    for name in basincycles.__all__:
+        assert hasattr(basincycles, name), name

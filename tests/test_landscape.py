@@ -210,6 +210,11 @@ def test_malformed_json():
         load_landscape("{}")
 
 
+def test_bytes_that_are_not_utf8_are_malformed():
+    with pytest.raises(MalformedInput):
+        load_landscape(b"\xff")
+
+
 def test_round_trip_bit_exact(fig1):
     text = dumps_landscape(fig1)
     again = load_landscape(text)

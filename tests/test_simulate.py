@@ -18,7 +18,6 @@ from basincycles import (
 )
 from basincycles import simulate
 from basincycles.errors import (
-    ForeignState,
     InvalidSpec,
     NonpositiveBeta,
     NotACycle,
@@ -31,7 +30,6 @@ from basincycles.simulate import (
     _run_chains,
     _walk_chains,
     default_exit_steps,
-    sample_single_steps,
 )
 
 from conftest import dense_kernel, ks_two_sample
@@ -217,13 +215,21 @@ def test_default_exit_steps_caps_an_overflowing_scale():
 
 
 def test_step_law_against_kernel(fig1):
+    # one step from h on the sampler's jump tables: hold when u1 >= leave,
+    # otherwise jump to the neighbour u2 picks
     beta = 1.0
     trials = 100_000
-    counts = sample_single_steps(fig1, beta, "h", trials, seed=77)
+    tables = transition_matrix(fig1, beta)
+    leave, nbr, cdf = tables.jumps()
+    x = tables.states.index("h")
+    u = np.random.default_rng(77).random((trials, 2))
+    here = np.full(trials, x, dtype=np.intp)
+    landed = np.where(u[:, 0] < leave[x], simulate._land(nbr, cdf, here, u[:, 1]), x)
+    counts = np.bincount(landed, minlength=len(tables.states))
     kernel = metropolis_kernel(fig1, beta)
-    for state in fig1.states:
+    for i, state in enumerate(tables.states):
         p = kernel.prob("h", state)
-        got = counts.get(state, 0)
+        got = int(counts[i])
         sigma = math.sqrt(trials * p * (1 - p))
         assert abs(got - trials * p) <= 3 * sigma + 1e-9, (state, got, trials * p)
 
@@ -242,8 +248,6 @@ def test_nonfinite_beta_rejected(fig1, value):
         check_exit_window(fig1, {"i", "j"}, [2.0, value], 1.0, 10, 1)
     with pytest.raises(NonpositiveBeta):
         check_visit_before_exit(fig1, {"i", "j"}, "i", "j", [value], 1.0, 10, 1)
-    with pytest.raises(NonpositiveBeta):
-        sample_single_steps(fig1, value, "h", 10, seed=1)
 
 
 @NONFINITE
@@ -252,11 +256,6 @@ def test_nonfinite_epsilon_rejected(fig1, value):
         check_exit_window(fig1, {"i", "j"}, [2.0], value, 10, 1)
     with pytest.raises(InvalidSpec):
         check_visit_before_exit(fig1, {"i", "j"}, "i", "j", [2.0], value, 10, 1)
-
-
-def test_single_steps_from_an_unknown_state_is_foreign(fig1):
-    with pytest.raises(ForeignState):
-        sample_single_steps(fig1, 1.0, "zz", 10, seed=1)
 
 
 def test_invalid_specs(fig1):
@@ -309,6 +308,19 @@ def test_exit_window_rows_sorted(fig1):
         assert lo == pytest.approx(math.exp(row.beta * 2.0))
         assert hi == pytest.approx(math.exp(row.beta * 4.0))
         assert row.fraction is None or 0.0 <= row.fraction <= 1.0
+
+
+def test_exit_window_builds_one_kernel_per_beta(fig1, monkeypatch):
+    built = []
+
+    def counting(landscape, beta):
+        built.append(beta)
+        return transition_matrix(landscape, beta)
+
+    monkeypatch.setattr(simulate, "transition_matrix", counting)
+    rows = check_exit_window(fig1, {"i", "j"}, [2.0, 3.0], 1.0, 20, 7)
+    assert len(rows) == 4
+    assert built == [2.0, 3.0]
 
 
 def test_degenerate_window_reduces_to_upper_bound(fig1):
