@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from pathlib import Path
 
@@ -21,7 +20,7 @@ from .errors import (
     ValidationError,
 )
 from .graphcycles import run_decomposition, trace_to_dict
-from .landscape import Landscape, dumps_landscape, load_landscape
+from .landscape import Landscape, dumps_json, landscape_to_dict, load_landscape
 from .pathcycles import enumerate_path_cycles, tree_to_dict, tree_to_dot
 from .simulate import check_exit_window, check_visit_before_exit
 
@@ -55,7 +54,7 @@ def _emit(text: str, out_path):
 
 def _emit_doc(doc: dict, out_path):
     doc = {"generator": _HEADER, **doc}
-    _emit(json.dumps(doc, indent=2) + "\n", out_path)
+    _emit(dumps_json(doc) + "\n", out_path)
 
 
 def _parse_betas(text: str) -> list[float]:
@@ -135,16 +134,11 @@ def _cmd_fuzz(args) -> int:
         )
         report = verify_equivalence(landscape)
         if not report.ok:
-            failures.append(
-                {
-                    "index": i,
-                    "report": report_to_dict(report),
-                    "landscape": json.loads(dumps_landscape(landscape)),
-                }
-            )
+            doc = landscape_to_dict(landscape)
+            failures.append({"index": i, "report": report_to_dict(report), "landscape": doc})
             if args.failure_dir:
                 path = Path(args.failure_dir) / f"fuzz-failure-{args.seed}-{i}.json"
-                path.write_text(dumps_landscape(landscape), encoding="utf-8")
+                path.write_text(dumps_json(doc) + "\n", encoding="utf-8")
     _emit_doc(
         {
             "kind": "fuzz-report",

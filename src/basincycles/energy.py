@@ -42,14 +42,16 @@ def parse_exact(text: str) -> Fraction:
 def format_exact(value: Fraction) -> str:
     """Render a rational canonically: a finite decimal when one exists
     (no trailing zeros), otherwise ``"num/den"``."""
-    num, den = value.numerator, value.denominator
+    return _format_lowest(value.numerator, value.denominator)
+
+
+def _format_lowest(num: int, den: int) -> str:
+    """``format_exact`` of ``num/den``, given in lowest terms with ``den > 0``."""
     if den == 1:
         return str(num)
-    two = five = 0
-    rest = den
-    while rest % 2 == 0:
-        rest //= 2
-        two += 1
+    two = (den & -den).bit_length() - 1
+    rest = den >> two
+    five = 0
     while rest % 5 == 0:
         rest //= 5
         five += 1
@@ -101,11 +103,6 @@ class Energy:
     def is_infinite(self) -> bool:
         return self is INFINITY
 
-    def as_fraction(self) -> Fraction:
-        if self.is_infinite:
-            raise ValueError("infinite energy has no rational value")
-        return Fraction(self.units, self.scale)
-
     def to_float(self) -> float:
         if self.is_infinite:
             return float("inf")
@@ -126,7 +123,8 @@ class Energy:
     def __str__(self) -> str:
         if self.is_infinite:
             return "inf"
-        return format_exact(self.as_fraction())
+        divisor = math.gcd(self.units, self.scale)
+        return _format_lowest(self.units // divisor, self.scale // divisor)
 
     def __repr__(self) -> str:
         if self.is_infinite:

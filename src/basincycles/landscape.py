@@ -326,9 +326,8 @@ def load_landscape(source) -> Landscape:
     return _build(state_items, edge_specs, scale)
 
 
-def dumps_landscape(landscape: Landscape) -> str:
-    """Canonical document: sorted states and edges, exact value strings.
-    Round-trips bit-exactly through :func:`load_landscape`."""
+def landscape_to_dict(landscape: Landscape) -> dict:
+    """The canonical document: sorted states and edges, exact value strings."""
     states = [
         {"id": s, "energy": str(landscape.energy(s))}
         for s in sorted(landscape.states)
@@ -340,8 +339,77 @@ def dumps_landscape(landscape: Landscape) -> str:
             edges.append({"pair": [x, y], "q": format_exact(landscape.rate(x, y))})
         else:
             edges.append([x, y])
-    doc = {"energy_scale": landscape.scale, "states": states, "edges": edges}
-    return json.dumps(doc, indent=2) + "\n"
+    return {"energy_scale": landscape.scale, "states": states, "edges": edges}
+
+
+def dumps_landscape(landscape: Landscape) -> str:
+    """Canonical document text.  Round-trips bit-exactly through
+    :func:`load_landscape`."""
+    return dumps_json(landscape_to_dict(landscape)) + "\n"
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def dumps_json(value) -> str:
+    """The stdlib's ``json.dumps`` with a two-space indent, byte for byte,
+    for trees of str, None, bool, int, float, list, tuple and str-keyed
+    dict; anything else raises ``TypeError``.  The stdlib encodes indented
+    output in pure Python; here each array of strings is one C pass."""
+    chunks: list[str] = []
+    _write(value, "\n", chunks.append)
+    return "".join(chunks)
+
+
+def _write(value, newline: str, emit) -> None:
+    # the stdlib encoder's dispatch order: bool before int, float after int
+    if isinstance(value, str):
+        emit(_encode_str(value))
+    elif value is None:
+        emit("null")
+    elif value is True:
+        emit("true")
+    elif value is False:
+        emit("false")
+    elif isinstance(value, int):
+        emit(int.__repr__(value))
+    elif isinstance(value, float):
+        if value != value:
+            emit("NaN")
+        elif value in (math.inf, -math.inf):
+            emit("Infinity" if value > 0 else "-Infinity")
+        else:
+            emit(float.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            emit("[]")
+            return
+        inner = newline + "  "
+        separator = "," + inner
+        emit("[" + inner)
+        try:
+            emit(separator.join(map(_encode_str, value)))
+        except TypeError:  # not every item is a str
+            for i, item in enumerate(value):
+                if i:
+                    emit(separator)
+                _write(item, inner, emit)
+        emit(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            emit("{}")
+            return
+        inner = newline + "  "
+        separator = "," + inner
+        emit("{" + inner)
+        for i, (key, item) in enumerate(value.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            emit((separator if i else "") + _encode_str(key) + ": ")
+            _write(item, inner, emit)
+        emit(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 # -- elementary set geometry ---------------------------------------------------

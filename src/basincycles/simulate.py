@@ -145,8 +145,8 @@ def _summarize(beta, taus, censored, window, secondary) -> HittingTimeStats:
     return HittingTimeStats(
         beta=beta,
         replicas=int(taus.size),
-        samples=tuple(int(t) for t in taus),
-        censored=tuple(bool(c) for c in censored),
+        samples=tuple(taus.tolist()),
+        censored=tuple(censored.tolist()),
         censored_count=int(censored.sum()),
         mean=mean,
         median=median,
@@ -414,7 +414,7 @@ def _sample(spec: SimulationSpec, kernel, window) -> HittingTimeStats:
     )
     secondary = None
     if spec.secondary_target is not None:
-        secondary = tuple(int(t) if t >= 0 else None for t in sec)
+        secondary = tuple(t if t >= 0 else None for t in sec.tolist())
     return _summarize(spec.beta, tau, censored, window, secondary)
 
 

@@ -362,6 +362,9 @@ def test_violations_exit_3(capsys, tmp_path, monkeypatch):
     assert len(doc["failures"]) == 2
     written = sorted(tmp_path.glob("fuzz-failure-*.json"))
     assert len(written) == 2
+    # the record and the file hold the same canonical document
+    for path, failure in zip(written, doc["failures"]):
+        assert path.read_text() == json.dumps(failure["landscape"], indent=2) + "\n"
     # emitted counterexamples are loadable landscape files
     from basincycles import load_landscape
 

@@ -4,7 +4,7 @@ import math
 import operator
 import pytest
 from fractions import Fraction
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from basincycles import Energy, INFINITY
 from basincycles.energy import format_exact, from_units, parse_exact
@@ -79,6 +79,21 @@ def test_format_exact_fraction_fallback():
     assert format_exact(Fraction(1, 3)) == "1/3"
     assert format_exact(Fraction(7, 50)) == "0.14"
     assert format_exact(Fraction(-3, 2)) == "-1.5"
+
+
+_SCALES = st.one_of(
+    st.sampled_from([1, 3, 7, 10**6]),
+    st.builds(lambda a, b: 2**a * 5**b, st.integers(0, 12), st.integers(0, 12)),
+)
+
+
+@given(st.one_of(st.integers(-10**6, 10**6), st.integers(-10**40, 10**40)), _SCALES)
+@example(0, 7)
+@example(-1, 10**6)
+@example(-(10**40) - 3, 2**12 * 5**3)
+def test_str_formats_units_like_the_fraction(units, scale):
+    # __str__ formats from the ints; format_exact is the reference
+    assert str(Energy(units, scale)) == format_exact(Fraction(units, scale))
 
 
 @given(st.integers(-10**9, 10**9), st.sampled_from([1, 10, 1000, 10**6, 7, 24]))

@@ -4,9 +4,15 @@ and on a fixed-seed fuzz campaign must stay byte-identical across refactors.
 The files under ``data/golden`` are the outputs of the commands below.
 Regenerate them only for an intended change of output, and say why in the
 change log.
+
+Every test here runs with the stdlib's pure-Python JSON encoder disabled.
+``json.dumps`` with ``indent`` falls back to it and is several times slower
+than the package's writer, so a command that reaches it fails here instead
+of quietly costing a large share of its run time.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -43,6 +49,14 @@ GRID_CASES = [
 ]
 
 FUZZ_SHA256 = "d560751a586a598ae5a697576339fc64babf6c1394252eb09a66feb32ef77557"
+
+
+@pytest.fixture(autouse=True)
+def refuse_pure_python_encoder(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pure-Python JSON encoder ran")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
 
 
 def _stdout(capsys, argv):

@@ -10,7 +10,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from basincycles import (
     Energy,
@@ -38,7 +38,7 @@ from basincycles.errors import (
     ScaleOverflow,
     UnknownStateInEdge,
 )
-from basincycles.landscape import _climb_units, transition_matrix
+from basincycles.landscape import _climb_units, dumps_json, transition_matrix
 
 from conftest import (
     FIG1_PATH,
@@ -231,6 +231,52 @@ def test_round_trip_explicit_rates():
     doc = json.loads(text)
     assert doc["edges"][0]["q"] == "1/3"
     assert load_landscape(text) == L
+
+
+_JSON_TEXT = st.text(
+    st.one_of(
+        st.characters(exclude_categories=()),
+        st.characters(categories=["Cs"]),  # lone surrogates
+        st.sampled_from('"\\/\x00\x1f\x7f\u00e9\u2028'),
+    ),
+    max_size=8,
+)
+_JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.sampled_from([0, 1, True, False, 2**63, -(2**63) - 1, 10**30]),
+    st.integers(),
+    st.floats(),
+    st.sampled_from([-0.0, 1e16, math.nan, math.inf, -math.inf, np.float64(0.1), np.float64(-1e300)]),
+    _JSON_TEXT,
+    st.lists(_JSON_TEXT, max_size=6),  # the one-pass string arrays
+)
+_JSON_TREES = st.recursive(
+    _JSON_LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=6),
+        st.lists(children, max_size=6).map(tuple),
+        st.dictionaries(_JSON_TEXT, children, max_size=6),
+    ),
+    max_leaves=10,
+)
+
+
+@given(_JSON_TREES)
+@example(["a", "b", 1, ["c"], "d"])
+@example({"": [], "k": {}, "t": ("x", None)})
+def test_writer_matches_the_stdlib(value):
+    assert dumps_json(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [{1: "a"}, {"a": {None: 1}}, object(), ["a", object()], ["a", b"x"], np.int64(1)],
+    ids=["int-key", "nested-none-key", "object", "object-in-list", "bytes-in-strings", "numpy-int"],
+)
+def test_writer_rejects_what_it_cannot_encode(value):
+    with pytest.raises(TypeError):
+        dumps_json(value)
 
 
 def test_exterior_boundary(fig1):
