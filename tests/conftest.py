@@ -1,13 +1,26 @@
 import json
 import math
 import random
+import re
+from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from basincycles import DEFAULT_SCALE, load_landscape, make_landscape
+from basincycles.energy import parse_exact
+from basincycles.errors import (
+    AsymmetricEdge,
+    DisconnectedGraph,
+    DuplicateState,
+    MalformedInput,
+    RowSumExceedsOne,
+    ScaleOverflow,
+    UnknownStateInEdge,
+)
 
 DATA = Path(__file__).parent / "data"
 FIG1_PATH = DATA / "fig1.json"
@@ -108,6 +121,153 @@ def grid_text(side: int, max_energy: int, seed: int) -> str:
     lines.append("  ]")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+_REFERENCE_WHOLE = re.compile(r"\A[+-]?[0-9]+\Z")
+
+
+def _reference_units(value, scale):
+    """An energy entry's units at ``scale``, or ``math.inf``."""
+    if isinstance(value, str):
+        text = value.strip()
+        if text == "inf":
+            return math.inf
+        if _REFERENCE_WHOLE.match(text):
+            try:
+                return int(text) * scale
+            except ValueError as exc:  # past the int conversion digit limit
+                raise MalformedInput(f"not an exact number: {text!r}") from exc
+        frac = parse_exact(text) * scale
+        if frac.denominator != 1:
+            raise ScaleOverflow(f"{text!r} is not representable at scale {scale}")
+        return int(frac)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value * scale
+    raise MalformedInput(f"energies must be exact (string, int or Energy), got {value!r}")
+
+
+def _reference_rate(value):
+    if isinstance(value, str):
+        return parse_exact(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    raise MalformedInput(f"rates must be exact (string, int or Fraction), got {value!r}")
+
+
+def reference_landscape(text):
+    """The landscape loader as it was before it stored int units: one
+    ``Fraction`` per edge keyed by a ``frozenset`` pair, every row summed
+    exactly.  Returns the parsed parts (``states`` in declaration order,
+    ``units``, ``rates``, ``adjacency`` and the ``explicit`` pairs) or
+    raises the exception the loader must raise, message included."""
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise MalformedInput(f"invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise MalformedInput("top level must be an object")
+    scale = doc.get("energy_scale", DEFAULT_SCALE)
+    raw_states = doc.get("states")
+    if not isinstance(raw_states, list):
+        raise MalformedInput("missing or invalid 'states' list")
+    state_items = []
+    for entry in raw_states:
+        if not isinstance(entry, dict) or "id" not in entry or "energy" not in entry:
+            raise MalformedInput(f"state entries need 'id' and 'energy': {entry!r}")
+        state_items.append((str(entry["id"]), entry["energy"]))
+    raw_edges = doc.get("edges", [])
+    if not isinstance(raw_edges, list):
+        raise MalformedInput("'edges' must be a list")
+    edge_specs = []
+    for entry in raw_edges:
+        if isinstance(entry, list) and len(entry) == 2:
+            edge_specs.append((str(entry[0]), str(entry[1]), None))
+        elif isinstance(entry, dict) and "pair" in entry:
+            pair = entry["pair"]
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise MalformedInput(f"edge 'pair' must be a two-element list: {entry!r}")
+            q = entry.get("q")
+            q = None if q is None else _reference_rate(q)
+            edge_specs.append((str(pair[0]), str(pair[1]), q))
+        else:
+            raise MalformedInput(f"unrecognized edge entry: {entry!r}")
+
+    if not isinstance(scale, int) or isinstance(scale, bool) or scale <= 0:
+        raise MalformedInput(f"energy_scale must be a positive integer, got {scale!r}")
+    if not state_items:
+        raise MalformedInput("landscape has no states")
+    states = []
+    units = {}
+    for sid, value in state_items:
+        if sid in units:
+            raise DuplicateState(f"state {sid!r} declared twice")
+        u = _reference_units(value, scale)
+        if u == math.inf:
+            raise MalformedInput(f"energy of {sid!r} must be finite")
+        states.append(sid)
+        units[sid] = u
+
+    explicit = {}
+    defaulted = set()
+    for x, y, q in edge_specs:
+        for sid in (x, y):
+            if sid not in units:
+                raise UnknownStateInEdge(f"edge references unknown state {sid!r}")
+        if x == y:
+            raise MalformedInput(f"self-edge on {x!r}; the diagonal is implicit")
+        pair = frozenset((x, y))
+        if q is None:
+            defaulted.add(pair)
+            continue
+        if q <= 0 or q > 1:
+            raise MalformedInput(f"rate q({x},{y}) = {q} outside (0, 1]")
+        if pair in explicit and explicit[pair] != q:
+            raise AsymmetricEdge(
+                f"conflicting rates for edge {x!r}-{y!r}: {explicit[pair]} vs {q}"
+            )
+        explicit[pair] = q
+    for pair in defaulted & explicit.keys():
+        raise AsymmetricEdge(
+            f"edge {tuple(sorted(pair))} given both with and without a rate"
+        )
+
+    adjacency = {s: [] for s in states}
+    for x, y in [*explicit, *defaulted]:
+        adjacency[x].append(y)
+        adjacency[y].append(x)
+    max_degree = max(len(v) for v in adjacency.values())
+    rates = dict(explicit)
+    for pair in defaulted:
+        rates[pair] = Fraction(1, max_degree)
+    row = {s: [] for s in states}
+    for pair, q in rates.items():
+        for s in pair:
+            row[s].append(q.as_integer_ratio())
+    for s, parts in row.items():
+        den = math.lcm(*(d for _, d in parts))
+        total = sum(n * (den // d) for n, d in parts)
+        if total > den:
+            raise RowSumExceedsOne(f"outgoing rates of {s!r} sum to {Fraction(total, den)} > 1")
+
+    seen = {states[0]}
+    stack = [states[0]]
+    while stack:
+        for y in adjacency[stack.pop()]:
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    if len(seen) != len(states):
+        missing = sorted(set(states) - seen)[:3]
+        raise DisconnectedGraph(f"states unreachable from {states[0]!r}: {missing}...")
+
+    return SimpleNamespace(
+        states=tuple(states),
+        scale=scale,
+        units=units,
+        rates=rates,
+        adjacency={s: tuple(sorted(adjacency[s])) for s in states},
+        explicit=frozenset(explicit),
+    )
 
 
 def dense_kernel(kern):

@@ -28,6 +28,7 @@ GRIDS = [(2, "grid8-e2.json"), (1000, "grid8-e1000.json")]
 GRID_SEED = 20261018
 
 CASES = [
+    (("validate",), "validate.json"),
     (("path-cycles",), "path-cycles.json"),
     (("path-cycles", "--dot"), "path-cycles.dot"),
     (("graph-cycles", "--iterations"), "graph-cycles-iterations.json"),
@@ -42,8 +43,10 @@ CASES = [
 
 # (input, argv, golden) on the grids
 GRID_CASES = [
+    ("grid8-e2.json", ("validate",), "grid8-e2-validate.json"),
     ("grid8-e2.json", ("graph-cycles", "--iterations"), "grid8-e2-graph-cycles-iterations.json"),
     ("grid8-e2.json", ("verify",), "grid8-e2-verify.json"),
+    ("grid8-e1000.json", ("validate",), "grid8-e1000-validate.json"),
     ("grid8-e1000.json", ("graph-cycles", "--iterations"), "grid8-e1000-graph-cycles-iterations.json"),
     ("grid8-e1000.json", ("verify",), "grid8-e1000-verify.json"),
 ]

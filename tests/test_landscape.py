@@ -7,12 +7,14 @@ import re
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from basincycles import (
+    DEFAULT_SCALE,
     Energy,
     dumps_landscape,
     exterior_boundary,
@@ -46,6 +48,7 @@ from conftest import (
     dense_kernel,
     draw_landscape,
     reference_jumps,
+    reference_landscape,
 )
 
 
@@ -213,6 +216,132 @@ def test_malformed_json():
 def test_bytes_that_are_not_utf8_are_malformed():
     with pytest.raises(MalformedInput):
         load_landscape(b"\xff")
+
+
+FAULTS = [
+    None, "duplicate", "unknown", "self", "range", "conflict", "mixed", "row",
+    "disconnected", "infinite", "unrepresentable", "digits", "inexact", "scale",
+    "empty", "rate", "entry",
+]
+
+
+@st.composite
+def _documents(draw):
+    """A landscape document on 2-8 states (a random spanning tree, extra and
+    repeated edges, energies as ints, whole, decimal and fraction strings,
+    explicit rates up to 1/8) with at most one injected fault, as JSON text."""
+    scale = draw(st.sampled_from([10, 1000, DEFAULT_SCALE]))
+    n = draw(st.integers(2, 8))
+    ids = [f"s{i}" for i in range(n)]
+    forms = [
+        lambda k: k, str, lambda k: f" {k} ", lambda k: f"{k}.5", lambda k: f"{k}/2",
+        lambda k: f"+{k}" if k >= 0 else str(k),
+    ]
+    states = [
+        {"id": sid, "energy": draw(st.sampled_from(forms))(draw(st.integers(-5, 5)))}
+        for sid in ids
+    ]
+    pairs = [(ids[i], ids[draw(st.integers(0, i - 1))]) for i in range(1, n)]
+    pairs += draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=8))
+    rates = st.sampled_from([None, "1/8", "0.1", "1/9", "1/20", "0.125"])
+    chosen = {}
+    edges = []
+    for x, y in pairs:
+        if x == y:
+            continue
+        key = frozenset((x, y))
+        q = chosen.setdefault(key, draw(rates))
+        x, y = (y, x) if draw(st.booleans()) else (x, y)
+        if q is not None:
+            edges.append({"pair": [x, y], "q": q})
+        else:
+            edges.append(draw(st.sampled_from([[x, y], {"pair": [x, y]}])))
+    doc = {"energy_scale": scale, "states": states, "edges": edges}
+    a, b = ids[0], ids[1]
+    fault = draw(st.sampled_from(FAULTS))
+    if fault == "duplicate":
+        states.append({"id": draw(st.sampled_from(ids)), "energy": "0"})
+    elif fault == "unknown":
+        edges.append(draw(st.sampled_from([[a, "zz"], {"pair": ["zz", b], "q": "1/8"}])))
+    elif fault == "self":
+        edges.append([b, b])
+    elif fault == "range":
+        edges.append({"pair": [a, b], "q": draw(st.sampled_from(["0", "-1/2", "3/2", 2]))})
+    elif fault == "conflict":
+        edges += [{"pair": [a, b], "q": "1/10"}, {"pair": [b, a], "q": "1/11"}]
+    elif fault == "mixed":
+        edges += [{"pair": [a, b], "q": "1/10"}, [b, a]]
+    elif fault == "row":
+        states += [{"id": "r1", "energy": 0}, {"id": "r2", "energy": 0}]
+        edges += [{"pair": [a, "r1"], "q": "3/4"}, {"pair": ["r2", a], "q": "0.75"}]
+    elif fault == "disconnected":
+        states.append({"id": "zz", "energy": 0})
+    elif fault == "infinite":
+        states[-1]["energy"] = draw(st.sampled_from(["inf", " inf "]))
+    elif fault == "unrepresentable":
+        states[-1]["energy"] = draw(st.sampled_from(["1/3", "0.0000001", "1/7"]))
+    elif fault == "digits":
+        states[-1]["energy"] = draw(st.sampled_from(["9" * 5000, "-" + "1" * 4301]))
+    elif fault == "inexact":
+        states[-1]["energy"] = draw(st.sampled_from([1.5, True, None, [1], "two", "1/0"]))
+    elif fault == "scale":
+        doc["energy_scale"] = draw(st.sampled_from([0, -3, True, "1000", 1.5]))
+    elif fault == "empty":
+        states.clear()
+    elif fault == "rate":
+        edges.append({"pair": [a, b], "q": draw(st.sampled_from([0.5, True, "x", "1/0"]))})
+    elif fault == "entry":
+        target = draw(st.sampled_from(["state", "edge", "pair"]))
+        if target == "state":
+            states.append({"id": "zz"})
+        elif target == "edge":
+            edges.append([a, b, "1/8"])
+        else:
+            edges.append({"pair": [a], "q": "1/8"})
+    return json.dumps(doc)
+
+
+def _outcome(load, text):
+    try:
+        return load(text)
+    except Exception as exc:  # the class and the message are the outcome
+        return type(exc), str(exc)
+
+
+def _parts(L):
+    return SimpleNamespace(
+        states=L.states,
+        scale=L.scale,
+        units={s: L.energy(s).units for s in L.states},
+        rates={frozenset(p): L.rate(*p) for p in L.edge_pairs()},
+        adjacency={s: L.neighbors(s) for s in L.states},
+        explicit=frozenset(frozenset(p) for p in L._explicit),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_documents())
+def test_loader_matches_the_reference(text):
+    got = _outcome(load_landscape, text)
+    want = _outcome(reference_landscape, text)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert _parts(got) == want
+
+
+def test_row_of_an_explicit_and_default_rates_over_one():
+    # four default edges make the default 1/4; l1 adds an explicit 0.9
+    doc = {
+        "states": [{"id": s, "energy": "0"} for s in ("h", "l1", "l2", "l3", "l4", "c")],
+        "edges": [["h", "l1"], ["h", "l2"], ["h", "l3"], ["h", "l4"],
+                  {"pair": ["c", "l1"], "q": "0.9"}],
+    }
+    text = json.dumps(doc)
+    message = "outgoing rates of 'l1' sum to 23/20 > 1"
+    assert _outcome(reference_landscape, text) == (RowSumExceedsOne, message)
+    with pytest.raises(RowSumExceedsOne, match=f"^{re.escape(message)}$"):
+        load_landscape(text)
 
 
 def test_round_trip_bit_exact(fig1):
