@@ -22,7 +22,7 @@ from .errors import (
 from .graphcycles import run_decomposition, trace_to_dict
 from .landscape import Landscape, dumps_json, landscape_to_dict, load_landscape
 from .pathcycles import enumerate_path_cycles, tree_to_dict, tree_to_dot
-from .simulate import check_exit_window, check_visit_before_exit
+from .simulate import check_exit_window, check_visit_before_exit, sharing_kernels
 
 _HEADER = f"basincycles {__version__}"
 
@@ -74,7 +74,7 @@ def _cmd_validate(args) -> int:
             "kind": "landscape-summary",
             "valid": True,
             "states": landscape.n,
-            "edges": len(landscape.edge_pairs()),
+            "edges": landscape.edge_count,
             "energy_scale": landscape.scale,
         },
         args.out,
@@ -163,31 +163,32 @@ def _cmd_simulate(args) -> int:
     try:
         cycle = landscape.subset(members)
         starts = [args.start] if args.start else None
-        exit_rows = check_exit_window(
-            landscape,
-            cycle,
-            betas,
-            args.epsilon,
-            args.replicas,
-            args.seed,
-            starts=starts,
-            max_steps=args.max_steps,
-        )
-        visit_rows = []
-        if args.visit:
-            for start in starts or sorted(cycle):
-                visit_rows.extend(
-                    check_visit_before_exit(
-                        landscape,
-                        cycle,
-                        start,
-                        args.visit,
-                        betas,
-                        args.epsilon,
-                        args.replicas,
-                        args.seed,
+        with sharing_kernels():
+            exit_rows = check_exit_window(
+                landscape,
+                cycle,
+                betas,
+                args.epsilon,
+                args.replicas,
+                args.seed,
+                starts=starts,
+                max_steps=args.max_steps,
+            )
+            visit_rows = []
+            if args.visit:
+                for start in starts or sorted(cycle):
+                    visit_rows.extend(
+                        check_visit_before_exit(
+                            landscape,
+                            cycle,
+                            start,
+                            args.visit,
+                            betas,
+                            args.epsilon,
+                            args.replicas,
+                            args.seed,
+                        )
                     )
-                )
     except BasincyclesError as exc:
         raise UsageError(f"{type(exc).__name__}: {exc}") from exc
 

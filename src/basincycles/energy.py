@@ -17,13 +17,11 @@ serves the public views.
 from __future__ import annotations
 
 import math
-import re
 from fractions import Fraction
 
 from .errors import MalformedInput, ScaleOverflow
 
 DEFAULT_SCALE = 1_000_000
-_WHOLE = re.compile(r"\A[+-]?[0-9]+\Z")
 
 
 def parse_exact(text: str) -> Fraction:
@@ -37,6 +35,25 @@ def parse_exact(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise MalformedInput(f"not an exact number: {text!r}") from exc
+
+
+def parse_units(text: str, scale: int):
+    """The int units of an exact string at ``scale``, or ``math.inf`` for
+    ``"inf"``.  A whole number scales in int arithmetic; anything else goes
+    through ``parse_exact`` and must land on a whole unit."""
+    text = text.strip()
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if digits.isascii() and digits.isdigit():  # 0-9 only
+        try:
+            return int(text) * scale
+        except ValueError as exc:  # past the int conversion digit limit
+            raise MalformedInput(f"not an exact number: {text!r}") from exc
+    if text == "inf":
+        return math.inf
+    frac = parse_exact(text) * scale
+    if frac.denominator != 1:
+        raise ScaleOverflow(f"{text!r} is not representable at scale {scale}")
+    return int(frac)
 
 
 def format_exact(value: Fraction) -> str:
@@ -85,19 +102,7 @@ class Energy:
 
     @classmethod
     def parse(cls, text: str, scale: int = DEFAULT_SCALE) -> "Energy":
-        text = text.strip()
-        if text == "inf":
-            return INFINITY
-        if _WHOLE.match(text):  # a whole number scales in int arithmetic
-            try:
-                units = int(text) * scale
-            except ValueError as exc:  # past the int conversion digit limit
-                raise MalformedInput(f"not an exact number: {text!r}") from exc
-            return cls(units, scale)
-        frac = parse_exact(text) * scale
-        if frac.denominator != 1:
-            raise ScaleOverflow(f"{text!r} is not representable at scale {scale}")
-        return cls(int(frac), scale)
+        return from_units(parse_units(text, scale), scale)
 
     @property
     def is_infinite(self) -> bool:

@@ -40,7 +40,7 @@ def brute_force_path_cycles(landscape: Landscape) -> set[StateSet]:
         raise TooLarge(f"{n} states exceeds the exhaustive-scan guard")
     states = sorted(landscape.states)
     pos = {s: i for i, s in enumerate(states)}
-    energies = [landscape.energy(s).units for s in states]
+    energies = [landscape.units(s) for s in states]
     nbr_mask = [0] * n
     for s in states:
         for t in landscape.neighbors(s):
@@ -178,7 +178,7 @@ def _check_conditions(
                 continue
             if cls not in boundaries:
                 boundaries[cls] = exterior_boundary(landscape, cls)
-            floor = landscape.energy(next(iter(node.ground))).units
+            floor = landscape.units(next(iter(node.ground)))
             row, lift = rows.get(big, {}), lifts.get(big, 0)
             # the boundary holds exactly the states with a positive-rate edge
             # in; a singleton's slot is lifted by nothing
@@ -186,7 +186,7 @@ def _check_conditions(
                 single = single_slot[a]
                 if len(members.get(single, ())) != 1:
                     continue  # a has merged
-                if row.get(single, math.inf) + lift != landscape.energy(a).units - floor:
+                if row.get(single, math.inf) + lift != landscape.units(a) - floor:
                     costs_ok = False
                 if rows.get(single, {}).get(big, math.inf) != 0:
                     costs_ok = False

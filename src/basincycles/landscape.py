@@ -1,7 +1,12 @@
 """The energy-landscape data model.
 
 A landscape is a finite state set with an exact energy per state and a
-symmetric connectivity rate ``q`` on unordered pairs.  Validation enforces:
+symmetric connectivity rate ``q`` on unordered pairs.  It stores each energy
+as its int count of ``1/scale`` units, the package's one energy arithmetic,
+and each positive rate as a ``Fraction`` keyed by the sorted ``(x, y)``
+pair, every defaulted edge sharing one.  ``Energy`` is a view, built only
+by the public ``energy``, ``min_energy`` and ``max_energy``.  Validation
+enforces:
 
 * symmetry of ``q`` (conflicting directional rates are rejected),
 * sub-stochastic rows: for every ``x``, ``sum_y q(x, y) <= 1``,
@@ -25,12 +30,11 @@ import io
 import json
 import math
 from fractions import Fraction
-from operator import attrgetter
 from typing import Callable, Hashable, Iterable, Mapping
 
 import numpy as np
 
-from .energy import DEFAULT_SCALE, INFINITY, Energy, format_exact, parse_exact
+from .energy import DEFAULT_SCALE, Energy, format_exact, from_units, parse_exact, parse_units
 from .errors import (
     AsymmetricEdge,
     DisconnectedGraph,
@@ -45,7 +49,7 @@ from .errors import (
 )
 
 StateSet = frozenset
-_units = attrgetter("units")
+_NO_RATE = Fraction(0)
 
 
 def reach(starts: Iterable[Hashable], step: Callable[[Hashable], Iterable[Hashable]]) -> set:
@@ -61,17 +65,18 @@ def reach(starts: Iterable[Hashable], step: Callable[[Hashable], Iterable[Hashab
     return seen
 
 
-def _exact_energy(value, scale: int) -> Energy:
-    """An input energy at ``scale``: an exact string, an int of whole units
-    (not a bool), or an ``Energy`` already at that scale."""
+def _exact_units(value, scale: int):
+    """An input energy's int units at ``scale``, ``math.inf`` for infinity:
+    an exact string, an int of whole units (not a bool), or an ``Energy``
+    already at that scale."""
     if isinstance(value, str):
-        return Energy.parse(value, scale)
+        return parse_units(value, scale)
     if isinstance(value, Energy):
         if not value.is_infinite and value.scale != scale:
             raise ScaleOverflow(f"energy {value!r} is not at scale {scale}")
-        return value
+        return value.units
     if isinstance(value, int) and not isinstance(value, bool):
-        return Energy.from_int(value, scale)
+        return value * scale
     raise MalformedInput(f"energies must be exact (string, int or Energy), got {value!r}")
 
 
@@ -88,37 +93,49 @@ def _exact_rate(value) -> Fraction:
 
 class Landscape:
     """Validated immutable landscape.  Build via :func:`make_landscape` or
-    :func:`load_landscape`, not directly."""
+    :func:`load_landscape`, not directly.
 
-    __slots__ = ("states", "scale", "_energy", "_rates", "_adjacency", "_explicit")
+    Each state's energy is stored as int units, read by :meth:`units`; each
+    positive rate as a ``Fraction`` keyed by the sorted state pair; each
+    state's neighbours as a sorted tuple.  :meth:`energy`,
+    :meth:`min_energy` and :meth:`max_energy` build ``Energy`` views."""
 
-    def __init__(self, states, scale, energy, rates, adjacency, explicit):
+    __slots__ = ("states", "scale", "_units", "_rates", "_adjacency", "_explicit")
+
+    def __init__(self, states, scale, units, rates, adjacency, explicit):
         self.states: tuple[str, ...] = states
         self.scale: int = scale
-        self._energy: dict[str, Energy] = energy
-        self._rates: dict[frozenset, Fraction] = rates
+        self._units: dict[str, int] = units
+        self._rates: dict[tuple[str, str], Fraction] = rates
         self._adjacency: dict[str, tuple[str, ...]] = adjacency
-        self._explicit: frozenset = explicit
+        self._explicit: frozenset[tuple[str, str]] = explicit
 
     @property
     def n(self) -> int:
         return len(self.states)
 
-    def energy(self, state: str) -> Energy:
+    @property
+    def edge_count(self) -> int:
+        """The number of positive-rate unordered pairs."""
+        return len(self._rates)
+
+    def units(self, state: str) -> int:
+        """The state's energy in int units of ``1/scale``."""
         try:
-            return self._energy[state]
+            return self._units[state]
         except KeyError:
             raise ForeignState(f"unknown state {state!r}") from None
+
+    def energy(self, state: str) -> Energy:
+        return Energy(self.units(state), self.scale)
 
     def energy_value(self, value) -> Energy:
         """Coerce an int (whole energy units), exact string, or Energy to the
         landscape's scale."""
-        return _exact_energy(value, self.scale)
+        return from_units(_exact_units(value, self.scale), self.scale)
 
     def rate(self, x: str, y: str) -> Fraction:
-        if x == y:
-            return Fraction(0)
-        return self._rates.get(frozenset((x, y)), Fraction(0))
+        return self._rates.get((x, y) if x < y else (y, x), _NO_RATE)
 
     def neighbors(self, state: str) -> tuple[str, ...]:
         try:
@@ -128,10 +145,10 @@ class Landscape:
 
     def edge_pairs(self) -> list[tuple[str, str]]:
         """All positive-rate unordered pairs, canonically sorted."""
-        return sorted(tuple(sorted(pair)) for pair in self._rates)
+        return sorted(self._rates)
 
     def has_state(self, state: str) -> bool:
-        return state in self._energy
+        return state in self._units
 
     def subset(self, members: Iterable[str]) -> StateSet:
         """Validate and freeze a nonempty subset of this landscape's states."""
@@ -139,19 +156,20 @@ class Landscape:
         if not got:
             raise EmptySet("state set must be nonempty")
         for state in got:
-            if state not in self._energy:
+            if state not in self._units:
                 raise ForeignState(f"unknown state {state!r}")
         return got
 
-    # a landscape's energies are finite and share its scale: units order them
     def min_energy(self, members: Iterable[str]) -> Energy:
-        return min((self._energy[x] for x in members), key=_units, default=INFINITY)
+        """The lowest energy of the members; ``INFINITY`` for none."""
+        low = min(map(self._units.__getitem__, members), default=math.inf)
+        return from_units(low, self.scale)
 
     def max_energy(self, members: Iterable[str]) -> Energy:
-        vals = [self._energy[x] for x in members]
-        if not vals:
+        high = max(map(self._units.__getitem__, members), default=None)
+        if high is None:
             raise EmptySet("state set must be nonempty")
-        return max(vals, key=_units)
+        return Energy(high, self.scale)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Landscape):
@@ -159,7 +177,7 @@ class Landscape:
         return (
             set(self.states) == set(other.states)
             and self.scale == other.scale
-            and self._energy == other._energy
+            and self._units == other._units
             and self._rates == other._rates
         )
 
@@ -198,63 +216,62 @@ def _build(state_items, edge_specs, scale) -> Landscape:
         raise MalformedInput(f"energy_scale must be a positive integer, got {scale!r}")
     if not state_items:
         raise MalformedInput("landscape has no states")
-    states = []
-    energy: dict[str, Energy] = {}
+    units: dict[str, int] = {}
     for sid, value in state_items:
-        if sid in energy:
+        if sid in units:
             raise DuplicateState(f"state {sid!r} declared twice")
-        e = _exact_energy(value, scale)
-        if e.is_infinite:
+        units[sid] = _exact_units(value, scale)
+        if units[sid] == math.inf:
             raise MalformedInput(f"energy of {sid!r} must be finite")
-        states.append(sid)
-        energy[sid] = e
+    states = tuple(units)
 
-    explicit: dict[frozenset, Fraction] = {}
-    defaulted: set[frozenset] = set()
+    explicit: dict[tuple[str, str], Fraction] = {}
+    defaulted: dict[tuple[str, str], None] = {}  # an ordered set
     for x, y, q in edge_specs:
-        for sid in (x, y):
-            if sid not in energy:
-                raise UnknownStateInEdge(f"edge references unknown state {sid!r}")
+        if x not in units:
+            raise UnknownStateInEdge(f"edge references unknown state {x!r}")
+        if y not in units:
+            raise UnknownStateInEdge(f"edge references unknown state {y!r}")
         if x == y:
             raise MalformedInput(f"self-edge on {x!r}; the diagonal is implicit")
-        pair = frozenset((x, y))
+        pair = (x, y) if x < y else (y, x)
         if q is None:
-            defaulted.add(pair)
+            defaulted[pair] = None
             continue
         if q <= 0 or q > 1:
             raise MalformedInput(f"rate q({x},{y}) = {q} outside (0, 1]")
-        if pair in explicit and explicit[pair] != q:
-            raise AsymmetricEdge(
-                f"conflicting rates for edge {x!r}-{y!r}: {explicit[pair]} vs {q}"
-            )
-        explicit[pair] = q
-    for pair in defaulted & explicit.keys():
-        raise AsymmetricEdge(
-            f"edge {tuple(sorted(pair))} given both with and without a rate"
-        )
+        known = explicit.setdefault(pair, q)
+        if known != q:
+            raise AsymmetricEdge(f"conflicting rates for edge {x!r}-{y!r}: {known} vs {q}")
+    both = explicit.keys() & defaulted.keys()
+    if both:
+        raise AsymmetricEdge(f"edge {min(both)} given both with and without a rate")
 
     adjacency: dict[str, list[str]] = {s: [] for s in states}
-    for pair in [*explicit, *defaulted]:
-        x, y = pair
-        adjacency[x].append(y)
-        adjacency[y].append(x)
-    max_degree = max((len(v) for v in adjacency.values()), default=0)
+    for pairs in (explicit, defaulted):
+        for x, y in pairs:
+            adjacency[x].append(y)
+            adjacency[y].append(x)
+    max_degree = max(map(len, adjacency.values()))
+    rates = dict.fromkeys(defaulted, Fraction(1, max_degree)) if defaulted else {}
+    rates.update(explicit)
 
-    rates: dict[frozenset, Fraction] = dict(explicit)
-    if defaulted:
-        default_rate = Fraction(1, max_degree)
-        for pair in defaulted:
-            rates[pair] = default_rate
-
-    # each row summed as int numerators over its own common denominator,
-    # which grows with the row's degree, not with the distinct denominators
-    # of the whole landscape
-    row: dict[str, list[tuple[int, int]]] = {s: [] for s in states}
-    for pair, q in rates.items():
+    # a row of default rates alone sums to degree / max_degree <= 1; a row
+    # with an explicit rate is summed as int numerators over its own common
+    # denominator, which grows with the row's degree, not with the distinct
+    # denominators of the whole landscape
+    given: dict[str, list[tuple[int, int]]] = {}
+    for pair, q in explicit.items():
         parts = q.as_integer_ratio()
         for s in pair:
-            row[s].append(parts)
-    for s, parts in row.items():
+            given.setdefault(s, []).append(parts)
+    for s in states:
+        parts = given.get(s)
+        if parts is None:
+            continue
+        rest = len(adjacency[s]) - len(parts)  # the row's defaulted edges
+        if rest:
+            parts.append((rest, max_degree))
         den = math.lcm(*(d for _, d in parts))
         total = sum(n * (den // d) for n, d in parts)
         if total > den:
@@ -267,9 +284,7 @@ def _build(state_items, edge_specs, scale) -> Landscape:
         raise DisconnectedGraph(f"states unreachable from {states[0]!r}: {missing}...")
 
     adj = {s: tuple(sorted(adjacency[s])) for s in states}
-    return Landscape(
-        tuple(states), scale, energy, rates, adj, frozenset(explicit.keys())
-    )
+    return Landscape(states, scale, units, rates, adj, frozenset(explicit))
 
 
 # -- file format -------------------------------------------------------------
@@ -334,8 +349,7 @@ def landscape_to_dict(landscape: Landscape) -> dict:
     ]
     edges = []
     for x, y in landscape.edge_pairs():
-        pair = frozenset((x, y))
-        if pair in landscape._explicit:
+        if (x, y) in landscape._explicit:
             edges.append({"pair": [x, y], "q": format_exact(landscape.rate(x, y))})
         else:
             edges.append([x, y])
@@ -429,8 +443,8 @@ def exterior_boundary(landscape: Landscape, members: Iterable[str]) -> StateSet:
 def ground(landscape: Landscape, members: Iterable[str]) -> StateSet:
     """The states of the set attaining its minimal energy."""
     inside = landscape.subset(members)
-    floor = landscape.min_energy(inside).units
-    return frozenset(x for x in inside if landscape.energy(x).units == floor)
+    floor = min(map(landscape.units, inside))
+    return frozenset(x for x in inside if landscape.units(x) == floor)
 
 
 def is_connected_subset(landscape: Landscape, members: Iterable[str]) -> bool:
@@ -446,7 +460,7 @@ def is_connected_subset(landscape: Landscape, members: Iterable[str]) -> bool:
 def _climb_units(landscape: Landscape) -> dict[tuple[str, str], int]:
     """The one Metropolis climb: on every ordered connected pair, the
     positive part of the energy climb in int units."""
-    height = {s: e.units for s, e in landscape._energy.items()}
+    height = landscape._units
     climbs = {}
     for x in landscape.states:
         hx = height[x]

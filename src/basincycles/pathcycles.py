@@ -55,13 +55,13 @@ def sublevel_component(landscape: Landscape, start: str, cutoff) -> StateSet:
     energy values behave like the largest value not above them.
     """
     level = landscape.energy_value(cutoff)
-    if level.units < landscape.energy(start).units:
+    if level.units < landscape.units(start):
         raise LevelBelowStart(
             f"cutoff {level} below the energy of {start!r} ({landscape.energy(start)})"
         )
 
     def below(x):
-        return [y for y in landscape.neighbors(x) if landscape.energy(y).units <= level.units]
+        return [y for y in landscape.neighbors(x) if landscape.units(y) <= level.units]
 
     return frozenset(reach([start], below))
 
@@ -140,7 +140,7 @@ def _merge(landscape: Landscape, level: int, children: list[CycleNode]) -> Cycle
     """The component formed at ``level`` (int units) from the top cycles it
     joins; the level is the boundary floor of every non-singleton child."""
     scale = landscape.scale
-    lows = [landscape.energy(next(iter(c.ground))).units for c in children]
+    lows = [landscape.units(next(iter(c.ground))) for c in children]
     low = min(lows)
     members = frozenset().union(*(c.members for c in children))
     ground = frozenset().union(*(c.ground for c, h in zip(children, lows) if h == low))
@@ -166,7 +166,7 @@ def enumerate_path_cycles(landscape: Landscape) -> CycleTree:
     scale = landscape.scale
     by_level: dict[int, list[str]] = {}
     for s in landscape.states:
-        by_level.setdefault(landscape.energy(s).units, []).append(s)
+        by_level.setdefault(landscape.units(s), []).append(s)
     zero = Energy(0, scale)
     uf = _UnionFind(landscape.states)
     active: set[str] = set()

@@ -6,8 +6,8 @@ import pytest
 from fractions import Fraction
 from hypothesis import example, given, strategies as st
 
-from basincycles import Energy, INFINITY
-from basincycles.energy import format_exact, from_units, parse_exact
+from basincycles import Energy, INFINITY, make_landscape
+from basincycles.energy import format_exact, from_units, parse_exact, parse_units
 from basincycles.errors import MalformedInput, ScaleOverflow
 
 
@@ -126,16 +126,30 @@ def _outcome(parse, text, scale):
 
 
 WHOLE_LIKE = [
-    "0", "7", "-3", "+12", "007", "-0", " 42\n", "\t+5 ",
-    "1_000", "١٢", "12.", "1e3", "+-1", "--1", "+", "", "1 2", "0x10",
-    "9" * 5000, "-" + "1" * 4301,
+    "0", "7", " 7 ", "-3", "+12", "+0", "007", "0012", "-0", " 42\n", "\t+5 ",
+    "1_000", "١٢", "٣", "²", "12.", "1e3", "+-1", "--1", "+", "-", "", "1 2", "0x10",
+    "inf", "+inf", "9" * 5000, "-" + "1" * 4301,
 ]
 
 
 @pytest.mark.parametrize("text", WHOLE_LIKE)
 @pytest.mark.parametrize("scale", [1, 10, 1_000_000])
 def test_whole_number_shortcut_parses_like_fraction(text, scale):
-    assert _outcome(Energy.parse, text, scale) == _outcome(_parse_by_fraction, text, scale)
+    want = _outcome(_parse_by_fraction, text, scale)
+    assert _outcome(Energy.parse, text, scale) == want
+    # the units parse is the one the loader calls
+    assert _outcome(parse_units, text, scale) == getattr(want, "units", want)
+
+
+def test_units_parse_of_whole_numbers():
+    assert [parse_units(t, 10) for t in (" 7 ", "+0", "-0", "0012", "1_000", "٣")] == [
+        70, 0, 0, 120, 10_000, 30
+    ]
+    assert parse_units("inf", 10) == math.inf
+    with pytest.raises(MalformedInput, match="^energy of 'x' must be finite$"):
+        make_landscape({"x": " inf ", "y": 0}, [("x", "y")])
+    with pytest.raises(MalformedInput, match="not an exact number"):
+        parse_units("9" * 5000, 10)
 
 
 @given(
@@ -154,5 +168,6 @@ def test_whole_numbers_skip_fraction(monkeypatch):
 
     monkeypatch.setattr(energy, "parse_exact", refuse)
     assert Energy.parse(" -12 ", 1000).units == -12000
+    assert parse_units("+7", 1000) == 7000
     with pytest.raises(AssertionError):
         Energy.parse("1.5", 1000)

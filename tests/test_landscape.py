@@ -47,6 +47,7 @@ from conftest import (
     components,
     dense_kernel,
     draw_landscape,
+    grid_text,
     reference_jumps,
     reference_landscape,
 )
@@ -57,6 +58,11 @@ def test_fig1_loads(fig1):
     assert len(fig1.edge_pairs()) == 10
     assert str(fig1.energy("a")) == "2"
     assert str(fig1.energy("i")) == "0"
+    assert fig1.edge_count == 10
+    assert fig1.units("a") == 2 * fig1.scale == fig1.energy("a").units
+    for view in (fig1.units, fig1.energy, fig1.neighbors):
+        with pytest.raises(ForeignState):
+            view("zz")
 
 
 def test_fig1_default_rates(fig1):
@@ -312,7 +318,7 @@ def _parts(L):
     return SimpleNamespace(
         states=L.states,
         scale=L.scale,
-        units={s: L.energy(s).units for s in L.states},
+        units={s: L.units(s) for s in L.states},
         rates={frozenset(p): L.rate(*p) for p in L.edge_pairs()},
         adjacency={s: L.neighbors(s) for s in L.states},
         explicit=frozenset(frozenset(p) for p in L._explicit),
@@ -342,6 +348,29 @@ def test_row_of_an_explicit_and_default_rates_over_one():
     assert _outcome(reference_landscape, text) == (RowSumExceedsOne, message)
     with pytest.raises(RowSumExceedsOne, match=f"^{re.escape(message)}$"):
         load_landscape(text)
+
+
+def test_loading_a_grid_builds_no_energy_and_one_default_rate(monkeypatch):
+    """Energies load as int units, and every defaulted edge shares one rate."""
+    text = grid_text(12, 1000, 5)
+    made = {Energy: [], Fraction: []}
+    energy_init, fraction_new = Energy.__init__, Fraction.__new__
+
+    def counting_init(self, *args, **kwargs):
+        made[Energy].append(args)
+        energy_init(self, *args, **kwargs)
+
+    def counting_new(cls, *args, **kwargs):
+        made[Fraction].append(args)
+        return fraction_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Energy, "__init__", counting_init)
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    L = load_landscape(text)
+    assert L.n == 144 and L.edge_count == 264
+    assert made == {Energy: [], Fraction: [(1, 4)]}
+    L.energy("r0c0")
+    assert len(made[Energy]) == 1
 
 
 def test_round_trip_bit_exact(fig1):

@@ -17,6 +17,7 @@ from basincycles import (
     simulate_hitting_time,
 )
 from basincycles import simulate
+from basincycles.cli import main
 from basincycles.errors import (
     InvalidSpec,
     NonpositiveBeta,
@@ -32,7 +33,7 @@ from basincycles.simulate import (
     default_exit_steps,
 )
 
-from conftest import dense_kernel, ks_two_sample
+from conftest import FIG1_PATH, dense_kernel, ks_two_sample
 
 
 def test_beta_zero_geometric_diagnostic(two_state):
@@ -321,6 +322,24 @@ def test_exit_window_builds_one_kernel_per_beta(fig1, monkeypatch):
     rows = check_exit_window(fig1, {"i", "j"}, [2.0, 3.0], 1.0, 20, 7)
     assert len(rows) == 4
     assert built == [2.0, 3.0]
+
+
+def test_simulate_command_builds_one_kernel_per_beta(monkeypatch, capsys):
+    # the exit window and the visit check, for every start, share the kernels
+    built = []
+
+    def counting(landscape, beta):
+        built.append(beta)
+        return transition_matrix(landscape, beta)
+
+    monkeypatch.setattr(simulate, "transition_matrix", counting)
+    for start in (["--start", "i"], []):
+        built.clear()
+        argv = ["simulate", str(FIG1_PATH), "--cycle", "i,j", "--betas", "2,3",
+                "--replicas", "20", "--seed", "7", "--visit", "j", *start]
+        assert main(argv) == 0
+        assert built == [2.0, 3.0]
+    capsys.readouterr()
 
 
 def test_degenerate_window_reduces_to_upper_bound(fig1):
