@@ -440,9 +440,12 @@ def _kernel(landscape: Landscape, beta: float):
     shared = _SHARED_KERNELS.get()
     if shared is None:
         return transition_matrix(landscape, beta)
-    if (landscape, beta) not in shared:
-        shared[landscape, beta] = transition_matrix(landscape, beta)
-    return shared[landscape, beta]
+    # keyed by identity: equal landscapes may order their states, and so
+    # their kernels, differently; each entry keeps its landscape and its id
+    key = (id(landscape), beta)
+    if key not in shared:
+        shared[key] = (landscape, transition_matrix(landscape, beta))
+    return shared[key][1]
 
 
 def _check_arguments(

@@ -1,6 +1,7 @@
 """Monte Carlo sampler: stream contract, diagnostics, law checks."""
 
 import math
+import random
 import time
 import tracemalloc
 
@@ -33,7 +34,7 @@ from basincycles.simulate import (
     default_exit_steps,
 )
 
-from conftest import FIG1_PATH, dense_kernel, ks_two_sample
+from conftest import FIG1_PATH, dense_kernel, ks_two_sample, make_fig1_shuffled
 
 
 def test_beta_zero_geometric_diagnostic(two_state):
@@ -340,6 +341,18 @@ def test_simulate_command_builds_one_kernel_per_beta(monkeypatch, capsys):
         assert main(argv) == 0
         assert built == [2.0, 3.0]
     capsys.readouterr()
+
+
+def test_shared_kernels_are_keyed_by_landscape_identity(fig1):
+    # an equal landscape in another state order has another kernel
+    shuffled = make_fig1_shuffled(random.Random(3))
+    assert shuffled == fig1 and shuffled.states != fig1.states
+    with simulate.sharing_kernels():
+        kernel = simulate._kernel(fig1, 2.0)
+        assert simulate._kernel(fig1, 2.0) is kernel
+        assert simulate._kernel(shuffled, 2.0).states == shuffled.states
+        assert simulate._kernel(fig1, 3.0) is not kernel
+    assert simulate._kernel(fig1, 2.0) is not kernel
 
 
 def test_degenerate_window_reduces_to_upper_bound(fig1):
