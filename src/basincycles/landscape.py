@@ -4,9 +4,9 @@ A landscape is a finite state set with an exact energy per state and a
 symmetric connectivity rate ``q`` on unordered pairs.  It stores each energy
 as its int count of ``1/scale`` units, the package's one energy arithmetic,
 and each positive rate as a ``Fraction`` keyed by the sorted ``(x, y)``
-pair, every defaulted edge sharing one.  ``Energy`` is a view, built only
-by the public ``energy``, ``min_energy`` and ``max_energy``.  Validation
-enforces:
+pair, every defaulted edge sharing one.  An energy's ``Energy`` is a view
+of its units, built on each call of ``energy``, ``min_energy`` or
+``max_energy``.  Validation enforces:
 
 * symmetry of ``q`` (conflicting directional rates are rejected),
 * sub-stochastic rows: for every ``x``, ``sum_y q(x, y) <= 1``,
