@@ -44,9 +44,12 @@ CASES = [
 # (input, argv, golden) on the grids
 GRID_CASES = [
     ("grid8-e2.json", ("validate",), "grid8-e2-validate.json"),
+    ("grid8-e2.json", ("path-cycles",), "grid8-e2-path-cycles.json"),
     ("grid8-e2.json", ("graph-cycles", "--iterations"), "grid8-e2-graph-cycles-iterations.json"),
     ("grid8-e2.json", ("verify",), "grid8-e2-verify.json"),
     ("grid8-e1000.json", ("validate",), "grid8-e1000-validate.json"),
+    ("grid8-e1000.json", ("path-cycles",), "grid8-e1000-path-cycles.json"),
+    ("grid8-e1000.json", ("path-cycles", "--dot"), "grid8-e1000-path-cycles.dot"),
     ("grid8-e1000.json", ("graph-cycles", "--iterations"), "grid8-e1000-graph-cycles-iterations.json"),
     ("grid8-e1000.json", ("verify",), "grid8-e1000-verify.json"),
 ]
