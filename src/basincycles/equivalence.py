@@ -6,7 +6,9 @@ equal its boundary depth clamped at zero, and the merge height of every
 non-singleton must equal its internal height.  ``verify_equivalence`` checks
 that, and each round's structural conditions in the int units the round
 stores, against the sweep's cycle tree: a set is a path cycle exactly when
-it is a node, and the node holds its depth, internal height and ground.
+it is a node, and the node holds its internal minimum, internal maximum and
+boundary floor as int units, and its ground.  ``Energy`` is built only for
+a violation's report entry.
 
 The tests keep the check independent: they hold the tree to the definitions
 and to ``brute_force_path_cycles``, an exhaustive bitmask scan over
@@ -178,7 +180,6 @@ def _check_conditions(
                 continue
             if cls not in boundaries:
                 boundaries[cls] = exterior_boundary(landscape, cls)
-            floor = landscape.units(next(iter(node.ground)))
             row, lift = rows.get(big, {}), lifts.get(big, 0)
             # the boundary holds exactly the states with a positive-rate edge
             # in; a singleton's slot is lifted by nothing
@@ -186,15 +187,15 @@ def _check_conditions(
                 single = single_slot[a]
                 if len(members.get(single, ())) != 1:
                     continue  # a has merged
-                if row.get(single, math.inf) + lift != landscape.units(a) - floor:
+                if row.get(single, math.inf) + lift != landscape.units(a) - node.low:
                     costs_ok = False
                 if rows.get(single, {}).get(big, math.inf) != 0:
                     costs_ok = False
 
-        heights_ok = all(exits[slot] == max(n.depth.units, 0) for slot, n in nodes.items())
+        heights_ok = all(exits[slot] == max(n.floor - n.low, 0) for slot, n in nodes.items())
 
         merge_ok = all(
-            height == nodes[slot].resistance.units
+            height == nodes[slot].high - nodes[slot].low
             for slot, height in level.formed.items()
             if slot in nodes
         )
@@ -230,15 +231,15 @@ def verify_equivalence(landscape: Landscape) -> EquivalenceReport:
         if cyc not in path_sets:
             continue  # listed in graph_only
         node = tree.node(cyc)
-        expected = from_units(max(node.depth.units, 0), landscape.scale)
+        expected = max(node.floor - node.low, 0)
         got = trace.exit_heights[cyc]
-        if got != expected:
-            he_violations.append((cyc, got, expected))
+        if got.units != expected:
+            he_violations.append((cyc, got, from_units(expected, landscape.scale)))
         # a singleton merges at its exit height
-        expected_m = node.resistance if len(cyc) > 1 else expected
+        expected_m = node.high - node.low if len(cyc) > 1 else expected
         got_m = trace.merge_heights[cyc]
-        if got_m != expected_m:
-            hm_violations.append((cyc, got_m, expected_m))
+        if got_m.units != expected_m:
+            hm_violations.append((cyc, got_m, from_units(expected_m, landscape.scale)))
 
     return EquivalenceReport(
         set_equal=not graph_only and not path_only,
@@ -255,19 +256,16 @@ def report_to_dict(report: EquivalenceReport) -> dict:
     def sets(items):
         return [list(set_key(s)) for s in items]
 
+    def violations(items):
+        return [{"cycle": list(set_key(c)), "got": str(g), "expected": str(e)} for c, g, e in items]
+
     return {
         "cycles": report.cycle_count,
         "set_equal": report.set_equal,
         "graph_only": sets(report.graph_only),
         "path_only": sets(report.path_only),
-        "he_violations": [
-            {"cycle": list(set_key(c)), "got": str(g), "expected": str(e)}
-            for c, g, e in report.he_violations
-        ],
-        "hm_violations": [
-            {"cycle": list(set_key(c)), "got": str(g), "expected": str(e)}
-            for c, g, e in report.hm_violations
-        ],
+        "he_violations": violations(report.he_violations),
+        "hm_violations": violations(report.hm_violations),
         "conditions": [
             {
                 "iteration": r.iteration,

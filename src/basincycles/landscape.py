@@ -4,9 +4,8 @@ A landscape is a finite state set with an exact energy per state and a
 symmetric connectivity rate ``q`` on unordered pairs.  It stores each energy
 as its int count of ``1/scale`` units, the package's one energy arithmetic,
 and each positive rate as a ``Fraction`` keyed by the sorted ``(x, y)``
-pair, every defaulted edge sharing one.  An energy's ``Energy`` is a view
-of its units, built on each call of ``energy``, ``min_energy`` or
-``max_energy``.  Validation enforces:
+pair, every defaulted edge sharing one.  A state's ``Energy`` is a view of
+its units, built on each call of ``energy``.  Validation enforces:
 
 * symmetry of ``q`` (conflicting directional rates are rejected),
 * sub-stochastic rows: for every ``x``, ``sum_y q(x, y) <= 1``,
@@ -97,8 +96,8 @@ class Landscape:
 
     Each state's energy is stored as int units, read by :meth:`units`; each
     positive rate as a ``Fraction`` keyed by the sorted state pair; each
-    state's neighbours as a sorted tuple.  :meth:`energy`,
-    :meth:`min_energy` and :meth:`max_energy` build ``Energy`` views."""
+    state's neighbours as a sorted tuple.  :meth:`energy` builds an
+    ``Energy`` view."""
 
     __slots__ = ("states", "scale", "_units", "_rates", "_adjacency", "_explicit")
 
@@ -159,17 +158,6 @@ class Landscape:
             if state not in self._units:
                 raise ForeignState(f"unknown state {state!r}")
         return got
-
-    def min_energy(self, members: Iterable[str]) -> Energy:
-        """The lowest energy of the members; ``INFINITY`` for none."""
-        low = min(map(self._units.__getitem__, members), default=math.inf)
-        return from_units(low, self.scale)
-
-    def max_energy(self, members: Iterable[str]) -> Energy:
-        high = max(map(self._units.__getitem__, members), default=None)
-        if high is None:
-            raise EmptySet("state set must be nonempty")
-        return Energy(high, self.scale)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Landscape):

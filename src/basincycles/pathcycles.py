@@ -14,16 +14,17 @@ keeps flat plateaus from emitting spurious sub-plateau sets.  Each state
 enters as a leaf; each component that grows at a level becomes a node whose
 children are the top cycles it joined, and that level is the boundary floor
 of every non-singleton child.  Containment and heights are thus recorded as
-the tree forms, never rediscovered from sets; the nodes hold them as
-``Energy`` views.
+the tree forms, never rediscovered from sets; the nodes hold them as int
+units and build ``Energy`` views only when read.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .energy import INFINITY, Energy, from_units
+from .energy import Energy, from_units
 from .errors import LevelBelowStart, NotACycle
 from .landscape import Landscape, StateSet, exterior_boundary, is_connected_subset, reach
 
@@ -33,9 +34,14 @@ def set_key(members: Iterable[str]) -> tuple[str, ...]:
     return tuple(sorted(members))
 
 
+def _floor_units(landscape: Landscape, members: Iterable[str]):
+    """Minimal units on the exterior boundary; ``math.inf`` for the whole space."""
+    return min(map(landscape.units, exterior_boundary(landscape, members)), default=math.inf)
+
+
 def boundary_floor(landscape: Landscape, members: StateSet) -> Energy:
     """Minimal energy on the exterior boundary; INFINITY for the whole space."""
-    return landscape.min_energy(exterior_boundary(landscape, members))
+    return from_units(_floor_units(landscape, members), landscape.scale)
 
 
 def is_path_cycle(landscape: Landscape, members: Iterable[str]) -> bool:
@@ -45,7 +51,7 @@ def is_path_cycle(landscape: Landscape, members: Iterable[str]) -> bool:
         return True
     if not is_connected_subset(landscape, inside):
         return False
-    return landscape.max_energy(inside).units < boundary_floor(landscape, inside).units
+    return max(map(landscape.units, inside)) < _floor_units(landscape, inside)
 
 
 def sublevel_component(landscape: Landscape, start: str, cutoff) -> StateSet:
@@ -68,22 +74,34 @@ def sublevel_component(landscape: Landscape, start: str, cutoff) -> StateSet:
 
 @dataclass(eq=False)
 class CycleNode:
-    """One cycle of the tree with its derived quantities.
-
-    ``depth`` is the boundary floor minus the internal minimum (the barrier
-    seen on exit; INFINITY for the root, and possibly <= 0 for a singleton
-    that is not a local minimum).  ``resistance`` is the internal maximum
-    minus the internal minimum.
+    """One cycle of the tree with its heights in int units of ``1/scale``:
+    the internal minimum ``low`` and maximum ``high``, and the boundary
+    ``floor`` (``math.inf`` for the root).  ``depth``, ``floor - low``, is
+    the barrier seen on exit (INFINITY for the root, and possibly <= 0 for a
+    singleton that is not a local minimum); ``resistance`` is ``high - low``.
+    The cycle is ``nontrivial`` when ``high < floor``.
     """
 
     members: StateSet
-    depth: Energy
-    resistance: Energy
+    low: int
+    high: int
+    floor: int | float
+    scale: int
     ground: StateSet
-    boundary_floor: Energy
-    nontrivial: bool
     parent: Optional["CycleNode"] = None
     children: list["CycleNode"] = field(default_factory=list)
+
+    @property
+    def depth(self) -> Energy:
+        return from_units(self.floor - self.low, self.scale)
+
+    @property
+    def resistance(self) -> Energy:
+        return Energy(self.high - self.low, self.scale)
+
+    @property
+    def nontrivial(self) -> bool:
+        return self.high < self.floor
 
     def __repr__(self) -> str:
         return f"CycleNode({{{','.join(sorted(self.members))}}})"
@@ -136,21 +154,17 @@ class _UnionFind:
         self.size[ra] += self.size[rb]
 
 
-def _merge(landscape: Landscape, level: int, children: list[CycleNode]) -> CycleNode:
+def _merge(level: int, children: list[CycleNode], scale: int) -> CycleNode:
     """The component formed at ``level`` (int units) from the top cycles it
     joins; the level is the boundary floor of every non-singleton child."""
-    scale = landscape.scale
-    lows = [landscape.units(next(iter(c.ground))) for c in children]
-    low = min(lows)
+    low = min(c.low for c in children)
     members = frozenset().union(*(c.members for c in children))
-    ground = frozenset().union(*(c.ground for c, h in zip(children, lows) if h == low))
-    resistance = Energy(level - low, scale)
-    node = CycleNode(members, INFINITY, resistance, ground, INFINITY, True, children=children)
-    floor = Energy(level, scale)
-    for child, h in zip(children, lows):
+    ground = frozenset().union(*(c.ground for c in children if c.low == low))
+    node = CycleNode(members, low, level, math.inf, scale, ground, children=children)
+    for child in children:
         child.parent = node
         if len(child.members) > 1:
-            child.boundary_floor, child.depth = floor, Energy(level - h, scale)
+            child.floor = level
     return node
 
 
@@ -167,7 +181,6 @@ def enumerate_path_cycles(landscape: Landscape) -> CycleTree:
     by_level: dict[int, list[str]] = {}
     for s in landscape.states:
         by_level.setdefault(landscape.units(s), []).append(s)
-    zero = Energy(0, scale)
     uf = _UnionFind(landscape.states)
     active: set[str] = set()
     top: dict[str, CycleNode] = {}  # union-find root -> largest cycle of its component
@@ -180,10 +193,9 @@ def enumerate_path_cycles(landscape: Landscape) -> CycleTree:
         joined.update(fresh)
         active.update(fresh)
         for s in fresh:
-            floor = landscape.min_energy(landscape.neighbors(s))
+            floor = min(map(landscape.units, landscape.neighbors(s)), default=math.inf)
             leaf = frozenset((s,))
-            rise = floor.units - level
-            top[s] = CycleNode(leaf, from_units(rise, scale), zero, leaf, floor, rise > 0)
+            top[s] = CycleNode(leaf, level, level, floor, scale, leaf)
             nodes.append(top[s])
             # all states of this energy join before any component is judged
             for nbr in landscape.neighbors(s):
@@ -195,7 +207,7 @@ def enumerate_path_cycles(landscape: Landscape) -> CycleTree:
         for root, children in groups.items():
             top[root] = children[0]
             if len(children) > 1:
-                top[root] = _merge(landscape, level, children)
+                top[root] = _merge(level, children, scale)
                 nodes.append(top[root])
 
     (root,) = top.values()
@@ -211,8 +223,8 @@ def depth(landscape: Landscape, members: Iterable[str]) -> Energy:
     inside = landscape.subset(members)
     if not is_path_cycle(landscape, inside):
         raise NotACycle(f"{sorted(inside)} is not a path cycle")
-    low = landscape.min_energy(inside).units
-    return from_units(boundary_floor(landscape, inside).units - low, landscape.scale)
+    low = min(map(landscape.units, inside))
+    return from_units(_floor_units(landscape, inside) - low, landscape.scale)
 
 
 def resistance_height(landscape: Landscape, members: Iterable[str]) -> Energy:
@@ -220,8 +232,8 @@ def resistance_height(landscape: Landscape, members: Iterable[str]) -> Energy:
     inside = landscape.subset(members)
     if not is_path_cycle(landscape, inside):
         raise NotACycle(f"{sorted(inside)} is not a path cycle")
-    low = landscape.min_energy(inside).units
-    return Energy(landscape.max_energy(inside).units - low, landscape.scale)
+    heights = list(map(landscape.units, inside))
+    return Energy(max(heights) - min(heights), landscape.scale)
 
 
 # -- export --------------------------------------------------------------------

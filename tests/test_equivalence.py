@@ -44,7 +44,28 @@ def test_fig1_exit_height_is_boundary_depth(fig1):
     big = frozenset("cdefghij")
     # boundary of the big cycle is {b, k}; its floor sits 5 above the ground
     assert trace.exit_heights[big] == E(5)
-    assert min(fig1.energy("b").units, fig1.energy("k").units) - fig1.min_energy(big).units == E(5).units
+    assert min(fig1.energy("b").units, fig1.energy("k").units) - min(map(fig1.units, big)) == E(5).units
+
+
+def test_sweep_and_verifier_build_no_energy(monkeypatch):
+    """Heights stay int units: the sweep builds no ``Energy``, and ``verify``
+    builds none beyond the decomposition's own height views."""
+    L = load_landscape((DATA / "grid8-e1000.json").read_text(encoding="utf-8"))
+    made = []
+    original = Energy.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Energy, "__init__", counting)
+    enumerate_path_cycles(L)
+    assert made == []
+    run_decomposition(L)
+    decomposition = len(made)
+    made.clear()
+    assert verify_equivalence(L).ok
+    assert len(made) <= decomposition
 
 
 def test_single_state_trivially_equal():
@@ -129,7 +150,7 @@ def test_structured_family(family):
     for node in tree.nodes:
         assert is_path_cycle(L, node.members)
         floor = boundary_floor(L, node.members)
-        assert max(node.depth.units, 0) == max(floor.units - L.min_energy(node.members).units, 0)
+        assert max(node.depth.units, 0) == max(floor.units - min(map(L.units, node.members)), 0)
 
 
 @pytest.mark.parametrize("side", [30, 100])

@@ -61,9 +61,9 @@ def test_sweep_tree_matches_definitions(data):
         keys = [set_key(child.members) for child in node.children]
         assert keys == sorted(keys)
         floor = boundary_floor(L, node.members)
-        low = L.min_energy(node.members)
-        high = L.max_energy(node.members)
-        assert node.boundary_floor == floor
+        low = L.energy(min(node.members, key=L.units))
+        high = L.energy(max(node.members, key=L.units))
+        assert (node.low, node.high, node.floor) == (low.units, high.units, floor.units)
         assert node.depth == from_units(floor.units - low.units, L.scale)
         assert node.resistance == Energy(high.units - low.units, L.scale)
         assert node.ground == ground(L, node.members)
@@ -211,7 +211,7 @@ def test_level_set_characterization(fig1):
     for node in tree.nodes:
         if len(node.members) == 1:
             continue
-        top = fig1.max_energy(node.members)
+        top = fig1.energy(max(node.members, key=fig1.units))
         for x in node.members:
             if fig1.energy(x) == top:
                 assert sublevel_component(fig1, x, top) == node.members
