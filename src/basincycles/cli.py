@@ -44,10 +44,17 @@ def _read_landscape(path: str) -> Landscape:
         raise ValidationError(f"cannot read {path!r}: {exc}") from exc
 
 
+def _write_file(path, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {str(path)!r}: {exc}") from exc
+
+
 def _emit(text: str, out_path):
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        _write_file(out_path, text)
     else:
         sys.stdout.write(text)
 
@@ -138,7 +145,7 @@ def _cmd_fuzz(args) -> int:
             failures.append({"index": i, "report": report_to_dict(report), "landscape": doc})
             if args.failure_dir:
                 path = Path(args.failure_dir) / f"fuzz-failure-{args.seed}-{i}.json"
-                path.write_text(dumps_json(doc) + "\n", encoding="utf-8")
+                _write_file(path, dumps_json(doc) + "\n")
     _emit_doc(
         {
             "kind": "fuzz-report",

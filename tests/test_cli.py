@@ -372,6 +372,37 @@ def test_violations_exit_3(capsys, tmp_path, monkeypatch):
     assert reloaded.n >= 2
 
 
+def test_unwritable_out_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(capsys, "validate", FIG1, "--out", str(target))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"usage error: cannot write {str(target)!r}: ")
+    assert err.count("\n") == 1
+    assert not target.parent.exists()
+
+
+def test_unwritable_failure_dir_is_usage_error(capsys, tmp_path, monkeypatch):
+    import basincycles.cli as cli_mod
+    from basincycles.equivalence import EquivalenceReport
+
+    def fake_verify(landscape):
+        return EquivalenceReport(
+            set_equal=False, graph_only=[], path_only=[], he_violations=[], hm_violations=[]
+        )
+
+    monkeypatch.setattr(cli_mod, "verify_equivalence", fake_verify)
+    missing = tmp_path / "missing"
+    code, out, err = run_cli(
+        capsys, "fuzz", "--count", "2", "--seed", "9", "--failure-dir", str(missing)
+    )
+    assert code == 1
+    assert out == ""
+    first = missing / "fuzz-failure-9-0.json"
+    assert err.startswith(f"usage error: cannot write {str(first)!r}: ")
+    assert err.count("\n") == 1
+
+
 def test_byte_determinism(capsys):
     argv = [
         "simulate",
