@@ -452,10 +452,12 @@ def _check_arguments(
     landscape: Landscape, members: Iterable[str], beta_list: Sequence[float], epsilon: float
 ) -> tuple[StateSet, list[float], Energy, Energy]:
     """The arguments both law checks share, in this order: a nontrivial path
-    cycle, a finite ``epsilon > 0`` and finite betas > 0.  Returns the cycle,
+    cycle with an exit, a finite ``epsilon > 0`` and finite betas > 0.  Returns the cycle,
     the distinct betas in ascending order, and the cycle's depth and resistance."""
     cycle = landscape.subset(members)
     gamma, gamma_tilde = depth(landscape, cycle), resistance_height(landscape, cycle)
+    if gamma.is_infinite:
+        raise InvalidSpec("the cycle is the whole state space and has no exit")
     # nontrivial: the internal maximum lies below the boundary floor
     if gamma.units <= gamma_tilde.units:
         raise NotACycle(f"{sorted(cycle)} is a trivial cycle (no exit barrier)")

@@ -325,6 +325,31 @@ def test_exit_window_builds_one_kernel_per_beta(fig1, monkeypatch):
     assert built == [2.0, 3.0]
 
 
+def test_whole_space_cycle_is_rejected_before_any_kernel(fig1, monkeypatch, capsys):
+    # the whole space has infinite depth, so it passes as nontrivial; it has
+    # no exterior boundary to exit into
+    built = []
+
+    def counting(landscape, beta):
+        built.append(beta)
+        return transition_matrix(landscape, beta)
+
+    monkeypatch.setattr(simulate, "transition_matrix", counting)
+    with pytest.raises(InvalidSpec, match="whole state space and has no exit"):
+        check_exit_window(fig1, fig1.states, [2.0], 1.0, 20, 7)
+    with pytest.raises(InvalidSpec, match="whole state space and has no exit"):
+        check_visit_before_exit(fig1, fig1.states, "i", "j", [2.0], 1.0, 20, 7)
+    argv = ["simulate", str(FIG1_PATH), "--cycle", ",".join(fig1.states), "--betas", "2",
+            "--seed", "7"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "usage error: InvalidSpec: the cycle is the whole state space and has no exit\n"
+    )
+    assert built == []
+
+
 def test_simulate_command_builds_one_kernel_per_beta(monkeypatch, capsys):
     # the exit window and the visit check, for every start, share the kernels
     built = []
