@@ -198,7 +198,7 @@ def _first_hit(kernel, transient, origin, absorb, u_time, u_land, budget):
     ``t + 1``, or -1 for a censored row.
     """
     leave, nbr, _ = kernel.jumps()
-    states = kernel.states
+    off = kernel._off  # (row, column) index pairs -> the positive entries
     pos = {x: a for a, x in enumerate(transient)}
     exits = sorted({y for x in transient for y in nbr[x].tolist() if absorb[y]})
     col = {y: b for b, y in enumerate(exits)}
@@ -208,7 +208,7 @@ def _first_hit(kernel, transient, origin, absorb, u_time, u_land, budget):
         a = pos[x]
         Q[a, a] = 1.0 - leave[x]
         for y in set(nbr[x].tolist()) - {x}:
-            p = kernel.prob(states[x], states[y])
+            p = off[x, y]
             if absorb[y]:
                 R[a, col[y]] = p
             else:
@@ -400,7 +400,7 @@ def simulate_hitting_time(
 def _sample(spec: SimulationSpec, kernel, window) -> HittingTimeStats:
     """``simulate_hitting_time`` for a validated ``spec`` on its ``kernel``;
     ``check_exit_window`` builds one kernel per beta for all its starts."""
-    index = {s: i for i, s in enumerate(kernel.states)}
+    index = kernel._index
     target_mask = np.zeros(len(kernel.states), dtype=bool)
     for s in spec.target:
         target_mask[index[s]] = True
