@@ -14,8 +14,8 @@ keeps flat plateaus from emitting spurious sub-plateau sets.  Each state
 enters as a leaf; each component that grows at a level becomes a node whose
 children are the top cycles it joined, and that level is the boundary floor
 of every non-singleton child.  Containment and heights are thus recorded as
-the tree forms, never rediscovered from sets; the nodes hold them as int
-units and build ``Energy`` views only when read.
+the tree forms, never rediscovered from sets; each node holds ``low``,
+``high`` and ``floor`` as int units and builds ``Energy`` only when read.
 """
 
 from __future__ import annotations
