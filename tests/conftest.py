@@ -270,6 +270,93 @@ def reference_landscape(text):
     )
 
 
+def reference_tree(landscape):
+    """The path-cycle sweep as it was before it recorded int ids: a
+    ``frozenset`` of state names and a sorted name tuple per node, built by a
+    string-keyed union-find over the distinct energies.  Returns the nodes in
+    tree order (size, then sorted members), each a namespace with
+    ``members``, ``ground``, ``low``, ``high``, ``floor``, ``nontrivial``,
+    ``parent`` (an index into the list, None for the root) and ``children``
+    (indices, in the tree's child order)."""
+    parent = {x: x for x in landscape.states}
+    size = dict.fromkeys(parent, 1)
+
+    def find(x):
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            if size[ra] < size[rb]:
+                ra, rb = rb, ra
+            parent[rb] = ra
+            size[ra] += size[rb]
+
+    def node(members, low, high, floor, ground, children=()):
+        return SimpleNamespace(
+            members=members, low=low, high=high, floor=floor, ground=ground,
+            up=None, kids=list(children),
+        )
+
+    by_level = {}
+    for s in landscape.states:
+        by_level.setdefault(landscape.units(s), []).append(s)
+    active = set()
+    top = {}
+    nodes = []
+    for level in sorted(by_level):
+        fresh = by_level[level]
+        joined = {find(n) for s in fresh for n in landscape.neighbors(s) if n in active}
+        joined.update(fresh)
+        active.update(fresh)
+        for s in fresh:
+            floor = min(map(landscape.units, landscape.neighbors(s)), default=math.inf)
+            leaf = frozenset((s,))
+            top[s] = node(leaf, level, level, floor, leaf)
+            nodes.append(top[s])
+            for nbr in landscape.neighbors(s):
+                if nbr in active:
+                    union(s, nbr)
+        groups = {}
+        for old in joined:
+            groups.setdefault(find(old), []).append(top.pop(old))
+        for root, children in groups.items():
+            top[root] = children[0]
+            if len(children) > 1:
+                low = min(c.low for c in children)
+                members = frozenset().union(*(c.members for c in children))
+                ground = frozenset().union(*(c.ground for c in children if c.low == low))
+                merged = node(members, low, level, math.inf, ground, children)
+                for child in children:
+                    child.up = merged
+                    if len(child.members) > 1:
+                        child.floor = level
+                top[root] = merged
+                nodes.append(merged)
+
+    keys = {id(n): tuple(sorted(n.members)) for n in nodes}
+    nodes.sort(key=lambda n: (len(n.members), keys[id(n)]))
+    index = {id(n): i for i, n in enumerate(nodes)}
+    return [
+        SimpleNamespace(
+            members=n.members,
+            ground=n.ground,
+            low=n.low,
+            high=n.high,
+            floor=n.floor,
+            nontrivial=n.high < n.floor,
+            parent=None if n.up is None else index[id(n.up)],
+            children=[index[id(c)] for c in sorted(n.kids, key=lambda c: keys[id(c)])],
+        )
+        for n in nodes
+    ]
+
+
 def dense_kernel(kern):
     """The kernel as an n x n matrix, read entry by entry from ``kern.prob``."""
     return np.array([[kern.prob(x, y) for y in kern.states] for x in kern.states])

@@ -13,6 +13,7 @@ from basincycles import (
     enumerate_path_cycles,
     ground,
     is_path_cycle,
+    load_landscape,
     make_landscape,
     resistance_height,
     sublevel_component,
@@ -21,7 +22,15 @@ from basincycles.energy import from_units
 from basincycles.errors import LevelBelowStart, NotACycle
 from basincycles.pathcycles import boundary_floor, set_key, tree_to_dict, tree_to_dot
 
-from conftest import components, draw_landscape, make_fig1_shuffled
+from conftest import (
+    DATA,
+    FIG1_PATH,
+    components,
+    draw_landscape,
+    grid_text,
+    make_fig1_shuffled,
+    reference_tree,
+)
 
 FIG1_CYCLES = (
     [frozenset(s) for s in "abcdefghijk"]
@@ -68,6 +77,40 @@ def test_sweep_tree_matches_definitions(data):
         assert node.resistance == Energy(high.units - low.units, L.scale)
         assert node.ground == ground(L, node.members)
         assert node.nontrivial == (len(node.members) > 1 or high.units < floor.units)
+
+
+def _assert_matches_reference_tree(L):
+    tree = enumerate_path_cycles(L)
+    expected = reference_tree(L)
+    assert len(tree.nodes) == len(expected)
+    index = {node: i for i, node in enumerate(tree.nodes)}
+    for node, ref in zip(tree.nodes, expected):
+        assert node.members == ref.members
+        assert node.ground == ref.ground
+        assert (node.low, node.high, node.floor) == (ref.low, ref.high, ref.floor)
+        assert node.nontrivial == ref.nontrivial
+        assert (None if node.parent is None else index[node.parent]) == ref.parent
+        assert [index[child] for child in node.children] == ref.children
+    assert index[tree.root] == len(expected) - 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_sweep_matches_the_reference_tree(data):
+    _assert_matches_reference_tree(draw_landscape(data))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param(lambda: FIG1_PATH.read_text(encoding="utf-8"), id="fig1"),
+        pytest.param(lambda: (DATA / "grid8-e2.json").read_text(encoding="utf-8"), id="grid8-e2"),
+        pytest.param(lambda: (DATA / "grid8-e1000.json").read_text(encoding="utf-8"), id="grid8-e1000"),
+        *(pytest.param(lambda s=s: grid_text(12, 2, s), id=f"grid12-e2-s{s}") for s in (1, 2, 3)),
+    ],
+)
+def test_fixed_inputs_match_the_reference_tree(text):
+    _assert_matches_reference_tree(load_landscape(text()))
 
 
 def test_is_path_cycle(fig1):
