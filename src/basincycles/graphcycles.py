@@ -209,18 +209,19 @@ class MergeStep:
 
 def initial_level(landscape: Landscape, seed_costs=None) -> PartitionLevel:
     """The singleton partition with its seed cost matrix.  Slot ``i`` holds
-    the ``i``-th state in sorted order."""
-    if seed_costs is None:
-        pair_costs = _climb_units(landscape)
-    else:
-        pair_costs = _validate_seed(landscape, seed_costs)
-    states = sorted(landscape.states)
-    slot = {s: i for i, s in enumerate(states)}
-    members = {i: frozenset((s,)) for i, s in enumerate(states)}
+    state ``i`` of ``landscape.numbering()``, the ``i``-th in sorted order,
+    whose int units and adjacency give the Metropolis climbs."""
+    names, slot, height, adjacency = landscape.numbering()
     rows: SlotRows = {}
-    for (x, y), units in pair_costs.items():
-        rows.setdefault(slot[x], {})[slot[y]] = units
-    keys = {members[i]: (s,) for i, s in enumerate(states)}
+    if seed_costs is None:
+        for i, nbrs in enumerate(adjacency):
+            if nbrs:
+                rows[i] = {j: max(0, height[j] - height[i]) for j in nbrs}
+    else:
+        for (x, y), units in _validate_seed(landscape, seed_costs).items():
+            rows.setdefault(slot[x], {})[slot[y]] = units
+    members = {i: frozenset((s,)) for i, s in enumerate(names)}
+    keys = {members[i]: (s,) for i, s in enumerate(names)}
     exits = {i: min(rows[i].values()) if i in rows else math.inf for i in members}
     return PartitionLevel(0, members, rows, {}, exits, {}, landscape.scale, keys)
 

@@ -45,6 +45,7 @@ from .errors import (
     RowSumExceedsOne,
     ScaleOverflow,
     UnknownStateInEdge,
+    ValidationError,
 )
 
 StateSet = frozenset
@@ -97,9 +98,10 @@ class Landscape:
     Each state's energy is stored as int units, read by :meth:`units`; each
     positive rate as a ``Fraction`` keyed by the sorted state pair; each
     state's neighbours as a sorted tuple.  :meth:`energy` builds an
-    ``Energy`` view."""
+    ``Energy`` view.  :meth:`numbering` is the package's one state numbering,
+    which the path-cycle sweep and the rounds' ``initial_level`` share."""
 
-    __slots__ = ("states", "scale", "_units", "_rates", "_adjacency", "_explicit")
+    __slots__ = ("states", "scale", "_units", "_rates", "_adjacency", "_explicit", "_numbering")
 
     def __init__(self, states, scale, units, rates, adjacency, explicit):
         self.states: tuple[str, ...] = states
@@ -108,6 +110,16 @@ class Landscape:
         self._rates: dict[tuple[str, str], Fraction] = rates
         self._adjacency: dict[str, tuple[str, ...]] = adjacency
         self._explicit: frozenset[tuple[str, str]] = explicit
+        self._numbering = None
+
+    def numbering(self) -> tuple:
+        """``(names, index, units, adjacency)``, built once; an id is a name's rank."""
+        if self._numbering is None:
+            names = tuple(sorted(self.states))
+            index = {s: i for i, s in enumerate(names)}
+            adjacency = [tuple(map(index.__getitem__, self._adjacency[s])) for s in names]
+            self._numbering = names, index, list(map(self._units.__getitem__, names)), adjacency
+        return self._numbering
 
     @property
     def n(self) -> int:
@@ -184,53 +196,63 @@ def make_landscape(energies, edges, scale: int = DEFAULT_SCALE) -> Landscape:
     ``(x, y)`` or ``(x, y, rate)`` where rate is an exact string, int, or
     Fraction.  Edges without a rate get the uniform default ``1/max_degree``.
     """
-    if isinstance(energies, Mapping):
-        items = list(energies.items())
-    else:
-        items = [(str(x), v) for x, v in energies]
-    edge_specs = []
-    for edge in edges:
-        if len(edge) == 2:
-            x, y = edge
-            edge_specs.append((str(x), str(y), None))
-        else:
-            x, y, q = edge
-            edge_specs.append((str(x), str(y), _exact_rate(q)))
-    return _build(items, edge_specs, scale)
+    items = energies.items() if isinstance(energies, Mapping) else ((str(x), v) for x, v in energies)
+    return _build(items, map(_edge_spec, edges), scale)
+
+
+def _edge_spec(edge) -> tuple:
+    if len(edge) == 2:
+        return str(edge[0]), str(edge[1]), None
+    x, y, q = edge
+    return str(x), str(y), _exact_rate(q)
 
 
 def _build(state_items, edge_specs, scale) -> Landscape:
+    """Validate, walking each entry iterable once.  A malformed entry raises
+    when reached; other faults wait for both walks: the first checked wins."""
+    fault = None
     if not isinstance(scale, int) or isinstance(scale, bool) or scale <= 0:
-        raise MalformedInput(f"energy_scale must be a positive integer, got {scale!r}")
-    if not state_items:
-        raise MalformedInput("landscape has no states")
+        fault = MalformedInput(f"energy_scale must be a positive integer, got {scale!r}")
     units: dict[str, int] = {}
     for sid, value in state_items:
-        if sid in units:
-            raise DuplicateState(f"state {sid!r} declared twice")
-        units[sid] = _exact_units(value, scale)
-        if units[sid] == math.inf:
-            raise MalformedInput(f"energy of {sid!r} must be finite")
-    states = tuple(units)
+        if fault is None:
+            try:
+                if sid in units:
+                    raise DuplicateState(f"state {sid!r} declared twice")
+                units[sid] = _exact_units(value, scale)
+                if units[sid] == math.inf:
+                    raise MalformedInput(f"energy of {sid!r} must be finite")
+            except ValidationError as exc:
+                fault = exc
+    if fault is None and not units:
+        fault = MalformedInput("landscape has no states")
 
     explicit: dict[tuple[str, str], Fraction] = {}
     defaulted: dict[tuple[str, str], None] = {}  # an ordered set
     for x, y, q in edge_specs:
-        if x not in units:
-            raise UnknownStateInEdge(f"edge references unknown state {x!r}")
-        if y not in units:
-            raise UnknownStateInEdge(f"edge references unknown state {y!r}")
-        if x == y:
-            raise MalformedInput(f"self-edge on {x!r}; the diagonal is implicit")
-        pair = (x, y) if x < y else (y, x)
-        if q is None:
-            defaulted[pair] = None
+        if fault is not None:
             continue
-        if q <= 0 or q > 1:
-            raise MalformedInput(f"rate q({x},{y}) = {q} outside (0, 1]")
-        known = explicit.setdefault(pair, q)
-        if known != q:
-            raise AsymmetricEdge(f"conflicting rates for edge {x!r}-{y!r}: {known} vs {q}")
+        try:
+            if x not in units:
+                raise UnknownStateInEdge(f"edge references unknown state {x!r}")
+            if y not in units:
+                raise UnknownStateInEdge(f"edge references unknown state {y!r}")
+            if x == y:
+                raise MalformedInput(f"self-edge on {x!r}; the diagonal is implicit")
+            pair = (x, y) if x < y else (y, x)
+            if q is None:
+                defaulted[pair] = None
+                continue
+            if q <= 0 or q > 1:
+                raise MalformedInput(f"rate q({x},{y}) = {q} outside (0, 1]")
+            known = explicit.setdefault(pair, q)
+            if known != q:
+                raise AsymmetricEdge(f"conflicting rates for edge {x!r}-{y!r}: {known} vs {q}")
+        except ValidationError as exc:
+            fault = exc
+    if fault is not None:
+        raise fault
+    states = tuple(units)
     both = explicit.keys() & defaulted.keys()
     if both:
         raise AsymmetricEdge(f"edge {min(both)} given both with and without a rate")
@@ -303,30 +325,30 @@ def load_landscape(source) -> Landscape:
     raw_states = doc.get("states")
     if not isinstance(raw_states, list):
         raise MalformedInput("missing or invalid 'states' list")
-    state_items = []
-    for entry in raw_states:
-        if not isinstance(entry, dict) or "id" not in entry or "energy" not in entry:
-            raise MalformedInput(f"state entries need 'id' and 'energy': {entry!r}")
-        state_items.append((str(entry["id"]), entry["energy"]))
+    return _build(map(_doc_state, raw_states), _doc_edges(doc.get("edges", [])), scale)
 
-    raw_edges = doc.get("edges", [])
-    if not isinstance(raw_edges, list):
+
+def _doc_state(entry) -> tuple:
+    if not isinstance(entry, dict) or "id" not in entry or "energy" not in entry:
+        raise MalformedInput(f"state entries need 'id' and 'energy': {entry!r}")
+    return str(entry["id"]), entry["energy"]
+
+
+def _doc_edges(entries):
+    # a generator, so the list check waits for every state entry
+    if not isinstance(entries, list):
         raise MalformedInput("'edges' must be a list")
-    edge_specs = []
-    for entry in raw_edges:
+    for entry in entries:
         if isinstance(entry, list) and len(entry) == 2:
-            edge_specs.append((str(entry[0]), str(entry[1]), None))
+            yield str(entry[0]), str(entry[1]), None
         elif isinstance(entry, dict) and "pair" in entry:
             pair = entry["pair"]
             if not isinstance(pair, list) or len(pair) != 2:
                 raise MalformedInput(f"edge 'pair' must be a two-element list: {entry!r}")
             q = entry.get("q")
-            q = None if q is None else _exact_rate(q)
-            edge_specs.append((str(pair[0]), str(pair[1]), q))
+            yield str(pair[0]), str(pair[1]), None if q is None else _exact_rate(q)
         else:
             raise MalformedInput(f"unrecognized edge entry: {entry!r}")
-
-    return _build(state_items, edge_specs, scale)
 
 
 def landscape_to_dict(landscape: Landscape) -> dict:
@@ -353,11 +375,16 @@ def dumps_landscape(landscape: Landscape) -> str:
 _encode_str = json.encoder.encode_basestring_ascii
 
 
+class Encoded(list):
+    """Strings already JSON-encoded, which ``dumps_json`` copies as they are."""
+
+
 def dumps_json(value) -> str:
     """The stdlib's ``json.dumps`` with a two-space indent, byte for byte,
     for trees of str, None, bool, int, float, list, tuple and str-keyed
     dict; anything else raises ``TypeError``.  The stdlib encodes indented
-    output in pure Python; here each array of strings is one C pass."""
+    output in pure Python; here each array of strings is one C pass, and an
+    ``Encoded`` array is written as it is."""
     chunks: list[str] = []
     _write(value, "\n", chunks.append)
     return "".join(chunks)
@@ -390,7 +417,7 @@ def _write(value, newline: str, emit) -> None:
         separator = "," + inner
         emit("[" + inner)
         try:
-            emit(separator.join(map(_encode_str, value)))
+            emit(separator.join(value if type(value) is Encoded else map(_encode_str, value)))
         except TypeError:  # not every item is a str
             for i, item in enumerate(value):
                 if i:

@@ -5,28 +5,34 @@ connected and its internal maximum lies strictly below the floor of its
 exterior boundary.  Every connected component of a sub-level set
 ``{x : H(x) <= c}`` is a cycle, and any two cycles are nested or disjoint,
 so the full family forms a tree over the state space: the merge tree of the
-landscape (Becker & Karplus, J. Chem. Phys. 106 (1997) 1495).
+landscape (Becker & Karplus, J. Chem. Phys. 106 (1997) 1495; Carr,
+Snoeyink & Axen, Comput. Geom. 24 (2003) 75).
 
 ``enumerate_path_cycles`` builds that tree in one union-find sweep over the
 distinct energies in ascending order, each level an int count of ``1/scale``
-units.  All states of one energy join before any component is judged, which
-keeps flat plateaus from emitting spurious sub-plateau sets.  Each state
-enters as a leaf; each component that grows at a level becomes a node whose
-children are the top cycles it joined, and that level is the boundary floor
-of every non-singleton child.  Containment and heights are thus recorded as
-the tree forms, never rediscovered from sets; each node holds ``low``,
-``high`` and ``floor`` as int units and builds ``Energy`` only when read.
+units, on the int state ids of ``Landscape.numbering``.  All states of one
+energy join before any component is judged, which keeps flat plateaus from
+emitting spurious sub-plateau sets.  Each state enters as a leaf; each
+component that grows at a level becomes a node over the top cycles it
+joined, and that level is the boundary floor of every non-singleton child.
+A node is an int record, never a set: leaf ``i`` is state ``i``, formed
+nodes are ``n, n + 1, ...``, and ``CycleTree`` keeps lists by node id:
+``low``, ``high``, ``floor`` (units), ``parent``, ``children`` and ``lo, hi``,
+a slice of one depth-first leaf order, so all members take O(n).
+``CycleNode``, its ``members`` and ``ground``, and the ``node`` index are
+views built on first read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from functools import cached_property
+from typing import Iterable
 
 from .energy import Energy, from_units
 from .errors import LevelBelowStart, NotACycle
-from .landscape import Landscape, StateSet, exterior_boundary, is_connected_subset, reach
+from .landscape import Encoded, Landscape, StateSet, _encode_str, exterior_boundary
+from .landscape import is_connected_subset, reach
 
 
 def set_key(members: Iterable[str]) -> tuple[str, ...]:
@@ -72,24 +78,28 @@ def sublevel_component(landscape: Landscape, start: str, cutoff) -> StateSet:
     return frozenset(reach([start], below))
 
 
-@dataclass(eq=False)
 class CycleNode:
-    """One cycle of the tree with its heights in int units of ``1/scale``:
-    the internal minimum ``low`` and maximum ``high``, and the boundary
-    ``floor`` (``math.inf`` for the root).  ``depth``, ``floor - low``, is
-    the barrier seen on exit (INFINITY for the root, and possibly <= 0 for a
-    singleton that is not a local minimum); ``resistance`` is ``high - low``.
-    The cycle is ``nontrivial`` when ``high < floor``.
-    """
+    """A view of one cycle of a ``CycleTree``, its heights in int units of
+    ``1/scale``: the internal minimum ``low`` and maximum ``high``, and the
+    boundary ``floor`` (``math.inf`` for the root).  ``depth``,
+    ``floor - low``, is the barrier seen on exit (INFINITY for the root, and
+    possibly <= 0 for a singleton that is not a local minimum);
+    ``resistance`` is ``high - low``.  The cycle is ``nontrivial`` when
+    ``high < floor``.  ``members`` and ``ground`` are built on first read."""
 
-    members: StateSet
-    low: int
-    high: int
-    floor: int | float
-    scale: int
-    ground: StateSet
-    parent: Optional["CycleNode"] = None
-    children: list["CycleNode"] = field(default_factory=list)
+    def __init__(self, tree: "CycleTree", node: int):
+        self._tree, self._id, self.scale = tree, node, tree.scale
+        self.low, self.high, self.floor = tree.low[node], tree.high[node], tree.floor[node]
+        self.parent, self.children = None, []
+
+    @cached_property
+    def members(self) -> StateSet:
+        tree, v = self._tree, self._id
+        return frozenset(map(tree.names.__getitem__, tree.leaves[tree.lo[v] : tree.hi[v]]))
+
+    @cached_property
+    def ground(self) -> StateSet:
+        return frozenset(x for x in self.members if self._tree.landscape.units(x) == self.low)
 
     @property
     def depth(self) -> Energy:
@@ -109,13 +119,30 @@ class CycleNode:
 
 class CycleTree:
     """All path cycles of a landscape, nested-or-disjoint, rooted at the
-    whole space.  ``keys`` maps each node to its sorted member tuple."""
+    whole space: the module docstring's int records, with ``order`` the node
+    ids in tree order, and ``nodes`` their views in that order."""
 
-    def __init__(self, root: CycleNode, nodes: tuple[CycleNode, ...], keys: dict):
-        self.root = root
-        self.nodes = nodes
-        self.keys = keys
-        self._by_members = {node.members: node for node in nodes}
+    def __init__(self, landscape, low, high, floor, parent, children, lo, hi, leaves, order):
+        self.landscape, self.names, self.scale = landscape, landscape.numbering()[0], landscape.scale
+        self.low, self.high, self.floor, self.parent, self.children = low, high, floor, parent, children
+        self.lo, self.hi, self.leaves, self.order = lo, hi, leaves, order
+
+    @cached_property
+    def nodes(self) -> tuple[CycleNode, ...]:
+        made = [CycleNode(self, v) for v in range(len(self))]
+        for v, kids in self.children.items():
+            made[v].children = [made[c] for c in kids]
+            for c in kids:
+                made[c].parent = made[v]
+        return tuple(map(made.__getitem__, self.order))
+
+    @property
+    def root(self) -> CycleNode:
+        return self.nodes[-1]
+
+    @cached_property
+    def _by_members(self) -> dict:
+        return {node.members: node for node in self.nodes}
 
     def node(self, members: Iterable[str]) -> CycleNode:
         got = frozenset(members)
@@ -128,94 +155,69 @@ class CycleTree:
         return set(self._by_members)
 
     def __len__(self) -> int:
-        return len(self.nodes)
-
-
-class _UnionFind:
-    def __init__(self, items: Iterable[str]):
-        self.parent = {x: x for x in items}
-        self.size = dict.fromkeys(self.parent, 1)
-
-    def find(self, x: str) -> str:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: str, b: str) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-
-
-def _merge(level: int, children: list[CycleNode], scale: int) -> CycleNode:
-    """The component formed at ``level`` (int units) from the top cycles it
-    joins; the level is the boundary floor of every non-singleton child."""
-    low = min(c.low for c in children)
-    members = frozenset().union(*(c.members for c in children))
-    ground = frozenset().union(*(c.ground for c in children if c.low == low))
-    node = CycleNode(members, low, level, math.inf, scale, ground, children=children)
-    for child in children:
-        child.parent = node
-        if len(child.members) > 1:
-            child.floor = level
-    return node
+        return len(self.low)
 
 
 def enumerate_path_cycles(landscape: Landscape) -> CycleTree:
-    """Every path cycle of the landscape, organized as a nested tree.
+    """Every path cycle of the landscape, organized as a nested tree, by the
+    sweep of the module docstring.  Each state enters as a leaf whose floor
+    is its lowest neighbour; the last node formed is the whole space."""
+    _, _, units, adjacency = landscape.numbering()
+    n = len(units)
+    by_level: dict[int, list[int]] = {}
+    for i, u in enumerate(units):
+        by_level.setdefault(u, []).append(i)
+    low, high, parent = list(units), list(units), [None] * n
+    floor = [min([units[j] for j in nbrs], default=math.inf) for nbrs in adjacency]
+    size, first = [1] * n, list(range(n))  # first: the smallest member id
+    children: dict[int, list[int]] = {}
+    uf = list(range(n))  # union-find over state ids
+    top: dict[int, int] = {}  # union-find root -> its component's largest cycle
+    active = [False] * n
 
-    One union-find sweep over the distinct energies in ascending order, each
-    level an int count of units.  Each state enters as a leaf whose floor is
-    its lowest neighbour; every component that grows at a level becomes a
-    node over the top cycles it joined.  The last node standing is the whole
-    space.
-    """
-    scale = landscape.scale
-    by_level: dict[int, list[str]] = {}
-    for s in landscape.states:
-        by_level.setdefault(landscape.units(s), []).append(s)
-    uf = _UnionFind(landscape.states)
-    active: set[str] = set()
-    top: dict[str, CycleNode] = {}  # union-find root -> largest cycle of its component
-    nodes: list[CycleNode] = []
+    def find(x: int) -> int:  # with path halving
+        while uf[x] != x:
+            uf[x] = x = uf[uf[x]]
+        return x
 
     for level in sorted(by_level):
         fresh = by_level[level]
         # the level's states and the components below the level they touch
-        joined = {uf.find(n) for s in fresh for n in landscape.neighbors(s) if n in active}
-        joined.update(fresh)
-        active.update(fresh)
+        joined = set(fresh).union(find(j) for s in fresh for j in filter(active.__getitem__, adjacency[s]))
         for s in fresh:
-            floor = min(map(landscape.units, landscape.neighbors(s)), default=math.inf)
-            leaf = frozenset((s,))
-            top[s] = CycleNode(leaf, level, level, floor, scale, leaf)
-            nodes.append(top[s])
-            # all states of this energy join before any component is judged
-            for nbr in landscape.neighbors(s):
-                if nbr in active:
-                    uf.union(s, nbr)
-        groups: dict[str, list[CycleNode]] = {}
+            active[s] = True
+        for s in fresh:  # all states of this energy join before any component is judged
+            for j in filter(active.__getitem__, adjacency[s]):
+                uf[find(j)] = find(s)
+        groups: dict[int, list[int]] = {}
         for old in joined:
-            groups.setdefault(uf.find(old), []).append(top.pop(old))
-        for root, children in groups.items():
-            top[root] = children[0]
-            if len(children) > 1:
-                top[root] = _merge(level, children, scale)
-                nodes.append(top[root])
+            groups.setdefault(find(old), []).append(top.pop(old, old))  # a fresh state is its leaf
+        for root, group in groups.items():
+            top[root] = group[0]
+            if len(group) > 1:  # a node formed at the level, the floor of its non-singleton children
+                v = top[root] = len(low)
+                low.append(min(low[c] for c in group))
+                high.append(level)
+                floor.append(math.inf)
+                parent.append(None)
+                size.append(sum(size[c] for c in group))
+                first.append(min(first[c] for c in group))
+                for c in group:
+                    parent[c] = v
+                    if c >= n:
+                        floor[c] = level
+                children[v] = sorted(group, key=first.__getitem__)
 
-    (root,) = top.values()
-    keys = {node: set_key(node.members) for node in nodes}
-    nodes.sort(key=lambda node: (len(node.members), keys[node]))
-    for node in nodes:
-        node.children.sort(key=keys.__getitem__)
-    return CycleTree(root, tuple(nodes), keys)
+    # lay the leaves out depth first, each parent (a larger id) before its children
+    lo = [0] * len(low)
+    for v in range(len(low) - 1, n - 1, -1):
+        at = lo[v]
+        for c in children[v]:
+            lo[c], at = at, at + size[c]
+    leaves = sorted(range(n), key=lo.__getitem__)
+    hi = [a + k for a, k in zip(lo, size)]
+    order = sorted(range(len(low)), key=lambda v: (size[v], first[v]))
+    return CycleTree(landscape, low, high, floor, parent, children, lo, hi, leaves, order)
 
 
 def depth(landscape: Landscape, members: Iterable[str]) -> Energy:
@@ -239,39 +241,49 @@ def resistance_height(landscape: Landscape, members: Iterable[str]) -> Energy:
 # -- export --------------------------------------------------------------------
 
 
+def _exported(tree: CycleTree):
+    """Each node in tree order: its id, its members as sorted ids, so in name
+    order, its ``low`` and the text of its depth and resistance.  A node's slice is its
+    children's laid end to end, and they come first in tree order, so each
+    sort, in place on a copy of the leaf order, merges a few sorted runs."""
+    work = list(tree.leaves)
+    for v in tree.order:
+        lo, hi, low = tree.lo[v], tree.hi[v], tree.low[v]
+        work[lo:hi] = ids = sorted(work[lo:hi])
+        depth, resistance = from_units(tree.floor[v] - low, tree.scale), tree.high[v] - low
+        yield v, ids, low, str(depth), str(Energy(resistance, tree.scale))
+
+
 def tree_to_dict(tree: CycleTree) -> dict:
-    order = {node: i for i, node in enumerate(tree.nodes)}
-    nodes = []
-    for node in tree.nodes:
-        nodes.append(
-            {
-                "members": list(tree.keys[node]),
-                "gamma": str(node.depth),
-                "gamma_tilde": str(node.resistance),
-                "ground": list(set_key(node.ground)),
-                "parent_index": order[node.parent] if node.parent else None,
-            }
-        )
+    """One entry per node in tree order.  Each name is encoded once: the
+    member and ground lists are ``Encoded``, which ``dumps_json`` copies."""
+    encoded = list(map(_encode_str, tree.names)).__getitem__
+    units = tree.landscape.numbering()[2]
+    position = {v: k for k, v in enumerate(tree.order)}
+    nodes = [
+        {
+            "members": Encoded(map(encoded, ids)),
+            "gamma": gamma,
+            "gamma_tilde": gamma_tilde,
+            "ground": Encoded(encoded(i) for i in ids if units[i] == low),
+            "parent_index": position.get(tree.parent[v]),  # None for the root
+        }
+        for v, ids, low, gamma, gamma_tilde in _exported(tree)
+    ]
     return {"nodes": nodes}
-
-
-def _dot_escape(text: str) -> str:
-    return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
 def tree_to_dot(tree: CycleTree) -> str:
     """Graph-description text: one node per cycle, edges parent -> child."""
-    order = {node: i for i, node in enumerate(tree.nodes)}
+    name = tree.names.__getitem__
+    position = {v: k for k, v in enumerate(tree.order)}
     lines = ["digraph cycles {"]
     lines.append('  node [shape=box, fontname="monospace"];')
-    for node in tree.nodes:
-        label = _dot_escape("{" + ",".join(tree.keys[node]) + "}")
-        lines.append(
-            f'  n{order[node]} [label="{label}\\n'
-            f'Γ={node.depth}, Γ̃={node.resistance}"];'
-        )
-    for node in tree.nodes:
-        for child in node.children:
-            lines.append(f"  n{order[node]} -> n{order[child]};")
+    for k, (_, ids, _, gamma, gamma_tilde) in enumerate(_exported(tree)):
+        label = ("{" + ",".join(map(name, ids)) + "}").replace("\\", "\\\\").replace('"', '\\"')
+        lines.append(f'  n{k} [label="{label}\\nΓ={gamma}, Γ̃={gamma_tilde}"];')
+    for k, v in enumerate(tree.order):
+        for child in tree.children.get(v, ()):
+            lines.append(f"  n{k} -> n{position[child]};")
     lines.append("}")
     return "\n".join(lines) + "\n"
