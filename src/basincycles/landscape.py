@@ -196,30 +196,35 @@ def make_landscape(energies, edges, scale: int = DEFAULT_SCALE) -> Landscape:
     ``(x, y)`` or ``(x, y, rate)`` where rate is an exact string, int, or
     Fraction.  Edges without a rate get the uniform default ``1/max_degree``.
     """
-    items = energies.items() if isinstance(energies, Mapping) else ((str(x), v) for x, v in energies)
-    return _build(items, map(_edge_spec, edges), scale)
+    items = energies.items() if isinstance(energies, Mapping) else energies
+    states = [{"id": x, "energy": v} for x, v in items]
+    entries = []  # as in a document
+    for edge in edges:
+        if len(edge) == 2:
+            entries.append(list(edge))
+        else:
+            x, y, q = edge
+            entries.append({"pair": [x, y], "q": _exact_rate(q)})
+    return _build(states, entries, scale)
 
 
-def _edge_spec(edge) -> tuple:
-    if len(edge) == 2:
-        return str(edge[0]), str(edge[1]), None
-    x, y, q = edge
-    return str(x), str(y), _exact_rate(q)
-
-
-def _build(state_items, edge_specs, scale) -> Landscape:
-    """Validate, walking each entry iterable once.  A malformed entry raises
-    when reached; other faults wait for both walks: the first checked wins."""
+def _build(raw_states: list, raw_edges, scale) -> Landscape:
+    """Validate a document's entries, walking each list once.  A malformed
+    entry raises when reached; other faults wait for both walks, so the
+    first one in the order of the checks below wins."""
     fault = None
     if not isinstance(scale, int) or isinstance(scale, bool) or scale <= 0:
         fault = MalformedInput(f"energy_scale must be a positive integer, got {scale!r}")
     units: dict[str, int] = {}
-    for sid, value in state_items:
+    for entry in raw_states:
+        if not isinstance(entry, dict) or "id" not in entry or "energy" not in entry:
+            raise MalformedInput(f"state entries need 'id' and 'energy': {entry!r}")
         if fault is None:
+            sid = str(entry["id"])
             try:
                 if sid in units:
                     raise DuplicateState(f"state {sid!r} declared twice")
-                units[sid] = _exact_units(value, scale)
+                units[sid] = _exact_units(entry["energy"], scale)
                 if units[sid] == math.inf:
                     raise MalformedInput(f"energy of {sid!r} must be finite")
             except ValidationError as exc:
@@ -227,9 +232,21 @@ def _build(state_items, edge_specs, scale) -> Landscape:
     if fault is None and not units:
         fault = MalformedInput("landscape has no states")
 
+    if not isinstance(raw_edges, list):
+        raise MalformedInput("'edges' must be a list")
     explicit: dict[tuple[str, str], Fraction] = {}
     defaulted: dict[tuple[str, str], None] = {}  # an ordered set
-    for x, y, q in edge_specs:
+    for entry in raw_edges:
+        if isinstance(entry, list) and len(entry) == 2:
+            x, y, q = str(entry[0]), str(entry[1]), None
+        elif isinstance(entry, dict) and "pair" in entry:
+            pair = entry["pair"]
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise MalformedInput(f"edge 'pair' must be a two-element list: {entry!r}")
+            x, y, q = str(pair[0]), str(pair[1]), entry.get("q")
+            q = None if q is None else _exact_rate(q)
+        else:
+            raise MalformedInput(f"unrecognized edge entry: {entry!r}")
         if fault is not None:
             continue
         try:
@@ -325,30 +342,7 @@ def load_landscape(source) -> Landscape:
     raw_states = doc.get("states")
     if not isinstance(raw_states, list):
         raise MalformedInput("missing or invalid 'states' list")
-    return _build(map(_doc_state, raw_states), _doc_edges(doc.get("edges", [])), scale)
-
-
-def _doc_state(entry) -> tuple:
-    if not isinstance(entry, dict) or "id" not in entry or "energy" not in entry:
-        raise MalformedInput(f"state entries need 'id' and 'energy': {entry!r}")
-    return str(entry["id"]), entry["energy"]
-
-
-def _doc_edges(entries):
-    # a generator, so the list check waits for every state entry
-    if not isinstance(entries, list):
-        raise MalformedInput("'edges' must be a list")
-    for entry in entries:
-        if isinstance(entry, list) and len(entry) == 2:
-            yield str(entry[0]), str(entry[1]), None
-        elif isinstance(entry, dict) and "pair" in entry:
-            pair = entry["pair"]
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise MalformedInput(f"edge 'pair' must be a two-element list: {entry!r}")
-            q = entry.get("q")
-            yield str(pair[0]), str(pair[1]), None if q is None else _exact_rate(q)
-        else:
-            raise MalformedInput(f"unrecognized edge entry: {entry!r}")
+    return _build(raw_states, doc.get("edges", []), scale)
 
 
 def landscape_to_dict(landscape: Landscape) -> dict:

@@ -85,19 +85,19 @@ class CycleNode:
     ``floor - low``, is the barrier seen on exit (INFINITY for the root, and
     possibly <= 0 for a singleton that is not a local minimum);
     ``resistance`` is ``high - low``.  The cycle is ``nontrivial`` when
-    ``high < floor``.  ``members`` and ``ground`` are built on first read."""
+    ``high < floor``.  ``members`` and ``ground`` are built when read."""
 
     def __init__(self, tree: "CycleTree", node: int):
         self._tree, self._id, self.scale = tree, node, tree.scale
         self.low, self.high, self.floor = tree.low[node], tree.high[node], tree.floor[node]
         self.parent, self.children = None, []
 
-    @cached_property
+    @property
     def members(self) -> StateSet:
         tree, v = self._tree, self._id
         return frozenset(map(tree.names.__getitem__, tree.leaves[tree.lo[v] : tree.hi[v]]))
 
-    @cached_property
+    @property
     def ground(self) -> StateSet:
         return frozenset(x for x in self.members if self._tree.landscape.units(x) == self.low)
 
@@ -169,7 +169,7 @@ def enumerate_path_cycles(landscape: Landscape) -> CycleTree:
         by_level.setdefault(u, []).append(i)
     low, high, parent = list(units), list(units), [None] * n
     floor = [min([units[j] for j in nbrs], default=math.inf) for nbrs in adjacency]
-    size, first = [1] * n, list(range(n))  # first: the smallest member id
+    size, first = [1] * n, list(range(n))  # smallest ids order disjoint sets as sorted members
     children: dict[int, list[int]] = {}
     uf = list(range(n))  # union-find over state ids
     top: dict[int, int] = {}  # union-find root -> its component's largest cycle
@@ -183,7 +183,7 @@ def enumerate_path_cycles(landscape: Landscape) -> CycleTree:
     for level in sorted(by_level):
         fresh = by_level[level]
         # the level's states and the components below the level they touch
-        joined = set(fresh).union(find(j) for s in fresh for j in filter(active.__getitem__, adjacency[s]))
+        joined = set(fresh).union(find(j) for s in fresh for j in adjacency[s] if active[j])
         for s in fresh:
             active[s] = True
         for s in fresh:  # all states of this energy join before any component is judged
