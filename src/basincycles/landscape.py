@@ -224,8 +224,8 @@ def _build(raw_states: list, raw_edges, scale) -> Landscape:
             try:
                 if sid in units:
                     raise DuplicateState(f"state {sid!r} declared twice")
-                units[sid] = _exact_units(entry["energy"], scale)
-                if units[sid] == math.inf:
+                u = units[sid] = _exact_units(entry["energy"], scale)
+                if u == math.inf:
                     raise MalformedInput(f"energy of {sid!r} must be finite")
             except ValidationError as exc:
                 fault = exc

@@ -26,7 +26,6 @@ views built on first read.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from typing import Iterable
 
 from .energy import Energy, from_units
@@ -118,41 +117,44 @@ class CycleNode:
 
 
 class CycleTree:
-    """All path cycles of a landscape, nested-or-disjoint, rooted at the
-    whole space: the module docstring's int records, with ``order`` the node
-    ids in tree order, and ``nodes`` their views in that order."""
+    """All path cycles of a landscape, nested-or-disjoint, rooted at the whole
+    space: the module docstring's int records, and ``nodes``, views in ``order``."""
 
     def __init__(self, landscape, low, high, floor, parent, children, lo, hi, leaves, order):
         self.landscape, self.names, self.scale = landscape, landscape.numbering()[0], landscape.scale
         self.low, self.high, self.floor, self.parent, self.children = low, high, floor, parent, children
         self.lo, self.hi, self.leaves, self.order = lo, hi, leaves, order
+        self._nodes = self._by_members = None  # built on first read
 
-    @cached_property
+    @property
     def nodes(self) -> tuple[CycleNode, ...]:
-        made = [CycleNode(self, v) for v in range(len(self))]
-        for v, kids in self.children.items():
-            made[v].children = [made[c] for c in kids]
-            for c in kids:
-                made[c].parent = made[v]
-        return tuple(map(made.__getitem__, self.order))
+        if self._nodes is None:
+            made = [CycleNode(self, v) for v in range(len(self))]
+            for v, kids in self.children.items():
+                made[v].children = [made[c] for c in kids]
+                for c in kids:
+                    made[c].parent = made[v]
+            self._nodes = tuple(map(made.__getitem__, self.order))
+        return self._nodes
 
     @property
     def root(self) -> CycleNode:
         return self.nodes[-1]
 
-    @cached_property
-    def _by_members(self) -> dict:
-        return {node.members: node for node in self.nodes}
+    def _index(self) -> dict:
+        if self._by_members is None:
+            self._by_members = {node.members: node for node in self.nodes}
+        return self._by_members
 
     def node(self, members: Iterable[str]) -> CycleNode:
         got = frozenset(members)
         try:
-            return self._by_members[got]
+            return self._index()[got]
         except KeyError:
             raise NotACycle(f"{sorted(got)} is not a cycle of this landscape") from None
 
     def member_sets(self) -> set[StateSet]:
-        return set(self._by_members)
+        return set(self._index())
 
     def __len__(self) -> int:
         return len(self.low)
@@ -242,10 +244,10 @@ def resistance_height(landscape: Landscape, members: Iterable[str]) -> Energy:
 
 
 def _exported(tree: CycleTree):
-    """Each node in tree order: its id, its members as sorted ids, so in name
-    order, its ``low`` and the text of its depth and resistance.  A node's slice is its
-    children's laid end to end, and they come first in tree order, so each
-    sort, in place on a copy of the leaf order, merges a few sorted runs."""
+    """Each node in tree order: its id, its sorted member ids (so in name
+    order), its ``low``, and the text of its depth and resistance.  A node's
+    slice is its children's end to end, and they come first in tree order,
+    so each in-place sort on a copy of the leaf order merges sorted runs."""
     work = list(tree.leaves)
     for v in tree.order:
         lo, hi, low = tree.lo[v], tree.hi[v], tree.low[v]
@@ -273,6 +275,10 @@ def tree_to_dict(tree: CycleTree) -> dict:
     return {"nodes": nodes}
 
 
+def _dot_escape(text: str) -> str:
+    return text.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def tree_to_dot(tree: CycleTree) -> str:
     """Graph-description text: one node per cycle, edges parent -> child."""
     name = tree.names.__getitem__
@@ -280,7 +286,7 @@ def tree_to_dot(tree: CycleTree) -> str:
     lines = ["digraph cycles {"]
     lines.append('  node [shape=box, fontname="monospace"];')
     for k, (_, ids, _, gamma, gamma_tilde) in enumerate(_exported(tree)):
-        label = ("{" + ",".join(map(name, ids)) + "}").replace("\\", "\\\\").replace('"', '\\"')
+        label = _dot_escape("{" + ",".join(map(name, ids)) + "}")
         lines.append(f'  n{k} [label="{label}\\nΓ={gamma}, Γ̃={gamma_tilde}"];')
     for k, v in enumerate(tree.order):
         for child in tree.children.get(v, ()):
