@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from basincycles import DEFAULT_SCALE, load_landscape, make_landscape
-from basincycles.energy import parse_exact
+from basincycles import DEFAULT_SCALE, equivalence, load_landscape, make_landscape
+from basincycles.energy import from_units, parse_exact
+from basincycles.equivalence import ConditionRecord, EquivalenceReport
 from basincycles.errors import (
     AsymmetricEdge,
     DisconnectedGraph,
@@ -21,6 +22,8 @@ from basincycles.errors import (
     ScaleOverflow,
     UnknownStateInEdge,
 )
+from basincycles.landscape import exterior_boundary
+from basincycles.pathcycles import enumerate_path_cycles, set_key
 
 DATA = Path(__file__).parent / "data"
 FIG1_PATH = DATA / "fig1.json"
@@ -355,6 +358,99 @@ def reference_tree(landscape):
         )
         for n in nodes
     ]
+
+
+def _reference_conditions(landscape, trace, tree, path_sets):
+    """Every round's conditions, compared on the round's slots and int units
+    against the tree node of each class.  A class without a node is not a
+    path cycle; the conditions that need its node skip it."""
+    boundaries = {}  # cached per distinct big class
+    single_slot = {next(iter(cls)): slot for slot, cls in trace.levels[0].members.items()}
+    records = []
+    for level in trace.levels:
+        members, rows, lifts, exits = level.members, level.rows, level.lifts, level.exits
+        nodes = {slot: tree.node(cls) for slot, cls in members.items() if cls in path_sets}
+
+        costs_ok = True
+        for big, node in nodes.items():
+            cls = members[big]
+            if len(cls) == 1:
+                continue
+            if cls not in boundaries:
+                boundaries[cls] = exterior_boundary(landscape, cls)
+            row, lift = rows.get(big, {}), lifts.get(big, 0)
+            # the boundary holds exactly the states with a positive-rate edge
+            # in; a singleton's slot is lifted by nothing
+            for a in boundaries[cls]:
+                single = single_slot[a]
+                if len(members.get(single, ())) != 1:
+                    continue  # a has merged
+                if row.get(single, math.inf) + lift != landscape.units(a) - node.low:
+                    costs_ok = False
+                if rows.get(single, {}).get(big, math.inf) != 0:
+                    costs_ok = False
+
+        heights_ok = all(exits[slot] == max(n.floor - n.low, 0) for slot, n in nodes.items())
+
+        merge_ok = all(
+            height == nodes[slot].high - nodes[slot].low
+            for slot, height in level.formed.items()
+            if slot in nodes
+        )
+
+        records.append(
+            ConditionRecord(
+                iteration=level.index,
+                classes_are_cycles=len(nodes) == len(members),
+                boundary_costs_ok=costs_ok,
+                exit_heights_ok=heights_ok,
+                merge_heights_ok=merge_ok,
+            )
+        )
+    return records
+
+
+def reference_verify(landscape):
+    """The verifier as it was when it compared member frozensets: every class
+    of every round is looked up by its members in ``tree.node`` and every big
+    class's boundary is rebuilt by ``exterior_boundary``.  It reads
+    ``equivalence.run_decomposition`` when called, so a test that tampers with
+    the trace there reaches this verifier too."""
+    tree = enumerate_path_cycles(landscape)
+    trace = equivalence.run_decomposition(landscape)
+
+    path_sets = tree.member_sets()
+    graph_sets = trace.cycle_set()
+    graph_only = sorted(graph_sets - path_sets, key=set_key)
+    path_only = sorted(path_sets - graph_sets, key=set_key)
+
+    conditions = _reference_conditions(landscape, trace, tree, path_sets)
+
+    he_violations = []
+    hm_violations = []
+    for cyc in trace.cycles:
+        if cyc not in path_sets:
+            continue  # listed in graph_only
+        node = tree.node(cyc)
+        expected = max(node.floor - node.low, 0)
+        got = trace.exit_heights[cyc]
+        if got.units != expected:
+            he_violations.append((cyc, got, from_units(expected, landscape.scale)))
+        # a singleton merges at its exit height
+        expected_m = node.high - node.low if len(cyc) > 1 else expected
+        got_m = trace.merge_heights[cyc]
+        if got_m.units != expected_m:
+            hm_violations.append((cyc, got_m, from_units(expected_m, landscape.scale)))
+
+    return EquivalenceReport(
+        set_equal=not graph_only and not path_only,
+        graph_only=graph_only,
+        path_only=path_only,
+        he_violations=he_violations,
+        hm_violations=hm_violations,
+        conditions=conditions,
+        cycle_count=len(trace.cycles),
+    )
 
 
 def dense_kernel(kern):
