@@ -20,14 +20,18 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import sub
 
 from .energy import Energy, from_units
 from .errors import TooLarge
 from .graphcycles import DecompositionTrace, run_decomposition
-from .landscape import Landscape, StateSet, exterior_boundary, make_landscape
+from .landscape import Landscape, StateSet, make_landscape
 from .pathcycles import CycleTree, enumerate_path_cycles, set_key
 
 _BRUTE_FORCE_LIMIT = 20
+_NO_ROW: dict = {}  # read-only stand-ins for a missing row and an empty boundary
+_NO_EDGE: frozenset = frozenset()
 
 
 def brute_force_path_cycles(landscape: Landscape) -> set[StateSet]:
@@ -160,54 +164,196 @@ class EquivalenceReport:
         )
 
 
-def _check_conditions(
-    landscape: Landscape, trace: DecompositionTrace, tree: CycleTree, path_sets: set
-) -> list[ConditionRecord]:
-    """Every round's conditions, compared on the round's slots and int units
-    against the tree node of each class.  A class without a node is not a
-    path cycle; the conditions that need its node skip it."""
-    boundaries: dict[StateSet, StateSet] = {}  # cached per distinct big class
-    single_slot = {next(iter(cls)): slot for slot, cls in trace.levels[0].members.items()}
-    records = []
-    for level in trace.levels:
-        members, rows, lifts, exits = level.members, level.rows, level.lifts, level.exits
-        nodes = {slot: tree.node(cls) for slot, cls in members.items() if cls in path_sets}
+def _resolver(tree: CycleTree):
+    """``resolve(cls, near)``: the node id of the class ``cls``, or None when
+    it is no path cycle.  The class is node v when its states' positions in
+    ``tree.leaves`` fill exactly v's ``lo:hi`` slice; v is then the ancestor
+    of ``near`` (a node inside that slice, else its first leaf) of that size.
+    Each class is resolved once."""
+    lo, hi, parent, leaves = tree.lo, tree.hi, tree.parent, tree.leaves
+    position = dict(zip(tree.names, lo))  # a leaf's id is its state's
+    found: dict = {}
 
-        costs_ok = True
-        for big, node in nodes.items():
-            cls = members[big]
-            if len(cls) == 1:
-                continue
-            if cls not in boundaries:
-                boundaries[cls] = exterior_boundary(landscape, cls)
-            row, lift = rows.get(big, {}), lifts.get(big, 0)
-            # the boundary holds exactly the states with a positive-rate edge
-            # in; a singleton's slot is lifted by nothing
-            for a in boundaries[cls]:
-                single = single_slot[a]
-                if len(members.get(single, ())) != 1:
-                    continue  # a has merged
-                if row.get(single, math.inf) + lift != landscape.units(a) - node.low:
-                    costs_ok = False
-                if rows.get(single, {}).get(big, math.inf) != 0:
-                    costs_ok = False
+    def resolve(cls, near=None):
+        v = found.get(cls, found)
+        if v is not found:
+            return v
+        v = None
+        if len(cls) == 1:
+            for x in cls:
+                v = found[cls] = leaves[position[x]] if x in position else None
+            return v
+        try:
+            at = list(map(position.__getitem__, cls))
+        except KeyError:  # a state the landscape lacks
+            at = ()
+        size = len(at)
+        if size and max(at) - (first := min(at)) + 1 == size:
+            if near is None or lo[near] < first or hi[near] > first + size:
+                near = leaves[first]
+            while hi[near] - lo[near] < size:
+                near = parent[near]
+            if lo[near] == first and hi[near] == first + size:
+                v = near
+        found[cls] = v
+        return v
 
-        heights_ok = all(exits[slot] == max(n.floor - n.low, 0) for slot, n in nodes.items())
+    return resolve
 
-        merge_ok = all(
-            height == nodes[slot].high - nodes[slot].low
-            for slot, height in level.formed.items()
-            if slot in nodes
+
+def _check_rounds(landscape: Landscape, trace, tree: CycleTree, resolve) -> list[ConditionRecord]:
+    """Every round's conditions, on the round's slots and int units against
+    the tree node id of each class.  A class without a node is not a path
+    cycle; the conditions that need its node skip it.
+
+    What a round left as it was is carried: the slot -> node map, each big
+    node's boundary (state ids, built from its children's) and the failing
+    (slot, boundary state) cost pairs.  A slot is re-read when its class,
+    row or lift object changed; the pairs of a boundary singleton are re-read
+    when its slot did.  Exit heights are compared on every slot of every
+    round, merge heights on the slots the round formed."""
+    units, adjacency = landscape.numbering()[2:]
+    n = len(units)
+    low, high, floor, children, lo, hi = tree.low, tree.high, tree.floor, tree.children, tree.lo, tree.hi
+    leaves = tree.leaves
+    bounds: dict = {}  # node -> its boundary, until its parent's is built
+
+    def boundary(v):
+        """v's boundary: its children's, which were classes before v, less
+        v's own states; from v's leaves when the trace skipped a child."""
+        edge = bounds.get(v)
+        if edge is None:
+            first, end = lo[v], hi[v]
+            if end - first == n:  # the whole space
+                return _NO_EDGE
+            try:
+                kids = [adjacency[c] if c < n else bounds.pop(c) for c in children[v]]
+            except KeyError:
+                kids = map(adjacency.__getitem__, leaves[first:end])
+            edge = bounds[v] = {a for kid in kids for a in kid if not first <= lo[a] < end}
+        return edge
+
+    def fails(big, v, a):
+        # the boundary holds exactly the states with a positive-rate edge in;
+        # a singleton's slot is lifted by nothing
+        return a in singles and (
+            rows.get(big, _NO_ROW).get(a, math.inf) + lifts.get(big, 0) != unit[a] - low[v]
+            or rows.get(a, _NO_ROW).get(big, math.inf) != 0
         )
 
+    def recheck(big, a):
+        """Re-read the pair (big, a) of a big slot with ``a`` on its boundary."""
+        bad = failing.setdefault(big, set())
+        if fails(big, checked[big][0], a):
+            bad.add(a)
+        else:
+            bad.discard(a)
+            if not bad:
+                del failing[big]
+
+    node_of: dict = {}  # slot -> node id, for the slots whose class is a node
+    expect: dict = {}  # slot -> the node's exit height, on the same slots
+    singles: set = set()  # the slots whose class is a singleton
+    checked: dict = {}  # big slot -> (node, boundary) its pairs were read for
+    failing: dict = {}  # big slot -> its failing boundary states, when any
+    members = rows = lifts = {}
+    # a boundary state is read at the slot of its singleton in the first
+    # round, which is its own id when that round is the numbering's
+    first, unit, into = trace.levels[0], units, None
+    if first.members == {i: frozenset((x,)) for i, x in enumerate(tree.names)}:
+        ids = range(n)
+        node_of, singles = dict(zip(ids, ids)), set(ids)
+        expect = dict(zip(ids, map(max, map(sub, floor[:n], low), repeat(0))))
+        members, rows, lifts = first.members, first.rows, first.lifts
+    else:
+        single_slot = {next(iter(cls)): slot for slot, cls in first.members.items()}
+        into = {i: single_slot[x] for i, x in enumerate(tree.names) if x in single_slot}
+        unit = {slot: units[i] for i, slot in into.items()}
+    records = []
+    for level in trace.levels:
+        old_members, old_rows, old_lifts = members, rows, lifts
+        members, rows, lifts, exits = level.members, level.rows, level.lifts, level.exits
+        gone = old_members.keys() - members.keys()
+        singles -= gone
+        for slot in gone:
+            if node_of.pop(slot, None) is not None:
+                del expect[slot]
+        full = checked.keys() & gone  # the big slots to read in full
+        rowed = []  # the slots whose row object changed
+        alone = []  # the slots that became singletons
+        for slot, cls in members.items():
+            if cls is not old_members.get(slot):
+                v = resolve(cls, node_of.get(slot))
+                if v is None:
+                    if node_of.pop(slot, None) is not None:
+                        del expect[slot]
+                else:
+                    node_of[slot] = v
+                    expect[slot] = depth if (depth := floor[v] - low[v]) > 0 else 0
+                if v is not None and v >= n or slot in checked:
+                    full.add(slot)
+                if len(cls) != 1:
+                    singles.discard(slot)
+                elif slot not in singles:
+                    singles.add(slot)
+                    alone.append(slot)
+            elif slot in checked and lifts.get(slot, 0) != old_lifts.get(slot, 0):
+                full.add(slot)
+            if rows.get(slot) is not old_rows.get(slot):
+                rowed.append(slot)
+
+        if checked:  # what changed under the pairs read before
+            for a in rowed:
+                old, row = old_rows.get(a, _NO_ROW), rows.get(a, _NO_ROW)
+                if a in singles:  # a pair reads a's row only at its big slot
+                    for big in (row.keys() | old.keys()) & checked.keys():
+                        if big not in full and a in checked[big][1]:
+                            recheck(big, a)
+                elif a in checked and a not in full:  # a big slot's own row
+                    edge = checked[a][1]
+                    for b, _ in row.items() ^ old.items():
+                        if b in edge:
+                            recheck(a, b)
+            for a in alone:
+                for big, (_, edge) in checked.items():
+                    if big not in full and a in edge:
+                        recheck(big, a)
+            for big in [big for big in failing if big not in full]:  # read every round
+                for a in list(failing[big]):
+                    recheck(big, a)
+
+        for slot in full:  # read in full
+            v = node_of.get(slot, 0)
+            failing.pop(slot, None)
+            if v < n:
+                checked.pop(slot, None)
+                continue
+            if checked.get(slot, (None,))[0] == v:
+                edge = checked[slot][1]
+            else:
+                edge = boundary(v) if into is None else {into[a] for a in boundary(v)}
+            checked[slot] = v, edge
+            row, floor_in = rows.get(slot, _NO_ROW), low[v] + lifts.get(slot, 0)
+            bad = {
+                a
+                for a in edge
+                if a in singles
+                and (
+                    row.get(a, math.inf) != unit[a] - floor_in
+                    or rows.get(a, _NO_ROW).get(slot, math.inf) != 0
+                )
+            }
+            if bad:
+                failing[slot] = bad
+
+        heights_ok = exits == expect or all(exits[slot] == h for slot, h in expect.items())
+        merge_ok = True
+        for slot, height in level.formed.items():
+            v = node_of.get(slot)
+            if v is not None and height != high[v] - low[v]:
+                merge_ok = False
         records.append(
-            ConditionRecord(
-                iteration=level.index,
-                classes_are_cycles=len(nodes) == len(members),
-                boundary_costs_ok=costs_ok,
-                exit_heights_ok=heights_ok,
-                merge_heights_ok=merge_ok,
-            )
+            ConditionRecord(level.index, len(node_of) == len(members), not failing, heights_ok, merge_ok)
         )
     return records
 
@@ -217,29 +363,39 @@ def verify_equivalence(landscape: Landscape) -> EquivalenceReport:
     landscape (Metropolis seed)."""
     tree = enumerate_path_cycles(landscape)
     trace = run_decomposition(landscape)
+    resolve = _resolver(tree)
 
-    path_sets = tree.member_sets()
-    graph_sets = trace.cycle_set()
-    graph_only = sorted(graph_sets - path_sets, key=set_key)
-    path_only = sorted(path_sets - graph_sets, key=set_key)
+    conditions = _check_rounds(landscape, trace, tree, resolve)
 
-    conditions = _check_conditions(landscape, trace, tree, path_sets)
-
+    n, floor, low, high = landscape.n, tree.floor, tree.low, tree.high
+    exit_heights, merge_heights = trace.exit_heights, trace.merge_heights
     he_violations = []
     hm_violations = []
+    hit = set()
+    graph_only = []
     for cyc in trace.cycles:
-        if cyc not in path_sets:
-            continue  # listed in graph_only
-        node = tree.node(cyc)
-        expected = max(node.floor - node.low, 0)
-        got = trace.exit_heights[cyc]
+        v = resolve(cyc)
+        if v is None:
+            graph_only.append(cyc)
+            continue
+        hit.add(v)
+        expected = depth if (depth := floor[v] - low[v]) > 0 else 0
+        got = exit_heights[cyc]
         if got.units != expected:
             he_violations.append((cyc, got, from_units(expected, landscape.scale)))
         # a singleton merges at its exit height
-        expected_m = node.high - node.low if len(cyc) > 1 else expected
-        got_m = trace.merge_heights[cyc]
+        expected_m = high[v] - low[v] if v >= n else expected
+        got_m = merge_heights[cyc]
         if got_m.units != expected_m:
             hm_violations.append((cyc, got_m, from_units(expected_m, landscape.scale)))
+    graph_only = sorted(set(graph_only), key=set_key)
+    path_only = []
+    if len(hit) < len(tree):
+        names, leaves, lo, hi = tree.names, tree.leaves, tree.lo, tree.hi
+        for v in range(len(tree)):
+            if v not in hit:
+                path_only.append(frozenset(names[i] for i in leaves[lo[v] : hi[v]]))
+        path_only.sort(key=set_key)
 
     return EquivalenceReport(
         set_equal=not graph_only and not path_only,

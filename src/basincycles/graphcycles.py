@@ -226,59 +226,67 @@ def initial_level(landscape: Landscape, seed_costs=None) -> PartitionLevel:
     return PartitionLevel(0, members, rows, {}, exits, {}, landscape.scale, keys)
 
 
-def _zero_steps(level: PartitionLevel, slot: int) -> list:
-    """The slots one zero-renormalized-cost step from ``slot``."""
-    row = level.rows.get(slot)
-    if not row:
-        return []
-    low = level.exits[slot] - level.lifts.get(slot, 0)
-    return [dst for dst, v in row.items() if v == low]
-
-
 def _zero_components(level: PartitionLevel, starts: Iterable[int]) -> list[tuple[list, bool]]:
     """Tarjan's strongly connected components of the zero-cost digraph over
     the slots reachable from ``starts``, each with whether a member has a
     zero-cost step out of it.  The set searched is closed under steps, so
     these are components of the whole digraph.  The walk is its own, not
-    ``reach``, since it numbers the slots (see ``landscape``)."""
+    ``reach``, since it numbers the slots (see ``landscape``); it runs in
+    one frame, so visiting a slot calls no Python function.  A slot's zero
+    steps are the entries of its row at its exit height less its lift."""
+    rows, lifts, exits = level.rows, level.lifts, level.exits
     number: dict = {}
     low: dict = {}
     steps: dict = {}
     component: dict = {}  # slot -> index into ``found``, once complete
     path = []
     found = []
-
-    def visit(slot):
-        number[slot] = low[slot] = len(number)
-        path.append(slot)
-        steps[slot] = _zero_steps(level, slot)
-        return slot, iter(steps[slot])
-
     for root in starts:
         if root in number:
             continue
-        frames = [visit(root)]
-        while frames:
-            slot, todo = frames[-1]
-            for nxt in todo:
-                if nxt not in number:
-                    frames.append(visit(nxt))
-                    break
-                if nxt not in component:  # still on the path: same component
-                    low[slot] = min(low[slot], number[nxt])
-            else:
-                frames.pop()
-                if frames:
-                    parent = frames[-1][0]
-                    low[parent] = min(low[parent], low[slot])
-                if low[slot] == number[slot]:
-                    k = len(found)
-                    group = []
-                    while not group or group[-1] != slot:
-                        group.append(path.pop())
-                        component[group[-1]] = k
-                    escapes = any(component[d] != k for m in group for d in steps[m])
-                    found.append((group, escapes))
+        frames = []
+        slot = root
+        while slot is not None:
+            # enter ``slot``
+            number[slot] = low[slot] = len(number)
+            path.append(slot)
+            out = steps[slot] = []
+            row = rows.get(slot)
+            if row:
+                least = exits[slot] - lifts.get(slot, 0)
+                for dst, value in row.items():
+                    if value == least:
+                        out.append(dst)
+            todo = iter(out)
+            while True:
+                for nxt in todo:
+                    if nxt not in number:
+                        break
+                    if nxt not in component and number[nxt] < low[slot]:  # on the path
+                        low[slot] = number[nxt]
+                else:  # every step of ``slot`` is done
+                    if low[slot] == number[slot]:
+                        k = len(found)
+                        group = []
+                        while not group or group[-1] != slot:
+                            group.append(path.pop())
+                            component[group[-1]] = k
+                        if len(group) == 1:  # a step from a lone slot leaves its component
+                            escapes = bool(steps[slot])
+                        else:
+                            escapes = any(component[d] != k for m in group for d in steps[m])
+                        found.append((group, escapes))
+                    if not frames:
+                        slot = None
+                        break
+                    child_low = low[slot]
+                    slot, todo = frames.pop()
+                    if child_low < low[slot]:
+                        low[slot] = child_low
+                    continue
+                frames.append((slot, todo))  # descend into ``nxt``
+                slot = nxt
+                break
     return found
 
 
