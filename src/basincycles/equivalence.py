@@ -20,8 +20,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from itertools import repeat
-from operator import sub
 
 from .energy import Energy, from_units
 from .errors import TooLarge
@@ -263,7 +261,7 @@ def _check_rounds(landscape: Landscape, trace, tree: CycleTree, resolve) -> list
     if first.members == {i: frozenset((x,)) for i, x in enumerate(tree.names)}:
         ids = range(n)
         node_of, singles = dict(zip(ids, ids)), set(ids)
-        expect = dict(zip(ids, map(max, map(sub, floor[:n], low), repeat(0))))
+        expect = {i: max(floor[i] - low[i], 0) for i in ids}
         members, rows, lifts = first.members, first.rows, first.lifts
     else:
         single_slot = {next(iter(cls)): slot for slot, cls in first.members.items()}
@@ -273,45 +271,59 @@ def _check_rounds(landscape: Landscape, trace, tree: CycleTree, resolve) -> list
     for level in trace.levels:
         old_members, old_rows, old_lifts = members, rows, lifts
         members, rows, lifts, exits = level.members, level.rows, level.lifts, level.exits
-        gone = old_members.keys() - members.keys()
-        singles -= gone
-        for slot in gone:
-            if node_of.pop(slot, None) is not None:
-                del expect[slot]
-        full = checked.keys() & gone  # the big slots to read in full
+        full = set()  # the big slots to read in full
+        moved = []  # the slots that hold a new class
         rowed = []  # the slots whose row object changed
-        alone = []  # the slots that became singletons
-        for slot, cls in members.items():
-            if cls is not old_members.get(slot):
-                v = resolve(cls, node_of.get(slot))
-                if v is None:
-                    if node_of.pop(slot, None) is not None:
-                        del expect[slot]
-                else:
-                    node_of[slot] = v
-                    expect[slot] = depth if (depth := floor[v] - low[v]) > 0 else 0
-                if v is not None and v >= n or slot in checked:
+        gone = 0
+        for slot, was in old_members.items():
+            cls = members.get(slot)
+            if cls is was:
+                if slot in checked and lifts.get(slot, 0) != old_lifts.get(slot, 0):
                     full.add(slot)
-                if len(cls) != 1:
-                    singles.discard(slot)
-                elif slot not in singles:
-                    singles.add(slot)
-                    alone.append(slot)
-            elif slot in checked and lifts.get(slot, 0) != old_lifts.get(slot, 0):
+                if rows.get(slot) is not old_rows.get(slot):
+                    rowed.append(slot)
+            elif cls is None:  # merged into another slot
+                gone += 1
+                singles.discard(slot)
+                if node_of.pop(slot, None) is not None:
+                    del expect[slot]
+                if slot in checked:
+                    full.add(slot)
+            else:
+                moved.append(slot)
+                if rows.get(slot) is not old_rows.get(slot):
+                    rowed.append(slot)
+        if len(members) != len(old_members) - gone:  # slots the last round lacked
+            new = [slot for slot in members if slot not in old_members]
+            moved += new
+            rowed += new
+        alone = []  # the slots that became singletons
+        for slot in moved:
+            cls = members[slot]
+            v = resolve(cls, node_of.get(slot))
+            if v is None:
+                if node_of.pop(slot, None) is not None:
+                    del expect[slot]
+            else:
+                node_of[slot] = v
+                expect[slot] = depth if (depth := floor[v] - low[v]) > 0 else 0
+            if (v is not None and v >= n) or slot in checked:
                 full.add(slot)
-            if rows.get(slot) is not old_rows.get(slot):
-                rowed.append(slot)
+            if len(cls) != 1:
+                singles.discard(slot)
+            elif slot not in singles:
+                singles.add(slot)
+                alone.append(slot)
 
         if checked:  # what changed under the pairs read before
-            for a in rowed:
-                old, row = old_rows.get(a, _NO_ROW), rows.get(a, _NO_ROW)
-                if a in singles:  # a pair reads a's row only at its big slot
-                    for big in (row.keys() | old.keys()) & checked.keys():
-                        if big not in full and a in checked[big][1]:
-                            recheck(big, a)
-                elif a in checked and a not in full:  # a big slot's own row
+            for a in rowed:  # a pair reads its big slot's row and its singleton's at one entry
+                if a in singles:
+                    for b, _ in rows.get(a, _NO_ROW).items() ^ old_rows.get(a, _NO_ROW).items():
+                        if b in checked and b not in full and a in checked[b][1]:
+                            recheck(b, a)
+                elif a in checked and a not in full:
                     edge = checked[a][1]
-                    for b, _ in row.items() ^ old.items():
+                    for b, _ in rows.get(a, _NO_ROW).items() ^ old_rows.get(a, _NO_ROW).items():
                         if b in edge:
                             recheck(a, b)
             for a in alone:
@@ -323,9 +335,9 @@ def _check_rounds(landscape: Landscape, trace, tree: CycleTree, resolve) -> list
                     recheck(big, a)
 
         for slot in full:  # read in full
-            v = node_of.get(slot, 0)
+            v = node_of.get(slot, -1)
             failing.pop(slot, None)
-            if v < n:
+            if v < n:  # no longer a big node
                 checked.pop(slot, None)
                 continue
             if checked.get(slot, (None,))[0] == v:

@@ -328,3 +328,25 @@ def test_verify_reads_the_rounds_in_units(monkeypatch):
     views |= {"classes", "cost_units", "exit_units", "merge_units"}
     for level in traces[0].levels:
         assert not views & vars(level).keys(), level.index
+
+
+def test_verify_builds_no_tree_views(monkeypatch):
+    # verify resolves classes to node ids on the tree's int records, so it
+    # builds no CycleNode, no member index and no boundary by member set
+    from basincycles import landscape, pathcycles
+
+    original = equivalence.enumerate_path_cycles
+    trees = []
+
+    def capture(landscape, *args, **kwargs):
+        trees.append(original(landscape, *args, **kwargs))
+        return trees[-1]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("exterior_boundary called")
+
+    monkeypatch.setattr(equivalence, "enumerate_path_cycles", capture)
+    for module in (landscape, pathcycles, equivalence):
+        monkeypatch.setattr(module, "exterior_boundary", forbidden, raising=False)
+    assert verify_equivalence(load_landscape((DATA / "grid8-e1000.json").read_text())).ok
+    assert trees[0]._nodes is None and trees[0]._by_members is None
