@@ -315,37 +315,28 @@ def _check_rounds(landscape: Landscape, trace, tree: CycleTree, resolve) -> list
                 singles.add(slot)
                 alone.append(slot)
 
-        if checked:  # what changed under the pairs read before
-            for a in rowed:  # a pair reads its big slot's row and its singleton's at one entry
-                if a in singles:
-                    for b, _ in rows.get(a, _NO_ROW).items() ^ old_rows.get(a, _NO_ROW).items():
-                        if b in checked and b not in full and a in checked[b][1]:
-                            recheck(b, a)
-                elif a in checked and a not in full:
-                    edge = checked[a][1]
-                    for b, _ in rows.get(a, _NO_ROW).items() ^ old_rows.get(a, _NO_ROW).items():
-                        if b in edge:
-                            recheck(a, b)
-            for a in alone:
-                for big, (_, edge) in checked.items():
-                    if big not in full and a in edge:
-                        recheck(big, a)
-            for big in [big for big in failing if big not in full]:  # read every round
-                for a in list(failing[big]):
-                    recheck(big, a)
-
-        for slot in full:  # read in full
+        fully = set()  # the big slots whose every pair is read this round
+        for slot in full:
             v = node_of.get(slot, -1)
-            failing.pop(slot, None)
             if v < n:  # no longer a big node
                 checked.pop(slot, None)
+                failing.pop(slot, None)
                 continue
-            if checked.get(slot, (None,))[0] == v:
-                edge = checked[slot][1]
+            old = checked.get(slot, (None, _NO_EDGE, None))
+            if old[0] == v:
+                edge = old[1]
             else:
                 edge = boundary(v) if into is None else {into[a] for a in boundary(v)}
-            checked[slot] = v, edge
             row, floor_in = rows.get(slot, _NO_ROW), low[v] + lifts.get(slot, 0)
+            checked[slot] = v, edge, floor_in
+            if old[2] == floor_in:  # a pair on both boundaries reads the same costs
+                bad = failing.pop(slot, set()) & edge  # unless a row changed, below
+                if bad:
+                    failing[slot] = bad
+                for a in edge - old[1]:
+                    recheck(slot, a)
+                continue
+            fully.add(slot)
             bad = {
                 a
                 for a in edge
@@ -357,6 +348,27 @@ def _check_rounds(landscape: Landscape, trace, tree: CycleTree, resolve) -> list
             }
             if bad:
                 failing[slot] = bad
+            else:
+                failing.pop(slot, None)
+
+        if checked:  # what changed under the pairs read before
+            for a in rowed:  # a pair reads its big slot's row and its singleton's at one entry
+                if a in singles:
+                    for b, _ in rows.get(a, _NO_ROW).items() ^ old_rows.get(a, _NO_ROW).items():
+                        if b in checked and b not in fully and a in checked[b][1]:
+                            recheck(b, a)
+                elif a in checked and a not in fully:
+                    edge = checked[a][1]
+                    for b, _ in rows.get(a, _NO_ROW).items() ^ old_rows.get(a, _NO_ROW).items():
+                        if b in edge:
+                            recheck(a, b)
+            for a in alone:
+                for big, (_, edge, _) in checked.items():
+                    if big not in fully and a in edge:
+                        recheck(big, a)
+            for big in [big for big in failing if big not in fully]:  # read every round
+                for a in list(failing[big]):
+                    recheck(big, a)
 
         heights_ok = exits == expect or all(exits[slot] == h for slot, h in expect.items())
         merge_ok = True

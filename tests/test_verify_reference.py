@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from basincycles import equivalence, load_landscape, random_landscape, verify_equivalence
 from basincycles.equivalence import report_to_dict
+from basincycles.landscape import exterior_boundary
 
 from conftest import DATA, FIG1_PATH, draw_landscape, reference_verify
 from test_equivalence import _bump_cost, _bump_exit, _bump_merge, _fresh_with_single
@@ -116,7 +117,7 @@ def _scramble(seed):
     return scramble
 
 
-@pytest.mark.parametrize("seed", range(120))
+@pytest.mark.parametrize("seed", range(400))
 def test_matches_the_reference_on_a_scrambled_trace(monkeypatch, seed):
     if seed % 4:
         energy = random.Random(seed).choice((2, 6, 30))
@@ -156,3 +157,52 @@ def test_matches_the_reference_when_a_singleton_merges_for_one_round(monkeypatch
 
     monkeypatch.setattr(equivalence, "run_decomposition", tampered)
     assert not _same_report(load_landscape(path.read_text()))["conditions"][1]["classes_are_cycles"]
+
+
+def _reformed_with_new_state(landscape, trace):
+    """A round that re-forms a big class at its slot with a state on its new
+    boundary that was not on its old one, a singleton in that round: (the
+    round before, that round, the slot, the state's slot)."""
+    index = landscape.numbering()[1]
+    for before, level in zip(trace.levels, trace.levels[1:]):
+        for slot in sorted(level.formed):
+            was = before.members.get(slot, ())
+            if len(was) > 1:
+                new = exterior_boundary(landscape, level.members[slot])
+                for x in sorted(new - exterior_boundary(landscape, was)):
+                    single = index[x]
+                    if len(level.members.get(single, ())) == 1 and single in before.rows:
+                        return before, level, slot, single
+    raise AssertionError("no re-formed class with a new boundary state")
+
+
+@pytest.mark.parametrize("name", FIXTURES[1:])
+def test_matches_the_reference_when_a_reformed_class_reaches_a_new_state(monkeypatch, name):
+    # with the cost to it dropped from the class's row, and its own row kept
+    # from the round before, only the boundary says that the pair is read now
+    original = equivalence.run_decomposition
+
+    def tampered(landscape, *args, **kwargs):
+        trace = original(landscape, *args, **kwargs)
+        before, level, slot, single = _reformed_with_new_state(landscape, trace)
+        del level.rows[slot][single]
+        level.rows[single] = before.rows[single]
+        return trace
+
+    monkeypatch.setattr(equivalence, "run_decomposition", tampered)
+    assert not _same_report(load_landscape((DATA / name).read_text()))["ok"]
+
+
+@pytest.mark.parametrize("name", FIXTURES[1:])
+def test_matches_the_reference_when_a_reformed_class_is_lifted(monkeypatch, name):
+    # a lift that moves with the re-formed class's floor changes every cost
+    original = equivalence.run_decomposition
+
+    def tampered(landscape, *args, **kwargs):
+        trace = original(landscape, *args, **kwargs)
+        _, level, slot, _ = _reformed_with_new_state(landscape, trace)
+        level.lifts[slot] += 1
+        return trace
+
+    monkeypatch.setattr(equivalence, "run_decomposition", tampered)
+    assert not _same_report(load_landscape((DATA / name).read_text()))["ok"]
