@@ -5,10 +5,16 @@ must equal the family of path cycles, the exit height of every cycle must
 equal its boundary depth clamped at zero, and the merge height of every
 non-singleton must equal its internal height.  ``verify_equivalence`` checks
 that, and each round's structural conditions in the int units the round
-stores, against the sweep's cycle tree: a set is a path cycle exactly when
-it is a node, and the node holds its internal minimum, internal maximum and
-boundary floor as int units, and its ground.  ``Energy`` is built only for
-a violation's report entry.
+stores, against the sweep's cycle tree on node ids.  A set is a path cycle
+exactly when it is a node: when its states' positions in the tree's
+depth-first leaf order fill one node's ``lo:hi`` slice.  Each class is
+resolved to its node id once, when the class object first appears in a
+slot, and the node's ``low``, ``high`` and ``floor`` give its heights.  The
+rounds carry what did not change from one to the next: the slot -> node
+map, each big node's boundary (state ids, built from its children's) and
+the cost pairs that fail.  No ``CycleNode``, member index or boundary scan
+by member set is built; frozensets and ``Energy`` are built only for a
+report entry.
 
 The tests keep the check independent: they hold the tree to the definitions
 and to ``brute_force_path_cycles``, an exhaustive bitmask scan over
@@ -121,6 +127,14 @@ class ConditionRecord:
     is zero.  ``exit_heights_ok``: exit height equals boundary depth clamped
     at zero.  ``merge_heights_ok``: freshly merged classes carry their
     internal height.
+
+    The conditions are read on tree node ids: a class is the node whose leaf
+    slice its states fill, resolved when the class object first appears in a
+    slot.  Exit heights are compared on every slot of every round and merge
+    heights on the slots the round formed.  A big class's cost pairs are read
+    again only when its class, row or lift object changed, or when a
+    boundary singleton's row changed or it merged; every other pair carries
+    its result from the round before.
     """
 
     iteration: int
@@ -277,22 +291,20 @@ def _check_rounds(landscape: Landscape, trace, tree: CycleTree, resolve) -> list
         gone = 0
         for slot, was in old_members.items():
             cls = members.get(slot)
-            if cls is was:
-                if slot in checked and lifts.get(slot, 0) != old_lifts.get(slot, 0):
-                    full.add(slot)
-                if rows.get(slot) is not old_rows.get(slot):
-                    rowed.append(slot)
-            elif cls is None:  # merged into another slot
+            if cls is None:  # merged into another slot
                 gone += 1
                 singles.discard(slot)
                 if node_of.pop(slot, None) is not None:
                     del expect[slot]
                 if slot in checked:
                     full.add(slot)
-            else:
+                continue
+            if cls is not was:
                 moved.append(slot)
-                if rows.get(slot) is not old_rows.get(slot):
-                    rowed.append(slot)
+            elif slot in checked and lifts.get(slot, 0) != old_lifts.get(slot, 0):
+                full.add(slot)
+            if rows.get(slot) is not old_rows.get(slot):
+                rowed.append(slot)
         if len(members) != len(old_members) - gone:  # slots the last round lacked
             new = [slot for slot in members if slot not in old_members]
             moved += new
@@ -327,39 +339,27 @@ def _check_rounds(landscape: Landscape, trace, tree: CycleTree, resolve) -> list
                 edge = old[1]
             else:
                 edge = boundary(v) if into is None else {into[a] for a in boundary(v)}
-            row, floor_in = rows.get(slot, _NO_ROW), low[v] + lifts.get(slot, 0)
+            floor_in = low[v] + lifts.get(slot, 0)
             checked[slot] = v, edge, floor_in
+            bad = failing.pop(slot, set())
             if old[2] == floor_in:  # a pair on both boundaries reads the same costs
-                bad = failing.pop(slot, set()) & edge  # unless a row changed, below
-                if bad:
-                    failing[slot] = bad
-                for a in edge - old[1]:
-                    recheck(slot, a)
-                continue
-            fully.add(slot)
-            bad = {
-                a
-                for a in edge
-                if a in singles
-                and (
-                    row.get(a, math.inf) != unit[a] - floor_in
-                    or rows.get(a, _NO_ROW).get(slot, math.inf) != 0
-                )
-            }
+                bad = (bad & edge).union(a for a in edge - old[1] if fails(slot, v, a))
+            else:  # (a changed row is read below)
+                fully.add(slot)
+                bad = {a for a in edge if fails(slot, v, a)}
             if bad:
                 failing[slot] = bad
-            else:
-                failing.pop(slot, None)
 
         if checked:  # what changed under the pairs read before
             for a in rowed:  # a pair reads its big slot's row and its singleton's at one entry
+                changed = rows.get(a, _NO_ROW).items() ^ old_rows.get(a, _NO_ROW).items()
                 if a in singles:
-                    for b, _ in rows.get(a, _NO_ROW).items() ^ old_rows.get(a, _NO_ROW).items():
+                    for b, _ in changed:
                         if b in checked and b not in fully and a in checked[b][1]:
                             recheck(b, a)
                 elif a in checked and a not in fully:
                     edge = checked[a][1]
-                    for b, _ in rows.get(a, _NO_ROW).items() ^ old_rows.get(a, _NO_ROW).items():
+                    for b, _ in changed:
                         if b in edge:
                             recheck(a, b)
             for a in alone:

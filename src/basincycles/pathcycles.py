@@ -20,7 +20,9 @@ nodes are ``n, n + 1, ...``, and ``CycleTree`` keeps lists by node id:
 ``low``, ``high``, ``floor`` (units), ``parent``, ``children`` and ``lo, hi``,
 a slice of one depth-first leaf order, so all members take O(n).
 ``CycleNode``, its ``members`` and ``ground``, and the ``node`` index are
-views built on first read.
+views built on first read.  ``node()`` and ``member_sets()`` serve the API and
+the tests; ``verify`` no longer reads them, since it resolves each class to a
+node id from the leaf slices.
 """
 
 from __future__ import annotations
