@@ -213,7 +213,9 @@ def _resolver(tree: CycleTree):
     return resolve
 
 
-def _check_rounds(landscape: Landscape, trace, tree: CycleTree, resolve) -> list[ConditionRecord]:
+def _check_rounds(
+    landscape: Landscape, trace: DecompositionTrace, tree: CycleTree, resolve
+) -> list[ConditionRecord]:
     """Every round's conditions, on the round's slots and int units against
     the tree node id of each class.  A class without a node is not a path
     cycle; the conditions that need its node skip it.

@@ -245,48 +245,44 @@ def _zero_components(level: PartitionLevel, starts: Iterable[int]) -> list[tuple
         if root in number:
             continue
         frames = []
-        slot = root
-        while slot is not None:
-            # enter ``slot``
-            number[slot] = low[slot] = len(number)
-            path.append(slot)
-            out = steps[slot] = []
-            row = rows.get(slot)
-            if row:
-                least = exits[slot] - lifts.get(slot, 0)
-                for dst, value in row.items():
-                    if value == least:
-                        out.append(dst)
-            todo = iter(out)
-            while True:
-                for nxt in todo:
-                    if nxt not in number:
-                        break
-                    if nxt not in component and number[nxt] < low[slot]:  # on the path
-                        low[slot] = number[nxt]
-                else:  # every step of ``slot`` is done
-                    if low[slot] == number[slot]:
-                        k = len(found)
-                        group = []
-                        while not group or group[-1] != slot:
-                            group.append(path.pop())
-                            component[group[-1]] = k
-                        if len(group) == 1:  # a step from a lone slot leaves its component
-                            escapes = bool(steps[slot])
-                        else:
-                            escapes = any(component[d] != k for m in group for d in steps[m])
-                        found.append((group, escapes))
-                    if not frames:
-                        slot = None
-                        break
-                    child_low = low[slot]
-                    slot, todo = frames.pop()
-                    if child_low < low[slot]:
-                        low[slot] = child_low
-                    continue
-                frames.append((slot, todo))  # descend into ``nxt``
-                slot = nxt
-                break
+        slot, todo = root, None
+        while True:
+            if todo is None:  # enter ``slot``
+                number[slot] = low[slot] = len(number)
+                path.append(slot)
+                out = steps[slot] = []
+                row = rows.get(slot)
+                if row:
+                    least = exits[slot] - lifts.get(slot, 0)
+                    for dst, value in row.items():
+                        if value == least:
+                            out.append(dst)
+                todo = iter(out)
+            for nxt in todo:
+                if nxt not in number:
+                    frames.append((slot, todo))
+                    slot, todo = nxt, None
+                    break
+                if nxt not in component and number[nxt] < low[slot]:  # on the path
+                    low[slot] = number[nxt]
+            else:  # every step of ``slot`` is done
+                if low[slot] == number[slot]:
+                    k = len(found)
+                    group = []
+                    while not group or group[-1] != slot:
+                        group.append(path.pop())
+                        component[group[-1]] = k
+                    if len(group) == 1:  # a step from a lone slot leaves its component
+                        escapes = bool(steps[slot])
+                    else:
+                        escapes = any(component[d] != k for m in group for d in steps[m])
+                    found.append((group, escapes))
+                if not frames:
+                    break
+                child_low = low[slot]
+                slot, todo = frames.pop()
+                if child_low < low[slot]:
+                    low[slot] = child_low
     return found
 
 
