@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .energy import Energy, from_units
 from .errors import TooLarge
@@ -34,8 +35,8 @@ from .landscape import Landscape, StateSet, make_landscape
 from .pathcycles import CycleTree, enumerate_path_cycles, set_key
 
 _BRUTE_FORCE_LIMIT = 20
-_NO_ROW: dict = {}  # read-only stand-ins for a missing row and an empty boundary
-_NO_EDGE: frozenset = frozenset()
+_NO_ROW = MappingProxyType({})  # stand-ins for a missing row and an empty boundary
+_NO_EDGE = frozenset()
 
 
 def brute_force_path_cycles(landscape: Landscape) -> set[StateSet]:
@@ -222,10 +223,11 @@ def _check_rounds(
 
     What a round left as it was is carried: the slot -> node map, each big
     node's boundary (state ids, built from its children's) and the failing
-    (slot, boundary state) cost pairs.  A slot is re-read when its class,
-    row or lift object changed; the pairs of a boundary singleton are re-read
-    when its slot did.  Exit heights are compared on every slot of every
-    round, merge heights on the slots the round formed."""
+    (big slot, boundary singleton) cost pairs.  One pass over the last
+    round's slots finds those whose class, row or lift object changed.  A
+    big slot with a new class or lift reads all its pairs, unless its floor
+    plus lift holds: then only the states new to its boundary are read, as
+    changed row entries are for every slot."""
     units, adjacency = landscape.numbering()[2:]
     n = len(units)
     low, high, floor, children, lo, hi = tree.low, tree.high, tree.floor, tree.children, tree.lo, tree.hi
@@ -320,7 +322,7 @@ def _check_rounds(
                     del expect[slot]
             else:
                 node_of[slot] = v
-                expect[slot] = depth if (depth := floor[v] - low[v]) > 0 else 0
+                expect[slot] = max(floor[v] - low[v], 0)
             if (v is not None and v >= n) or slot in checked:
                 full.add(slot)
             if len(cls) != 1:
@@ -344,9 +346,9 @@ def _check_rounds(
             floor_in = low[v] + lifts.get(slot, 0)
             checked[slot] = v, edge, floor_in
             bad = failing.pop(slot, set())
-            if old[2] == floor_in:  # a pair on both boundaries reads the same costs
+            if old[2] == floor_in:  # a pair on both boundaries keeps its costs but for a row change
                 bad = (bad & edge).union(a for a in edge - old[1] if fails(slot, v, a))
-            else:  # (a changed row is read below)
+            else:
                 fully.add(slot)
                 bad = {a for a in edge if fails(slot, v, a)}
             if bad:
@@ -379,7 +381,13 @@ def _check_rounds(
             if v is not None and height != high[v] - low[v]:
                 merge_ok = False
         records.append(
-            ConditionRecord(level.index, len(node_of) == len(members), not failing, heights_ok, merge_ok)
+            ConditionRecord(
+                iteration=level.index,
+                classes_are_cycles=len(node_of) == len(members),
+                boundary_costs_ok=not failing,
+                exit_heights_ok=heights_ok,
+                merge_heights_ok=merge_ok,
+            )
         )
     return records
 
@@ -405,7 +413,7 @@ def verify_equivalence(landscape: Landscape) -> EquivalenceReport:
             graph_only.append(cyc)
             continue
         hit.add(v)
-        expected = depth if (depth := floor[v] - low[v]) > 0 else 0
+        expected = max(floor[v] - low[v], 0)
         got = exit_heights[cyc]
         if got.units != expected:
             he_violations.append((cyc, got, from_units(expected, landscape.scale)))

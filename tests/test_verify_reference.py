@@ -18,12 +18,28 @@ from test_equivalence import _bump_cost, _bump_exit, _bump_merge, _fresh_with_si
 # ``fuzz`` builds landscape i of a campaign from this seed
 FUZZ_SEED_STRIDE = 1_000_003
 FIXTURES = ["fig1.json", "grid8-e2.json", "grid8-e1000.json"]
+BAD = {FIG1_PATH: frozenset("ac"), DATA / "grid8-e2.json": frozenset(("r0c0", "r0c2"))}
 
 
 def _same_report(landscape) -> dict:
     got = report_to_dict(verify_equivalence(landscape))
     assert got == report_to_dict(reference_verify(landscape))
     return got
+
+
+def _tamper(monkeypatch, edit):
+    """Hand each verifier a fresh trace, edited by ``edit(landscape, trace)``."""
+    original = equivalence.run_decomposition
+
+    def tampered(landscape, *args, **kwargs):
+        trace = original(landscape, *args, **kwargs)
+        return edit(landscape, trace) or trace
+
+    monkeypatch.setattr(equivalence, "run_decomposition", tampered)
+
+
+def _fixture(name):
+    return load_landscape((DATA / name).read_text())
 
 
 @settings(max_examples=150, deadline=None)
@@ -40,7 +56,7 @@ def test_matches_the_reference_on_a_fuzz_campaign():
 
 @pytest.mark.parametrize("name", FIXTURES)
 def test_matches_the_reference_on_the_fixtures(name):
-    assert _same_report(load_landscape((DATA / name).read_text()))["ok"]
+    assert _same_report(_fixture(name))["ok"]
 
 
 def _add_bad(bad):
@@ -56,22 +72,13 @@ def _add_bad(bad):
     return add_bad
 
 
-BAD = {FIG1_PATH: frozenset("ac"), DATA / "grid8-e2.json": frozenset(("r0c0", "r0c2"))}
-
-
 @pytest.mark.parametrize("path", list(BAD), ids=lambda p: p.name)
 @pytest.mark.parametrize(
     "tamper", [_bump_merge, _bump_cost, _bump_exit, None], ids=["merge", "cost", "exit", "bad"]
 )
 def test_matches_the_reference_on_a_tampered_trace(monkeypatch, path, tamper):
     tamper = tamper or _add_bad(BAD[path])
-    original = equivalence.run_decomposition
-
-    def tampered(landscape, *args, **kwargs):  # a fresh trace for each verifier
-        trace = original(landscape, *args, **kwargs)
-        return tamper(landscape, trace, *_fresh_with_single(trace))
-
-    monkeypatch.setattr(equivalence, "run_decomposition", tampered)
+    _tamper(monkeypatch, lambda landscape, trace: tamper(landscape, trace, *_fresh_with_single(trace)))
     assert not _same_report(load_landscape(path.read_text()))["ok"]
 
 
@@ -79,10 +86,11 @@ def _scramble(seed):
     """A tamper that makes one to three random edits to the slot data of
     random rounds: a cost bumped or dropped in place (so in every round that
     shares the row), a row replaced in one round, a lift, exit or merge
-    height bumped, or a class dropped, swapped with another or joined to it.  A fresh ``random.Random(seed)``
-    per call gives each verifier the same edits."""
+    height bumped, or a class dropped, swapped with another or joined to it.
+    A fresh ``random.Random(seed)`` per call gives each verifier the same
+    edits."""
 
-    def scramble(landscape, trace, *_):
+    def scramble(landscape, trace):
         rng = random.Random(seed)
         for _ in range(rng.randint(1, 3)):
             level = rng.choice(trace.levels)
@@ -112,7 +120,6 @@ def _scramble(seed):
                     level.members[slot] = level.members[slot] | level.members[other]
                 else:
                     level.members[slot], level.members[other] = level.members[other], level.members[slot]
-        return trace
 
     return scramble
 
@@ -123,14 +130,8 @@ def test_matches_the_reference_on_a_scrambled_trace(monkeypatch, seed):
         energy = random.Random(seed).choice((2, 6, 30))
         landscape = random_landscape(seed=seed, max_states=14, max_energy=energy)
     else:
-        landscape = load_landscape((DATA / FIXTURES[seed % 3]).read_text())
-    original = equivalence.run_decomposition
-    tamper = _scramble(seed)
-
-    def tampered(landscape, *args, **kwargs):  # a fresh trace for each verifier
-        return tamper(landscape, original(landscape, *args, **kwargs))
-
-    monkeypatch.setattr(equivalence, "run_decomposition", tampered)
+        landscape = _fixture(FIXTURES[seed % 3])
+    _tamper(monkeypatch, _scramble(seed))
     try:
         want = report_to_dict(reference_verify(landscape))
     except KeyError:  # a state without a first-round singleton, or a slot without an exit
@@ -140,22 +141,17 @@ def test_matches_the_reference_on_a_scrambled_trace(monkeypatch, seed):
         assert report_to_dict(verify_equivalence(landscape)) == want
 
 
-
 @pytest.mark.parametrize("path", list(BAD), ids=lambda p: p.name)
 def test_matches_the_reference_when_a_singleton_merges_for_one_round(monkeypatch, path):
     # a failing pair whose singleton merges in one round only: the pair is
     # skipped in that round and read again in the next
-    original = equivalence.run_decomposition
-
-    def tampered(landscape, *args, **kwargs):
-        trace = original(landscape, *args, **kwargs)
+    def edit(landscape, trace):
         level, big, single = _fresh_with_single(trace)
         level.rows[single][big] += 1
         other = next(s for s, c in level.members.items() if len(c) == 1 and s != single)
         level.members[single] = level.members[single] | level.members[other]
-        return trace
 
-    monkeypatch.setattr(equivalence, "run_decomposition", tampered)
+    _tamper(monkeypatch, edit)
     assert not _same_report(load_landscape(path.read_text()))["conditions"][1]["classes_are_cycles"]
 
 
@@ -180,29 +176,22 @@ def _reformed_with_new_state(landscape, trace):
 def test_matches_the_reference_when_a_reformed_class_reaches_a_new_state(monkeypatch, name):
     # with the cost to it dropped from the class's row, and its own row kept
     # from the round before, only the boundary says that the pair is read now
-    original = equivalence.run_decomposition
-
-    def tampered(landscape, *args, **kwargs):
-        trace = original(landscape, *args, **kwargs)
+    def edit(landscape, trace):
         before, level, slot, single = _reformed_with_new_state(landscape, trace)
         del level.rows[slot][single]
         level.rows[single] = before.rows[single]
-        return trace
 
-    monkeypatch.setattr(equivalence, "run_decomposition", tampered)
-    assert not _same_report(load_landscape((DATA / name).read_text()))["ok"]
+    _tamper(monkeypatch, edit)
+    assert not _same_report(_fixture(name))["ok"]
 
 
 @pytest.mark.parametrize("name", FIXTURES[1:])
 def test_matches_the_reference_when_a_reformed_class_is_lifted(monkeypatch, name):
-    # a lift that moves with the re-formed class's floor changes every cost
-    original = equivalence.run_decomposition
-
-    def tampered(landscape, *args, **kwargs):
-        trace = original(landscape, *args, **kwargs)
+    # a new lift moves every cost out of the re-formed class, so each of its
+    # pairs is read again
+    def edit(landscape, trace):
         _, level, slot, _ = _reformed_with_new_state(landscape, trace)
         level.lifts[slot] += 1
-        return trace
 
-    monkeypatch.setattr(equivalence, "run_decomposition", tampered)
-    assert not _same_report(load_landscape((DATA / name).read_text()))["ok"]
+    _tamper(monkeypatch, edit)
+    assert not _same_report(_fixture(name))["ok"]
