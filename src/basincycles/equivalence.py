@@ -37,6 +37,9 @@ from .pathcycles import CycleTree, enumerate_path_cycles, set_key
 _BRUTE_FORCE_LIMIT = 20
 _NO_ROW = MappingProxyType({})  # stand-ins for a missing row and an empty boundary
 _NO_EDGE = frozenset()
+# a round of at most this many slots is read afresh instead of diffed with
+# the round before; fuzz-sized landscapes have at most 10
+_FRESH_ROUND = 32
 
 
 def brute_force_path_cycles(landscape: Landscape) -> set[StateSet]:
@@ -249,6 +252,10 @@ def _check_rounds(
             edge = bounds[v] = {a for kid in kids for a in kid if not first <= lo[a] < end}
         return edge
 
+    def boundary_slots(v):
+        """v's boundary as the first round's singleton slots."""
+        return boundary(v) if into is None else {into[a] for a in boundary(v)}
+
     def fails(big, v, a):
         # the boundary holds exactly the states with a positive-rate edge in;
         # a singleton's slot is lifted by nothing
@@ -275,104 +282,123 @@ def _check_rounds(
     members = rows = lifts = {}
     # a boundary state is read at the slot of its singleton in the first
     # round, which is its own id when that round is the numbering's
-    first, unit, into = trace.levels[0], units, None
-    if first.members == {i: frozenset((x,)) for i, x in enumerate(tree.names)}:
-        ids = range(n)
-        node_of, singles = dict(zip(ids, ids)), set(ids)
-        expect = {i: max(floor[i] - low[i], 0) for i in ids}
-        members, rows, lifts = first.members, first.rows, first.lifts
-    else:
-        single_slot = {next(iter(cls)): slot for slot, cls in first.members.items()}
+    first, unit, into = trace.levels[0].members, units, None
+    if first != {i: frozenset((x,)) for i, x in enumerate(tree.names)}:
+        single_slot = {next(iter(cls)): slot for slot, cls in first.items()}
         into = {i: single_slot[x] for i, x in enumerate(tree.names) if x in single_slot}
         unit = {slot: units[i] for i, slot in into.items()}
     records = []
     for level in trace.levels:
         old_members, old_rows, old_lifts = members, rows, lifts
         members, rows, lifts, exits = level.members, level.rows, level.lifts, level.exits
-        full = set()  # the big slots to read in full
-        moved = []  # the slots that hold a new class
-        rowed = []  # the slots whose row object changed
-        gone = 0
-        for slot, was in old_members.items():
-            cls = members.get(slot)
-            if cls is None:  # merged into another slot
-                gone += 1
-                singles.discard(slot)
-                if node_of.pop(slot, None) is not None:
-                    del expect[slot]
-                if slot in checked:
-                    full.add(slot)
-                continue
-            if cls is not was:
-                moved.append(slot)
-            elif slot in checked and lifts.get(slot, 0) != old_lifts.get(slot, 0):
-                full.add(slot)
-            if rows.get(slot) is not old_rows.get(slot):
-                rowed.append(slot)
-        if len(members) != len(old_members) - gone:  # slots the last round lacked
-            new = [slot for slot in members if slot not in old_members]
-            moved += new
-            rowed += new
-        alone = []  # the slots that became singletons
-        for slot in moved:
-            cls = members[slot]
-            v = resolve(cls, node_of.get(slot))
-            if v is None:
-                if node_of.pop(slot, None) is not None:
-                    del expect[slot]
-            else:
+        if len(members) <= _FRESH_ROUND:  # read every pair, as that costs less than a diff
+            node_of.clear()
+            expect.clear()
+            singles.clear()
+            failing.clear()
+            was = dict(checked)
+            checked.clear()
+            for slot, cls in members.items():
+                if len(cls) == 1:
+                    singles.add(slot)
+                v = resolve(cls)
+                if v is None:
+                    continue
                 node_of[slot] = v
                 expect[slot] = max(floor[v] - low[v], 0)
-            if (v is not None and v >= n) or slot in checked:
-                full.add(slot)
-            if len(cls) != 1:
-                singles.discard(slot)
-            elif slot not in singles:
-                singles.add(slot)
-                alone.append(slot)
-
-        fully = set()  # the big slots whose every pair is read this round
-        for slot in full:
-            v = node_of.get(slot, -1)
-            if v < n:  # no longer a big node
-                checked.pop(slot, None)
-                failing.pop(slot, None)
-                continue
-            old = checked.get(slot, (None, _NO_EDGE, None))
-            if old[0] == v:
-                edge = old[1]
-            else:
-                edge = boundary(v) if into is None else {into[a] for a in boundary(v)}
-            floor_in = low[v] + lifts.get(slot, 0)
-            checked[slot] = v, edge, floor_in
-            bad = failing.pop(slot, set())
-            if old[2] == floor_in:  # a pair on both boundaries keeps its costs but for a row change
-                bad = (bad & edge).union(a for a in edge - old[1] if fails(slot, v, a))
-            else:
-                fully.add(slot)
+                if v >= n:
+                    old = was.get(slot, (None,))
+                    edge = old[1] if old[0] == v else boundary_slots(v)
+                    checked[slot] = v, edge, low[v] + lifts.get(slot, 0)
+            for slot, (v, edge, _) in checked.items():
                 bad = {a for a in edge if fails(slot, v, a)}
-            if bad:
-                failing[slot] = bad
+                if bad:
+                    failing[slot] = bad
+        else:
+            full = set()  # the big slots to read in full
+            moved = []  # the slots that hold a new class
+            rowed = []  # the slots whose row object changed
+            gone = 0
+            for slot, was in old_members.items():
+                cls = members.get(slot)
+                if cls is None:  # merged into another slot
+                    gone += 1
+                    singles.discard(slot)
+                    if node_of.pop(slot, None) is not None:
+                        del expect[slot]
+                    if slot in checked:
+                        full.add(slot)
+                    continue
+                if cls is not was:
+                    moved.append(slot)
+                elif slot in checked and lifts.get(slot, 0) != old_lifts.get(slot, 0):
+                    full.add(slot)
+                if rows.get(slot) is not old_rows.get(slot):
+                    rowed.append(slot)
+            if len(members) != len(old_members) - gone:  # slots the last round lacked
+                new = [slot for slot in members if slot not in old_members]
+                moved += new
+                rowed += new
+            alone = []  # the slots that became singletons
+            for slot in moved:
+                cls = members[slot]
+                v = resolve(cls, node_of.get(slot))
+                if v is None:
+                    if node_of.pop(slot, None) is not None:
+                        del expect[slot]
+                else:
+                    node_of[slot] = v
+                    expect[slot] = max(floor[v] - low[v], 0)
+                if (v is not None and v >= n) or slot in checked:
+                    full.add(slot)
+                if len(cls) != 1:
+                    singles.discard(slot)
+                elif slot not in singles:
+                    singles.add(slot)
+                    alone.append(slot)
 
-        if checked:  # what changed under the pairs read before
-            for a in rowed:  # a pair reads its big slot's row and its singleton's at one entry
-                changed = rows.get(a, _NO_ROW).items() ^ old_rows.get(a, _NO_ROW).items()
-                if a in singles:
-                    for b, _ in changed:
-                        if b in checked and b not in fully and a in checked[b][1]:
-                            recheck(b, a)
-                elif a in checked and a not in fully:
-                    edge = checked[a][1]
-                    for b, _ in changed:
-                        if b in edge:
-                            recheck(a, b)
-            for a in alone:
-                for big, (_, edge, _) in checked.items():
-                    if big not in fully and a in edge:
+            fully = set()  # the big slots whose every pair is read this round
+            for slot in full:
+                v = node_of.get(slot, -1)
+                if v < n:  # no longer a big node
+                    checked.pop(slot, None)
+                    failing.pop(slot, None)
+                    continue
+                old = checked.get(slot, (None, _NO_EDGE, None))
+                if old[0] == v:
+                    edge = old[1]
+                else:
+                    edge = boundary_slots(v)
+                floor_in = low[v] + lifts.get(slot, 0)
+                checked[slot] = v, edge, floor_in
+                bad = failing.pop(slot, set())
+                if old[2] == floor_in:  # a pair on both boundaries keeps its costs but for a row change
+                    bad = (bad & edge).union(a for a in edge - old[1] if fails(slot, v, a))
+                else:
+                    fully.add(slot)
+                    bad = {a for a in edge if fails(slot, v, a)}
+                if bad:
+                    failing[slot] = bad
+
+            if checked:  # what changed under the pairs read before
+                for a in rowed:  # a pair reads its big slot's row and its singleton's at one entry
+                    changed = rows.get(a, _NO_ROW).items() ^ old_rows.get(a, _NO_ROW).items()
+                    if a in singles:
+                        for b, _ in changed:
+                            if b in checked and b not in fully and a in checked[b][1]:
+                                recheck(b, a)
+                    elif a in checked and a not in fully:
+                        edge = checked[a][1]
+                        for b, _ in changed:
+                            if b in edge:
+                                recheck(a, b)
+                for a in alone:
+                    for big, (_, edge, _) in checked.items():
+                        if big not in fully and a in edge:
+                            recheck(big, a)
+                for big in [big for big in failing if big not in fully]:  # read every round
+                    for a in list(failing[big]):
                         recheck(big, a)
-            for big in [big for big in failing if big not in fully]:  # read every round
-                for a in list(failing[big]):
-                    recheck(big, a)
 
         heights_ok = exits == expect or all(exits[slot] == h for slot, h in expect.items())
         merge_ok = True
