@@ -9,12 +9,13 @@ stores, against the sweep's cycle tree on node ids.  A set is a path cycle
 exactly when it is a node: when its states' positions in the tree's
 depth-first leaf order fill one node's ``lo:hi`` slice.  Each class is
 resolved to its node id once, when the class object first appears in a
-slot, and the node's ``low``, ``high`` and ``floor`` give its heights.  The
-rounds carry what did not change from one to the next: the slot -> node
-map, each big node's boundary (state ids, built from its children's) and
-the cost pairs that fail.  No ``CycleNode``, member index or boundary scan
-by member set is built; frozensets and ``Energy`` are built only for a
-report entry.
+slot, and the node's ``low``, ``high`` and ``floor`` give its heights.  A
+round of more than ``_FRESH_ROUND`` slots carries what did not change from
+the round before: the slot -> node map, each big node's boundary (state
+ids, built from its children's) and the cost pairs that fail.  A smaller
+round reads its slots and pairs afresh.  No ``CycleNode``, member index or
+boundary scan by member set is built; frozensets and ``Energy`` are built
+only for a report entry.
 
 The tests keep the check independent: they hold the tree to the definitions
 and to ``brute_force_path_cycles``, an exhaustive bitmask scan over
@@ -37,8 +38,9 @@ from .pathcycles import CycleTree, enumerate_path_cycles, set_key
 _BRUTE_FORCE_LIMIT = 20
 _NO_ROW = MappingProxyType({})  # stand-ins for a missing row and an empty boundary
 _NO_EDGE = frozenset()
-# a round of at most this many slots is read afresh instead of diffed with
-# the round before; fuzz-sized landscapes have at most 10
+# a round of at most this many slots reads every cost pair afresh: diffing
+# it with the round before costs more bookkeeping than the reads it saves
+# (``fuzz``'s landscapes have 2 to 10 states by default)
 _FRESH_ROUND = 32
 
 
@@ -135,10 +137,10 @@ class ConditionRecord:
     The conditions are read on tree node ids: a class is the node whose leaf
     slice its states fill, resolved when the class object first appears in a
     slot.  Exit heights are compared on every slot of every round and merge
-    heights on the slots the round formed.  A big class's cost pairs are read
-    again only when its class, row or lift object changed, or when a
-    boundary singleton's row changed or it merged; every other pair carries
-    its result from the round before.
+    heights on the slots the round formed.  In a round of more than 32
+    slots, a big class's cost pairs are read again only when its class, row
+    or lift object changed, or when a boundary singleton's row changed or it
+    merged; every other pair carries its result from the round before.
     """
 
     iteration: int
@@ -224,13 +226,14 @@ def _check_rounds(
     the tree node id of each class.  A class without a node is not a path
     cycle; the conditions that need its node skip it.
 
-    What a round left as it was is carried: the slot -> node map, each big
-    node's boundary (state ids, built from its children's) and the failing
-    (big slot, boundary singleton) cost pairs.  One pass over the last
-    round's slots finds those whose class, row or lift object changed.  A
-    big slot with a new class or lift reads all its pairs, unless its floor
-    plus lift holds: then only the states new to its boundary are read, as
-    changed row entries are for every slot."""
+    A round of at most ``_FRESH_ROUND`` slots reads everything afresh.  A
+    bigger one carries what the round before left as it was: the slot ->
+    node map, each big node's boundary (state ids, built from its
+    children's) and the failing (big slot, boundary singleton) cost pairs.
+    One pass over the last round's slots finds those whose class, row or
+    lift object changed.  A big slot with a new class or lift reads all its
+    pairs, unless its floor plus lift holds: then only the states new to its
+    boundary are read, as changed row entries are for every slot."""
     units, adjacency = landscape.numbering()[2:]
     n = len(units)
     low, high, floor, children, lo, hi = tree.low, tree.high, tree.floor, tree.children, tree.lo, tree.hi
