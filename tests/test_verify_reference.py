@@ -49,7 +49,7 @@ def reading(request, monkeypatch):
     monkeypatch.setattr(equivalence, "_FRESH_ROUND", math.inf if request.param == "afresh" else -1)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_matches_the_reference_on_drawn_landscapes(data):
     _same_report(draw_landscape(data))
@@ -131,10 +131,13 @@ def _scramble(seed):
     return scramble
 
 
-@pytest.mark.parametrize("first", range(0, 400, 50))
-def test_matches_the_reference_on_scrambled_traces(reading, monkeypatch, first):
+@pytest.mark.parametrize("first", range(0, 300, 50))
+def test_matches_the_reference_on_scrambled_traces(monkeypatch, first):
+    # every round is diffed with the one before, so these small landscapes
+    # test the bookkeeping that a round of at most 32 slots skips
+    monkeypatch.setattr(equivalence, "_FRESH_ROUND", -1)
     for seed in range(first, first + 50):
-        if seed % 4:
+        if seed % 8:
             energy = random.Random(seed).choice((2, 6, 30))
             landscape = random_landscape(seed=seed, max_states=14, max_energy=energy)
         else:
