@@ -280,7 +280,7 @@ def _check_rounds(
     node_of: dict = {}  # slot -> node id, for the slots whose class is a node
     expect: dict = {}  # slot -> the node's exit height, on the same slots
     singles: set = set()  # the slots whose class is a singleton
-    checked: dict = {}  # big slot -> (node, boundary) its pairs were read for
+    checked: dict = {}  # big slot -> (node, boundary, floor plus lift) its pairs were read at
     failing: dict = {}  # big slot -> its failing boundary states, when any
     members = rows = lifts = {}
     # a boundary state is read at the slot of its singleton in the first
@@ -299,7 +299,7 @@ def _check_rounds(
             expect.clear()
             singles.clear()
             failing.clear()
-            was = dict(checked)
+            before = dict(checked)
             checked.clear()
             for slot, cls in members.items():
                 if len(cls) == 1:
@@ -310,7 +310,7 @@ def _check_rounds(
                 node_of[slot] = v
                 expect[slot] = max(floor[v] - low[v], 0)
                 if v >= n:
-                    old = was.get(slot, (None,))
+                    old = before.get(slot, (None,))
                     edge = old[1] if old[0] == v else boundary_slots(v)
                     checked[slot] = v, edge, low[v] + lifts.get(slot, 0)
             for slot, (v, edge, _) in checked.items():
