@@ -9,13 +9,12 @@ stores, against the sweep's cycle tree on node ids.  A set is a path cycle
 exactly when it is a node: when its states' positions in the tree's
 depth-first leaf order fill one node's ``lo:hi`` slice.  Each class is
 resolved to its node id once, when the class object first appears in a
-slot, and the node's ``low``, ``high`` and ``floor`` give its heights.  A
-round of more than ``_FRESH_ROUND`` slots carries what did not change from
-the round before: the slot -> node map, each big node's boundary (state
-ids, built from its children's) and the cost pairs that fail.  A smaller
-round reads its slots and pairs afresh.  No ``CycleNode``, member index or
-boundary scan by member set is built; frozensets and ``Energy`` are built
-only for a report entry.
+slot, and the node's ``low``, ``high`` and ``floor`` give its heights.
+Each round carries what did not change from the round before: the slot ->
+node map, each big node's boundary (state ids, built from its children's)
+and the cost pairs that fail.  No ``CycleNode``, member index or boundary
+scan by member set is built; frozensets and ``Energy`` are built only for a
+report entry.
 
 The tests keep the check independent: they hold the tree to the definitions
 and to ``brute_force_path_cycles``, an exhaustive bitmask scan over
@@ -38,10 +37,6 @@ from .pathcycles import CycleTree, enumerate_path_cycles, set_key
 _BRUTE_FORCE_LIMIT = 20
 _NO_ROW = MappingProxyType({})  # stand-ins for a missing row and an empty boundary
 _NO_EDGE = frozenset()
-# a round of at most this many slots reads every cost pair afresh: diffing
-# it with the round before costs more bookkeeping than the reads it saves
-# (``fuzz``'s landscapes have 2 to 10 states by default)
-_FRESH_ROUND = 32
 
 
 def brute_force_path_cycles(landscape: Landscape) -> set[StateSet]:
@@ -137,10 +132,10 @@ class ConditionRecord:
     The conditions are read on tree node ids: a class is the node whose leaf
     slice its states fill, resolved when the class object first appears in a
     slot.  Exit heights are compared on every slot of every round and merge
-    heights on the slots the round formed.  In a round of more than 32
-    slots, a big class's cost pairs are read again only when its class, row
-    or lift object changed, or when a boundary singleton's row changed or it
-    merged; every other pair carries its result from the round before.
+    heights on the slots the round formed.  A big class's cost pairs are read
+    again only when its class, row or lift object changed, or when a
+    boundary singleton's row changed or it merged; every other pair carries
+    its result from the round before.
     """
 
     iteration: int
@@ -226,14 +221,14 @@ def _check_rounds(
     the tree node id of each class.  A class without a node is not a path
     cycle; the conditions that need its node skip it.
 
-    A round of at most ``_FRESH_ROUND`` slots reads everything afresh.  A
-    bigger one carries what the round before left as it was: the slot ->
+    Each round carries what the round before left as it was: the slot ->
     node map, each big node's boundary (state ids, built from its
     children's) and the failing (big slot, boundary singleton) cost pairs.
     One pass over the last round's slots finds those whose class, row or
     lift object changed.  A big slot with a new class or lift reads all its
-    pairs, unless its floor plus lift holds: then only the states new to its
-    boundary are read, as changed row entries are for every slot."""
+    pairs.  A big slot's changed row is read at the entries that changed, a
+    singleton's at the entries of its old row; a failing pair is read every
+    round."""
     units, adjacency = landscape.numbering()[2:]
     n = len(units)
     low, high, floor, children, lo, hi = tree.low, tree.high, tree.floor, tree.children, tree.lo, tree.hi
@@ -280,7 +275,7 @@ def _check_rounds(
     node_of: dict = {}  # slot -> node id, for the slots whose class is a node
     expect: dict = {}  # slot -> the node's exit height, on the same slots
     singles: set = set()  # the slots whose class is a singleton
-    checked: dict = {}  # big slot -> (node, boundary, floor plus lift) its pairs were read at
+    checked: dict = {}  # big slot -> (node, boundary) its pairs were read at
     failing: dict = {}  # big slot -> its failing boundary states, when any
     members = rows = lifts = {}
     # a boundary state is read at the slot of its singleton in the first
@@ -294,112 +289,80 @@ def _check_rounds(
     for level in trace.levels:
         old_members, old_rows, old_lifts = members, rows, lifts
         members, rows, lifts, exits = level.members, level.rows, level.lifts, level.exits
-        if len(members) <= _FRESH_ROUND:  # read every pair, as that costs less than a diff
-            node_of.clear()
-            expect.clear()
-            singles.clear()
-            failing.clear()
-            before = dict(checked)
-            checked.clear()
-            for slot, cls in members.items():
-                if len(cls) == 1:
-                    singles.add(slot)
-                v = resolve(cls)
-                if v is None:
-                    continue
+        full = set()  # the big slots whose every pair is read this round
+        moved = []  # the slots that hold a new class
+        rowed = []  # the slots whose row object changed
+        gone = 0
+        for slot, was in old_members.items():
+            cls = members.get(slot)
+            if cls is None:  # merged into another slot
+                gone += 1
+                singles.discard(slot)
+                if node_of.pop(slot, None) is not None:
+                    del expect[slot]
+                if slot in checked:
+                    full.add(slot)
+                continue
+            if cls is not was:
+                moved.append(slot)
+            elif slot in checked and lifts.get(slot, 0) != old_lifts.get(slot, 0):
+                full.add(slot)
+            if rows.get(slot) is not old_rows.get(slot):
+                rowed.append(slot)
+        if len(members) != len(old_members) - gone:  # slots the last round lacked
+            new = [slot for slot in members if slot not in old_members]
+            moved += new
+            rowed += new
+        alone = []  # the slots that became singletons
+        for slot in moved:
+            cls = members[slot]
+            v = resolve(cls, node_of.get(slot))
+            if v is None:
+                if node_of.pop(slot, None) is not None:
+                    del expect[slot]
+            else:
                 node_of[slot] = v
                 expect[slot] = max(floor[v] - low[v], 0)
-                if v >= n:
-                    old = before.get(slot, (None,))
-                    edge = old[1] if old[0] == v else boundary_slots(v)
-                    checked[slot] = v, edge, low[v] + lifts.get(slot, 0)
-            for slot, (v, edge, _) in checked.items():
-                bad = {a for a in edge if fails(slot, v, a)}
-                if bad:
-                    failing[slot] = bad
-        else:
-            full = set()  # the big slots to read in full
-            moved = []  # the slots that hold a new class
-            rowed = []  # the slots whose row object changed
-            gone = 0
-            for slot, was in old_members.items():
-                cls = members.get(slot)
-                if cls is None:  # merged into another slot
-                    gone += 1
-                    singles.discard(slot)
-                    if node_of.pop(slot, None) is not None:
-                        del expect[slot]
-                    if slot in checked:
-                        full.add(slot)
-                    continue
-                if cls is not was:
-                    moved.append(slot)
-                elif slot in checked and lifts.get(slot, 0) != old_lifts.get(slot, 0):
-                    full.add(slot)
-                if rows.get(slot) is not old_rows.get(slot):
-                    rowed.append(slot)
-            if len(members) != len(old_members) - gone:  # slots the last round lacked
-                new = [slot for slot in members if slot not in old_members]
-                moved += new
-                rowed += new
-            alone = []  # the slots that became singletons
-            for slot in moved:
-                cls = members[slot]
-                v = resolve(cls, node_of.get(slot))
-                if v is None:
-                    if node_of.pop(slot, None) is not None:
-                        del expect[slot]
-                else:
-                    node_of[slot] = v
-                    expect[slot] = max(floor[v] - low[v], 0)
-                if (v is not None and v >= n) or slot in checked:
-                    full.add(slot)
-                if len(cls) != 1:
-                    singles.discard(slot)
-                elif slot not in singles:
-                    singles.add(slot)
-                    alone.append(slot)
+            if (v is not None and v >= n) or slot in checked:
+                full.add(slot)
+            if len(cls) != 1:
+                singles.discard(slot)
+            elif slot not in singles:
+                singles.add(slot)
+                alone.append(slot)
 
-            fully = set()  # the big slots whose every pair is read this round
-            for slot in full:
-                v = node_of.get(slot, -1)
-                if v < n:  # no longer a big node
-                    checked.pop(slot, None)
-                    failing.pop(slot, None)
-                    continue
-                old = checked.get(slot, (None, _NO_EDGE, None))
-                if old[0] == v:
-                    edge = old[1]
-                else:
-                    edge = boundary_slots(v)
-                floor_in = low[v] + lifts.get(slot, 0)
-                checked[slot] = v, edge, floor_in
-                bad = failing.pop(slot, set())
-                if old[2] == floor_in:  # a pair on both boundaries keeps its costs but for a row change
-                    bad = (bad & edge).union(a for a in edge - old[1] if fails(slot, v, a))
-                else:
-                    fully.add(slot)
-                    bad = {a for a in edge if fails(slot, v, a)}
-                if bad:
-                    failing[slot] = bad
+        for slot in full:
+            v = node_of.get(slot, -1)
+            if v < n:  # no longer a big node
+                checked.pop(slot, None)
+                failing.pop(slot, None)
+                continue
+            old = checked.get(slot, (None,))
+            edge = old[1] if old[0] == v else boundary_slots(v)
+            checked[slot] = v, edge
+            bad = {a for a in edge if fails(slot, v, a)}
+            if bad:
+                failing[slot] = bad
+            else:
+                failing.pop(slot, None)
 
-            if checked:  # what changed under the pairs read before
-                for a in rowed:  # a pair reads its big slot's row and its singleton's at one entry
-                    changed = rows.get(a, _NO_ROW).items() ^ old_rows.get(a, _NO_ROW).items()
-                    if a in singles:
-                        for b, _ in changed:
-                            if b in checked and b not in fully and a in checked[b][1]:
-                                recheck(b, a)
-                    elif a in checked and a not in fully:
-                        edge = checked[a][1]
-                        for b, _ in changed:
-                            if b in edge:
-                                recheck(a, b)
-                for a in alone:
-                    for big, (_, edge, _) in checked.items():
-                        if big not in fully and a in edge:
-                            recheck(big, a)
-                for big in [big for big in failing if big not in fully]:  # read every round
+        if checked:  # what changed under the pairs read before
+            for a in rowed:  # a pair reads its big slot's row and its singleton's at one entry
+                if a in singles:  # a pair that held read an entry of the old row
+                    for b in old_rows.get(a, _NO_ROW):
+                        if b in checked and b not in full and a in checked[b][1]:
+                            recheck(b, a)
+                elif a in checked and a not in full:
+                    edge = checked[a][1]
+                    for b, _ in rows.get(a, _NO_ROW).items() ^ old_rows.get(a, _NO_ROW).items():
+                        if b in edge:
+                            recheck(a, b)
+            for a in alone:
+                for big, (_, edge) in checked.items():
+                    if big not in full and a in edge:
+                        recheck(big, a)
+            if failing:  # a failing pair is read every round
+                for big in [big for big in failing if big not in full]:
                     for a in list(failing[big]):
                         recheck(big, a)
 

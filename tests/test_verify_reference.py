@@ -3,7 +3,6 @@ it replaced: the same report, entry for entry, on honest traces and on
 tampered ones."""
 
 import dataclasses
-import math
 import random
 
 import pytest
@@ -43,12 +42,6 @@ def _fixture(name):
     return load_landscape((DATA / name).read_text())
 
 
-@pytest.fixture(params=["afresh", "diffed"])
-def reading(request, monkeypatch):
-    """Read every round afresh, or diff every round with the one before."""
-    monkeypatch.setattr(equivalence, "_FRESH_ROUND", math.inf if request.param == "afresh" else -1)
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_matches_the_reference_on_drawn_landscapes(data):
@@ -62,7 +55,7 @@ def test_matches_the_reference_on_a_fuzz_campaign():
 
 
 @pytest.mark.parametrize("name", FIXTURES)
-def test_matches_the_reference_on_the_fixtures(reading, name):
+def test_matches_the_reference_on_the_fixtures(name):
     assert _same_report(_fixture(name))["ok"]
 
 
@@ -83,7 +76,7 @@ def _add_bad(bad):
 @pytest.mark.parametrize(
     "tamper", [_bump_merge, _bump_cost, _bump_exit, None], ids=["merge", "cost", "exit", "bad"]
 )
-def test_matches_the_reference_on_a_tampered_trace(reading, monkeypatch, path, tamper):
+def test_matches_the_reference_on_a_tampered_trace(monkeypatch, path, tamper):
     tamper = tamper or _add_bad(BAD[path])
     _tamper(monkeypatch, lambda landscape, trace: tamper(landscape, trace, *_fresh_with_single(trace)))
     assert not _same_report(load_landscape(path.read_text()))["ok"]
@@ -133,9 +126,6 @@ def _scramble(seed):
 
 @pytest.mark.parametrize("first", range(0, 300, 50))
 def test_matches_the_reference_on_scrambled_traces(monkeypatch, first):
-    # every round is diffed with the one before, so these small landscapes
-    # test the bookkeeping that a round of at most 32 slots skips
-    monkeypatch.setattr(equivalence, "_FRESH_ROUND", -1)
     for seed in range(first, first + 50):
         if seed % 8:
             energy = random.Random(seed).choice((2, 6, 30))
@@ -153,7 +143,7 @@ def test_matches_the_reference_on_scrambled_traces(monkeypatch, first):
 
 
 @pytest.mark.parametrize("path", list(BAD), ids=lambda p: p.name)
-def test_matches_the_reference_when_a_singleton_merges_for_one_round(reading, monkeypatch, path):
+def test_matches_the_reference_when_a_singleton_merges_for_one_round(monkeypatch, path):
     # a failing pair whose singleton merges in one round only: the pair is
     # skipped in that round and read again in the next
     def edit(landscape, trace):
@@ -184,7 +174,7 @@ def _reformed_with_new_state(landscape, trace):
 
 
 @pytest.mark.parametrize("name", FIXTURES[1:])
-def test_matches_the_reference_when_a_reformed_class_reaches_a_new_state(reading, monkeypatch, name):
+def test_matches_the_reference_when_a_reformed_class_reaches_a_new_state(monkeypatch, name):
     # with the cost to it dropped from the class's row, and its own row kept
     # from the round before, only the boundary says that the pair is read now
     def edit(landscape, trace):
@@ -197,7 +187,7 @@ def test_matches_the_reference_when_a_reformed_class_reaches_a_new_state(reading
 
 
 @pytest.mark.parametrize("name", FIXTURES[1:])
-def test_matches_the_reference_when_a_reformed_class_is_lifted(reading, monkeypatch, name):
+def test_matches_the_reference_when_a_reformed_class_is_lifted(monkeypatch, name):
     # a new lift moves every cost out of the re-formed class, so each of its
     # pairs is read again
     def edit(landscape, trace):
@@ -209,7 +199,7 @@ def test_matches_the_reference_when_a_reformed_class_is_lifted(reading, monkeypa
 
 
 @pytest.mark.parametrize("name", FIXTURES[1:])
-def test_matches_the_reference_when_a_living_class_is_lifted(reading, monkeypatch, name):
+def test_matches_the_reference_when_a_living_class_is_lifted(monkeypatch, name):
     # a class that lives on through a round with a new lift: its row object
     # is the round before's, yet every cost out of it moved
     def edit(landscape, trace):
@@ -219,6 +209,32 @@ def test_matches_the_reference_when_a_living_class_is_lifted(reading, monkeypatc
                     level.lifts[slot] = level.lifts.get(slot, 0) + 1
                     return
         raise AssertionError("no class lives through a round")
+
+    _tamper(monkeypatch, edit)
+    assert not _same_report(_fixture(name))["ok"]
+
+
+def _living_pair(trace):
+    """A big class that lives on through a round at its slot, beside a
+    singleton in its row: (that round, the slot, the singleton's slot)."""
+    for before, level in zip(trace.levels, trace.levels[1:]):
+        for slot, cls in sorted(level.members.items()):
+            if len(cls) > 1 and before.members.get(slot) is cls and slot in level.rows:
+                for single in sorted(level.rows[slot]):
+                    if len(level.members.get(single, ())) == 1:
+                        return level, slot, single
+    raise AssertionError("no class lives through a round beside a singleton")
+
+
+@pytest.mark.parametrize("name", FIXTURES[1:])
+@pytest.mark.parametrize("whose", ["class", "singleton"])
+def test_matches_the_reference_when_a_row_is_replaced_for_one_round(monkeypatch, name, whose):
+    # a new row object with one cost of the pair bumped: only the row says
+    # that the pair is read again, in that round and in the next
+    def edit(landscape, trace):
+        level, big, single = _living_pair(trace)
+        src, dst = (big, single) if whose == "class" else (single, big)
+        level.rows[src] = {**level.rows[src], dst: level.rows[src][dst] + 1}
 
     _tamper(monkeypatch, edit)
     assert not _same_report(_fixture(name))["ok"]
