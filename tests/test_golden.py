@@ -31,6 +31,7 @@ CASES = [
     (("validate",), "validate.json"),
     (("path-cycles",), "path-cycles.json"),
     (("path-cycles", "--dot"), "path-cycles.dot"),
+    (("graph-cycles",), "graph-cycles.json"),
     (("graph-cycles", "--iterations"), "graph-cycles-iterations.json"),
     (("verify",), "verify.json"),
     # pins the sampler's draw stream: a change to it shows up as a diff
@@ -45,11 +46,13 @@ CASES = [
 GRID_CASES = [
     ("grid8-e2.json", ("validate",), "grid8-e2-validate.json"),
     ("grid8-e2.json", ("path-cycles",), "grid8-e2-path-cycles.json"),
+    ("grid8-e2.json", ("graph-cycles",), "grid8-e2-graph-cycles.json"),
     ("grid8-e2.json", ("graph-cycles", "--iterations"), "grid8-e2-graph-cycles-iterations.json"),
     ("grid8-e2.json", ("verify",), "grid8-e2-verify.json"),
     ("grid8-e1000.json", ("validate",), "grid8-e1000-validate.json"),
     ("grid8-e1000.json", ("path-cycles",), "grid8-e1000-path-cycles.json"),
     ("grid8-e1000.json", ("path-cycles", "--dot"), "grid8-e1000-path-cycles.dot"),
+    ("grid8-e1000.json", ("graph-cycles",), "grid8-e1000-graph-cycles.json"),
     ("grid8-e1000.json", ("graph-cycles", "--iterations"), "grid8-e1000-graph-cycles-iterations.json"),
     ("grid8-e1000.json", ("verify",), "grid8-e1000-verify.json"),
 ]
