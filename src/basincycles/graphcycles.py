@@ -33,19 +33,38 @@ row stores its costs minus its slot's lift.  Only the other constituents'
 entries are folded in one by one, and only the rows with an entry into
 one of them, which a reverse index of in-edges finds, are copied and
 relabelled to the host's slot.  So a big class that absorbs a small one
-pays for the small one's edges, not for its own boundary, and consecutive
-levels share every other row.  ``advance`` runs the same round searched
-from every class.
+pays for the small one's edges, not for its own boundary.
+
+``run_decomposition`` keeps one live round state, updated in place: each
+slot's row, lift, exit and class id, and the reverse index.  Rows are
+copy-on-write: a round that changes a row puts a new object in its slot,
+so a row object never changes once its round ends.  Each round appends one
+change record: its merge groups (host plus constituents) with each host's
+new lift, exit and merge height, and the row objects it put in or dropped.
+The hierarchy is int records, like the path tree's: leaf ``i`` is state
+``i``, formed classes are ``n, n + 1, ...`` in formation order, and
+``RunRecords`` keeps each class's size, smallest state id, children, and
+exit and merge heights.  The plain export writes each cycle's members from
+one depth-first leaf order (``pathcycles.leaf_layout``), so a run builds no
+class set, sort key or ``Energy`` height.
+
+The trace's ``levels``, ``merges``, ``cycles``, ``exit_heights`` and
+``merge_heights`` are built on first read and then kept.  ``levels`` starts
+from the round-0 state the run kept and patches each level with its
+round's record into the next, with no second search and no second fold;
+consecutive levels share every row object no round replaced.  Each class's
+member frozenset and sort key are built there, once, the key by merging
+its constituents'.  ``advance`` runs one round on a copy of a level's state,
+searched from every class, and applies the same patch.
 
 The rounds compute on plain ints, like the rest of the package: every cost
 and height is a count of ``1/scale`` energy units, with ``math.inf`` as the
-one infinity, so the arithmetic stays exact.  Each class's sort key is
-computed once, when the class is created, by merging its constituents'
-keys.  The frozenset-keyed reads of a ``PartitionLevel`` and its ``Energy``
-views are built from the slots on first read; ``energy.from_units`` builds
-the ``Energy`` views and the trace's exit and merge heights.  Equal-cost
-ties resolve by set semantics, so the trace is independent of state
-enumeration order and of which constituent hosts a merge.
+one infinity, so the arithmetic stays exact.  The frozenset-keyed reads of a
+``PartitionLevel`` and its ``Energy`` views are built from the slots on
+first read; ``energy.from_units`` builds the ``Energy`` views and the
+trace's exit and merge heights.  Equal-cost ties resolve by set semantics,
+so the trace is independent of state enumeration order and of which
+constituent hosts a merge.
 """
 
 from __future__ import annotations
@@ -62,7 +81,8 @@ from .errors import (
     NonTermination,
     UnknownClass,
 )
-from .landscape import Landscape, StateSet, _climb_units
+from .landscape import Encoded, Landscape, StateSet, _climb_units, _encode_str
+from .pathcycles import leaf_layout, sorted_slices
 
 SlotRows = dict  # slot -> {slot -> int units minus the source's lift}, finite entries only
 
@@ -90,7 +110,8 @@ def _validate_seed(landscape: Landscape, costs: Mapping) -> dict[tuple[str, str]
 @dataclass(frozen=True)
 class PartitionLevel:
     """One round of the recursion: the partition, its cost matrix, and the
-    derived exit and merge heights.
+    derived exit and merge heights.  A run keeps no levels; a trace replays
+    them from its records when they are first read (module docstring).
 
     The round itself is stored on int slots, in int units of ``1/scale``.
     ``members`` maps each live slot to its class.  ``rows`` holds each
@@ -100,9 +121,10 @@ class PartitionLevel:
     cheapest true outgoing cost (``math.inf`` for none) and ``formed`` the
     merge height of each class this round formed (empty for round 0); a
     class that lives on merges at its exit height.  A slot names the same
-    class until a merge it hosts, so consecutive levels share every row
-    that no merge touched.  ``keys`` maps every class of the trace to its
-    sorted member tuple; the levels of one trace share it.
+    class until a merge it hosts, and each level's dicts are its own, while
+    consecutive levels share every row that no merge touched.  ``keys`` maps
+    every class of the trace to its sorted member tuple; the levels of one
+    trace share it.
 
     ``classes`` (in class order), ``cost_units``, ``exit_units`` and
     ``merge_units`` (None for the initial round) are the same round keyed by
@@ -204,13 +226,15 @@ class MergeStep:
 
     @cached_property
     def blocks(self) -> tuple[StateSet, ...]:
-        return _block_order(self.level, _zero_components(self.level, self.level.members))
+        level = self.level
+        return _block_order(level, _zero_components(level.rows, level.lifts, level.exits, level.members))
 
 
-def initial_level(landscape: Landscape, seed_costs=None) -> PartitionLevel:
-    """The singleton partition with its seed cost matrix.  Slot ``i`` holds
-    state ``i`` of ``landscape.numbering()``, the ``i``-th in sorted order,
-    whose int units and adjacency give the Metropolis climbs."""
+def _start(landscape: Landscape, seed_costs) -> tuple:
+    """Round 0 on slots: the state names, each slot's row of finite seed
+    costs and each slot's exit height.  Slot ``i`` holds state ``i`` of
+    ``landscape.numbering()``, the ``i``-th in sorted order, whose int units
+    and adjacency give the Metropolis climbs."""
     names, slot, height, adjacency = landscape.numbering()
     rows: SlotRows = {}
     if seed_costs is None:
@@ -220,13 +244,23 @@ def initial_level(landscape: Landscape, seed_costs=None) -> PartitionLevel:
     else:
         for (x, y), units in _validate_seed(landscape, seed_costs).items():
             rows.setdefault(slot[x], {})[slot[y]] = units
+    exits = {i: min(rows[i].values()) if i in rows else math.inf for i in range(len(names))}
+    return names, rows, exits
+
+
+def _first_level(names, rows: SlotRows, exits: dict, scale: int) -> PartitionLevel:
     members = {i: frozenset((s,)) for i, s in enumerate(names)}
     keys = {members[i]: (s,) for i, s in enumerate(names)}
-    exits = {i: min(rows[i].values()) if i in rows else math.inf for i in members}
-    return PartitionLevel(0, members, rows, {}, exits, {}, landscape.scale, keys)
+    return PartitionLevel(0, members, rows, {}, exits, {}, scale, keys)
 
 
-def _zero_components(level: PartitionLevel, starts: Iterable[int]) -> list[tuple[list, bool]]:
+def initial_level(landscape: Landscape, seed_costs=None) -> PartitionLevel:
+    """The singleton partition with its seed cost matrix: round 0, from
+    which every run starts."""
+    return _first_level(*_start(landscape, seed_costs), landscape.scale)
+
+
+def _zero_components(rows: SlotRows, lifts: dict, exits: dict, starts: Iterable[int]) -> list[tuple[list, bool]]:
     """Tarjan's strongly connected components of the zero-cost digraph over
     the slots reachable from ``starts``, each with whether a member has a
     zero-cost step out of it.  The set searched is closed under steps, so
@@ -234,7 +268,6 @@ def _zero_components(level: PartitionLevel, starts: Iterable[int]) -> list[tuple
     ``reach``, since it numbers the slots (see ``landscape``); it runs in
     one frame, so visiting a slot calls no Python function.  A slot's zero
     steps are the entries of its row at its exit height less its lift."""
-    rows, lifts, exits = level.rows, level.lifts, level.exits
     number: dict = {}
     low: dict = {}
     steps: dict = {}
@@ -318,16 +351,20 @@ def _in_edges(rows: SlotRows) -> dict:
     return into
 
 
-def _merge_round(level: PartitionLevel, starts: Iterable[int], into: dict):
-    """One round of the recursion, searched from ``starts``.  ``into`` is
-    ``level``'s reverse index; it is brought up to the next level in place.
+def _round(rows: SlotRows, lifts: dict, exits: dict, into: dict, starts: Iterable[int]):
+    """One round of the recursion on a live state, searched from ``starts``.
+    ``rows``, ``lifts``, ``exits`` and their reverse index ``into`` are
+    brought up to the next round in place; a row that changes gets a new
+    object in its slot and is never edited.
 
-    Returns the next level, its new classes in class order and every
-    component the search found.
+    Returns the round's change record, ``(groups, changed)``, and every
+    component the search found.  ``groups`` lists each merge as ``(host,
+    slots, lift, exit, height)``: the host's new lift, exit and merge height
+    after the slots of its group, host included.  ``changed`` maps each slot
+    whose row the round replaced to its new row, or to None when it dropped
+    it; the absorbed slots' rows go with their slots.
     """
-    rows, lifts, exits, members = level.rows, level.lifts, level.exits, level.members
-    keys = level.keys
-    components = _zero_components(level, starts)
+    components = _zero_components(rows, lifts, exits, starts)
     host_of = {}  # merged slot -> the slot of its new class
     groups = []
     for group, escapes in components:
@@ -337,23 +374,19 @@ def _merge_round(level: PartitionLevel, starts: Iterable[int], into: dict):
             for slot in group:
                 host_of[slot] = host
 
-    next_rows = dict(rows)
-    next_lifts = dict(lifts)
-    next_exits = dict(exits)
-    next_members = dict(members)
-    formed = {}
+    changed = {}
+    formed = {}  # host -> its merge height
     # each destination keeps its cheapest lifted cost; the host's own
     # entries keep their stored values under the host's new lift
     for host, group in groups:
         height = max(exits[slot] for slot in group)
         lift = lifts.get(host, 0) + height - exits[host]
         row = dict(rows[host])
-        parts = [members[host]]
         for slot in group:
             if slot == host:
                 continue
             shift = lifts.get(slot, 0) + height - exits[slot] - lift
-            for dst, value in rows[slot].items():
+            for dst, value in rows.pop(slot).items():
                 into[dst].discard(slot)
                 dst = host_of.get(dst, dst)
                 if dst != host:
@@ -361,43 +394,67 @@ def _merge_round(level: PartitionLevel, starts: Iterable[int], into: dict):
                     if value < row.get(dst, math.inf):
                         row[dst] = value
                     into[dst].add(host)
-            parts.append(members[slot])
-            del next_rows[slot], next_exits[slot], next_members[slot]
-            next_lifts.pop(slot, None)
-        next_rows[host] = row
-        next_lifts[host] = lift
-        next_members[host] = _union(parts, keys)
+            del exits[slot]
+            lifts.pop(slot, None)
+        changed[host] = rows[host] = row
+        lifts[host] = lift
         formed[host] = height
     # a living row keeps its values and relabels its entries into absorbed
-    # slots to their host; it is copied once, so the previous level keeps
-    # its own, and a host drops its entries into its own group
-    copied = set(formed)
+    # slots to their host; it is copied once per round, and a host drops
+    # its entries into its own group
     for slot, host in host_of.items():
         if slot == host:
             continue
         for src in into.pop(slot):
-            if src not in copied:
-                copied.add(src)
-                next_rows[src] = dict(rows[src])
-            row = next_rows[src]
+            row = changed.get(src)
+            if row is None:
+                row = changed[src] = rows[src] = dict(rows[src])
             value = row.pop(slot)
             if src != host:
                 if value < row.get(host, math.inf):
                     row[host] = value
                 into[host].add(src)
     for host in formed:
-        row = next_rows[host]
+        row = rows[host]
         if row:
-            next_exits[host] = min(row.values()) + next_lifts[host]
+            exits[host] = min(row.values()) + lifts[host]
         else:
-            del next_rows[host]
-            next_exits[host] = math.inf
+            del rows[host]
+            changed[host] = None
+            exits[host] = math.inf
+    groups = [(host, group, lifts[host], exits[host], formed[host]) for host, group in groups]
+    return (groups, changed), components
 
-    next_level = PartitionLevel(
-        level.index + 1, next_members, next_rows, next_lifts, next_exits, formed, level.scale, keys
-    )
-    minimal = tuple(sorted((next_members[host] for host in formed), key=keys.__getitem__))
-    return next_level, minimal, components
+
+def _patch(level: PartitionLevel, record) -> PartitionLevel:
+    """The level after ``level``, from its round's change record: the
+    absorbed slots go, each host takes its new class, lift, exit and merge
+    height, and the replaced rows take their slots.  Every other row object
+    is ``level``'s own."""
+    groups, changed = record
+    members, rows = dict(level.members), dict(level.rows)
+    lifts, exits = dict(level.lifts), dict(level.exits)
+    keys, formed = level.keys, {}
+    for host, group, lift, exit_height, height in groups:
+        parts = []
+        for slot in group:
+            parts.append(members[slot])
+            if slot != host:
+                del members[slot], rows[slot], exits[slot]
+                lifts.pop(slot, None)
+        members[host] = _union(parts, keys)
+        lifts[host], exits[host], formed[host] = lift, exit_height, height
+    for slot, row in changed.items():
+        if row is None:
+            del rows[slot]
+        else:
+            rows[slot] = row
+    return PartitionLevel(level.index + 1, members, rows, lifts, exits, formed, level.scale, keys)
+
+
+def _minimal(level: PartitionLevel) -> tuple[StateSet, ...]:
+    """The classes ``level``'s round formed, in class order."""
+    return tuple(sorted(map(level.members.__getitem__, level.formed), key=level.keys.__getitem__))
 
 
 def advance(level: PartitionLevel) -> tuple[PartitionLevel, tuple[StateSet, ...], tuple[StateSet, ...]]:
@@ -408,22 +465,93 @@ def advance(level: PartitionLevel) -> tuple[PartitionLevel, tuple[StateSet, ...]
     """
     if level.is_terminal:
         raise AlreadyTerminal("the partition is already the whole space")
-    next_level, minimal, components = _merge_round(level, level.members, _in_edges(level.rows))
-    return next_level, _block_order(level, components), minimal
+    rows = dict(level.rows)
+    record, components = _round(rows, dict(level.lifts), dict(level.exits), _in_edges(rows), level.members)
+    after = _patch(level, record)
+    return after, _block_order(level, components), _minimal(after)
+
+
+class RunRecords:
+    """What ``run_decomposition`` keeps (module docstring).  ``names`` are
+    the states by id; ``start`` is round 0's ``(rows, exits)``; ``rounds``
+    holds each round's change record, as ``_round`` returns it.  The
+    hierarchy is kept in lists by class id: ``size``, ``first`` (the
+    smallest state id), ``exit`` and ``merge`` (heights in int units), with
+    ``children``, the constituents' ids of each formed class."""
+
+    def __init__(self, names, rows: SlotRows, exits: dict):
+        n = len(names)
+        self.names, self.start, self.rounds = names, (dict(rows), dict(exits)), []
+        self.size, self.first, self.children = [1] * n, list(range(n)), {}
+        self.exit = list(exits.values())
+        self.merge = list(self.exit)  # a singleton merges at its exit height
+
+    def order(self) -> list[int]:
+        """The class ids by (size, smallest state id): two classes of one
+        size are disjoint, so this is the order by sorted members."""
+        size, first = self.size, self.first
+        return sorted(range(len(size)), key=lambda v: (size[v], first[v]))
+
+
+class _Built:
+    """A ``DecompositionTrace`` field that, unless it was given, is built
+    from the trace on first read by ``build`` and then kept."""
+
+    def __init__(self, build):
+        self.build = build
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, trace, owner=None):
+        if trace is None:  # the field's default: build when read
+            return None
+        value = trace.__dict__.get(self.name)
+        if value is None:
+            value = trace.__dict__[self.name] = self.build(trace)
+        return value
+
+    def __set__(self, trace, value):
+        trace.__dict__[self.name] = value
+
+
+def _replay(records: RunRecords, scale: int) -> tuple:
+    """Every level, every merge step and each class's member set by class
+    id, replayed from the records: each level is the one before, patched."""
+    level = _first_level(records.names, *records.start, scale)
+    levels, merges, sets = [level], [], list(level.members.values())
+    for record in records.rounds:
+        before, level = level, _patch(level, record)
+        levels.append(level)
+        merges.append(MergeStep(before, _minimal(level)))
+        sets += [level.members[host] for host, *_ in record[0]]
+    return tuple(levels), tuple(merges), sets
 
 
 @dataclass(frozen=True)
 class DecompositionTrace:
-    """The full run of the recursion: every round, every merge, and the
-    resulting cycle hierarchy with its exit and merge heights."""
+    """The full run of the recursion: the records ``run_decomposition``
+    kept, and views built from them on first read and then kept: every
+    round (``levels``, replayed), every merge, and the resulting cycle
+    hierarchy with its exit and merge heights as ``Energy``.  A view handed
+    to the constructor, as ``dataclasses.replace`` does, is kept as given."""
 
-    levels: tuple[PartitionLevel, ...]
-    merges: tuple[MergeStep, ...]
-    cycles: tuple[StateSet, ...]
-    exit_heights: dict
-    merge_heights: dict
     iterations: int
     scale: int
+    records: RunRecords = field(repr=False, compare=False)
+    levels: tuple = _Built(lambda trace: trace._replayed[0])
+    merges: tuple = _Built(lambda trace: trace._replayed[1])
+    cycles: tuple = _Built(lambda trace: tuple(map(trace._replayed[2].__getitem__, trace.records.order())))
+    exit_heights: dict = _Built(lambda trace: trace._heights(trace.records.exit))
+    merge_heights: dict = _Built(lambda trace: trace._heights(trace.records.merge))
+
+    @cached_property
+    def _replayed(self) -> tuple:
+        return _replay(self.records, self.scale)
+
+    def _heights(self, units: list) -> dict:
+        sets, scale = self._replayed[2], self.scale
+        return {sets[v]: from_units(h, scale) for v, h in enumerate(units)}
 
     def cycle_set(self) -> frozenset:
         return frozenset(self.cycles)
@@ -442,7 +570,7 @@ class DecompositionTrace:
 
 def run_decomposition(landscape: Landscape, seed_costs=None) -> DecompositionTrace:
     """Iterate the recursion from the singleton partition until the single
-    whole-space class, keeping the complete trace.
+    whole-space class, keeping the records of the module docstring.
 
     Both heights of a class are read from the round that forms it.  A living
     class keeps its exit height, because its cost row only loses entries
@@ -462,40 +590,59 @@ def run_decomposition(landscape: Landscape, seed_costs=None) -> DecompositionTra
     ran inside G too.  So G was a group of round k with no escape, and
     merged then, which contradicts its classes living on.
     """
-    level = initial_level(landscape, seed_costs)
-    levels = [level]
-    merges = []
-    exit_units = {level.members[slot]: h for slot, h in level.exits.items()}
-    merge_units = dict(exit_units)  # a singleton merges at its exit height
-    into = _in_edges(level.rows)
-    fresh = level.members
-    while not level.is_terminal:
-        if len(levels) > landscape.n:
+    names, rows, exits = _start(landscape, seed_costs)
+    records = RunRecords(names, rows, exits)
+    size, first, children = records.size, records.first, records.children
+    lifts: dict = {}
+    into = _in_edges(rows)
+    cls = list(range(len(names)))  # slot -> the id of its class
+    fresh: Iterable[int] = range(len(names))
+    while len(exits) > 1:
+        if len(records.rounds) >= landscape.n:
             raise NonTermination("recursion exceeded the state count")
-        before = level
-        level, minimal, _ = _merge_round(before, fresh, into)
-        levels.append(level)
-        merges.append(MergeStep(before, minimal))
-        fresh = level.formed
-        for slot, height in fresh.items():
-            block = level.members[slot]
-            exit_units[block] = level.exits[slot]
-            merge_units[block] = height
-
-    scale = landscape.scale
-    keys = level.keys
-    return DecompositionTrace(
-        levels=tuple(levels),
-        merges=tuple(merges),
-        cycles=tuple(sorted(exit_units, key=lambda c: (len(c), keys[c]))),
-        exit_heights={c: from_units(h, scale) for c, h in exit_units.items()},
-        merge_heights={c: from_units(h, scale) for c, h in merge_units.items()},
-        iterations=len(levels) - 1,
-        scale=scale,
-    )
+        record, _ = _round(rows, lifts, exits, into, fresh)
+        records.rounds.append(record)
+        for host, group, _, exit_height, height in record[0]:
+            kids = [cls[slot] for slot in group]
+            cls[host] = v = len(size)
+            children[v] = kids
+            size.append(sum(size[c] for c in kids))
+            first.append(min(first[c] for c in kids))
+            records.exit.append(exit_height)
+            records.merge.append(height)
+        fresh = [host for host, *_ in record[0]]
+    return DecompositionTrace(len(records.rounds), landscape.scale, records)
 
 
 # -- export --------------------------------------------------------------------
+
+
+def _cycles_to_list(records: RunRecords, scale: int, encoded: bool) -> list[dict]:
+    """Every cycle in class order, from the records: its members from the
+    sorted slices of one depth-first leaf order, as lists of names (when
+    ``encoded``, ``Encoded`` lists of names encoded once), and its heights
+    as text, one ``Energy`` per distinct value."""
+    names = records.names
+    name = (list(map(_encode_str, names)) if encoded else names).__getitem__
+    members = Encoded if encoded else list
+    texts: dict = {}
+
+    def text(units):
+        got = texts.get(units)
+        if got is None:
+            got = texts[units] = str(from_units(units, scale))
+        return got
+
+    lo, hi, leaves = leaf_layout(records.size, records.children, len(names))
+    exit_units, merge_units = records.exit, records.merge
+    return [
+        {
+            "members": members(map(name, ids)),
+            "exit_height": text(exit_units[v]),
+            "merge_height": text(merge_units[v]),
+        }
+        for v, ids in sorted_slices(leaves, lo, hi, records.order())
+    ]
 
 
 def _rows_to_list(rows: dict, keys: dict) -> list[dict]:
@@ -528,20 +675,15 @@ def level_to_dict(level: PartitionLevel) -> dict:
     return doc
 
 
-def trace_to_dict(trace: DecompositionTrace, include_levels: bool = False) -> dict:
-    keys = trace.levels[-1].keys
+def trace_to_dict(trace: DecompositionTrace, include_levels: bool = False, encoded: bool = False) -> dict:
+    """The trace as plain data.  With ``encoded``, each cycle's member list
+    is ``Encoded``, which only ``dumps_json`` writes as names."""
     doc: dict = {
         "iterations": trace.iterations,
-        "cycles": [
-            {
-                "members": list(keys[c]),
-                "exit_height": str(trace.exit_heights[c]),
-                "merge_height": str(trace.merge_heights[c]),
-            }
-            for c in trace.cycles
-        ],
+        "cycles": _cycles_to_list(trace.records, trace.scale, encoded),
     }
     if include_levels:
+        keys = trace.levels[-1].keys
         doc["levels"] = [level_to_dict(lvl) for lvl in trace.levels]
         doc["merges"] = [
             {

@@ -25,6 +25,7 @@ so needs more than the set of classes reached.
 
 from __future__ import annotations
 
+import gc
 import io
 import json
 import math
@@ -320,7 +321,22 @@ def _build(raw_states: list, raw_edges, scale) -> Landscape:
 def load_landscape(source) -> Landscape:
     """Parse a JSON landscape document from byte/str content or a stream.
     Text that is not UTF-8 or not JSON within the parser's integer-digit and
-    nesting limits raises ``MalformedInput``."""
+    nesting limits raises ``MalformedInput``.
+
+    The cyclic garbage collector is paused meanwhile: the parse and the build
+    allocate tens of thousands of containers, none of them garbage, which
+    every collection would walk again.  The caller's collector state is
+    restored, also when the load raises."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _load(source)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _load(source) -> Landscape:
     try:
         if isinstance(source, (bytes, bytearray)):
             text = source.decode("utf-8")

@@ -212,16 +212,34 @@ def enumerate_path_cycles(landscape: Landscape) -> CycleTree:
                         floor[c] = level
                 children[v] = sorted(group, key=first.__getitem__)
 
-    # lay the leaves out depth first, each parent (a larger id) before its children
-    lo = [0] * len(low)
-    for v in range(len(low) - 1, n - 1, -1):
+    lo, hi, leaves = leaf_layout(size, children, n)
+    order = sorted(range(len(low)), key=lambda v: (size[v], first[v]))
+    return CycleTree(landscape, low, high, floor, parent, children, lo, hi, leaves, order)
+
+
+def leaf_layout(size: list, children: dict, n: int) -> tuple[list, list, list]:
+    """Lay the leaves ``0..n-1`` of a hierarchy out depth first.  The nodes
+    ``n`` and up are formed ones, each a larger id than its children, the
+    last the root; ``size`` counts each node's leaves.  Returns ``lo``,
+    ``hi`` and ``leaves``: node v's leaves are ``leaves[lo[v]:hi[v]]``."""
+    lo = [0] * len(size)
+    for v in range(len(size) - 1, n - 1, -1):  # each parent before its children
         at = lo[v]
         for c in children[v]:
             lo[c], at = at, at + size[c]
     leaves = sorted(range(n), key=lo.__getitem__)
-    hi = [a + k for a, k in zip(lo, size)]
-    order = sorted(range(len(low)), key=lambda v: (size[v], first[v]))
-    return CycleTree(landscape, low, high, floor, parent, children, lo, hi, leaves, order)
+    return lo, [a + k for a, k in zip(lo, size)], leaves
+
+
+def sorted_slices(leaves: list, lo: list, hi: list, order: Iterable[int]):
+    """Each node of ``order`` with its sorted leaf ids.  ``order`` puts
+    every node after its children, whose slices lie end to end in the
+    node's, so each in-place sort on a copy of ``leaves`` merges sorted
+    runs."""
+    work = list(leaves)
+    for v in order:
+        work[lo[v] : hi[v]] = ids = sorted(work[lo[v] : hi[v]])
+        yield v, ids
 
 
 def depth(landscape: Landscape, members: Iterable[str]) -> Energy:
@@ -247,13 +265,9 @@ def resistance_height(landscape: Landscape, members: Iterable[str]) -> Energy:
 
 def _exported(tree: CycleTree):
     """Each node in tree order: its id, its sorted member ids (so in name
-    order), its ``low``, and the text of its depth and resistance.  A node's
-    slice is its children's end to end, and they come first in tree order,
-    so each in-place sort on a copy of the leaf order merges sorted runs."""
-    work = list(tree.leaves)
-    for v in tree.order:
-        lo, hi, low = tree.lo[v], tree.hi[v], tree.low[v]
-        work[lo:hi] = ids = sorted(work[lo:hi])
+    order), its ``low``, and the text of its depth and resistance."""
+    for v, ids in sorted_slices(tree.leaves, tree.lo, tree.hi, tree.order):
+        low = tree.low[v]
         depth, resistance = from_units(tree.floor[v] - low, tree.scale), tree.high[v] - low
         yield v, ids, low, str(depth), str(Energy(resistance, tree.scale))
 

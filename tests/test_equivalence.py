@@ -48,8 +48,8 @@ def test_fig1_exit_height_is_boundary_depth(fig1):
 
 
 def test_sweep_and_verifier_build_no_energy(monkeypatch):
-    """Heights stay int units: the sweep builds no ``Energy``, and ``verify``
-    builds none beyond the decomposition's own height views."""
+    """Heights stay int units: the sweep and the decomposition's run build no
+    ``Energy``, and ``verify`` builds none beyond the trace's height views."""
     L = load_landscape((DATA / "grid8-e1000.json").read_text(encoding="utf-8"))
     made = []
     original = Energy.__init__
@@ -61,7 +61,9 @@ def test_sweep_and_verifier_build_no_energy(monkeypatch):
     monkeypatch.setattr(Energy, "__init__", counting)
     enumerate_path_cycles(L)
     assert made == []
-    run_decomposition(L)
+    trace = run_decomposition(L)
+    assert made == []
+    trace.exit_heights, trace.merge_heights
     decomposition = len(made)
     made.clear()
     assert verify_equivalence(L).ok

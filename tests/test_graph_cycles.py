@@ -1,7 +1,9 @@
 """The recursive decomposition: golden values, algebra, invariants."""
 
+import json
 import math
 import random
+import tracemalloc
 from operator import attrgetter
 
 import pytest
@@ -24,10 +26,12 @@ from basincycles.errors import (
     MalformedInput,
     UnknownClass,
 )
+from basincycles import cli, graphcycles
 from basincycles.cli import main
+from basincycles.energy import from_units
 from basincycles.equivalence import verify_equivalence
-from basincycles.graphcycles import MergeStep, trace_to_dict
-from basincycles.landscape import reach
+from basincycles.graphcycles import MergeStep, PartitionLevel, trace_to_dict
+from basincycles.landscape import dumps_json, reach
 from basincycles.pathcycles import set_key
 
 from conftest import DATA, components, draw_landscape, grid_text, make_fig1_shuffled
@@ -483,6 +487,59 @@ def _assert_rounds_match_advance(L, seed_costs=None):
     assert [(step.blocks, step.minimal) for step in trace.merges] == steps
 
 
+def _reference_export(L, seed_costs=None):
+    """The plain ``trace_to_dict`` document from ``advance``'s levels: each
+    round's new classes, with the exit and merge heights of the level that
+    has them first, in (size, sorted members) order."""
+    levels, _ = _advance_all(L, seed_costs)
+    heights = {}
+    for level in levels:
+        merge = level.merge_units or level.exit_units  # a singleton merges at its exit height
+        for cls in level.classes:
+            heights.setdefault(cls, (level.exit_units[cls], merge[cls]))
+    return {
+        "iterations": len(levels) - 1,
+        "cycles": [
+            {
+                "members": list(set_key(cls)),
+                "exit_height": str(from_units(heights[cls][0], L.scale)),
+                "merge_height": str(from_units(heights[cls][1], L.scale)),
+            }
+            for cls in sorted(heights, key=lambda cls: (len(cls), set_key(cls)))
+        ],
+    }
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_plain_export_matches_the_levels(data):
+    L = draw_landscape(data)
+    for seed_costs in (None, _generic_seed(data, L, top=6)):
+        trace = run_decomposition(L, seed_costs=seed_costs)
+        want = _reference_export(L, seed_costs)
+        assert trace_to_dict(trace) == want
+        assert json.loads(dumps_json(trace_to_dict(trace, encoded=True))) == want
+
+
+def test_run_and_export_hold_no_snapshots():
+    # the run keeps its change records and the hierarchy, not a level per
+    # round, and the plain export replays none: peaks under tracemalloc
+    # are about 7.6 MB for the run and 12 MB with the export, against 47
+    # and 51 MB when every round was stored as a level
+    L = load_landscape(grid_text(40, 1000, 1))
+    L.numbering()
+    tracemalloc.start()
+    try:
+        trace = run_decomposition(L)
+        run_peak = tracemalloc.get_traced_memory()[1]
+        trace_to_dict(trace, encoded=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert run_peak < 15_000_000
+    assert peak < 24_000_000
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_merge_following_rounds_match_advance(data):
@@ -516,6 +573,45 @@ def test_graph_cycles_searches_blocks_only_for_iterations(block_reads, tmp_path)
     assert block_reads == []
     assert main(["graph-cycles", source, "--iterations", "--out", str(tmp_path / "full.json")]) == 0
     assert block_reads
+
+
+def test_plain_graph_cycles_builds_no_snapshot(monkeypatch, capsys):
+    # plain ``graph-cycles`` writes the hierarchy from the run's records: no
+    # level, no class frozenset and no ``Energy`` height dict; with
+    # ``--iterations`` the levels are replayed
+    built = []
+    level_init = PartitionLevel.__init__
+
+    def counting_level(self, *args, **kwargs):
+        built.append("level")
+        level_init(self, *args, **kwargs)
+
+    union = graphcycles._union
+
+    def counting_union(*args):
+        built.append("union")
+        return union(*args)
+
+    traces = []
+    run = cli.run_decomposition
+
+    def capture(*args, **kwargs):
+        traces.append(run(*args, **kwargs))
+        return traces[-1]
+
+    monkeypatch.setattr(PartitionLevel, "__init__", counting_level)
+    monkeypatch.setattr(graphcycles, "_union", counting_union)
+    monkeypatch.setattr(cli, "run_decomposition", capture)
+    source = str(DATA / "grid8-e1000.json")
+    assert main(["graph-cycles", source]) == 0
+    assert capsys.readouterr().out == (DATA / "golden" / "grid8-e1000-graph-cycles.json").read_text()
+    assert built == []
+    views = ("levels", "merges", "cycles", "exit_heights", "merge_heights")
+    assert all(vars(traces[0]).get(name) is None for name in views)
+    assert main(["graph-cycles", source, "--iterations"]) == 0
+    golden = (DATA / "golden" / "grid8-e1000-graph-cycles-iterations.json").read_text()
+    assert capsys.readouterr().out == golden
+    assert "level" in built and "union" in built
 
 
 def test_verify_searches_no_blocks(block_reads):

@@ -1,5 +1,6 @@
 """Landscape model: loading, validation, set geometry, Metropolis kernel."""
 
+import gc
 import json
 import math
 import random
@@ -222,6 +223,42 @@ def test_malformed_json():
 def test_bytes_that_are_not_utf8_are_malformed():
     with pytest.raises(MalformedInput):
         load_landscape(b"\xff")
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_load_pauses_the_collector_and_restores_the_callers_state(monkeypatch, enabled):
+    # the parse and the build run with the cyclic collector off; a load that
+    # succeeds, one of malformed JSON and one of a malformed entry leave the
+    # collector as the caller had it
+    from basincycles import landscape
+
+    seen = []
+
+    def watch(module, attr):
+        original = getattr(module, attr)
+
+        def watched(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, watched)
+
+    watch(json, "loads")
+    watch(landscape, "_build")
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    after = []
+    try:
+        load_landscape(FIG1_PATH.read_text(encoding="utf-8"))
+        after.append(gc.isenabled())
+        for text in ("{not json", '{"states": [1]}'):
+            with pytest.raises(MalformedInput):
+                load_landscape(text)
+            after.append(gc.isenabled())
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert after == [enabled] * 3
+    assert seen == [False] * 5  # three parses, two of which reach the build
 
 
 FAULTS = [
