@@ -102,7 +102,7 @@ def _cmd_path_cycles(args) -> int:
 def _cmd_graph_cycles(args) -> int:
     landscape = _read_landscape(args.input)
     trace = run_decomposition(landscape)
-    doc = trace_to_dict(trace, include_levels=args.iterations, encoded=True)
+    doc = trace_to_dict(trace, include_levels=args.iterations)
     _emit_doc({"kind": "decomposition-trace", **doc}, args.out)
     return 0
 

@@ -81,7 +81,7 @@ from .errors import (
     NonTermination,
     UnknownClass,
 )
-from .landscape import Encoded, Landscape, StateSet, _climb_units, _encode_str
+from .landscape import Landscape, StateSet, _climb_units
 from .pathcycles import leaf_layout, sorted_slices
 
 SlotRows = dict  # slot -> {slot -> int units minus the source's lift}, finite entries only
@@ -617,14 +617,11 @@ def run_decomposition(landscape: Landscape, seed_costs=None) -> DecompositionTra
 # -- export --------------------------------------------------------------------
 
 
-def _cycles_to_list(records: RunRecords, scale: int, encoded: bool) -> list[dict]:
+def _cycles_to_list(records: RunRecords, scale: int) -> list[dict]:
     """Every cycle in class order, from the records: its members from the
-    sorted slices of one depth-first leaf order, as lists of names (when
-    ``encoded``, ``Encoded`` lists of names encoded once), and its heights
-    as text, one ``Energy`` per distinct value."""
-    names = records.names
-    name = (list(map(_encode_str, names)) if encoded else names).__getitem__
-    members = Encoded if encoded else list
+    sorted slices of one depth-first leaf order, and its heights as text,
+    one ``Energy`` per distinct value."""
+    name = records.names.__getitem__
     texts: dict = {}
 
     def text(units):
@@ -633,11 +630,11 @@ def _cycles_to_list(records: RunRecords, scale: int, encoded: bool) -> list[dict
             got = texts[units] = str(from_units(units, scale))
         return got
 
-    lo, hi, leaves = leaf_layout(records.size, records.children, len(names))
+    lo, hi, leaves = leaf_layout(records.size, records.children, len(records.names))
     exit_units, merge_units = records.exit, records.merge
     return [
         {
-            "members": members(map(name, ids)),
+            "members": list(map(name, ids)),
             "exit_height": text(exit_units[v]),
             "merge_height": text(merge_units[v]),
         }
@@ -675,13 +672,8 @@ def level_to_dict(level: PartitionLevel) -> dict:
     return doc
 
 
-def trace_to_dict(trace: DecompositionTrace, include_levels: bool = False, encoded: bool = False) -> dict:
-    """The trace as plain data.  With ``encoded``, each cycle's member list
-    is ``Encoded``, which only ``dumps_json`` writes as names."""
-    doc: dict = {
-        "iterations": trace.iterations,
-        "cycles": _cycles_to_list(trace.records, trace.scale, encoded),
-    }
+def trace_to_dict(trace: DecompositionTrace, include_levels: bool = False) -> dict:
+    doc: dict = {"iterations": trace.iterations, "cycles": _cycles_to_list(trace.records, trace.scale)}
     if include_levels:
         keys = trace.levels[-1].keys
         doc["levels"] = [level_to_dict(lvl) for lvl in trace.levels]

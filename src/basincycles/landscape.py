@@ -393,11 +393,23 @@ def dumps_json(value) -> str:
     """The stdlib's ``json.dumps`` with a two-space indent, byte for byte,
     for trees of str, None, bool, int, float, list, tuple and str-keyed
     dict; anything else raises ``TypeError``.  The stdlib encodes indented
-    output in pure Python; here each array of strings is one C pass, and an
-    ``Encoded`` array is written as it is."""
+    output in pure Python; here each array of strings is encoded in C, and
+    an ``Encoded`` array is written as it is."""
     chunks: list[str] = []
     _write(value, "\n", chunks.append)
     return "".join(chunks)
+
+
+def _strings(value, separator: str) -> str:
+    """The items of an array of strings, encoded and joined in C: at once
+    when no item needs an escape, else one by one; ``TypeError`` when an
+    item is not a str."""
+    if type(value) is Encoded:
+        return separator.join(value)
+    text = "".join(value)
+    if len(_encode_str(text)) == len(text) + 2:  # an escape would lengthen it
+        return '"' + ('"' + separator + '"').join(value) + '"'
+    return separator.join(map(_encode_str, value))
 
 
 def _write(value, newline: str, emit) -> None:
@@ -427,7 +439,7 @@ def _write(value, newline: str, emit) -> None:
         separator = "," + inner
         emit("[" + inner)
         try:
-            emit(separator.join(value if type(value) is Encoded else map(_encode_str, value)))
+            emit(_strings(value, separator))
         except TypeError:  # not every item is a str
             for i, item in enumerate(value):
                 if i:

@@ -1,6 +1,5 @@
 """The recursive decomposition: golden values, algebra, invariants."""
 
-import json
 import math
 import random
 import tracemalloc
@@ -31,7 +30,7 @@ from basincycles.cli import main
 from basincycles.energy import from_units
 from basincycles.equivalence import verify_equivalence
 from basincycles.graphcycles import MergeStep, PartitionLevel, trace_to_dict
-from basincycles.landscape import dumps_json, reach
+from basincycles.landscape import reach
 from basincycles.pathcycles import set_key
 
 from conftest import DATA, components, draw_landscape, grid_text, make_fig1_shuffled
@@ -518,7 +517,6 @@ def test_plain_export_matches_the_levels(data):
         trace = run_decomposition(L, seed_costs=seed_costs)
         want = _reference_export(L, seed_costs)
         assert trace_to_dict(trace) == want
-        assert json.loads(dumps_json(trace_to_dict(trace, encoded=True))) == want
 
 
 def test_run_and_export_hold_no_snapshots():
@@ -532,7 +530,7 @@ def test_run_and_export_hold_no_snapshots():
     try:
         trace = run_decomposition(L)
         run_peak = tracemalloc.get_traced_memory()[1]
-        trace_to_dict(trace, encoded=True)
+        trace_to_dict(trace)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
