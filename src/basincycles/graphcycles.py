@@ -81,7 +81,7 @@ from .errors import (
     NonTermination,
     UnknownClass,
 )
-from .landscape import Landscape, StateSet, _climb_units
+from .landscape import Landscape, StateSet, _climb_units, name_lists
 from .pathcycles import leaf_layout, sorted_slices
 
 SlotRows = dict  # slot -> {slot -> int units minus the source's lift}, finite entries only
@@ -619,9 +619,10 @@ def run_decomposition(landscape: Landscape, seed_costs=None) -> DecompositionTra
 
 def _cycles_to_list(records: RunRecords, scale: int) -> list[dict]:
     """Every cycle in class order, from the records: its members from the
-    sorted slices of one depth-first leaf order, and its heights as text,
-    one ``Energy`` per distinct value."""
-    name = records.names.__getitem__
+    sorted slices of one depth-first leaf order (``Names`` when no name
+    needs an escape), and its heights as text, one ``Energy`` per distinct
+    value."""
+    name, array = records.names.__getitem__, name_lists(records.names)
     texts: dict = {}
 
     def text(units):
@@ -634,7 +635,7 @@ def _cycles_to_list(records: RunRecords, scale: int) -> list[dict]:
     exit_units, merge_units = records.exit, records.merge
     return [
         {
-            "members": list(map(name, ids)),
+            "members": array(map(name, ids)),
             "exit_height": text(exit_units[v]),
             "merge_height": text(merge_units[v]),
         }

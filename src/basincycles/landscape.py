@@ -385,31 +385,28 @@ def dumps_landscape(landscape: Landscape) -> str:
 _encode_str = json.encoder.encode_basestring_ascii
 
 
-class Encoded(list):
-    """Strings already JSON-encoded, which ``dumps_json`` copies as they are."""
+class Names(list):
+    """Strings that JSON-encode as themselves in quotes, which ``dumps_json``
+    writes with one join."""
+
+
+def name_lists(names: Iterable[str]) -> type:
+    """The type for arrays drawn from ``names``: ``Names`` when none of them
+    needs an escape in JSON (an escape would lengthen their encoding), else
+    ``list``."""
+    text = "".join(names)
+    return Names if len(_encode_str(text)) == len(text) + 2 else list
 
 
 def dumps_json(value) -> str:
     """The stdlib's ``json.dumps`` with a two-space indent, byte for byte,
     for trees of str, None, bool, int, float, list, tuple and str-keyed
     dict; anything else raises ``TypeError``.  The stdlib encodes indented
-    output in pure Python; here each array of strings is encoded in C, and
-    an ``Encoded`` array is written as it is."""
+    output in pure Python; here each array of strings is one C pass, and a
+    ``Names`` array one join."""
     chunks: list[str] = []
     _write(value, "\n", chunks.append)
     return "".join(chunks)
-
-
-def _strings(value, separator: str) -> str:
-    """The items of an array of strings, encoded and joined in C: at once
-    when no item needs an escape, else one by one; ``TypeError`` when an
-    item is not a str."""
-    if type(value) is Encoded:
-        return separator.join(value)
-    text = "".join(value)
-    if len(_encode_str(text)) == len(text) + 2:  # an escape would lengthen it
-        return '"' + ('"' + separator + '"').join(value) + '"'
-    return separator.join(map(_encode_str, value))
 
 
 def _write(value, newline: str, emit) -> None:
@@ -439,7 +436,10 @@ def _write(value, newline: str, emit) -> None:
         separator = "," + inner
         emit("[" + inner)
         try:
-            emit(_strings(value, separator))
+            if type(value) is Names:
+                emit('"' + ('"' + separator + '"').join(value) + '"')
+            else:
+                emit(separator.join(map(_encode_str, value)))
         except TypeError:  # not every item is a str
             for i, item in enumerate(value):
                 if i:

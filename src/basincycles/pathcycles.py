@@ -32,7 +32,7 @@ from typing import Iterable
 
 from .energy import Energy, from_units
 from .errors import LevelBelowStart, NotACycle
-from .landscape import Encoded, Landscape, StateSet, _encode_str, exterior_boundary
+from .landscape import Landscape, StateSet, exterior_boundary, name_lists
 from .landscape import is_connected_subset, reach
 
 
@@ -273,17 +273,18 @@ def _exported(tree: CycleTree):
 
 
 def tree_to_dict(tree: CycleTree) -> dict:
-    """One entry per node in tree order.  Each name is encoded once: the
-    member and ground lists are ``Encoded``, which ``dumps_json`` copies."""
-    encoded = list(map(_encode_str, tree.names)).__getitem__
+    """One entry per node in tree order.  The member and ground lists are
+    ``Names`` when no name needs an escape, which ``dumps_json`` writes in
+    one join."""
+    name, array = tree.names.__getitem__, name_lists(tree.names)
     units = tree.landscape.numbering()[2]
     position = {v: k for k, v in enumerate(tree.order)}
     nodes = [
         {
-            "members": Encoded(map(encoded, ids)),
+            "members": array(map(name, ids)),
             "gamma": gamma,
             "gamma_tilde": gamma_tilde,
-            "ground": Encoded(encoded(i) for i in ids if units[i] == low),
+            "ground": array(name(i) for i in ids if units[i] == low),
             "parent_index": position.get(tree.parent[v]),  # None for the root
         }
         for v, ids, low, gamma, gamma_tilde in _exported(tree)

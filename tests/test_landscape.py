@@ -41,7 +41,7 @@ from basincycles.errors import (
     ScaleOverflow,
     UnknownStateInEdge,
 )
-from basincycles.landscape import Encoded, _climb_units, _encode_str, dumps_json, transition_matrix
+from basincycles.landscape import _climb_units, dumps_json, name_lists, transition_matrix
 
 from conftest import (
     FIG1_PATH,
@@ -472,14 +472,15 @@ _JSON_TREES = st.recursive(
 )
 
 
-def _pre_encoded(value):
-    """``value`` with every list of strings handed in already encoded."""
+def _as_names(value):
+    """``value`` with every list of strings handed in as ``name_lists``
+    types it: ``Names`` when no item needs an escape."""
     if isinstance(value, list):
         if all(isinstance(item, str) for item in value):
-            return Encoded(map(_encode_str, value))
-        return [_pre_encoded(item) for item in value]
+            return name_lists(value)(value)
+        return [_as_names(item) for item in value]
     if isinstance(value, dict):
-        return {key: _pre_encoded(item) for key, item in value.items()}
+        return {key: _as_names(item) for key, item in value.items()}
     return value
 
 
@@ -489,7 +490,7 @@ def _pre_encoded(value):
 @example({"q": ['"', "a\\b", "\u00e9\u2603", "\ud800"], "one": ["x"], "none": [], "deep": [["\\"], []]})
 def test_writer_matches_the_stdlib(value):
     assert dumps_json(value) == json.dumps(value, indent=2)
-    assert dumps_json(_pre_encoded(value)) == json.dumps(value, indent=2)
+    assert dumps_json(_as_names(value)) == json.dumps(value, indent=2)
 
 
 @pytest.mark.parametrize(

@@ -309,7 +309,7 @@ def test_enumeration_order_independent(fig1):
 
 def test_exports(fig1):
     tree = enumerate_path_cycles(fig1)
-    doc = json.loads(dumps_json(tree_to_dict(tree)))  # the lists hold encoded names
+    doc = json.loads(dumps_json(tree_to_dict(tree)))  # the document as written
     assert len(doc["nodes"]) == 16
     by_members = {tuple(n["members"]): n for n in doc["nodes"]}
     ij = by_members[("i", "j")]
