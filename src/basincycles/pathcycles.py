@@ -276,7 +276,8 @@ def tree_to_dict(tree: CycleTree) -> dict:
     """One entry per node in tree order.  The member and ground lists are
     ``Names`` when no name needs an escape, which ``dumps_json`` writes in
     one join."""
-    name, array = tree.names.__getitem__, name_lists(tree.names)
+    # a list's __getitem__ maps about twice as fast as a tuple's
+    name, array = list(tree.names).__getitem__, name_lists(tree.names)
     units = tree.landscape.numbering()[2]
     position = {v: k for k, v in enumerate(tree.order)}
     nodes = [
