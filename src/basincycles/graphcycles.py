@@ -377,7 +377,7 @@ def _round(rows: SlotRows, lifts: dict, exits: dict, into: dict, starts: Iterabl
                 host_of[slot] = host
 
     changed = {}
-    formed = {}  # host -> its merge height
+    merged = []  # (host, slots, lift, height), the exit filled in below
     # each destination keeps its cheapest lifted cost; the host's own
     # entries keep their stored values under the host's new lift
     for host, group in groups:
@@ -400,7 +400,7 @@ def _round(rows: SlotRows, lifts: dict, exits: dict, into: dict, starts: Iterabl
             lifts.pop(slot, None)
         changed[host] = rows[host] = row
         lifts[host] = lift
-        formed[host] = height
+        merged.append((host, group, lift, height))
     # a living row keeps its values and relabels its entries into absorbed
     # slots to their host; it is copied once per round, and a host drops
     # its entries into its own group
@@ -416,16 +416,17 @@ def _round(rows: SlotRows, lifts: dict, exits: dict, into: dict, starts: Iterabl
                 if value < row.get(host, math.inf):
                     row[host] = value
                 into[host].add(src)
-    for host in formed:
+    for k, (host, group, lift, height) in enumerate(merged):
         row = rows[host]
         if row:
-            exits[host] = min(row.values()) + lifts[host]
+            exit_height = min(row.values()) + lift
         else:
             del rows[host]
             changed[host] = None
-            exits[host] = math.inf
-    groups = [(host, group, lifts[host], exits[host], formed[host]) for host, group in groups]
-    return (groups, changed), components
+            exit_height = math.inf
+        exits[host] = exit_height
+        merged[k] = host, group, lift, exit_height, height
+    return (merged, changed), components
 
 
 def _patch(level: PartitionLevel, record) -> PartitionLevel:
@@ -457,6 +458,10 @@ def _patch(level: PartitionLevel, record) -> PartitionLevel:
 def _minimal(level: PartitionLevel) -> tuple[StateSet, ...]:
     """The classes ``level``'s round formed, in class order."""
     return tuple(sorted(map(level.members.__getitem__, level.formed), key=level.keys.__getitem__))
+
+
+def _merge_step(before: PartitionLevel, after: PartitionLevel) -> MergeStep:
+    return MergeStep(before, _minimal(after))
 
 
 def advance(level: PartitionLevel) -> tuple[PartitionLevel, tuple[StateSet, ...], tuple[StateSet, ...]]:
@@ -491,8 +496,7 @@ class RunRecords:
     def order(self) -> list[int]:
         """The class ids by (size, smallest state id): two classes of one
         size are disjoint, so this is the order by sorted members."""
-        size, first = self.size, self.first
-        return sorted(range(len(size)), key=lambda v: (size[v], first[v]))
+        return sorted(range(len(self.size)), key=list(zip(self.size, self.first)).__getitem__)
 
 
 class _Built:
@@ -518,16 +522,21 @@ class _Built:
 
 
 def _replay(records: RunRecords, scale: int) -> tuple:
-    """Every level, every merge step and each class's member set by class
-    id, replayed from the records: each level is the one before, patched."""
+    """Every level, replayed from the records (each level is the one
+    before, patched), each class's member set by class id, and the exit and
+    merge height views; a class that merges at its exit height shares one
+    ``Energy``."""
     level = _first_level(records.names, *records.start, scale)
-    levels, merges, sets = [level], [], list(level.members.values())
+    levels, sets = [level], list(level.members.values())
     for record in records.rounds:
-        before, level = level, _patch(level, record)
+        level = _patch(level, record)
         levels.append(level)
-        merges.append(MergeStep(before, _minimal(level)))
-        sets += [level.members[host] for host, *_ in record[0]]
-    return tuple(levels), tuple(merges), sets
+        sets += map(level.members.__getitem__, level.formed)  # in formation order
+    exit_heights, merge_heights = {}, {}
+    for cls, exit_units, merge_units in zip(sets, records.exit, records.merge):
+        exit_heights[cls] = height = from_units(exit_units, scale)
+        merge_heights[cls] = height if merge_units == exit_units else from_units(merge_units, scale)
+    return tuple(levels), sets, exit_heights, merge_heights
 
 
 @dataclass(frozen=True)
@@ -542,18 +551,14 @@ class DecompositionTrace:
     scale: int
     records: RunRecords = field(repr=False, compare=False)
     levels: tuple = _Built(lambda trace: trace._replayed[0])
-    merges: tuple = _Built(lambda trace: trace._replayed[1])
-    cycles: tuple = _Built(lambda trace: tuple(map(trace._replayed[2].__getitem__, trace.records.order())))
-    exit_heights: dict = _Built(lambda trace: trace._heights(trace.records.exit))
-    merge_heights: dict = _Built(lambda trace: trace._heights(trace.records.merge))
+    merges: tuple = _Built(lambda trace: tuple(map(_merge_step, trace.levels, trace.levels[1:])))
+    cycles: tuple = _Built(lambda trace: tuple(map(trace._replayed[1].__getitem__, trace.records.order())))
+    exit_heights: dict = _Built(lambda trace: trace._replayed[2])
+    merge_heights: dict = _Built(lambda trace: trace._replayed[3])
 
     @cached_property
     def _replayed(self) -> tuple:
         return _replay(self.records, self.scale)
-
-    def _heights(self, units: list) -> dict:
-        sets, scale = self._replayed[2], self.scale
-        return {sets[v]: from_units(h, scale) for v, h in enumerate(units)}
 
     def cycle_set(self) -> frozenset:
         return frozenset(self.cycles)
@@ -594,26 +599,28 @@ def run_decomposition(landscape: Landscape, seed_costs=None) -> DecompositionTra
     """
     names, rows, exits = _start(landscape, seed_costs)
     records = RunRecords(names, rows, exits)
-    size, first, children = records.size, records.first, records.children
+    rounds, size, first, children = records.rounds, records.size, records.first, records.children
+    exit_units, merge_units = records.exit, records.merge
     lifts: dict = {}
     into = _in_edges(rows)
     cls = list(range(len(names)))  # slot -> the id of its class
     fresh: Iterable[int] = range(len(names))
     while len(exits) > 1:
-        if len(records.rounds) >= landscape.n:
+        if len(rounds) >= len(names):
             raise NonTermination("recursion exceeded the state count")
         record, _ = _round(rows, lifts, exits, into, fresh)
-        records.rounds.append(record)
+        rounds.append(record)
+        fresh = []
         for host, group, _, exit_height, height in record[0]:
-            kids = [cls[slot] for slot in group]
+            kids = list(map(cls.__getitem__, group))
             cls[host] = v = len(size)
             children[v] = kids
-            size.append(sum(size[c] for c in kids))
-            first.append(min(first[c] for c in kids))
-            records.exit.append(exit_height)
-            records.merge.append(height)
-        fresh = [host for host, *_ in record[0]]
-    return DecompositionTrace(len(records.rounds), landscape.scale, records)
+            size.append(sum(map(size.__getitem__, kids)))
+            first.append(min(map(first.__getitem__, kids)))
+            exit_units.append(exit_height)
+            merge_units.append(height)
+            fresh.append(host)
+    return DecompositionTrace(len(rounds), landscape.scale, records)
 
 
 # -- export --------------------------------------------------------------------
