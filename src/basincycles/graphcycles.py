@@ -480,8 +480,9 @@ def advance(level: PartitionLevel) -> tuple[PartitionLevel, tuple[StateSet, ...]
 
 class RunRecords:
     """What ``run_decomposition`` keeps (module docstring).  ``names`` are
-    the states by id; ``start`` is round 0's ``(rows, exits)``; ``rounds``
-    holds each round's change record, as ``_round`` returns it.  The
+    the states by id; ``start`` is round 0's ``(rows, exits)``, copied
+    before the run changes the live ones in place; ``rounds`` holds each
+    round's change record, as ``_round`` returns it.  The
     hierarchy is kept in lists by class id: ``size``, ``first`` (the
     smallest state id), ``exit`` and ``merge`` (heights in int units), with
     ``children``, the constituents' ids of each formed class."""
