@@ -5,16 +5,19 @@ must equal the family of path cycles, the exit height of every cycle must
 equal its boundary depth clamped at zero, and the merge height of every
 non-singleton must equal its internal height.  ``verify_equivalence`` checks
 that, and each round's structural conditions in the int units the round
-stores, against the sweep's cycle tree on node ids.  A set is a path cycle
+stores, against the sweep's cycle tree on node ids.  It reads the run's
+change records, not the replayed levels: one live round state (slot -> row,
+lift, exit and class id) takes each round's record, and that round's checks
+visit only the record's groups and changed rows.  A set is a path cycle
 exactly when it is a node: when its states' positions in the tree's
-depth-first leaf order fill one node's ``lo:hi`` slice.  Each class is
-resolved to its node id once, when the class object first appears in a
-slot, and the node's ``low``, ``high`` and ``floor`` give its heights.
-Each round carries what did not change from the round before: the slot ->
-node map, each big node's boundary (state ids, built from its children's)
-and the cost pairs that fail.  No ``CycleNode``, member index or boundary
-scan by member set is built; frozensets and ``Energy`` are built only for a
-report entry.
+depth-first leaf order fill one node's ``lo:hi`` slice.  Each class id is
+resolved to its node once, when it forms, from its constituents' nodes and
+its size, and the node's ``low``, ``high`` and ``floor`` give its heights.
+The state carries a count of the exits that are not their node's, a count
+of the classes with no node, each big node's boundary (state ids, built from
+its children's) and the cost pairs that fail.  No level, class frozenset,
+``CycleNode``, member index or boundary scan by member set is built;
+frozensets and ``Energy`` are built only for a report entry.
 
 The tests keep the check independent: they hold the tree to the definitions
 and to ``brute_force_path_cycles``, an exhaustive bitmask scan over
@@ -30,7 +33,7 @@ from types import MappingProxyType
 
 from .energy import Energy, from_units
 from .errors import TooLarge
-from .graphcycles import DecompositionTrace, run_decomposition
+from .graphcycles import RunRecords, run_decomposition
 from .landscape import Landscape, StateSet, make_landscape
 from .pathcycles import CycleTree, enumerate_path_cycles, set_key
 
@@ -129,13 +132,14 @@ class ConditionRecord:
     at zero.  ``merge_heights_ok``: freshly merged classes carry their
     internal height.
 
-    The conditions are read on tree node ids: a class is the node whose leaf
-    slice its states fill, resolved when the class object first appears in a
-    slot.  Exit heights are compared on every slot of every round and merge
-    heights on the slots the round formed.  A big class's cost pairs are read
-    again only when its class, row or lift object changed, or when a
-    boundary singleton's row changed or it merged; every other pair carries
-    its result from the round before.
+    The conditions are read on tree node ids, from the run's change records:
+    a class is the node whose leaf slice its states fill, resolved when the
+    class forms.  Each slot's exit height is compared when its class forms,
+    and a count of the live mismatches is kept; merge heights are compared
+    on the classes the round formed.  A big class's cost pairs are read again only
+    when the class re-forms, when its row changed at that pair's entry, or
+    when a boundary singleton's row changed or it merged; every other pair
+    carries its result from the round before.
     """
 
     iteration: int
@@ -177,58 +181,63 @@ class EquivalenceReport:
         )
 
 
-def _resolver(tree: CycleTree):
-    """``resolve(cls, near)``: the node id of the class ``cls``, or None when
-    it is no path cycle.  The class is node v when its states' positions in
-    ``tree.leaves`` fill exactly v's ``lo:hi`` slice; v is then the ancestor
-    of ``near`` (a node inside that slice, else its first leaf) of that size.
-    Each class is resolved once."""
-    lo, hi, parent, leaves = tree.lo, tree.hi, tree.parent, tree.leaves
-    position = dict(zip(tree.names, lo))  # a leaf's id is its state's
-    found: dict = {}
+def _positions(c: int, node: list, parts: dict, tree: CycleTree) -> list[int]:
+    """The leaf positions of class ``c``'s states: a class with a tree node
+    is that node's ``lo:hi`` slice, and one without is its constituents'."""
+    lo, hi = tree.lo, tree.hi
+    out, todo = [], [c]
+    while todo:
+        k = todo.pop()
+        v = node[k]
+        if v is None:
+            todo += parts[k]
+        else:
+            out += range(lo[v], hi[v])
+    return out
 
-    def resolve(cls, near=None):
-        v = found.get(cls, found)
-        if v is not found:
-            return v
-        v = None
-        if len(cls) == 1:
-            for x in cls:
-                v = found[cls] = leaves[position[x]] if x in position else None
-            return v
-        try:
-            at = list(map(position.__getitem__, cls))
-        except KeyError:  # a state the landscape lacks
-            at = ()
-        size = len(at)
-        if size and max(at) - (first := min(at)) + 1 == size:
-            if near is None or lo[near] < first or hi[near] > first + size:
-                near = leaves[first]
-            while hi[near] - lo[near] < size:
-                near = parent[near]
-            if lo[near] == first and hi[near] == first + size:
-                v = near
-        found[cls] = v
+
+def _resolve(ids: list, size: int, node: list, parts: dict, tree: CycleTree):
+    """The tree node of the class formed from the classes ``ids``, of
+    ``size`` states, or None when it is no path cycle: the ancestor of
+    ``size`` leaves of the first constituent, when it holds every
+    constituent.  When a constituent is no node, the class's leaf positions
+    must make one run, and the ancestor must hold its first and last
+    leaves."""
+    lo, hi, parent = tree.lo, tree.hi, tree.parent
+    kids = list(map(node.__getitem__, ids))
+    if None in kids:
+        at = [p for k in ids for p in _positions(k, node, parts, tree)]
+        first, last = min(at), max(at)
+        if last - first + 1 != size:
+            return None
+        kids = [tree.leaves[first], tree.leaves[last]]
+    v = kids[0]
+    while hi[v] - lo[v] < size:
+        v = parent[v]
+    if hi[v] - lo[v] == size and all(lo[v] <= lo[k] and hi[k] <= hi[v] for k in kids):
         return v
+    return None
 
-    return resolve
 
+def _check_rounds(landscape: Landscape, records: RunRecords, tree: CycleTree) -> tuple:
+    """Every round's conditions, on one live round state: slot -> row, lift,
+    exit and class id.  Each change record is applied to it the way
+    ``graphcycles._patch`` applies it to a level, with no member set, and
+    the checks then visit only the record's groups and changed rows.  Each
+    group joins at least two live slots, its host among them, as
+    ``graphcycles._round`` makes them.
 
-def _check_rounds(
-    landscape: Landscape, trace: DecompositionTrace, tree: CycleTree, resolve
-) -> list[ConditionRecord]:
-    """Every round's conditions, on the round's slots and int units against
-    the tree node id of each class.  A class without a node is not a path
-    cycle; the conditions that need its node skip it.
+    A formed class is resolved to its tree node once, when it forms.  The
+    state keeps counts of the live slots whose exit is not their node's
+    and of the live classes with no node, the big slots' boundaries (state
+    ids, built from their children's) and the failing (big slot, boundary
+    singleton) cost pairs.  A re-formed big slot reads all its pairs; a
+    changed row is read at the entries that changed for a big slot, and at
+    the entries of its old row for a singleton; a failing pair is read
+    every round.
 
-    Each round carries what the round before left as it was: the slot ->
-    node map, each big node's boundary (state ids, built from its
-    children's) and the failing (big slot, boundary singleton) cost pairs.
-    One pass over the last round's slots finds those whose class, row or
-    lift object changed.  A big slot with a new class or lift reads all its
-    pairs.  A big slot's changed row is read at the entries that changed, a
-    singleton's at the entries of its old row; a failing pair is read every
-    round."""
+    Returns the conditions, each class id's node (None when the class is no
+    path cycle) and the constituents of each class without a node."""
     units, adjacency = landscape.numbering()[2:]
     n = len(units)
     low, high, floor, children, lo, hi = tree.low, tree.high, tree.floor, tree.children, tree.lo, tree.hi
@@ -238,27 +247,21 @@ def _check_rounds(
     def boundary(v):
         """v's boundary: its children's, which were classes before v, less
         v's own states; from v's leaves when the trace skipped a child."""
-        edge = bounds.get(v)
-        if edge is None:
-            first, end = lo[v], hi[v]
-            if end - first == n:  # the whole space
-                return _NO_EDGE
-            try:
-                kids = [adjacency[c] if c < n else bounds.pop(c) for c in children[v]]
-            except KeyError:
-                kids = map(adjacency.__getitem__, leaves[first:end])
-            edge = bounds[v] = {a for kid in kids for a in kid if not first <= lo[a] < end}
+        first, end = lo[v], hi[v]
+        if end - first == n:  # the whole space
+            return _NO_EDGE
+        try:
+            kids = [adjacency[c] if c < n else bounds.pop(c) for c in children[v]]
+        except KeyError:
+            kids = map(adjacency.__getitem__, leaves[first:end])
+        edge = bounds[v] = {a for kid in kids for a in kid if not first <= lo[a] < end}
         return edge
-
-    def boundary_slots(v):
-        """v's boundary as the first round's singleton slots."""
-        return boundary(v) if into is None else {into[a] for a in boundary(v)}
 
     def fails(big, v, a):
         # the boundary holds exactly the states with a positive-rate edge in;
-        # a singleton's slot is lifted by nothing
+        # a state's slot is its id, and a singleton's slot is lifted by nothing
         return a in singles and (
-            rows.get(big, _NO_ROW).get(a, math.inf) + lifts.get(big, 0) != unit[a] - low[v]
+            rows.get(big, _NO_ROW).get(a, math.inf) + lifts.get(big, 0) != units[a] - low[v]
             or rows.get(a, _NO_ROW).get(big, math.inf) != 0
         )
 
@@ -272,156 +275,128 @@ def _check_rounds(
             if not bad:
                 del failing[big]
 
-    node_of: dict = {}  # slot -> node id, for the slots whose class is a node
-    expect: dict = {}  # slot -> the node's exit height, on the same slots
-    singles: set = set()  # the slots whose class is a singleton
+    rows, exits = dict(records.start[0]), dict(records.start[1])
+    lifts: dict = {}
+    cls = list(range(n))  # slot -> the id of its class, for the live slots
+    node = list(range(n))  # class id -> its tree node; leaf i is state i
+    size = [1] * n
+    parts: dict = {}  # class id -> its constituents, for the classes without a node
+    singles = set(cls)  # the live slots whose class is a singleton
     checked: dict = {}  # big slot -> (node, boundary) its pairs were read at
     failing: dict = {}  # big slot -> its failing boundary states, when any
-    members = rows = lifts = {}
-    # a boundary state is read at the slot of its singleton in the first
-    # round, which is its own id when that round is the numbering's
-    first, unit, into = trace.levels[0].members, units, None
-    if first != {i: frozenset((x,)) for i, x in enumerate(tree.names)}:
-        single_slot = {next(iter(cls)): slot for slot, cls in first.items()}
-        into = {i: single_slot[x] for i, x in enumerate(tree.names) if x in single_slot}
-        unit = {slot: units[i] for i, slot in into.items()}
-    records = []
-    for level in trace.levels:
-        old_members, old_rows, old_lifts = members, rows, lifts
-        members, rows, lifts, exits = level.members, level.rows, level.lifts, level.exits
-        full = set()  # the big slots whose every pair is read this round
-        moved = []  # the slots that hold a new class
-        rowed = []  # the slots whose row object changed
-        gone = 0
-        for slot, was in old_members.items():
-            cls = members.get(slot)
-            if cls is None:  # merged into another slot
-                gone += 1
+    wrong = sum(exits[i] != max(floor[i] - low[i], 0) for i in range(n))  # exits not their node's
+    orphans = 0  # live classes with no node
+    conditions = [ConditionRecord(0, True, True, not wrong, True)]
+    for index, (groups, changed) in enumerate(records.rounds, 1):
+        formed = []  # (host, node, merge height)
+        for host, slots, lift, exit_height, height in groups:
+            ids = []
+            for slot in slots:
+                ids.append(c := cls[slot])
+                v = node[c]
+                if v is None:
+                    orphans -= 1
+                elif exits[slot] != max(floor[v] - low[v], 0):
+                    wrong -= 1
                 singles.discard(slot)
-                if node_of.pop(slot, None) is not None:
-                    del expect[slot]
-                if slot in checked:
-                    full.add(slot)
-                continue
-            if cls is not was:
-                moved.append(slot)
-            elif slot in checked and lifts.get(slot, 0) != old_lifts.get(slot, 0):
-                full.add(slot)
-            if rows.get(slot) is not old_rows.get(slot):
-                rowed.append(slot)
-        if len(members) != len(old_members) - gone:  # slots the last round lacked
-            new = [slot for slot in members if slot not in old_members]
-            moved += new
-            rowed += new
-        alone = []  # the slots that became singletons
-        for slot in moved:
-            cls = members[slot]
-            v = resolve(cls, node_of.get(slot))
+                if slot != host:
+                    del rows[slot], exits[slot]
+                    lifts.pop(slot, None)
+                    checked.pop(slot, None)
+                    failing.pop(slot, None)
+            cls[host] = c = len(node)
+            size.append(total := sum(map(size.__getitem__, ids)))
+            node.append(v := _resolve(ids, total, node, parts, tree))
+            lifts[host], exits[host] = lift, exit_height
             if v is None:
-                if node_of.pop(slot, None) is not None:
-                    del expect[slot]
+                parts[c] = ids
+                orphans += 1
+            elif exit_height != max(floor[v] - low[v], 0):
+                wrong += 1
+            if v is None or v < n:
+                checked.pop(host, None)
+                failing.pop(host, None)
+            formed.append((host, v, height))
+
+        # the rows the record replaces, kept while some pair read before may read them
+        old = [(slot, rows.get(slot, _NO_ROW)) for slot in changed] if checked else ()
+        for slot, row in changed.items():
+            if row is None:
+                del rows[slot]
             else:
-                node_of[slot] = v
-                expect[slot] = max(floor[v] - low[v], 0)
-            if (v is not None and v >= n) or slot in checked:
-                full.add(slot)
-            if len(cls) != 1:
-                singles.discard(slot)
-            elif slot not in singles:
-                singles.add(slot)
-                alone.append(slot)
+                rows[slot] = row
 
-        for slot in full:
-            v = node_of.get(slot, -1)
-            if v < n:  # no longer a big node
-                checked.pop(slot, None)
-                failing.pop(slot, None)
-                continue
-            old = checked.get(slot, (None,))
-            edge = old[1] if old[0] == v else boundary_slots(v)
-            checked[slot] = v, edge
-            bad = {a for a in edge if fails(slot, v, a)}
-            if bad:
-                failing[slot] = bad
-            else:
-                failing.pop(slot, None)
+        full = set()  # the big slots whose every pair is read this round
+        for host, v, _ in formed:
+            if v is not None and v >= n:
+                full.add(host)
+                edge = boundary(v)
+                checked[host] = v, edge
+                bad = {a for a in edge if fails(host, v, a)}
+                if bad:
+                    failing[host] = bad
+                else:
+                    failing.pop(host, None)
 
-        if checked:  # what changed under the pairs read before
-            for a in rowed:  # a pair reads its big slot's row and its singleton's at one entry
-                if a in singles:  # a pair that held read an entry of the old row
-                    for b in old_rows.get(a, _NO_ROW):
-                        if b in checked and b not in full and a in checked[b][1]:
-                            recheck(b, a)
-                elif a in checked and a not in full:
-                    edge = checked[a][1]
-                    for b, _ in rows.get(a, _NO_ROW).items() ^ old_rows.get(a, _NO_ROW).items():
-                        if b in edge:
-                            recheck(a, b)
-            for a in alone:
-                for big, (_, edge) in checked.items():
-                    if big not in full and a in edge:
-                        recheck(big, a)
-            if failing:  # a failing pair is read every round
-                for big in [big for big in failing if big not in full]:
-                    for a in list(failing[big]):
-                        recheck(big, a)
+        for a, was in old:  # what changed under the pairs read before
+            if a in singles:  # a pair that held read an entry of the old row
+                for b in was:
+                    if b in checked and b not in full and a in checked[b][1]:
+                        recheck(b, a)
+            elif a in checked and a not in full:  # a big slot's row, at the entries that changed
+                edge = checked[a][1]
+                for b, _ in rows.get(a, _NO_ROW).items() ^ was.items():
+                    if b in edge:
+                        recheck(a, b)
+        if failing:  # a failing pair is read every round
+            for big in [big for big in failing if big not in full]:
+                for a in list(failing[big]):
+                    recheck(big, a)
 
-        heights_ok = exits == expect or all(exits[slot] == h for slot, h in expect.items())
-        merge_ok = True
-        for slot, height in level.formed.items():
-            v = node_of.get(slot)
-            if v is not None and height != high[v] - low[v]:
-                merge_ok = False
-        records.append(
-            ConditionRecord(
-                iteration=level.index,
-                classes_are_cycles=len(node_of) == len(members),
-                boundary_costs_ok=not failing,
-                exit_heights_ok=heights_ok,
-                merge_heights_ok=merge_ok,
-            )
-        )
-    return records
+        merge_ok = all(v is None or height == high[v] - low[v] for _, v, height in formed)
+        conditions.append(ConditionRecord(index, not orphans, not failing, not wrong, merge_ok))
+    return conditions, node, parts
 
 
 def verify_equivalence(landscape: Landscape) -> EquivalenceReport:
     """Compare the two cycle families and their height functionals on one
-    landscape (Metropolis seed)."""
+    landscape (Metropolis seed), from the run's records."""
     tree = enumerate_path_cycles(landscape)
-    trace = run_decomposition(landscape)
-    resolve = _resolver(tree)
+    records = run_decomposition(landscape).records
+    conditions, node, parts = _check_rounds(landscape, records, tree)
 
-    conditions = _check_rounds(landscape, trace, tree, resolve)
+    n, scale = landscape.n, landscape.scale
+    floor, low, high = tree.floor, tree.low, tree.high
+    names, leaves, lo, hi = tree.names, tree.leaves, tree.lo, tree.hi
 
-    n, floor, low, high = landscape.n, tree.floor, tree.low, tree.high
-    exit_heights, merge_heights = trace.exit_heights, trace.merge_heights
+    def members(v):
+        return frozenset(names[i] for i in leaves[lo[v] : hi[v]])
+
+    exit_units, merge_units = records.exit, records.merge
+    order = records.order()
     he_violations = []
     hm_violations = []
     hit = set()
-    graph_only = []
-    for cyc in trace.cycles:
-        v = resolve(cyc)
+    graph_only = set()
+    for c in order:
+        v = node[c]
         if v is None:
-            graph_only.append(cyc)
+            graph_only.add(frozenset(names[leaves[p]] for p in _positions(c, node, parts, tree)))
             continue
         hit.add(v)
         expected = max(floor[v] - low[v], 0)
-        got = exit_heights[cyc]
-        if got.units != expected:
-            he_violations.append((cyc, got, from_units(expected, landscape.scale)))
+        got = exit_units[c]
+        if got != expected:
+            he_violations.append((members(v), from_units(got, scale), from_units(expected, scale)))
         # a singleton merges at its exit height
         expected_m = high[v] - low[v] if v >= n else expected
-        got_m = merge_heights[cyc]
-        if got_m.units != expected_m:
-            hm_violations.append((cyc, got_m, from_units(expected_m, landscape.scale)))
-    graph_only = sorted(set(graph_only), key=set_key)
+        got_m = merge_units[c]
+        if got_m != expected_m:
+            hm_violations.append((members(v), from_units(got_m, scale), from_units(expected_m, scale)))
+    graph_only = sorted(graph_only, key=set_key)
     path_only = []
     if len(hit) < len(tree):
-        names, leaves, lo, hi = tree.names, tree.leaves, tree.lo, tree.hi
-        for v in range(len(tree)):
-            if v not in hit:
-                path_only.append(frozenset(names[i] for i in leaves[lo[v] : hi[v]]))
-        path_only.sort(key=set_key)
+        path_only = sorted((members(v) for v in range(len(tree)) if v not in hit), key=set_key)
 
     return EquivalenceReport(
         set_equal=not graph_only and not path_only,
@@ -430,7 +405,7 @@ def verify_equivalence(landscape: Landscape) -> EquivalenceReport:
         he_violations=he_violations,
         hm_violations=hm_violations,
         conditions=conditions,
-        cycle_count=len(trace.cycles),
+        cycle_count=len(order),
     )
 
 

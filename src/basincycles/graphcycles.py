@@ -48,13 +48,16 @@ exit and merge heights.  The plain export writes each cycle's members from
 one depth-first leaf order (``pathcycles.leaf_layout``), so a run builds no
 class set, sort key or ``Energy`` height.
 
-The trace's ``levels``, ``merges``, ``cycles``, ``exit_heights`` and
-``merge_heights`` are built on first read and then kept.  ``levels`` starts
-from the round-0 state the run kept and patches each level with its
-round's record into the next, with no second search and no second fold;
-consecutive levels share every row object no round replaced.  Each class's
-member frozenset and sort key are built there, once, the key by merging
-its constituents'.  ``advance`` runs one round on a copy of a level's state,
+``equivalence.verify_equivalence`` reads the records alone: it applies
+each round's record to a live state of its own, as ``_patch`` does, but
+builds no member set.  The trace's ``levels``, ``merges``, ``cycles``,
+``exit_heights`` and ``merge_heights`` serve ``--iterations`` and the API;
+they are built on first read and then kept.  ``levels`` starts from the
+round-0 state the run kept and patches each level with its round's record
+into the next, with no second search and no second fold; consecutive
+levels share every row object no round replaced.  Each class's member
+frozenset and sort key are built there, once, the key by merging its
+constituents'.  ``advance`` runs one round on a copy of a level's state,
 searched from every class, and applies the same patch.
 
 The rounds compute on plain ints, like the rest of the package: every cost
@@ -545,8 +548,10 @@ class DecompositionTrace:
     """The full run of the recursion: the records ``run_decomposition``
     kept, and views built from them on first read and then kept: every
     round (``levels``, replayed), every merge, and the resulting cycle
-    hierarchy with its exit and merge heights as ``Energy``.  A view handed
-    to the constructor, as ``dataclasses.replace`` does, is kept as given."""
+    hierarchy with its exit and merge heights as ``Energy``.  The plain
+    export and ``verify`` read the records and build none of the views.  A
+    view handed to the constructor, as ``dataclasses.replace`` does, is kept
+    as given."""
 
     iterations: int
     scale: int

@@ -22,7 +22,7 @@ a slice of one depth-first leaf order, so all members take O(n).
 ``CycleNode``, its ``members`` and ``ground``, and the ``node`` index are
 views built on first read.  ``node()`` and ``member_sets()`` serve the API and
 the tests; ``verify`` no longer reads them, since it resolves each class to a
-node id from the leaf slices.
+node id on the int records.
 """
 
 from __future__ import annotations

@@ -22,6 +22,7 @@ from basincycles.errors import (
     ScaleOverflow,
     UnknownStateInEdge,
 )
+from basincycles.graphcycles import DecompositionTrace
 from basincycles.landscape import exterior_boundary
 from basincycles.pathcycles import enumerate_path_cycles, set_key
 
@@ -410,12 +411,22 @@ def _reference_conditions(landscape, trace, tree, path_sets):
     return records
 
 
+def retrace(trace, edit):
+    """A fresh trace over ``trace``'s records once ``edit(trace)`` has edited
+    them in place.  ``edit`` may read the honest views of ``trace`` first;
+    every view of the fresh trace, ``levels`` included, is built from the
+    edited records, so ``verify_equivalence``, which reads the records, and
+    ``reference_verify``, which reads the replayed levels, see one edit."""
+    edit(trace)
+    return DecompositionTrace(trace.iterations, trace.scale, trace.records)
+
+
 def reference_verify(landscape):
     """The verifier as it was when it compared member frozensets: every class
     of every round is looked up by its members in ``tree.node`` and every big
     class's boundary is rebuilt by ``exterior_boundary``.  It reads
     ``equivalence.run_decomposition`` when called, so a test that tampers with
-    the trace there reaches this verifier too."""
+    the trace's records there (``retrace``) reaches this verifier too."""
     tree = enumerate_path_cycles(landscape)
     trace = equivalence.run_decomposition(landscape)
 

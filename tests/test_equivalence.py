@@ -1,7 +1,6 @@
 """Cross-validation of the two decompositions against each other and the
 exhaustive oracle."""
 
-import dataclasses
 import random
 
 import pytest
@@ -23,7 +22,7 @@ from basincycles.equivalence import report_to_dict
 from basincycles.errors import TooLarge
 from basincycles.pathcycles import boundary_floor
 
-from conftest import DATA, FIG1_PATH, grid_text
+from conftest import DATA, FIG1_PATH, grid_text, retrace
 
 E = Energy.from_int
 
@@ -48,8 +47,8 @@ def test_fig1_exit_height_is_boundary_depth(fig1):
 
 
 def test_sweep_and_verifier_build_no_energy(monkeypatch):
-    """Heights stay int units: the sweep and the decomposition's run build no
-    ``Energy``, and ``verify`` builds none beyond the trace's height views."""
+    """Heights stay int units: the sweep, the decomposition's run and
+    ``verify`` on an honest trace build no ``Energy``."""
     L = load_landscape((DATA / "grid8-e1000.json").read_text(encoding="utf-8"))
     made = []
     original = Energy.__init__
@@ -61,13 +60,10 @@ def test_sweep_and_verifier_build_no_energy(monkeypatch):
     monkeypatch.setattr(Energy, "__init__", counting)
     enumerate_path_cycles(L)
     assert made == []
-    trace = run_decomposition(L)
+    run_decomposition(L)
     assert made == []
-    trace.exit_heights, trace.merge_heights
-    decomposition = len(made)
-    made.clear()
     assert verify_equivalence(L).ok
-    assert len(made) <= decomposition
+    assert made == []
 
 
 def test_single_state_trivially_equal():
@@ -221,18 +217,30 @@ def _fresh_with_single(trace):
     raise AssertionError("no fresh class with a singleton neighbour")
 
 
+def _group(records, index, host):
+    """Round ``index``'s groups, the position among them of the group
+    hosted at ``host``, and the id of the class that group forms."""
+    groups = records.rounds[index - 1][0]
+    k = next(k for k, group in enumerate(groups) if group[0] == host)
+    earlier = sum(len(record[0]) for record in records.rounds[: index - 1])
+    return groups, k, len(records.names) + earlier + k
+
+
 def _verify_tampered(monkeypatch, path, tamper):
-    """Run verify on the landscape at ``path`` with ``tamper`` applied to the
-    trace it computes.  Returns the report, the index of the round
-    ``_fresh_with_single`` picked and that round's class."""
+    """Run verify on the landscape at ``path`` with ``tamper(records, index,
+    big, single)`` applied to the records of the trace it computes, for the
+    round ``index``, class slot and singleton slot ``_fresh_with_single``
+    picks.  Returns the report, that round's index and its class."""
     original = equivalence.run_decomposition
     picked = []
 
     def tampered(landscape, *args, **kwargs):
-        trace = original(landscape, *args, **kwargs)
-        level, big, single = _fresh_with_single(trace)
-        picked.append((level.index, level.members[big]))
-        return tamper(landscape, trace, level, big, single)
+        def edit(trace):
+            level, big, single = _fresh_with_single(trace)
+            picked.append((level.index, level.members[big]))
+            tamper(trace.records, level.index, big, single)
+
+        return retrace(original(landscape, *args, **kwargs), edit)
 
     monkeypatch.setattr(equivalence, "run_decomposition", tampered)
     report = verify_equivalence(load_landscape(path.read_text()))
@@ -240,22 +248,28 @@ def _verify_tampered(monkeypatch, path, tamper):
     return (report, *picked[0])
 
 
-# each tamper edits the slot data that verify reads, not a view built from it
+# each tamper edits the records that verify reads, not a view built from them
 
 
-def _bump_merge(landscape, trace, level, big, single):
-    level.formed[big] += 1
-    return trace
+def _bump_group(field):
+    """A tamper that bumps one field of the picked class's group: 2 is the
+    host's lift, 3 its exit height and 4 its merge height."""
+
+    def bump(records, index, big, single):
+        groups, k, _ = _group(records, index, big)
+        group = list(groups[k])
+        group[field] += 1
+        groups[k] = tuple(group)
+
+    return bump
 
 
-def _bump_cost(landscape, trace, level, big, single):
-    level.rows[big][single] += 1
-    return trace
+_bump_exit, _bump_merge = _bump_group(3), _bump_group(4)
 
 
-def _bump_exit(landscape, trace, level, big, single):
-    level.exits[big] += 1
-    return trace
+def _bump_cost(records, index, big, single):
+    # the row the round put in the class's slot, edited in place
+    records.rounds[index - 1][1][big][single] += 1
 
 
 @pytest.mark.parametrize("path", FAULT_INPUTS, ids=lambda p: p.name)
@@ -279,11 +293,10 @@ def test_tampered_round_fails_its_condition(monkeypatch, path, tamper, record):
 
 @pytest.mark.parametrize("path", FAULT_INPUTS, ids=lambda p: p.name)
 def test_tampered_trace_heights_are_violations(monkeypatch, path):
-    def bump_heights(landscape, trace, level, big, single):
-        cls = level.members[big]
-        trace.exit_heights[cls] = Energy(trace.exit_heights[cls].units + 1, trace.scale)
-        trace.merge_heights[cls] = Energy(trace.merge_heights[cls].units + 1, trace.scale)
-        return trace
+    def bump_heights(records, index, big, single):
+        v = _group(records, index, big)[2]
+        records.exit[v] += 1
+        records.merge[v] += 1
 
     report, _, big = _verify_tampered(monkeypatch, path, bump_heights)
     assert [c for c, _, _ in report.he_violations] == [big]
@@ -291,24 +304,29 @@ def test_tampered_trace_heights_are_violations(monkeypatch, path):
     assert all(record.ok for record in report.conditions)
 
 
-@pytest.mark.parametrize(
-    "path, bad",
-    [(FIG1_PATH, frozenset("ac")), (DATA / "grid8-e2.json", frozenset(("r0c0", "r0c2")))],
-    ids=["fig1", "grid8-e2"],
-)
-def test_non_cycle_class_is_graph_only(monkeypatch, path, bad):
-    # a disconnected set among the cycles and the classes of one round: it is
-    # reported, and the checks that need its tree node pass over it
-    def add_bad(landscape, trace, level, big, single):
-        levels = list(trace.levels)
-        members = {**level.members, max(level.members) + 1: bad}
-        levels[level.index] = dataclasses.replace(level, members=members)
-        return dataclasses.replace(trace, levels=tuple(levels), cycles=trace.cycles + (bad,))
+def _drop_from_last(state):
+    """A tamper that drops the slot of ``state`` from the last round's
+    group: that state's class lives on beside the rest of the space."""
 
-    report, index, _ = _verify_tampered(monkeypatch, path, add_bad)
-    assert report.graph_only == [bad] and report.path_only == []
+    def drop(records, index, big, single):
+        groups = records.rounds[-1][0]
+        (host, slots, *heights), = groups
+        slot = records.names.index(state)
+        assert slot in slots and slot != host
+        groups[0] = (host, [s for s in slots if s != slot], *heights)
+
+    return drop
+
+
+@pytest.mark.parametrize("path, state", [(FIG1_PATH, "a"), (DATA / "grid8-e2.json", "r7c0")], ids=["fig1", "grid8-e2"])
+def test_non_cycle_class_is_graph_only(monkeypatch, path, state):
+    # the last round forms the space less one state, which is no path cycle:
+    # it is reported, and the checks that need its tree node pass over it
+    report, _, _ = _verify_tampered(monkeypatch, path, _drop_from_last(state))
+    space = frozenset(load_landscape(path.read_text()).states)
+    assert report.graph_only == [space - {state}] and report.path_only == [space]
     assert report.he_violations == [] and report.hm_violations == []
-    record = report.conditions[index]
+    record = report.conditions[-1]
     assert not record.classes_are_cycles
     assert record.boundary_costs_ok and record.exit_heights_ok and record.merge_heights_ok
     assert sum(not r.ok for r in report.conditions) == 1
@@ -330,6 +348,49 @@ def test_verify_reads_the_rounds_in_units(monkeypatch):
     views |= {"classes", "cost_units", "exit_units", "merge_units"}
     for level in traces[0].levels:
         assert not views & vars(level).keys(), level.index
+
+
+def test_a_class_of_non_cycles_resolves_by_its_leaf_run(fig1):
+    # {d,e}, {f,g}, {c,d} and {e,f} are no path cycles.  The leaves of
+    # {d,e,f,g} make a run, but the node of four leaves above d is {c,d,e,f}
+    tree = enumerate_path_cycles(fig1)
+    index = fig1.numbering()[1]
+    n = fig1.n
+    parts = {n + k: [index[x] for x in pair] for k, pair in enumerate(("de", "fg", "cd", "ef"))}
+    node = list(range(n)) + [None] * len(parts)
+    assert equivalence._resolve([n, n + 1], 4, node, parts, tree) is None
+    v = equivalence._resolve([n + 2, n + 3], 4, node, parts, tree)
+    assert {tree.names[i] for i in tree.leaves[tree.lo[v] : tree.hi[v]]} == set("cdef")
+
+
+def test_verify_replays_no_level(monkeypatch):
+    # verify reads the run's change records: it builds none of the trace's
+    # replayed views and patches no level
+    from basincycles import graphcycles
+
+    original = equivalence.run_decomposition
+    traces, calls = [], []
+
+    def capture(landscape, *args, **kwargs):
+        traces.append(original(landscape, *args, **kwargs))
+        return traces[-1]
+
+    def counted(name):
+        function = getattr(graphcycles, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return function(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(equivalence, "run_decomposition", capture)
+    for name in ("_patch", "_union"):
+        monkeypatch.setattr(graphcycles, name, counted(name))
+    assert verify_equivalence(load_landscape((DATA / "grid8-e1000.json").read_text())).ok
+    built = {name for name, value in vars(traces[0]).items() if value is not None}
+    assert not built & {"levels", "cycles", "exit_heights", "merge_heights", "_replayed"}
+    assert calls == []
 
 
 def test_verify_builds_no_tree_views(monkeypatch):

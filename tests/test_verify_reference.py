@@ -2,7 +2,6 @@
 it replaced: the same report, entry for entry, on honest traces and on
 tampered ones."""
 
-import dataclasses
 import random
 
 import pytest
@@ -12,13 +11,20 @@ from basincycles import equivalence, load_landscape, random_landscape, verify_eq
 from basincycles.equivalence import report_to_dict
 from basincycles.landscape import exterior_boundary
 
-from conftest import DATA, FIG1_PATH, draw_landscape, reference_verify
-from test_equivalence import _bump_cost, _bump_exit, _bump_merge, _fresh_with_single
+from conftest import DATA, FIG1_PATH, draw_landscape, reference_verify, retrace
+from test_equivalence import (
+    _bump_cost,
+    _bump_exit,
+    _bump_group,
+    _bump_merge,
+    _drop_from_last,
+    _fresh_with_single,
+)
 
 # ``fuzz`` builds landscape i of a campaign from this seed
 FUZZ_SEED_STRIDE = 1_000_003
 FIXTURES = ["fig1.json", "grid8-e2.json", "grid8-e1000.json"]
-BAD = {FIG1_PATH: frozenset("ac"), DATA / "grid8-e2.json": frozenset(("r0c0", "r0c2"))}
+BAD = {FIG1_PATH: "a", DATA / "grid8-e2.json": "r7c0"}  # a state dropped from the last group
 
 
 def _same_report(landscape) -> dict:
@@ -28,12 +34,12 @@ def _same_report(landscape) -> dict:
 
 
 def _tamper(monkeypatch, edit):
-    """Hand each verifier a fresh trace, edited by ``edit(landscape, trace)``."""
+    """Hand each verifier a fresh trace over records that ``edit(landscape,
+    trace)`` edited (``retrace``)."""
     original = equivalence.run_decomposition
 
     def tampered(landscape, *args, **kwargs):
-        trace = original(landscape, *args, **kwargs)
-        return edit(landscape, trace) or trace
+        return retrace(original(landscape, *args, **kwargs), lambda trace: edit(landscape, trace))
 
     monkeypatch.setattr(equivalence, "run_decomposition", tampered)
 
@@ -59,67 +65,74 @@ def test_matches_the_reference_on_the_fixtures(name):
     assert _same_report(_fixture(name))["ok"]
 
 
-def _add_bad(bad):
-    """A tamper that puts the disconnected set ``bad`` among the cycles and
-    the classes of one round."""
-
-    def add_bad(landscape, trace, level, big, single):
-        levels = list(trace.levels)
-        members = {**level.members, max(level.members) + 1: bad}
-        levels[level.index] = dataclasses.replace(level, members=members)
-        return dataclasses.replace(trace, levels=tuple(levels), cycles=trace.cycles + (bad,))
-
-    return add_bad
-
-
 @pytest.mark.parametrize("path", list(BAD), ids=lambda p: p.name)
 @pytest.mark.parametrize(
     "tamper", [_bump_merge, _bump_cost, _bump_exit, None], ids=["merge", "cost", "exit", "bad"]
 )
 def test_matches_the_reference_on_a_tampered_trace(monkeypatch, path, tamper):
-    tamper = tamper or _add_bad(BAD[path])
-    _tamper(monkeypatch, lambda landscape, trace: tamper(landscape, trace, *_fresh_with_single(trace)))
+    tamper = tamper or _drop_from_last(BAD[path])
+
+    def edit(landscape, trace):
+        level, big, single = _fresh_with_single(trace)
+        tamper(trace.records, level.index, big, single)
+
+    _tamper(monkeypatch, edit)
     assert not _same_report(load_landscape(path.read_text()))["ok"]
 
 
 def _scramble(seed):
-    """A tamper that makes one to three random edits to the slot data of
-    random rounds: a cost bumped or dropped in place (so in every round that
-    shares the row), a row replaced in one round, a lift, exit or merge
-    height bumped, or a class dropped, swapped with another or joined to it.
-    A fresh ``random.Random(seed)`` per call gives each verifier the same
-    edits."""
+    """A tamper that makes one to three random edits to the records: a cost
+    bumped or dropped in place (so in every round that holds the row), a row
+    replaced in one round's changed rows, a group's lift, exit or merge
+    height bumped, a class's exit or merge height bumped, or a slot dropped
+    from a group or moved to another group of its round.  A slot leaves
+    only a group of three or more, so every group still joins two live
+    slots.  A fresh ``random.Random(seed)`` per call gives each verifier
+    the same edits."""
 
     def scramble(landscape, trace):
+        levels, records = trace.levels, trace.records  # the honest levels, read first
         rng = random.Random(seed)
         for _ in range(rng.randint(1, 3)):
-            level = rng.choice(trace.levels)
-            slots = sorted(level.members)
-            slot = rng.choice(slots)
-            row = level.rows.get(slot)
             edit = rng.randrange(9)
-            if edit < 3 and row:
+            index = rng.randrange(1, len(records.rounds) + 1)
+            groups, changed = records.rounds[index - 1]
+            if edit < 3:
+                if edit < 2:  # a row the records hold
+                    rows = [*records.start[0].values(), *changed.values()]
+                else:  # a live row of the round
+                    rows = list(levels[index].rows.values())
+                row = rng.choice([row for row in rows if row] or [None])
+                if row is None:
+                    continue
                 dst = rng.choice(sorted(row))
                 if edit == 0:
                     row[dst] += rng.choice((-1, 1))
                 elif edit == 1:
                     del row[dst]
                 else:
-                    level.rows[slot] = {**row, dst: row[dst] + 1}
-            elif edit == 3:
-                level.lifts[slot] = level.lifts.get(slot, 0) + 1
-            elif edit == 4:
-                level.exits[slot] += 1
-            elif edit == 5 and level.formed:
-                level.formed[rng.choice(sorted(level.formed))] -= 1
-            elif edit == 8 and len(slots) > 1:
-                del level.members[slot]
-            elif len(slots) > 1:
-                other = rng.choice([s for s in slots if s != slot])
-                if edit == 7:
-                    level.members[slot] = level.members[slot] | level.members[other]
-                else:
-                    level.members[slot], level.members[other] = level.members[other], level.members[slot]
+                    slot = next(slot for slot, live in levels[index].rows.items() if live is row)
+                    changed[slot] = {**row, dst: row[dst] + 1}
+            elif edit < 6:  # 3 the host's lift, 4 its exit, 5 its merge height
+                k = rng.randrange(len(groups))
+                group = list(groups[k])
+                group[edit - 1] += rng.choice((-1, 1))
+                groups[k] = tuple(group)
+            elif edit == 6:
+                heights = rng.choice((records.exit, records.merge))
+                heights[rng.randrange(len(heights))] += 1
+            else:  # 7 drops a slot from a group, 8 moves it to another group
+                big = [k for k, group in enumerate(groups) if len(group[1]) > 2]
+                if not big or (edit == 8 and len(groups) < 2):
+                    continue
+                k = rng.choice(big)
+                host, slots, *heights = groups[k]
+                slot = rng.choice([s for s in slots if s != host])
+                groups[k] = (host, [s for s in slots if s != slot], *heights)
+                if edit == 8:
+                    j = rng.choice([j for j in range(len(groups)) if j != k])
+                    host, slots, *heights = groups[j]
+                    groups[j] = (host, [*slots, slot], *heights)
 
     return scramble
 
@@ -133,27 +146,21 @@ def test_matches_the_reference_on_scrambled_traces(monkeypatch, first):
         else:
             landscape = _fixture(FIXTURES[seed % 3])
         _tamper(monkeypatch, _scramble(seed))
-        try:
-            want = report_to_dict(reference_verify(landscape))
-        except KeyError:  # a state without a first-round singleton, or a slot without an exit
-            with pytest.raises(KeyError):
-                verify_equivalence(landscape)
-        else:
-            assert report_to_dict(verify_equivalence(landscape)) == want, seed
+        want = report_to_dict(reference_verify(landscape))
+        assert report_to_dict(verify_equivalence(landscape)) == want, seed
 
 
 @pytest.mark.parametrize("path", list(BAD), ids=lambda p: p.name)
-def test_matches_the_reference_when_a_singleton_merges_for_one_round(monkeypatch, path):
-    # a failing pair whose singleton merges in one round only: the pair is
-    # skipped in that round and read again in the next
+def test_matches_the_reference_when_a_failing_pair_loses_its_singleton(monkeypatch, path):
+    # a failing pair fails until its singleton merges or gets a new row;
+    # from then on it holds, and it is no longer read
     def edit(landscape, trace):
         level, big, single = _fresh_with_single(trace)
-        level.rows[single][big] += 1
-        other = next(s for s, c in level.members.items() if len(c) == 1 and s != single)
-        level.members[single] = level.members[single] | level.members[other]
+        level.rows[single][big] += 1  # the singleton's row object, edited in place
 
     _tamper(monkeypatch, edit)
-    assert not _same_report(load_landscape(path.read_text()))["conditions"][1]["classes_are_cycles"]
+    report = _same_report(load_landscape(path.read_text()))
+    assert not report["conditions"][1]["boundary_costs_ok"] and report["conditions"][-1]["boundary_costs_ok"]
 
 
 def _reformed_with_new_state(landscape, trace):
@@ -179,8 +186,9 @@ def test_matches_the_reference_when_a_reformed_class_reaches_a_new_state(monkeyp
     # from the round before, only the boundary says that the pair is read now
     def edit(landscape, trace):
         before, level, slot, single = _reformed_with_new_state(landscape, trace)
-        del level.rows[slot][single]
-        level.rows[single] = before.rows[single]
+        changed = trace.records.rounds[level.index - 1][1]
+        del changed[slot][single]
+        changed[single] = before.rows[single]
 
     _tamper(monkeypatch, edit)
     assert not _same_report(_fixture(name))["ok"]
@@ -191,24 +199,8 @@ def test_matches_the_reference_when_a_reformed_class_is_lifted(monkeypatch, name
     # a new lift moves every cost out of the re-formed class, so each of its
     # pairs is read again
     def edit(landscape, trace):
-        _, level, slot, _ = _reformed_with_new_state(landscape, trace)
-        level.lifts[slot] += 1
-
-    _tamper(monkeypatch, edit)
-    assert not _same_report(_fixture(name))["ok"]
-
-
-@pytest.mark.parametrize("name", FIXTURES[1:])
-def test_matches_the_reference_when_a_living_class_is_lifted(monkeypatch, name):
-    # a class that lives on through a round with a new lift: its row object
-    # is the round before's, yet every cost out of it moved
-    def edit(landscape, trace):
-        for before, level in zip(trace.levels, trace.levels[1:]):
-            for slot, cls in sorted(level.members.items()):
-                if len(cls) > 1 and before.members.get(slot) is cls and slot in level.rows:
-                    level.lifts[slot] = level.lifts.get(slot, 0) + 1
-                    return
-        raise AssertionError("no class lives through a round")
+        _, level, slot, single = _reformed_with_new_state(landscape, trace)
+        _bump_group(2)(trace.records, level.index, slot, single)
 
     _tamper(monkeypatch, edit)
     assert not _same_report(_fixture(name))["ok"]
@@ -229,12 +221,16 @@ def _living_pair(trace):
 @pytest.mark.parametrize("name", FIXTURES[1:])
 @pytest.mark.parametrize("whose", ["class", "singleton"])
 def test_matches_the_reference_when_a_row_is_replaced_for_one_round(monkeypatch, name, whose):
-    # a new row object with one cost of the pair bumped: only the row says
-    # that the pair is read again, in that round and in the next
+    # a new row object with one cost of the pair bumped, and the old one put
+    # back in the next round: only the row says that the pair is read again,
+    # in that round and in the next
     def edit(landscape, trace):
         level, big, single = _living_pair(trace)
         src, dst = (big, single) if whose == "class" else (single, big)
-        level.rows[src] = {**level.rows[src], dst: level.rows[src][dst] + 1}
+        row, rounds = level.rows[src], trace.records.rounds
+        rounds[level.index - 1][1][src] = {**row, dst: row[dst] + 1}
+        if level.index < len(rounds):
+            rounds[level.index][1].setdefault(src, row)
 
     _tamper(monkeypatch, edit)
     assert not _same_report(_fixture(name))["ok"]
