@@ -84,29 +84,33 @@ from .errors import (
     NonTermination,
     UnknownClass,
 )
-from .landscape import Landscape, StateSet, _climb_units, name_lists
+from .landscape import Landscape, StateSet, name_lists
 from .pathcycles import leaf_layout, sorted_slices
 
 SlotRows = dict  # slot -> {slot -> int units minus the source's lift}, finite entries only
 
 
-def _validate_seed(landscape: Landscape, costs: Mapping) -> dict[tuple[str, str], int]:
+def _validate_seed(landscape: Landscape, costs: Mapping) -> dict[tuple[int, int], int]:
     """A generic seed must be finite exactly on the q-positive ordered pairs
-    and nonnegative there.  Returns its finite costs in int units."""
+    and nonnegative there, as the numbering's adjacency says.  Returns its
+    finite costs in int units, keyed by id pair."""
+    names, index, _, adjacency = landscape.numbering()
+    expected = {(i, j) for i, nbrs in enumerate(adjacency) for j in nbrs}
     out = {}
-    expected = _climb_units(landscape).keys()
     for (x, y), value in costs.items():
         value = landscape.energy_value(value)
         if value.is_infinite:
             continue
-        if (x, y) not in expected:
+        pair = index.get(x), index.get(y)
+        if pair not in expected:
             raise MalformedInput(f"seed cost on non-edge pair ({x!r}, {y!r})")
         if value.units < 0:
             raise MalformedInput(f"negative seed cost on ({x!r}, {y!r}): {value}")
-        out[(x, y)] = value.units
+        out[pair] = value.units
     missing = expected - out.keys()
     if missing:
-        raise MalformedInput(f"seed cost missing on edge pairs: {sorted(missing)[:3]}")
+        first = [(names[i], names[j]) for i, j in sorted(missing)[:3]]
+        raise MalformedInput(f"seed cost missing on edge pairs: {first}")
     return out
 
 
@@ -238,15 +242,15 @@ def _start(landscape: Landscape, seed_costs) -> tuple:
     costs and each slot's exit height.  Slot ``i`` holds state ``i`` of
     ``landscape.numbering()``, the ``i``-th in sorted order, whose int units
     and adjacency give the Metropolis climbs."""
-    names, slot, height, adjacency = landscape.numbering()
+    names, _, height, adjacency = landscape.numbering()
     rows: SlotRows = {}
     if seed_costs is None:
         for i, nbrs in enumerate(adjacency):
             if nbrs:
                 rows[i] = {j: max(0, height[j] - height[i]) for j in nbrs}
     else:
-        for (x, y), units in _validate_seed(landscape, seed_costs).items():
-            rows.setdefault(slot[x], {})[slot[y]] = units
+        for (i, j), units in _validate_seed(landscape, seed_costs).items():
+            rows.setdefault(i, {})[j] = units
     exits = {i: min(rows[i].values()) if i in rows else math.inf for i in range(len(names))}
     return names, rows, exits
 
@@ -503,28 +507,6 @@ class RunRecords:
         return sorted(range(len(self.size)), key=list(zip(self.size, self.first)).__getitem__)
 
 
-class _Built:
-    """A ``DecompositionTrace`` field that, unless it was given, is built
-    from the trace on first read by ``build`` and then kept."""
-
-    def __init__(self, build):
-        self.build = build
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, trace, owner=None):
-        if trace is None:  # the field's default: build when read
-            return None
-        value = trace.__dict__.get(self.name)
-        if value is None:
-            value = trace.__dict__[self.name] = self.build(trace)
-        return value
-
-    def __set__(self, trace, value):
-        trace.__dict__[self.name] = value
-
-
 def _replay(records: RunRecords, scale: int) -> tuple:
     """Every level, replayed from the records (each level is the one
     before, patched), each class's member set by class id, and the exit and
@@ -543,28 +525,42 @@ def _replay(records: RunRecords, scale: int) -> tuple:
     return tuple(levels), sets, exit_heights, merge_heights
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecompositionTrace:
     """The full run of the recursion: the records ``run_decomposition``
     kept, and views built from them on first read and then kept: every
     round (``levels``, replayed), every merge, and the resulting cycle
     hierarchy with its exit and merge heights as ``Energy``.  The plain
-    export and ``verify`` read the records and build none of the views.  A
-    view handed to the constructor, as ``dataclasses.replace`` does, is kept
-    as given."""
+    export and ``verify`` read the records and build none of the views,
+    and neither do ``repr`` and ``==`` (which is identity)."""
 
     iterations: int
     scale: int
-    records: RunRecords = field(repr=False, compare=False)
-    levels: tuple = _Built(lambda trace: trace._replayed[0])
-    merges: tuple = _Built(lambda trace: tuple(map(_merge_step, trace.levels, trace.levels[1:])))
-    cycles: tuple = _Built(lambda trace: tuple(map(trace._replayed[1].__getitem__, trace.records.order())))
-    exit_heights: dict = _Built(lambda trace: trace._replayed[2])
-    merge_heights: dict = _Built(lambda trace: trace._replayed[3])
+    records: RunRecords = field(repr=False)
 
     @cached_property
     def _replayed(self) -> tuple:
         return _replay(self.records, self.scale)
+
+    @cached_property
+    def levels(self) -> tuple:
+        return self._replayed[0]
+
+    @cached_property
+    def merges(self) -> tuple:
+        return tuple(map(_merge_step, self.levels, self.levels[1:]))
+
+    @cached_property
+    def cycles(self) -> tuple:
+        return tuple(map(self._replayed[1].__getitem__, self.records.order()))
+
+    @cached_property
+    def exit_heights(self) -> dict:
+        return self._replayed[2]
+
+    @cached_property
+    def merge_heights(self) -> dict:
+        return self._replayed[3]
 
     def cycle_set(self) -> frozenset:
         return frozenset(self.cycles)

@@ -100,7 +100,11 @@ class Landscape:
     positive rate as a ``Fraction`` keyed by the sorted state pair; each
     state's neighbours as a sorted tuple.  :meth:`energy` builds an
     ``Energy`` view.  :meth:`numbering` is the package's one state numbering,
-    which the path-cycle sweep and the rounds' ``initial_level`` share."""
+    id ``i`` the ``i``-th state by name.  The path-cycle sweep and both
+    exports, the rounds' ``_start`` and seed check, ``verify``,
+    ``metropolis_costs`` and the kernel all read it, so no result depends on
+    the order a document lists its states in; only the exhaustive oracle
+    keeps an order of its own."""
 
     __slots__ = ("states", "scale", "_units", "_rates", "_adjacency", "_explicit", "_numbering")
 
@@ -494,27 +498,21 @@ def is_connected_subset(landscape: Landscape, members: Iterable[str]) -> bool:
 # -- Metropolis kernel ---------------------------------------------------------
 
 
-def _climb_units(landscape: Landscape) -> dict[tuple[str, str], int]:
-    """The one Metropolis climb: on every ordered connected pair, the
-    positive part of the energy climb in int units."""
-    height = landscape._units
-    climbs = {}
-    for x in landscape.states:
-        hx = height[x]
-        for y in landscape._adjacency[x]:
-            climbs[(x, y)] = max(0, height[y] - hx)
-    return climbs
-
-
 def metropolis_costs(landscape: Landscape) -> dict[tuple[str, str], Energy]:
     """Seed costs on ordered connected pairs: the positive part of the
-    energy climb, as ``Energy`` views of the climb's units."""
-    scale = landscape.scale
-    return {pair: Energy(units, scale) for pair, units in _climb_units(landscape).items()}
+    energy climb, ``max(0, units[j] - units[i])`` on the numbering's ids,
+    as ``Energy`` views of the climb's units."""
+    names, _, units, adjacency = landscape.numbering()
+    return {
+        (names[i], names[j]): Energy(max(0, units[j] - units[i]), landscape.scale)
+        for i, nbrs in enumerate(adjacency)
+        for j in nbrs
+    }
 
 
 class TransitionMatrix:
-    """The Metropolis kernel as its positive off-diagonal entries and jump tables."""
+    """The Metropolis kernel as its positive off-diagonal entries and jump
+    tables; row ``i`` is id ``i`` of ``Landscape.numbering``."""
 
     __slots__ = ("states", "_index", "_off", "_tables")
 
@@ -538,7 +536,7 @@ class TransitionMatrix:
         ``leave[x]``: the probability of leaving ``x`` in one step, the sum of
         the row's off-diagonal entries clamped to 1 (one minus a holding
         probability would cancel to 0 at large beta).  ``nbr[x]``: the states
-        one step from ``x`` in declaration order, padded by repeating the last
+        one step from ``x`` in id order, padded by repeating the last
         (``x`` itself when there is none).  ``cdf[x]``: the jump law over
         ``nbr[x]``, normalised by ``leave[x]`` and pinned to 1 from the last
         neighbour on, so float shortfall never lands off the row.
@@ -551,15 +549,17 @@ def transition_matrix(landscape: Landscape, beta: float) -> TransitionMatrix:
     ``beta = 0`` is the sampler's diagnostic mode."""
     if not (math.isfinite(beta) and beta >= 0):
         raise NonpositiveBeta(f"beta must be finite and >= 0, got {beta}")
-    index = {s: i for i, s in enumerate(landscape.states)}
+    names, index, units, adjacency = landscape.numbering()
+    scale, rate = landscape.scale, landscape.rate
     off = {}  # (row, column) -> probability; one that underflows to 0 is no jump
-    for (x, y), climb in _climb_units(landscape).items():
-        p = float(landscape.rate(x, y)) * math.exp(-beta * (climb / landscape.scale))
-        if p > 0:
-            off[index[x], index[y]] = p
-    keys = sorted(off)  # row-major, each row's neighbours in declaration order
-    rows, cols = np.array(keys, dtype=np.intp).reshape(-1, 2).T
-    prob = np.array([off[key] for key in keys])
+    for i, nbrs in enumerate(adjacency):
+        for j in nbrs:  # ascending, so ``off`` is row-major
+            climb = max(0, units[j] - units[i])
+            p = float(rate(names[i], names[j])) * math.exp(-beta * (climb / scale))
+            if p > 0:
+                off[i, j] = p
+    rows, cols = np.array(list(off), dtype=np.intp).reshape(-1, 2).T
+    prob = np.array(list(off.values()))
     n = len(index)
     degree = np.bincount(rows, minlength=n)
     ends = np.cumsum(degree)
@@ -575,7 +575,7 @@ def transition_matrix(landscape: Landscape, beta: float) -> TransitionMatrix:
     with np.errstate(divide="ignore", invalid="ignore"):
         cdf = np.cumsum(mass, axis=1) / leave[:, None]
     cdf[np.arange(width) >= (degree - 1)[:, None]] = 1.0
-    return TransitionMatrix(landscape.states, index, off, (leave, nbr, cdf))
+    return TransitionMatrix(names, index, off, (leave, nbr, cdf))
 
 
 def metropolis_kernel(landscape: Landscape, beta: float) -> TransitionMatrix:

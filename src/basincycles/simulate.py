@@ -21,8 +21,8 @@ size of the set the chain can visit before it is absorbed:
 Both keep the exact law of the step chain.  Replica ``r`` draws only from
 its own stream: row ``r`` of one ``(replicas, 4)`` block from ``seed`` on
 the inversion path, the generator keyed ``(seed, r)`` on the jump chain.
-So results depend only on ``(seed, r)`` and the path, and a shorter batch
-is a prefix of a longer one.
+So results depend on the landscape, not on its declaration order, and on
+``(seed, r)`` and the path; a shorter batch is a prefix of a longer one.
 
 ``beta = 0`` is accepted only by the raw sampler as a diagnostic mode; the
 window and visit checks require ``beta > 0`` like every analysis path.
@@ -440,8 +440,8 @@ def _kernel(landscape: Landscape, beta: float):
     shared = _SHARED_KERNELS.get()
     if shared is None:
         return transition_matrix(landscape, beta)
-    # keyed by identity: equal landscapes may order their states, and so
-    # their kernels, differently; each entry keeps its landscape and its id
+    # keyed by identity: hashing or comparing landscapes walks all their
+    # states; each entry keeps its landscape, and so its id, alive
     key = (id(landscape), beta)
     if key not in shared:
         shared[key] = (landscape, transition_matrix(landscape, beta))

@@ -473,8 +473,9 @@ def reference_jumps(landscape, beta):
     """The jump tables ``(leave, nbr, cdf)`` derived the dense way: fill an
     n x n Metropolis matrix from the energies and rates, then read each row's
     positive off-diagonal entries back out in row-major order with
-    ``np.nonzero``.  The kernel builder must match it bit for bit."""
-    states = landscape.states
+    ``np.nonzero``.  Row ``i`` is the ``i``-th state by name, whatever the
+    declaration order.  The kernel builder must match it bit for bit."""
+    states = sorted(landscape.states)
     n = len(states)
     matrix = np.zeros((n, n))
     for i, x in enumerate(states):

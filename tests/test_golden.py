@@ -1,5 +1,7 @@
 """Golden outputs: the CLI's stdout on the paper's figure, on two small grids
-and on a fixed-seed fuzz campaign must stay byte-identical across refactors.
+and on a fixed-seed fuzz campaign must stay byte-identical across refactors,
+and on the figure and the grids also across the order in which a file lists
+its states and edges.
 
 The files under ``data/golden`` are the outputs of the commands below.
 Regenerate them only for an intended change of output, and say why in the
@@ -13,6 +15,7 @@ of quietly costing a large share of its run time.
 
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -57,6 +60,30 @@ GRID_CASES = [
     ("grid8-e1000.json", ("verify",), "grid8-e1000-verify.json"),
 ]
 
+# every command but ``fuzz``, on a copy of each input that declares its
+# states and edges in a shuffled order, with each pair's ends in a random order
+REORDERED_CASES = [
+    (source, argv)
+    for source in ("fig1.json", "grid8-e2.json", "grid8-e1000.json")
+    for argv in [
+        ("validate",),
+        ("path-cycles",),
+        ("path-cycles", "--dot"),
+        ("graph-cycles",),
+        ("graph-cycles", "--iterations"),
+        ("verify",),
+    ]
+] + [
+    ("fig1.json", argv)
+    for argv in [
+        ("simulate", "--cycle", "c,d,e,f", "--betas", "1,2", "--replicas", "300",
+         "--seed", "5", "--visit", "c"),
+        ("simulate", "--cycle", "i,j", "--betas", "2", "--replicas", "300",
+         "--seed", "1", "--start", "i", "--visit", "j"),
+        CASES[-1][0],
+    ]
+]
+
 FUZZ_SHA256 = "d560751a586a598ae5a697576339fc64babf6c1394252eb09a66feb32ef77557"
 
 
@@ -93,6 +120,33 @@ def test_fig1_output_matches_golden(capsys, argv, name):
 @pytest.mark.parametrize("source, argv, name", GRID_CASES, ids=[name for _, _, name in GRID_CASES])
 def test_grid_output_matches_golden(capsys, source, argv, name):
     _check_golden(capsys, DATA / source, argv, name)
+
+
+@pytest.fixture(scope="module")
+def reordered(tmp_path_factory):
+    """Each input file's shuffled copy, by name."""
+    rng = random.Random(20261019)
+    copies = {}
+    for name in ("fig1.json", "grid8-e2.json", "grid8-e1000.json"):
+        doc = json.loads((DATA / name).read_text(encoding="utf-8"))
+        rng.shuffle(doc["states"])
+        rng.shuffle(doc["edges"])
+        for edge in doc["edges"]:
+            if rng.random() < 0.5:
+                (edge["pair"] if isinstance(edge, dict) else edge).reverse()
+        copies[name] = tmp_path_factory.mktemp("reordered") / name
+        copies[name].write_text(json.dumps(doc), encoding="utf-8")
+    return copies
+
+
+@pytest.mark.parametrize(
+    "source, argv", REORDERED_CASES, ids=[f"{s}:{' '.join(a)}" for s, a in REORDERED_CASES]
+)
+def test_output_ignores_declaration_order(capsys, reordered, source, argv):
+    command, *flags = argv
+    code, want = _stdout(capsys, [command, str(DATA / source), *flags])
+    assert code == 0
+    assert _stdout(capsys, [command, str(reordered[source]), *flags]) == (0, want)
 
 
 def test_fuzz_campaign_digest(capsys):

@@ -538,6 +538,17 @@ def test_run_and_export_hold_no_snapshots():
     assert peak < 24_000_000
 
 
+def test_repr_and_equality_build_no_view(fig1):
+    # a trace's repr shows its round count and scale, and two traces are
+    # equal only when they are one; neither replays a level
+    trace, other = run_decomposition(fig1), run_decomposition(fig1)
+    assert repr(trace) == "DecompositionTrace(iterations=4, scale=1000000)"
+    assert trace == trace and trace != other
+    views = {"levels", "merges", "cycles", "exit_heights", "merge_heights", "_replayed"}
+    for t in (trace, other):
+        assert not views & {name for name, value in vars(t).items() if value is not None}
+
+
 def test_verify_holds_no_snapshots():
     # verify applies the run's change records to one live round state and
     # replays no level: its peak under tracemalloc is about 8.5 MB, little

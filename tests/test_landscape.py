@@ -41,7 +41,7 @@ from basincycles.errors import (
     ScaleOverflow,
     UnknownStateInEdge,
 )
-from basincycles.landscape import _climb_units, dumps_json, name_lists, transition_matrix
+from basincycles.landscape import dumps_json, name_lists, transition_matrix
 
 from conftest import (
     FIG1_PATH,
@@ -49,6 +49,7 @@ from conftest import (
     dense_kernel,
     draw_landscape,
     grid_text,
+    make_fig1_shuffled,
     reference_jumps,
     reference_landscape,
 )
@@ -718,9 +719,9 @@ def test_jump_tables_match_the_dense_reference(data):
 
 
 def test_jump_tables_match_the_dense_reference_on_random_landscapes():
-    # the tables list each row's neighbours in declaration order, not id
-    # order; at beta 300 a climb of 3 units or more underflows to 0.0 and
-    # is no jump
+    # the tables are laid out in id order whatever the declaration order,
+    # which most of these landscapes shuffle; at beta 300 a climb of 3
+    # units or more underflows to 0.0 and is no jump
     shuffled = wide = dropped = 0
     for seed in range(150):
         L = random_landscape(seed=seed, min_states=3, max_states=14, extra_edge_prob=0.3)
@@ -730,6 +731,24 @@ def test_jump_tables_match_the_dense_reference_on_random_landscapes():
         dropped += any(kern.prob(x, y) == 0.0 for x in L.states for y in L.neighbors(x))
         assert_jumps_match_dense(L)
     assert min(shuffled, wide, dropped) > 100
+
+
+def test_equal_landscapes_give_one_kernel(fig1):
+    # the kernel's rows are the numbering's ids, so fig1 declared in any
+    # order has fig1's tables and entries
+    pairs = [(x, y) for x in fig1.states for y in fig1.states]
+    for beta in (0.0, 1.0, 7.3, 40.0):
+        want = transition_matrix(fig1, beta)
+        for k in range(6):
+            shuffled = make_fig1_shuffled(random.Random(k))
+            assert shuffled.states != fig1.states
+            kernel = transition_matrix(shuffled, beta)
+            assert kernel.states is shuffled.numbering()[0]
+            assert kernel.states == want.states
+            for table, expected in zip(kernel.jumps(), want.jumps()):
+                assert table.dtype == expected.dtype
+                assert np.array_equal(table, expected)
+            assert [kernel.prob(x, y) for x, y in pairs] == [want.prob(x, y) for x, y in pairs]
 
 
 def test_random_landscapes_validate():
@@ -742,9 +761,14 @@ def test_random_landscapes_validate():
 
 
 def test_one_climb_in_units(fig1, monkeypatch):
-    # the seed, its validation and the kernel read the int-unit climb;
-    # ``metropolis_costs`` only wraps it in ``Energy`` views
-    climbs = _climb_units(fig1)
+    # the seed, its validation and the kernel compute the int-unit climb on
+    # the numbering's ids; ``metropolis_costs`` only wraps it in ``Energy``
+    # views, in id order
+    climbs = {
+        (x, y): max(0, fig1.units(y) - fig1.units(x))
+        for x in sorted(fig1.states)
+        for y in fig1.neighbors(x)
+    }
     assert metropolis_costs(fig1) == {pair: Energy(u, fig1.scale) for pair, u in climbs.items()}
     assert list(metropolis_costs(fig1)) == list(climbs)
     assert initial_level(fig1, metropolis_costs(fig1)) == initial_level(fig1)
