@@ -4,11 +4,21 @@ Exit codes are a stable contract: 0 success, 1 usage error, 2 input
 validation failure, 3 theorem violation detected (verify/fuzz), 4 simulation
 infeasible (every replica censored).  Identical invocations with identical
 seeds produce byte-identical stdout, modulo the versioned header field.
+
+Output goes to stdout, or to the ``--out`` file, piece by piece as it is
+rendered.  The file is opened only once the input is loaded and the result
+computed, so invalid input exits 2 whatever ``--out`` names.  A file that
+cannot be opened or written is a usage error, with nothing on stdout; a
+write that fails part-way may leave a partial file, as one whole-text write
+already could.  There is no temporary file renamed into place: the rename
+would replace a ``/dev/stdout``, ``/dev/null`` or FIFO given as ``--out``
+instead of writing to it.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import sys
 from pathlib import Path
@@ -19,9 +29,14 @@ from .errors import (
     BasincyclesError,
     ValidationError,
 )
-from .graphcycles import run_decomposition, trace_to_dict
-from .landscape import Landscape, dumps_json, landscape_to_dict, load_landscape
-from .pathcycles import enumerate_path_cycles, tree_to_dict, tree_to_dot
+from .graphcycles import run_decomposition, trace_document
+from .landscape import Landscape, landscape_to_dict, load_landscape, write_json
+from .pathcycles import enumerate_path_cycles, tree_document, tree_to_dot
+
+# the commands write ``tree_document`` and ``trace_document``; the plain-list
+# exports stay importable here, where perfbench/layers.py wraps them by name
+from .graphcycles import trace_to_dict  # noqa: F401
+from .pathcycles import tree_to_dict  # noqa: F401
 from .simulate import check_exit_window, check_visit_before_exit, sharing_kernels
 
 _HEADER = f"basincycles {__version__}"
@@ -44,24 +59,25 @@ def _read_landscape(path: str) -> Landscape:
         raise ValidationError(f"cannot read {path!r}: {exc}") from exc
 
 
-def _write_file(path, text: str) -> None:
+@contextlib.contextmanager
+def _output(path):
+    """A ``write`` that sends each piece to the file ``path`` as it comes,
+    or to stdout when there is none.  A file that cannot be opened or
+    written is a usage error."""
+    if not path:
+        yield sys.stdout.write
+        return
     try:
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            yield handle.write
     except OSError as exc:
         raise UsageError(f"cannot write {str(path)!r}: {exc}") from exc
 
 
-def _emit(text: str, out_path):
-    if out_path:
-        _write_file(out_path, text)
-    else:
-        sys.stdout.write(text)
-
-
 def _emit_doc(doc: dict, out_path):
-    doc = {"generator": _HEADER, **doc}
-    _emit(dumps_json(doc) + "\n", out_path)
+    with _output(out_path) as write:
+        write_json({"generator": _HEADER, **doc}, write)
+        write("\n")
 
 
 def _parse_betas(text: str) -> list[float]:
@@ -93,16 +109,19 @@ def _cmd_path_cycles(args) -> int:
     landscape = _read_landscape(args.input)
     tree = enumerate_path_cycles(landscape)
     if args.dot:
-        _emit(f"// {_HEADER}\n" + tree_to_dot(tree), args.out)
+        with _output(args.out) as write:
+            write(f"// {_HEADER}\n")
+            for line in tree_to_dot(tree):
+                write(line)
     else:
-        _emit_doc({"kind": "cycle-tree", **tree_to_dict(tree)}, args.out)
+        _emit_doc({"kind": "cycle-tree", **tree_document(tree)}, args.out)
     return 0
 
 
 def _cmd_graph_cycles(args) -> int:
     landscape = _read_landscape(args.input)
     trace = run_decomposition(landscape)
-    doc = trace_to_dict(trace, include_levels=args.iterations)
+    doc = trace_document(trace, include_levels=args.iterations)
     _emit_doc({"kind": "decomposition-trace", **doc}, args.out)
     return 0
 
@@ -145,7 +164,9 @@ def _cmd_fuzz(args) -> int:
             failures.append({"index": i, "report": report_to_dict(report), "landscape": doc})
             if args.failure_dir:
                 path = Path(args.failure_dir) / f"fuzz-failure-{args.seed}-{i}.json"
-                _write_file(path, dumps_json(doc) + "\n")
+                with _output(path) as write:
+                    write_json(doc, write)
+                    write("\n")
     _emit_doc(
         {
             "kind": "fuzz-report",
@@ -244,7 +265,8 @@ def _cmd_simulate(args) -> int:
                 f"visit\t{row['beta']}\t{row['start']}\t{row['replicas']}\t-\t-\t-\t"
                 f"{row['fraction']}\t-"
             )
-        _emit("\n".join(lines) + "\n", args.out)
+        with _output(args.out) as write:
+            write("\n".join(lines) + "\n")
     else:
         _emit_doc(
             {

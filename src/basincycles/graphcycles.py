@@ -44,9 +44,10 @@ new lift, exit and merge height, and the row objects it put in or dropped.
 The hierarchy is int records, like the path tree's: leaf ``i`` is state
 ``i``, formed classes are ``n, n + 1, ...`` in formation order, and
 ``RunRecords`` keeps each class's size, smallest state id, children, and
-exit and merge heights.  The plain export writes each cycle's members from
-one depth-first leaf order (``pathcycles.leaf_layout``), so a run builds no
-class set, sort key or ``Energy`` height.
+exit and merge heights.  The plain export renders each cycle's entry as
+JSON text straight from the records, its members from one depth-first leaf
+order (``pathcycles.leaf_layout``), so a run builds no class set, sort key
+or ``Energy`` height.
 
 ``equivalence.verify_equivalence`` reads the records alone: it applies
 each round's record to a live state of its own, as ``_patch`` does, but
@@ -74,8 +75,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterable, Mapping, Optional
+from functools import cached_property, partial
+from json.encoder import encode_basestring_ascii
+from typing import Iterable, Iterator, Mapping, Optional
 
 from .energy import Energy, from_units
 from .errors import (
@@ -84,7 +86,7 @@ from .errors import (
     NonTermination,
     UnknownClass,
 )
-from .landscape import Landscape, StateSet, name_lists
+from .landscape import HeightTexts, Landscape, Rendered, StateSet, parsed
 from .pathcycles import leaf_layout, sorted_slices
 
 SlotRows = dict  # slot -> {slot -> int units minus the source's lift}, finite entries only
@@ -628,31 +630,29 @@ def run_decomposition(landscape: Landscape, seed_costs=None) -> DecompositionTra
 # -- export --------------------------------------------------------------------
 
 
-def _cycles_to_list(records: RunRecords, scale: int) -> list[dict]:
-    """Every cycle in class order, from the records: its members from the
-    sorted slices of one depth-first leaf order (``Names`` when no name
-    needs an escape), and its heights as text, one ``Energy`` per distinct
+# one cycle entry at depth 0; ``cycle_entries`` moves it to its own depth
+_CYCLE = """{
+  "members": [
+    %s
+  ],
+  "exit_height": %s,
+  "merge_height": %s
+}"""
+
+
+def cycle_entries(records: RunRecords, scale: int, newline: str) -> Iterator[str]:
+    """Each cycle's entry as JSON text in class order, laid out at
+    ``newline``'s depth, from the records: its members from the sorted
+    slices of one depth-first leaf order, and its exit and merge heights.
+    Each name is encoded once, each height text built once per distinct
     value."""
+    template, item = _CYCLE.replace("\n", newline), "," + newline + "    "
     # a list's __getitem__ maps about twice as fast as a tuple's
-    name, array = list(records.names).__getitem__, name_lists(records.names)
-    texts: dict = {}
-
-    def text(units):
-        got = texts.get(units)
-        if got is None:
-            got = texts[units] = str(from_units(units, scale))
-        return got
-
+    name, text = list(map(encode_basestring_ascii, records.names)).__getitem__, HeightTexts(scale)
     lo, hi, leaves = leaf_layout(records.size, records.children, len(records.names))
     exit_units, merge_units = records.exit, records.merge
-    return [
-        {
-            "members": array(map(name, ids)),
-            "exit_height": text(exit_units[v]),
-            "merge_height": text(merge_units[v]),
-        }
-        for v, ids in sorted_slices(leaves, lo, hi, records.order())
-    ]
+    for v, ids in sorted_slices(leaves, lo, hi, records.order()):
+        yield template % (item.join(map(name, ids)), text[exit_units[v]], text[merge_units[v]])
 
 
 def _rows_to_list(rows: dict, keys: dict) -> list[dict]:
@@ -685,8 +685,11 @@ def level_to_dict(level: PartitionLevel) -> dict:
     return doc
 
 
-def trace_to_dict(trace: DecompositionTrace, include_levels: bool = False) -> dict:
-    doc: dict = {"iterations": trace.iterations, "cycles": _cycles_to_list(trace.records, trace.scale)}
+def trace_document(trace: DecompositionTrace, include_levels: bool = False) -> dict:
+    """The ``decomposition-trace`` document's body, its cycles a ``Rendered``
+    array; ``include_levels`` adds every level and merge as plain dicts."""
+    cycles = Rendered(partial(cycle_entries, trace.records, trace.scale))
+    doc: dict = {"iterations": trace.iterations, "cycles": cycles}
     if include_levels:
         keys = trace.levels[-1].keys
         doc["levels"] = [level_to_dict(lvl) for lvl in trace.levels]
@@ -699,3 +702,9 @@ def trace_to_dict(trace: DecompositionTrace, include_levels: bool = False) -> di
             for i, step in enumerate(trace.merges)
         ]
     return doc
+
+
+def trace_to_dict(trace: DecompositionTrace, include_levels: bool = False) -> dict:
+    """``trace_document`` as plain lists and dicts, the cycles parsed from
+    their entries."""
+    return parsed(trace_document(trace, include_levels))

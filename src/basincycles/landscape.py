@@ -389,80 +389,119 @@ def dumps_landscape(landscape: Landscape) -> str:
 _encode_str = json.encoder.encode_basestring_ascii
 
 
-class Names(list):
-    """Strings that JSON-encode as themselves in quotes, which ``dumps_json``
-    writes with one join."""
+class Rendered:
+    """An array whose entries are JSON text already: ``entries(newline)``
+    yields each one as ``write_json`` would write it at the depth whose line
+    break and indent is ``newline``."""
+
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: Callable[[str], Iterable[str]]):
+        self.entries = entries
 
 
-def name_lists(names: Iterable[str]) -> type:
-    """The type for arrays drawn from ``names``: ``Names`` when none of them
-    needs an escape in JSON (an escape would lengthen their encoding), else
-    ``list``."""
-    text = "".join(names)
-    return Names if len(_encode_str(text)) == len(text) + 2 else list
+def parsed(doc: dict) -> dict:
+    """``doc`` with each ``Rendered`` array parsed into plain lists and
+    dicts, one entry at a time.  Equal strings in the entries' arrays share
+    one object, as the names they were rendered from did, so the lists cost
+    a pointer per member."""
+    shared: dict = {}
+
+    def share(entry: dict) -> dict:
+        for key, value in entry.items():
+            if type(value) is list:
+                entry[key] = [shared.setdefault(s, s) for s in value]
+        return entry
+
+    return {
+        key: [json.loads(text, object_hook=share) for text in value.entries("\n")]
+        if isinstance(value, Rendered)
+        else value
+        for key, value in doc.items()
+    }
+
+
+class HeightTexts(dict):
+    """Height units -> the JSON string of their ``Energy`` at ``scale``, each
+    built on its first read."""
+
+    def __init__(self, scale: int):
+        self.scale = scale
+
+    def __missing__(self, units) -> str:
+        text = self[units] = _encode_str(str(from_units(units, self.scale)))
+        return text
 
 
 def dumps_json(value) -> str:
-    """The stdlib's ``json.dumps`` with a two-space indent, byte for byte,
-    for trees of str, None, bool, int, float, list, tuple and str-keyed
-    dict; anything else raises ``TypeError``.  The stdlib encodes indented
-    output in pure Python; here each array of strings is one C pass, and a
-    ``Names`` array one join."""
+    """The text of ``write_json``, as one string."""
     chunks: list[str] = []
-    _write(value, "\n", chunks.append)
+    write_json(value, chunks.append)
     return "".join(chunks)
 
 
-def _write(value, newline: str, emit) -> None:
+def write_json(value, write, newline: str = "\n") -> None:
+    """Write the stdlib's ``json.dumps(value, indent=2)``, byte for byte, in
+    pieces through ``write``, for trees of str, None, bool, int, float, list,
+    tuple, str-keyed dict and ``Rendered``; anything else raises
+    ``TypeError``.  ``newline`` is the line break and indent of ``value``'s
+    depth.  The stdlib encodes indented output in pure Python; here each
+    array of strings is one C pass, and a ``Rendered`` array's entries are
+    written as they come."""
     # the stdlib encoder's dispatch order: bool before int, float after int
     if isinstance(value, str):
-        emit(_encode_str(value))
+        write(_encode_str(value))
     elif value is None:
-        emit("null")
+        write("null")
     elif value is True:
-        emit("true")
+        write("true")
     elif value is False:
-        emit("false")
+        write("false")
     elif isinstance(value, int):
-        emit(int.__repr__(value))
+        write(int.__repr__(value))
     elif isinstance(value, float):
         if value != value:
-            emit("NaN")
+            write("NaN")
         elif value in (math.inf, -math.inf):
-            emit("Infinity" if value > 0 else "-Infinity")
+            write("Infinity" if value > 0 else "-Infinity")
         else:
-            emit(float.__repr__(value))
+            write(float.__repr__(value))
     elif isinstance(value, (list, tuple)):
         if not value:
-            emit("[]")
+            write("[]")
             return
         inner = newline + "  "
         separator = "," + inner
-        emit("[" + inner)
+        write("[" + inner)
         try:
-            if type(value) is Names:
-                emit('"' + ('"' + separator + '"').join(value) + '"')
-            else:
-                emit(separator.join(map(_encode_str, value)))
+            write(separator.join(map(_encode_str, value)))
         except TypeError:  # not every item is a str
             for i, item in enumerate(value):
                 if i:
-                    emit(separator)
-                _write(item, inner, emit)
-        emit(newline + "]")
+                    write(separator)
+                write_json(item, write, inner)
+        write(newline + "]")
     elif isinstance(value, dict):
         if not value:
-            emit("{}")
+            write("{}")
             return
         inner = newline + "  "
         separator = "," + inner
-        emit("{" + inner)
+        write("{" + inner)
         for i, (key, item) in enumerate(value.items()):
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            emit((separator if i else "") + _encode_str(key) + ": ")
-            _write(item, inner, emit)
-        emit(newline + "}")
+            write((separator if i else "") + _encode_str(key) + ": ")
+            write_json(item, write, inner)
+        write(newline + "}")
+    elif isinstance(value, Rendered):
+        inner = newline + "  "
+        lead, separator = "[" + inner, "," + inner
+        for text in value.entries(inner):
+            write(lead)
+            write(text)
+            lead = separator
+        write(newline + "]" if lead == separator else "[]")
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 

@@ -28,12 +28,14 @@ node id on the int records.
 from __future__ import annotations
 
 import math
-from typing import Iterable
+from functools import partial
+from json.encoder import encode_basestring_ascii
+from typing import Iterable, Iterator
 
 from .energy import Energy, from_units
 from .errors import LevelBelowStart, NotACycle
-from .landscape import Landscape, StateSet, exterior_boundary, name_lists
-from .landscape import is_connected_subset, reach
+from .landscape import HeightTexts, Landscape, Rendered, StateSet, exterior_boundary
+from .landscape import is_connected_subset, parsed, reach
 
 
 def set_key(members: Iterable[str]) -> tuple[str, ...]:
@@ -262,52 +264,69 @@ def resistance_height(landscape: Landscape, members: Iterable[str]) -> Energy:
 
 # -- export --------------------------------------------------------------------
 
+# one node entry at depth 0; ``node_entries`` moves it to its own depth
+_NODE = """{
+  "members": [
+    %s
+  ],
+  "gamma": %s,
+  "gamma_tilde": %s,
+  "ground": [
+    %s
+  ],
+  "parent_index": %s
+}"""
 
-def _exported(tree: CycleTree):
-    """Each node in tree order: its id, its sorted member ids (so in name
-    order), its ``low``, and the text of its depth and resistance."""
+
+def node_entries(tree: CycleTree, newline: str) -> Iterator[str]:
+    """Each node's entry as JSON text in tree order, laid out at
+    ``newline``'s depth: its members and ground states in name order, its
+    depth ``gamma`` and resistance ``gamma_tilde``, and its parent's position
+    in tree order (null for the root).  Each name is encoded once, each
+    height text built once per distinct value."""
+    template, item = _NODE.replace("\n", newline), "," + newline + "    "
+    # a list's __getitem__ maps about twice as fast as a tuple's
+    name = list(map(encode_basestring_ascii, tree.names)).__getitem__
+    units, text = tree.landscape.numbering()[2], HeightTexts(tree.scale)
+    position = {v: k for k, v in enumerate(tree.order)}
     for v, ids in sorted_slices(tree.leaves, tree.lo, tree.hi, tree.order):
         low = tree.low[v]
-        depth, resistance = from_units(tree.floor[v] - low, tree.scale), tree.high[v] - low
-        yield v, ids, low, str(depth), str(Energy(resistance, tree.scale))
+        yield template % (
+            item.join(map(name, ids)),
+            text[tree.floor[v] - low],
+            text[tree.high[v] - low],
+            item.join([name(i) for i in ids if units[i] == low]),
+            position.get(tree.parent[v], "null"),
+        )
+
+
+def tree_document(tree: CycleTree) -> dict:
+    """The ``cycle-tree`` document's body, its nodes a ``Rendered`` array."""
+    return {"nodes": Rendered(partial(node_entries, tree))}
 
 
 def tree_to_dict(tree: CycleTree) -> dict:
-    """One entry per node in tree order.  The member and ground lists are
-    ``Names`` when no name needs an escape, which ``dumps_json`` writes in
-    one join."""
-    # a list's __getitem__ maps about twice as fast as a tuple's
-    name, array = list(tree.names).__getitem__, name_lists(tree.names)
-    units = tree.landscape.numbering()[2]
-    position = {v: k for k, v in enumerate(tree.order)}
-    nodes = [
-        {
-            "members": array(map(name, ids)),
-            "gamma": gamma,
-            "gamma_tilde": gamma_tilde,
-            "ground": array(name(i) for i in ids if units[i] == low),
-            "parent_index": position.get(tree.parent[v]),  # None for the root
-        }
-        for v, ids, low, gamma, gamma_tilde in _exported(tree)
-    ]
-    return {"nodes": nodes}
+    """``tree_document`` as plain lists and dicts, parsed from the entries."""
+    return parsed(tree_document(tree))
 
 
 def _dot_escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def tree_to_dot(tree: CycleTree) -> str:
-    """Graph-description text: one node per cycle, edges parent -> child."""
-    name = tree.names.__getitem__
+def tree_to_dot(tree: CycleTree) -> Iterator[str]:
+    """Graph-description text, line by line: one node per cycle, edges
+    parent -> child."""
+    name, scale = tree.names.__getitem__, tree.scale
     position = {v: k for k, v in enumerate(tree.order)}
-    lines = ["digraph cycles {"]
-    lines.append('  node [shape=box, fontname="monospace"];')
-    for k, (_, ids, _, gamma, gamma_tilde) in enumerate(_exported(tree)):
+    yield "digraph cycles {\n"
+    yield '  node [shape=box, fontname="monospace"];\n'
+    for k, (v, ids) in enumerate(sorted_slices(tree.leaves, tree.lo, tree.hi, tree.order)):
+        low = tree.low[v]
         label = _dot_escape("{" + ",".join(map(name, ids)) + "}")
-        lines.append(f'  n{k} [label="{label}\\nΓ={gamma}, Γ̃={gamma_tilde}"];')
+        gamma = from_units(tree.floor[v] - low, scale)
+        yield f'  n{k} [label="{label}\\nΓ={gamma}, Γ̃={Energy(tree.high[v] - low, scale)}"];\n'
     for k, v in enumerate(tree.order):
         for child in tree.children.get(v, ()):
-            lines.append(f"  n{k} -> n{position[child]};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+            yield f"  n{k} -> n{position[child]};\n"
+    yield "}\n"

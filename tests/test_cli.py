@@ -1,7 +1,9 @@
 """CLI surface: subcommands, exit codes, deterministic output."""
 
+import errno
 import json
 import math
+import os
 import sys
 
 import pytest
@@ -379,6 +381,67 @@ def test_unwritable_out_is_usage_error(tmp_path, capsys):
     assert out == ""
     assert err.startswith(f"usage error: cannot write {str(target)!r}: ")
     assert err.count("\n") == 1
+    assert not target.parent.exists()
+
+
+def test_write_failing_after_the_first_piece_is_usage_error(tmp_path, capsys, monkeypatch):
+    # the document is written piece by piece; a write that fails part-way
+    # is a usage error and leaves what was written before it
+    import basincycles.cli as cli_mod
+
+    target = tmp_path / "tree.json"
+    pieces = []
+
+    class FailingHandle:
+        def __init__(self, handle):
+            self.handle = handle
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.handle.close()
+
+        def write(self, text):
+            if pieces:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            pieces.append(text)
+            return self.handle.write(text)
+
+    def failing_open(path, mode, encoding):
+        handle = open(path, mode, encoding=encoding)
+        return FailingHandle(handle) if mode == "w" else handle
+
+    monkeypatch.setattr(cli_mod, "open", failing_open, raising=False)
+    for argv in (["path-cycles", FIG1], ["path-cycles", FIG1, "--dot"], ["graph-cycles", FIG1]):
+        pieces.clear()
+        code, out, err = run_cli(capsys, *argv, "--out", str(target))
+        assert code == 1
+        assert out == ""
+        full = OSError(errno.ENOSPC, "No space left on device")
+        assert err == f"usage error: cannot write {str(target)!r}: {full}\n"
+        assert len(pieces) == 1 and target.read_text(encoding="utf-8") == pieces[0]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
+def test_full_device_out_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "graph-cycles", FIG1, "--out", "/dev/full")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage error: cannot write '/dev/full': ")
+
+
+def test_invalid_input_with_unwritable_out_exits_2(tmp_path, capsys):
+    # the output is opened only after the input is loaded and the result
+    # computed, so the input's fault wins
+    bad = tmp_path / "broken.json"
+    bad.write_text('{"states": []}', encoding="utf-8")
+    target = tmp_path / "missing" / "x.json"
+    for command in ("validate", "path-cycles", "graph-cycles", "verify"):
+        code, out, err = run_cli(capsys, command, str(bad), "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("MalformedInput: ")
     assert not target.parent.exists()
 
 

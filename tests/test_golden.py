@@ -20,6 +20,9 @@ import random
 import pytest
 
 from basincycles.cli import main
+from basincycles.graphcycles import run_decomposition, trace_to_dict
+from basincycles.landscape import load_landscape
+from basincycles.pathcycles import enumerate_path_cycles, tree_to_dict
 
 from conftest import DATA, FIG1_PATH, grid_text
 
@@ -153,3 +156,42 @@ def test_fuzz_campaign_digest(capsys):
     code, out = _stdout(capsys, ["fuzz", "--count", "1000", "--seed", "0"])
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == FUZZ_SHA256
+
+
+# names whose JSON strings need escapes: a quote, a backslash, a control
+# character, non-ASCII letters and a printf directive, on a chain with two
+# basins so that ground lists and merged classes hold several of them
+ESCAPED = [('"q', 0), ("back\\slash", 2), ("bell\x07", 1), ("é", 3), ("☃", 0), ("%s", 1)]
+
+
+def test_escaped_names_through_both_exporters(capsys, monkeypatch, tmp_path):
+    source = tmp_path / "escaped.json"
+    names = [name for name, _ in ESCAPED]
+    source.write_text(
+        json.dumps(
+            {
+                "states": [{"id": name, "energy": str(energy)} for name, energy in ESCAPED],
+                "edges": [list(pair) for pair in zip(names, names[1:])],
+            }
+        ),
+        encoding="utf-8",
+    )
+    L = load_landscape(source.read_text(encoding="utf-8"))
+    trace = run_decomposition(L)
+    wants = {
+        ("path-cycles",): tree_to_dict(enumerate_path_cycles(L)),
+        ("graph-cycles",): trace_to_dict(trace),
+        ("graph-cycles", "--iterations"): trace_to_dict(trace, include_levels=True),
+    }
+    outs = {}
+    for argv, want in wants.items():
+        command, *flags = argv
+        code, outs[argv] = _stdout(capsys, [command, str(source), *flags])
+        assert code == 0
+        doc = json.loads(outs[argv])
+        assert {key: doc[key] for key in want} == want
+    assert wants[("path-cycles",)]["nodes"][-1]["members"] == sorted(names)
+
+    monkeypatch.undo()  # the stdlib's own indented encoder, for the expected text
+    for out in outs.values():
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"

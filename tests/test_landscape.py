@@ -41,7 +41,7 @@ from basincycles.errors import (
     ScaleOverflow,
     UnknownStateInEdge,
 )
-from basincycles.landscape import dumps_json, name_lists, transition_matrix
+from basincycles.landscape import Rendered, dumps_json, transition_matrix, write_json
 
 from conftest import (
     FIG1_PATH,
@@ -473,15 +473,21 @@ _JSON_TREES = st.recursive(
 )
 
 
-def _as_names(value):
-    """``value`` with every list of strings handed in as ``name_lists``
-    types it: ``Names`` when no item needs an escape."""
+def _as_rendered(value):
+    """``value`` with every list handed in as a ``Rendered`` array, each
+    entry written at the depth it is given."""
     if isinstance(value, list):
-        if all(isinstance(item, str) for item in value):
-            return name_lists(value)(value)
-        return [_as_names(item) for item in value]
+        items = [_as_rendered(item) for item in value]
+
+        def entries(newline):
+            for item in items:
+                pieces = []
+                write_json(item, pieces.append, newline)
+                yield "".join(pieces)
+
+        return Rendered(entries)
     if isinstance(value, dict):
-        return {key: _as_names(item) for key, item in value.items()}
+        return {key: _as_rendered(item) for key, item in value.items()}
     return value
 
 
@@ -490,8 +496,12 @@ def _as_names(value):
 @example({"": [], "k": {}, "t": ("x", None)})
 @example({"q": ['"', "a\\b", "\u00e9\u2603", "\ud800"], "one": ["x"], "none": [], "deep": [["\\"], []]})
 def test_writer_matches_the_stdlib(value):
-    assert dumps_json(value) == json.dumps(value, indent=2)
-    assert dumps_json(_as_names(value)) == json.dumps(value, indent=2)
+    want = json.dumps(value, indent=2)
+    pieces = []
+    write_json(value, pieces.append)
+    assert "".join(pieces) == want
+    assert dumps_json(value) == want
+    assert dumps_json(_as_rendered(value)) == want
 
 
 @pytest.mark.parametrize(

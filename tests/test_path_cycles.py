@@ -323,6 +323,6 @@ def test_exports(fig1):
     root = by_members[tuple(sorted("abcdefghijk"))]
     assert root["gamma"] == "inf" and root["parent_index"] is None
 
-    dot = tree_to_dot(tree)
+    dot = "".join(tree_to_dot(tree))
     assert dot.startswith("digraph")
     assert dot.count("->") == 15  # tree edges
