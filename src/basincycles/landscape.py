@@ -1,11 +1,14 @@
 """The energy-landscape data model.
 
 A landscape is a finite state set with an exact energy per state and a
-symmetric connectivity rate ``q`` on unordered pairs.  It stores each energy
-as its int count of ``1/scale`` units, the package's one energy arithmetic,
-and each positive rate as a ``Fraction`` keyed by the sorted ``(x, y)``
-pair, every defaulted edge sharing one.  A state's ``Energy`` is a view of
-its units, built on each call of ``energy``.  Validation enforces:
+symmetric connectivity rate ``q`` on unordered pairs.  It is stored in one
+form, its state numbering: the names sorted once, each id the rank of its
+name, each energy as its int count of ``1/scale`` units (the package's one
+energy arithmetic) in a list by id, and each state's neighbours as a sorted
+list of ids.  An explicit rate is a ``Fraction`` keyed by its sorted id
+pair; every other edge reads the one default ``Fraction``.  Names are a view
+over that form: ``units``, ``energy``, ``rate`` and ``neighbors`` look a
+name up in the index on each call.  Validation enforces:
 
 * symmetry of ``q`` (conflicting directional rates are rejected),
 * sub-stochastic rows: for every ``x``, ``sum_y q(x, y) <= 1``,
@@ -29,8 +32,9 @@ import gc
 import io
 import json
 import math
+from bisect import bisect_left
 from fractions import Fraction
-from typing import Callable, Hashable, Iterable, Mapping
+from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -96,51 +100,49 @@ class Landscape:
     """Validated immutable landscape.  Build via :func:`make_landscape` or
     :func:`load_landscape`, not directly.
 
-    Each state's energy is stored as int units, read by :meth:`units`; each
-    positive rate as a ``Fraction`` keyed by the sorted state pair; each
-    state's neighbours as a sorted tuple.  :meth:`energy` builds an
-    ``Energy`` view.  :meth:`numbering` is the package's one state numbering,
-    id ``i`` the ``i``-th state by name.  The path-cycle sweep and both
-    exports, the rounds' ``_start`` and seed check, ``verify``,
-    ``metropolis_costs`` and the kernel all read it, so no result depends on
-    the order a document lists its states in; only the exhaustive oracle
-    keeps an order of its own."""
+    The stored form is :meth:`numbering`, the package's one state
+    numbering, id ``i`` the ``i``-th state by name.  Beside it the landscape
+    keeps ``states`` in declaration order, ``scale``, ``edge_count``, the
+    explicit rates keyed by sorted id pair and the default rate
+    ``1/max_degree`` (None when every edge has its own).  Names are a view:
+    :meth:`units`, :meth:`energy`, :meth:`rate`, :meth:`neighbors` and
+    :meth:`edge_pairs` read the numbering through its index.  The
+    path-cycle sweep and both exports, the rounds' ``_start`` and seed
+    check, ``verify``, ``metropolis_costs`` and the kernel all read the ids,
+    so no result depends on the order a document lists its states in; only
+    the exhaustive oracle keeps an order of its own."""
 
-    __slots__ = ("states", "scale", "_units", "_rates", "_adjacency", "_explicit", "_numbering")
+    __slots__ = ("states", "scale", "edge_count", "_ids", "_given", "_default")
 
-    def __init__(self, states, scale, units, rates, adjacency, explicit):
+    def __init__(self, states, scale, ids, given, default, edge_count):
         self.states: tuple[str, ...] = states
         self.scale: int = scale
-        self._units: dict[str, int] = units
-        self._rates: dict[tuple[str, str], Fraction] = rates
-        self._adjacency: dict[str, tuple[str, ...]] = adjacency
-        self._explicit: frozenset[tuple[str, str]] = explicit
-        self._numbering = None
+        self.edge_count: int = edge_count  # positive-rate unordered pairs
+        self._ids: tuple = ids
+        self._given: dict[tuple[int, int], Fraction] = given
+        self._default: Fraction | None = default
 
     def numbering(self) -> tuple:
-        """``(names, index, units, adjacency)``, built once; an id is a name's rank."""
-        if self._numbering is None:
-            names = tuple(sorted(self.states))
-            index = {s: i for i, s in enumerate(names)}
-            adjacency = [tuple(map(index.__getitem__, self._adjacency[s])) for s in names]
-            self._numbering = names, index, list(map(self._units.__getitem__, names)), adjacency
-        return self._numbering
+        """``(names, index, units, adjacency)``: the names in sorted order,
+        name -> id, int units by id and each id's neighbour ids in
+        ascending order.  This is the landscape as stored, built by the
+        loader's walks (so ``validate`` pays for it too), not a copy: do not
+        mutate it."""
+        return self._ids
 
     @property
     def n(self) -> int:
         return len(self.states)
 
-    @property
-    def edge_count(self) -> int:
-        """The number of positive-rate unordered pairs."""
-        return len(self._rates)
+    def _id(self, state: str) -> int:
+        try:
+            return self._ids[1][state]
+        except KeyError:
+            raise ForeignState(f"unknown state {state!r}") from None
 
     def units(self, state: str) -> int:
         """The state's energy in int units of ``1/scale``."""
-        try:
-            return self._units[state]
-        except KeyError:
-            raise ForeignState(f"unknown state {state!r}") from None
+        return self._ids[2][self._id(state)]
 
     def energy(self, state: str) -> Energy:
         return Energy(self.units(state), self.scale)
@@ -151,46 +153,70 @@ class Landscape:
         return from_units(_exact_units(value, self.scale), self.scale)
 
     def rate(self, x: str, y: str) -> Fraction:
-        return self._rates.get((x, y) if x < y else (y, x), _NO_RATE)
+        """``q(x, y)``: 0 for a non-edge, the diagonal or a foreign name."""
+        _, index, _, adjacency = self._ids
+        i, j = index.get(x), index.get(y)
+        if i is None or j is None:
+            return _NO_RATE
+        nbrs = adjacency[i]
+        at = bisect_left(nbrs, j)
+        if at == len(nbrs) or nbrs[at] != j:
+            return _NO_RATE
+        return self._given.get((i, j) if i < j else (j, i), self._default)
 
     def neighbors(self, state: str) -> tuple[str, ...]:
-        try:
-            return self._adjacency[state]
-        except KeyError:
-            raise ForeignState(f"unknown state {state!r}") from None
+        names = self._ids[0]
+        return tuple([names[j] for j in self._ids[3][self._id(state)]])
+
+    def _edges(self) -> Iterator[tuple[int, int]]:
+        """The id pairs ``i < j`` of the edges, in ascending order."""
+        for i, nbrs in enumerate(self._ids[3]):
+            for j in nbrs:
+                if i < j:
+                    yield i, j
 
     def edge_pairs(self) -> list[tuple[str, str]]:
         """All positive-rate unordered pairs, canonically sorted."""
-        return sorted(self._rates)
+        names = self._ids[0]
+        return [(names[i], names[j]) for i, j in self._edges()]
 
     def has_state(self, state: str) -> bool:
-        return state in self._units
+        return state in self._ids[1]
 
     def subset(self, members: Iterable[str]) -> StateSet:
         """Validate and freeze a nonempty subset of this landscape's states."""
         got = frozenset(members)
         if not got:
             raise EmptySet("state set must be nonempty")
+        index = self._ids[1]
         for state in got:
-            if state not in self._units:
+            if state not in index:
                 raise ForeignState(f"unknown state {state!r}")
         return got
 
     def __eq__(self, other: object) -> bool:
+        # equal sorted names make equal ids, so the lists compare directly;
+        # rates compare as each edge's effective rate, explicit or default
         if not isinstance(other, Landscape):
             return NotImplemented
+        mine, theirs = self._ids, other._ids
         return (
-            set(self.states) == set(other.states)
-            and self.scale == other.scale
-            and self._units == other._units
-            and self._rates == other._rates
+            self.scale == other.scale
+            and mine[0] == theirs[0]
+            and mine[2] == theirs[2]
+            and mine[3] == theirs[3]
+            and self._effective_rates() == other._effective_rates()
         )
 
+    def _effective_rates(self) -> list[Fraction]:
+        given, default = self._given, self._default
+        return [given.get(pair, default) for pair in self._edges()]
+
     def __hash__(self):
-        return hash((frozenset(self.states), self.scale))
+        return hash((self._ids[0], self.scale))
 
     def __repr__(self) -> str:
-        return f"Landscape({self.n} states, {len(self._rates)} edges, scale={self.scale})"
+        return f"Landscape({self.n} states, {self.edge_count} edges, scale={self.scale})"
 
 
 def make_landscape(energies, edges, scale: int = DEFAULT_SCALE) -> Landscape:
@@ -214,33 +240,43 @@ def make_landscape(energies, edges, scale: int = DEFAULT_SCALE) -> Landscape:
 
 
 def _build(raw_states: list, raw_edges, scale) -> Landscape:
-    """Validate a document's entries, walking each list once.  A malformed
-    entry raises when reached; other faults wait for both walks, so the
-    first one in the order of the checks below wins."""
+    """Validate a document's entries, walking each list once, into the
+    stored form of ``Landscape``.  A malformed entry raises when reached;
+    other faults wait for both walks, so the first one in the order of the
+    checks below wins."""
     fault = None
     if not isinstance(scale, int) or isinstance(scale, bool) or scale <= 0:
         fault = MalformedInput(f"energy_scale must be a positive integer, got {scale!r}")
-    units: dict[str, int] = {}
+    declared: dict[str, int] = {}  # name -> units, in declaration order
+    parsed: dict[str, int] = {}  # energy text -> units: each distinct text is parsed once
     for entry in raw_states:
         if not isinstance(entry, dict) or "id" not in entry or "energy" not in entry:
             raise MalformedInput(f"state entries need 'id' and 'energy': {entry!r}")
         if fault is None:
-            sid = str(entry["id"])
+            sid, value = str(entry["id"]), entry["energy"]
             try:
-                if sid in units:
+                if sid in declared:
                     raise DuplicateState(f"state {sid!r} declared twice")
-                u = units[sid] = _exact_units(entry["energy"], scale)
+                if type(value) is str:
+                    u = parsed.get(value)
+                    if u is None:
+                        u = parsed[value] = parse_units(value, scale)
+                else:
+                    u = _exact_units(value, scale)
                 if u == math.inf:
                     raise MalformedInput(f"energy of {sid!r} must be finite")
+                declared[sid] = u
             except ValidationError as exc:
                 fault = exc
-    if fault is None and not units:
+    if fault is None and not declared:
         fault = MalformedInput("landscape has no states")
+    names = tuple(sorted(declared))
+    index = dict(zip(names, range(len(names))))
 
     if not isinstance(raw_edges, list):
         raise MalformedInput("'edges' must be a list")
-    explicit: dict[tuple[str, str], Fraction] = {}
-    defaulted: dict[tuple[str, str], None] = {}  # an ordered set
+    given: dict[tuple[int, int], Fraction] = {}
+    defaulted: set[tuple[int, int]] = set()
     for entry in raw_edges:
         if isinstance(entry, list) and len(entry) == 2:
             x, y, q = str(entry[0]), str(entry[1]), None
@@ -255,53 +291,57 @@ def _build(raw_states: list, raw_edges, scale) -> Landscape:
         if fault is not None:
             continue
         try:
-            if x not in units:
+            i, j = index.get(x), index.get(y)
+            if i is None:
                 raise UnknownStateInEdge(f"edge references unknown state {x!r}")
-            if y not in units:
+            if j is None:
                 raise UnknownStateInEdge(f"edge references unknown state {y!r}")
-            if x == y:
+            if i == j:
                 raise MalformedInput(f"self-edge on {x!r}; the diagonal is implicit")
-            pair = (x, y) if x < y else (y, x)
+            pair = (i, j) if i < j else (j, i)
             if q is None:
-                defaulted[pair] = None
+                defaulted.add(pair)
                 continue
             if q <= 0 or q > 1:
                 raise MalformedInput(f"rate q({x},{y}) = {q} outside (0, 1]")
-            known = explicit.setdefault(pair, q)
+            known = given.setdefault(pair, q)
             if known != q:
                 raise AsymmetricEdge(f"conflicting rates for edge {x!r}-{y!r}: {known} vs {q}")
         except ValidationError as exc:
             fault = exc
     if fault is not None:
         raise fault
-    states = tuple(units)
-    both = explicit.keys() & defaulted.keys()
+    states = tuple(declared)
+    both = given.keys() & defaulted
     if both:
-        raise AsymmetricEdge(f"edge {min(both)} given both with and without a rate")
+        i, j = min(both)  # ids rank as names, so this is the least name pair
+        raise AsymmetricEdge(f"edge {(names[i], names[j])} given both with and without a rate")
 
-    adjacency: dict[str, list[str]] = {s: [] for s in states}
-    for pairs in (explicit, defaulted):
-        for x, y in pairs:
-            adjacency[x].append(y)
-            adjacency[y].append(x)
-    max_degree = max(map(len, adjacency.values()))
-    rates = dict.fromkeys(defaulted, Fraction(1, max_degree)) if defaulted else {}
-    rates.update(explicit)
+    adjacency: list[list[int]] = [[] for _ in names]
+    for pairs in (given, defaulted):
+        for i, j in pairs:
+            adjacency[i].append(j)
+            adjacency[j].append(i)
+    for nbrs in adjacency:
+        nbrs.sort()
+    max_degree = max(map(len, adjacency))
 
     # a row of default rates alone sums to degree / max_degree <= 1; a row
     # with an explicit rate is summed as int numerators over its own common
     # denominator, which grows with the row's degree, not with the distinct
-    # denominators of the whole landscape
-    given: dict[str, list[tuple[int, int]]] = {}
-    for pair, q in explicit.items():
+    # denominators of the whole landscape; rows are checked in declaration
+    # order, so the first declared row over one is reported
+    rows: dict[int, list[tuple[int, int]]] = {}
+    for pair, q in given.items():
         parts = q.as_integer_ratio()
-        for s in pair:
-            given.setdefault(s, []).append(parts)
-    for s in states:
-        parts = given.get(s)
+        for i in pair:
+            rows.setdefault(i, []).append(parts)
+    for s in states if rows else ():  # no walk when no rate is explicit
+        i = index[s]
+        parts = rows.get(i)
         if parts is None:
             continue
-        rest = len(adjacency[s]) - len(parts)  # the row's defaulted edges
+        rest = len(adjacency[i]) - len(parts)  # the row's defaulted edges
         if rest:
             parts.append((rest, max_degree))
         den = math.lcm(*(d for _, d in parts))
@@ -310,13 +350,15 @@ def _build(raw_states: list, raw_edges, scale) -> Landscape:
             raise RowSumExceedsOne(f"outgoing rates of {s!r} sum to {Fraction(total, den)} > 1")
 
     # irreducibility of the positive-rate graph
-    seen = reach([states[0]], adjacency.__getitem__)
-    if len(seen) != len(states):
-        missing = sorted(set(states) - seen)[:3]
+    seen = reach([index[states[0]]], adjacency.__getitem__)
+    if len(seen) != len(names):
+        missing = [s for i, s in enumerate(names) if i not in seen][:3]
         raise DisconnectedGraph(f"states unreachable from {states[0]!r}: {missing}...")
 
-    adj = {s: tuple(sorted(adjacency[s])) for s in states}
-    return Landscape(states, scale, units, rates, adj, frozenset(explicit))
+    units = list(map(declared.__getitem__, names))
+    default = Fraction(1, max_degree) if defaulted else None
+    edge_count = len(given) + len(defaulted)
+    return Landscape(states, scale, (names, index, units, adjacency), given, default, edge_count)
 
 
 # -- file format -------------------------------------------------------------
@@ -367,17 +409,15 @@ def _load(source) -> Landscape:
 
 def landscape_to_dict(landscape: Landscape) -> dict:
     """The canonical document: sorted states and edges, exact value strings."""
-    states = [
-        {"id": s, "energy": str(landscape.energy(s))}
-        for s in sorted(landscape.states)
-    ]
+    names, _, units, _ = landscape.numbering()
+    scale, given = landscape.scale, landscape._given
+    states = [{"id": s, "energy": str(Energy(u, scale))} for s, u in zip(names, units)]
     edges = []
-    for x, y in landscape.edge_pairs():
-        if (x, y) in landscape._explicit:
-            edges.append({"pair": [x, y], "q": format_exact(landscape.rate(x, y))})
-        else:
-            edges.append([x, y])
-    return {"energy_scale": landscape.scale, "states": states, "edges": edges}
+    for i, j in landscape._edges():
+        q = given.get((i, j))
+        pair = [names[i], names[j]]
+        edges.append(pair if q is None else {"pair": pair, "q": format_exact(q)})
+    return {"energy_scale": scale, "states": states, "edges": edges}
 
 
 def dumps_landscape(landscape: Landscape) -> str:
@@ -589,12 +629,15 @@ def transition_matrix(landscape: Landscape, beta: float) -> TransitionMatrix:
     if not (math.isfinite(beta) and beta >= 0):
         raise NonpositiveBeta(f"beta must be finite and >= 0, got {beta}")
     names, index, units, adjacency = landscape.numbering()
-    scale, rate = landscape.scale, landscape.rate
+    scale = landscape.scale
+    given = {pair: float(q) for pair, q in landscape._given.items()}
+    default = float(landscape._default or 0)  # None when every edge has its own
     off = {}  # (row, column) -> probability; one that underflows to 0 is no jump
     for i, nbrs in enumerate(adjacency):
         for j in nbrs:  # ascending, so ``off`` is row-major
             climb = max(0, units[j] - units[i])
-            p = float(rate(names[i], names[j])) * math.exp(-beta * (climb / scale))
+            q = given.get((i, j) if i < j else (j, i), default)
+            p = q * math.exp(-beta * (climb / scale))
             if p > 0:
                 off[i, j] = p
     rows, cols = np.array(list(off), dtype=np.intp).reshape(-1, 2).T

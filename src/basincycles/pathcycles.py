@@ -283,19 +283,29 @@ def node_entries(tree: CycleTree, newline: str) -> Iterator[str]:
     ``newline``'s depth: its members and ground states in name order, its
     depth ``gamma`` and resistance ``gamma_tilde``, and its parent's position
     in tree order (null for the root).  Each name is encoded once, each
-    height text built once per distinct value."""
+    height text built once per distinct value.  A node's ground is its
+    children's grounds at its own ``low``; ``order`` renders the children
+    first, and each child's list is dropped when its parent takes it."""
     template, item = _NODE.replace("\n", newline), "," + newline + "    "
     # a list's __getitem__ maps about twice as fast as a tuple's
     name = list(map(encode_basestring_ascii, tree.names)).__getitem__
-    units, text = tree.landscape.numbering()[2], HeightTexts(tree.scale)
+    text, children = HeightTexts(tree.scale), tree.children
     position = {v: k for k, v in enumerate(tree.order)}
+    grounds: dict[int, list[int]] = {}  # rendered node -> its ground ids, until its parent's turn
     for v, ids in sorted_slices(tree.leaves, tree.lo, tree.hi, tree.order):
         low = tree.low[v]
+        ground = [] if v in children else [v]  # a leaf is its own state
+        for c in children.get(v, ()):
+            part = grounds.pop(c)
+            if tree.low[c] == low:
+                ground += part
+        ground.sort()
+        grounds[v] = ground
         yield template % (
             item.join(map(name, ids)),
             text[tree.floor[v] - low],
             text[tree.high[v] - low],
-            item.join([name(i) for i in ids if units[i] == low]),
+            item.join(map(name, ground)),
             position.get(tree.parent[v], "null"),
         )
 

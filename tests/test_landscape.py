@@ -41,7 +41,13 @@ from basincycles.errors import (
     ScaleOverflow,
     UnknownStateInEdge,
 )
-from basincycles.landscape import Rendered, dumps_json, transition_matrix, write_json
+from basincycles.landscape import (
+    Rendered,
+    dumps_json,
+    landscape_to_dict,
+    transition_matrix,
+    write_json,
+)
 
 from conftest import (
     FIG1_PATH,
@@ -361,7 +367,9 @@ def _parts(L):
         units={s: L.units(s) for s in L.states},
         rates={frozenset(p): L.rate(*p) for p in L.edge_pairs()},
         adjacency={s: L.neighbors(s) for s in L.states},
-        explicit=frozenset(frozenset(p) for p in L._explicit),
+        explicit=frozenset(
+            frozenset(e["pair"]) for e in landscape_to_dict(L)["edges"] if isinstance(e, dict)
+        ),
     )
 
 
@@ -424,6 +432,82 @@ def test_loading_a_grid_builds_no_energy_and_one_default_rate(monkeypatch):
     assert made == {Energy: [], Fraction: [(1, 4)]}
     L.energy("r0c0")
     assert len(made[Energy]) == 1
+
+
+@pytest.mark.parametrize("foreign", ["", "0", "b0", "zz", "A"])
+def test_name_views_of_non_edges_and_foreign_names(fig1, foreign):
+    # rate is 0 off the edges, on the diagonal and for a name the landscape
+    # does not hold, whichever side of the held names it sorts to; units,
+    # energy and neighbors raise for such a name
+    edges = set(fig1.edge_pairs())
+    names = sorted(fig1.states)
+    for x, y in combinations(names, 2):
+        if (x, y) not in edges:
+            assert fig1.rate(x, y) == 0 and fig1.rate(y, x) == 0
+    for x in names:
+        assert fig1.rate(x, x) == 0
+        assert fig1.rate(x, foreign) == 0 and fig1.rate(foreign, x) == 0
+    assert fig1.rate(foreign, foreign) == 0
+    assert not fig1.has_state(foreign)
+    for view in (fig1.units, fig1.energy, fig1.neighbors):
+        with pytest.raises(ForeignState, match=f"^unknown state {re.escape(repr(foreign))}$"):
+            view(foreign)
+    with pytest.raises(ForeignState):
+        fig1.subset(["a", foreign])
+
+
+def test_equality_compares_effective_rates():
+    # b has degree 2, so the default rate is 1/2: an explicit 1/2 is the
+    # default, and only a different explicit rate makes another landscape
+    energies = {"a": 0, "b": "1.5", "c": 0}
+    bare = make_landscape(energies, [("a", "b"), ("b", "c")])
+    stated = make_landscape(dict(reversed(energies.items())), [("b", "c", "1/2"), ("a", "b")])
+    other = make_landscape(energies, [("a", "b"), ("b", "c", "1/4")])
+    assert bare == stated and stated == bare
+    assert hash(bare) == hash(stated)
+    assert bare != other and stated != other
+    assert bare.rate("c", "b") == stated.rate("b", "c") == Fraction(1, 2)
+    assert other.rate("c", "b") == Fraction(1, 4)
+
+
+@pytest.mark.parametrize(
+    "energies, scale",
+    [
+        (["0", "inf", "0", "inf", "inf"], 1000),
+        (["1/3", "2", "1/3", "2", "1/3"], 10),
+        (["2", "0.5", "2", "1/3", "0.5", "1/3"], 10),
+        ([" inf", "inf", " inf"], 1000),
+    ],
+)
+def test_states_sharing_a_failing_energy_text_fail_as_in_the_reference(energies, scale):
+    # each distinct energy text is parsed once per load; the first state
+    # that holds a failing text is the one reported, as in the reference
+    ids = [f"s{k}" for k in range(len(energies))]
+    doc = {
+        "energy_scale": scale,
+        "states": [{"id": sid, "energy": e} for sid, e in zip(ids, energies)],
+        "edges": [list(pair) for pair in zip(ids, ids[1:])],
+    }
+    text = json.dumps(doc)
+    want = _outcome(reference_landscape, text)
+    assert isinstance(want, tuple) and want[0] in (MalformedInput, ScaleOverflow)
+    assert _outcome(load_landscape, text) == want
+
+
+def test_a_loaded_grid_retains_its_numbering_only():
+    # the numbering is the one stored form, and states with one energy text
+    # share its int: a 100x100 grid retains about 2.4 MB under tracemalloc,
+    # against 7.4 MB when a name-keyed copy was stored beside the numbering
+    text = grid_text(100, 1000, 1)
+    tracemalloc.start()
+    try:
+        L = load_landscape(text)
+        L.numbering()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert L.n == 10_000
+    assert retained < 3_500_000
 
 
 def test_round_trip_bit_exact(fig1):
