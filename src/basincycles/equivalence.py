@@ -7,12 +7,13 @@ non-singleton must equal its internal height.  ``verify_equivalence`` checks
 that, and each round's structural conditions in the int units the round
 stores, against the sweep's cycle tree on node ids.  It reads the run's
 change records, not the replayed levels: one live round state (slot -> row,
-lift, exit and class id) takes each round's record, and that round's checks
-visit only the record's groups and changed rows.  A set is a path cycle
-exactly when it is a node: when its states' positions in the tree's
-depth-first leaf order fill one node's ``lo:hi`` slice.  Each class id is
-resolved to its node once, when it forms, from its constituents' nodes and
-its size, and the node's ``low``, ``high`` and ``floor`` give its heights.
+lift, exit and class id) takes each round's record, its edits applied in
+place, and that round's checks visit only the record's groups and the pairs
+its edits touched.  A set is a path cycle exactly when it is a node: when
+its states' positions in the tree's depth-first leaf order fill one node's
+``lo:hi`` slice.  Each class id is resolved to its node once, when it
+forms, from its constituents' nodes and its size, and the node's ``low``,
+``high`` and ``floor`` give its heights.
 The state carries a count of the exits that are not their node's, a count
 of the classes with no node, each big node's boundary (state ids, built from
 its children's) and the cost pairs that fail.  No level, class frozenset,
@@ -136,10 +137,11 @@ class ConditionRecord:
     a class is the node whose leaf slice its states fill, resolved when the
     class forms.  Each slot's exit height is compared when its class forms,
     and a count of the live mismatches is kept; merge heights are compared
-    on the classes the round formed.  A big class's cost pairs are read again only
-    when the class re-forms, when its row changed at that pair's entry, or
-    when a boundary singleton's row changed or it merged; every other pair
-    carries its result from the round before.
+    on the classes the round formed.  A big class's cost pairs are read
+    again only when the class re-forms or an edit touches the pair, on the
+    class's row at the singleton or on the singleton's row at the class,
+    and a failing pair every round; every other pair carries its result
+    from the round before.
     """
 
     iteration: int
@@ -221,20 +223,22 @@ def _resolve(ids: list, size: int, node: list, parts: dict, tree: CycleTree):
 
 def _check_rounds(landscape: Landscape, records: RunRecords, tree: CycleTree) -> tuple:
     """Every round's conditions, on one live round state: slot -> row, lift,
-    exit and class id.  Each change record is applied to it the way
-    ``graphcycles._patch`` applies it to a level, with no member set, and
-    the checks then visit only the record's groups and changed rows.  Each
-    group joins at least two live slots, its host among them, as
-    ``graphcycles._round`` makes them.
+    exit and class id.  Each change record is applied to it as
+    ``graphcycles._patch`` applies it to a level, but in place, on a copy
+    of round 0's rows, and with no member set; the checks then visit only
+    the record's groups and the pairs its edits touched.  Each group joins
+    at least two live slots, its host among them, as ``graphcycles._round``
+    makes them.
 
     A formed class is resolved to its tree node once, when it forms.  The
     state keeps counts of the live slots whose exit is not their node's
     and of the live classes with no node, the big slots' boundaries (state
     ids, built from their children's) and the failing (big slot, boundary
-    singleton) cost pairs.  A re-formed big slot reads all its pairs; a
-    changed row is read at the entries that changed for a big slot, and at
-    the entries of its old row for a singleton; a failing pair is read
-    every round.
+    singleton) cost pairs.  A re-formed big slot reads all its pairs.  An
+    edit re-reads the one pair it touches: ``(b, a)`` for an edit on
+    singleton ``a``'s row at a checked big slot ``b``, and ``(a, b)`` for an
+    edit on big slot ``a``'s row at a state ``b`` on its boundary.  A
+    failing pair is read every round.
 
     Returns the conditions, each class id's node (None when the class is no
     path cycle) and the constituents of each class without a node."""
@@ -275,7 +279,8 @@ def _check_rounds(landscape: Landscape, records: RunRecords, tree: CycleTree) ->
             if not bad:
                 del failing[big]
 
-    rows, exits = dict(records.start[0]), dict(records.start[1])
+    rows = {slot: dict(row) for slot, row in records.start[0].items()}
+    exits = dict(records.start[1])
     lifts: dict = {}
     cls = list(range(n))  # slot -> the id of its class, for the live slots
     node = list(range(n))  # class id -> its tree node; leaf i is state i
@@ -287,7 +292,7 @@ def _check_rounds(landscape: Landscape, records: RunRecords, tree: CycleTree) ->
     wrong = sum(exits[i] != max(floor[i] - low[i], 0) for i in range(n))  # exits not their node's
     orphans = 0  # live classes with no node
     conditions = [ConditionRecord(0, True, True, not wrong, True)]
-    for index, (groups, changed) in enumerate(records.rounds, 1):
+    for index, (groups, edits) in enumerate(records.rounds, 1):
         formed = []  # (host, node, merge height)
         for host, slots, lift, exit_height, height in groups:
             ids = []
@@ -318,13 +323,12 @@ def _check_rounds(landscape: Landscape, records: RunRecords, tree: CycleTree) ->
                 failing.pop(host, None)
             formed.append((host, v, height))
 
-        # the rows the record replaces, kept while some pair read before may read them
-        old = [(slot, rows.get(slot, _NO_ROW)) for slot in changed] if checked else ()
-        for slot, row in changed.items():
-            if row is None:
-                del rows[slot]
+        moved = edits if checked else ()  # an edit can move only a pair read before
+        for slot, dst, value in edits:
+            if value is None:
+                rows[slot].pop(dst, None)
             else:
-                rows[slot] = row
+                rows[slot][dst] = value
 
         full = set()  # the big slots whose every pair is read this round
         for host, v, _ in formed:
@@ -338,16 +342,11 @@ def _check_rounds(landscape: Landscape, records: RunRecords, tree: CycleTree) ->
                 else:
                     failing.pop(host, None)
 
-        for a, was in old:  # what changed under the pairs read before
-            if a in singles:  # a pair that held read an entry of the old row
-                for b in was:
-                    if b in checked and b not in full and a in checked[b][1]:
-                        recheck(b, a)
-            elif a in checked and a not in full:  # a big slot's row, at the entries that changed
-                edge = checked[a][1]
-                for b, _ in rows.get(a, _NO_ROW).items() ^ was.items():
-                    if b in edge:
-                        recheck(a, b)
+        for big, a, _ in moved:  # re-read each pair an edit touched
+            if big in singles:  # an edit on a singleton's row
+                big, a = a, big
+            if big in checked and big not in full and a in checked[big][1]:
+                recheck(big, a)
         if failing:  # a failing pair is read every round
             for big in [big for big in failing if big not in full]:
                 for a in list(failing[big]):

@@ -27,39 +27,40 @@ formed, every singleton in round 0, since every minimal group contains one
 (``run_decomposition`` proves it).  The rounds name each live class by an
 int *slot*.  A new class takes the slot of its constituent with the most
 row entries, the host, so the rows pointing into the host and the host's
-own row keep their slot.  The host's row is copied once, and its lift
-(merge height minus the host's exit height) joins the row's lazy offset: a
-row stores its costs minus its slot's lift.  Only the other constituents'
-entries are folded in one by one, and only the rows with an entry into
-one of them, which a reverse index of in-edges finds, are copied and
-relabelled to the host's slot.  So a big class that absorbs a small one
-pays for the small one's edges, not for its own boundary.
+own row keep their slot.  The host's lift (merge height minus the host's
+exit height) joins its row's lazy offset: a row stores its costs minus its
+slot's lift.  Only the other constituents' entries are folded in one by
+one, and only the rows with an entry into one of them, which a reverse
+index of in-edges finds, are relabelled to the host's slot.  So a big
+class that absorbs a small one pays for the small one's edges, not for its
+own boundary.
 
-``run_decomposition`` keeps one live round state, updated in place: each
-slot's row, lift, exit and class id, and the reverse index.  Rows are
-copy-on-write: a round that changes a row puts a new object in its slot,
-so a row object never changes once its round ends.  Each round appends one
-change record: its merge groups (host plus constituents) with each host's
-new lift, exit and merge height, and the row objects it put in or dropped.
-The hierarchy is int records, like the path tree's: leaf ``i`` is state
-``i``, formed classes are ``n, n + 1, ...`` in formation order, and
-``RunRecords`` keeps each class's size, smallest state id, children, and
-exit and merge heights.  The plain export renders each cycle's entry as
-JSON text straight from the records, its members from one depth-first leaf
-order (``pathcycles.leaf_layout``), so a run builds no class set, sort key
-or ``Energy`` height.
+``run_decomposition`` keeps one live round state, edited in place: each
+slot's row, lift, exit and class id, and the reverse index.  Each round
+appends one change record: its merge groups (host plus constituents) with
+each host's new lift, exit and merge height, and its edits, each entry it
+set or dropped in a living row as ``(slot, destination, value or None)``,
+in the order it made them; a record holds no row object.  The hierarchy
+is int records, like the path tree's: leaf ``i`` is state ``i``, formed
+classes are ``n, n + 1, ...`` in formation order, and ``RunRecords``
+keeps each class's size, smallest state id, children, and exit and merge
+heights.  The plain export renders each cycle's entry as JSON text
+straight from the records, its members from one depth-first leaf order
+(``pathcycles.leaf_layout``), so a run builds no class set, sort key or
+``Energy`` height.
 
 ``equivalence.verify_equivalence`` reads the records alone: it applies
-each round's record to a live state of its own, as ``_patch`` does, but
-builds no member set.  The trace's ``levels``, ``merges``, ``cycles``,
-``exit_heights`` and ``merge_heights`` serve ``--iterations`` and the API;
-they are built on first read and then kept.  ``levels`` starts from the
-round-0 state the run kept and patches each level with its round's record
-into the next, with no second search and no second fold; consecutive
-levels share every row object no round replaced.  Each class's member
-frozenset and sort key are built there, once, the key by merging its
-constituents'.  ``advance`` runs one round on a copy of a level's state,
-searched from every class, and applies the same patch.
+each round's record to a live state of its own, editing its rows in place
+where ``_patch`` copies them, and builds no member set.  The trace's
+``levels``, ``merges``, ``cycles``, ``exit_heights`` and ``merge_heights``
+serve ``--iterations`` and the API; they are built on first read and then
+kept.  ``levels`` starts from the round-0 state the run kept and patches
+each level with its round's record into the next, with no second search
+and no second fold; consecutive levels share every row object no edit
+touched.  Each class's member frozenset and sort key are built there,
+once, the key by merging its constituents'.  ``advance`` runs one round on
+a copy of a level's state, searched from every class, and applies the same
+patch.
 
 The rounds compute on plain ints, like the rest of the package: every cost
 and height is a count of ``1/scale`` energy units, with ``math.inf`` as the
@@ -131,9 +132,10 @@ class PartitionLevel:
     merge height of each class this round formed (empty for round 0); a
     class that lives on merges at its exit height.  A slot names the same
     class until a merge it hosts, and each level's dicts are its own, while
-    consecutive levels share every row that no merge touched.  ``keys`` maps
-    every class of the trace to its sorted member tuple; the levels of one
-    trace share it.
+    consecutive levels share every row that no edit touched; the views skip
+    the emptied row the whole-space class keeps.  ``keys`` maps every class
+    of the trace to its sorted member tuple; the levels of one trace share
+    it.
 
     ``classes`` (in class order), ``cost_units``, ``exit_units`` and
     ``merge_units`` (None for the initial round) are the same round keyed by
@@ -171,8 +173,9 @@ class PartitionLevel:
         members, lifts = self.members, self.lifts
         out = {}
         for src, row in self.rows.items():
-            lift = lifts.get(src, 0)
-            out[members[src]] = {members[dst]: v + lift for dst, v in row.items()}
+            if row:
+                lift = lifts.get(src, 0)
+                out[members[src]] = {members[dst]: v + lift for dst, v in row.items()}
         return out
 
     @cached_property
@@ -365,15 +368,15 @@ def _in_edges(rows: SlotRows) -> dict:
 def _round(rows: SlotRows, lifts: dict, exits: dict, into: dict, starts: Iterable[int]):
     """One round of the recursion on a live state, searched from ``starts``.
     ``rows``, ``lifts``, ``exits`` and their reverse index ``into`` are
-    brought up to the next round in place; a row that changes gets a new
-    object in its slot and is never edited.
+    brought up to the next round in place.
 
-    Returns the round's change record, ``(groups, changed)``, and every
+    Returns the round's change record, ``(groups, edits)``, and every
     component the search found.  ``groups`` lists each merge as ``(host,
     slots, lift, exit, height)``: the host's new lift, exit and merge height
-    after the slots of its group, host included.  ``changed`` maps each slot
-    whose row the round replaced to its new row, or to None when it dropped
-    it; the absorbed slots' rows go with their slots.
+    after the slots of its group, host included.  ``edits`` lists each entry
+    the round set or dropped in a living row, as ``(slot, destination, value
+    or None)``, in the order it made them; the absorbed slots' rows go with
+    their slots.
     """
     components = _zero_components(rows, lifts, exits, starts)
     host_of = {}  # merged slot -> the slot of its new class
@@ -385,14 +388,14 @@ def _round(rows: SlotRows, lifts: dict, exits: dict, into: dict, starts: Iterabl
             for slot in group:
                 host_of[slot] = host
 
-    changed = {}
+    edits = []
     merged = []  # (host, slots, lift, height), the exit filled in below
     # each destination keeps its cheapest lifted cost; the host's own
     # entries keep their stored values under the host's new lift
     for host, group in groups:
         height = max(exits[slot] for slot in group)
         lift = lifts.get(host, 0) + height - exits[host]
-        row = dict(rows[host])
+        row = rows[host]
         for slot in group:
             if slot == host:
                 continue
@@ -404,46 +407,38 @@ def _round(rows: SlotRows, lifts: dict, exits: dict, into: dict, starts: Iterabl
                     value += shift
                     if value < row.get(dst, math.inf):
                         row[dst] = value
+                        edits.append((host, dst, value))
                     into[dst].add(host)
             del exits[slot]
             lifts.pop(slot, None)
-        changed[host] = rows[host] = row
         lifts[host] = lift
         merged.append((host, group, lift, height))
     # a living row keeps its values and relabels its entries into absorbed
-    # slots to their host; it is copied once per round, and a host drops
-    # its entries into its own group
+    # slots to their host, and a host drops its entries into its own group
     for slot, host in host_of.items():
         if slot == host:
             continue
         for src in into.pop(slot):
-            row = changed.get(src)
-            if row is None:
-                row = changed[src] = rows[src] = dict(rows[src])
+            row = rows[src]
             value = row.pop(slot)
+            edits.append((src, slot, None))
             if src != host:
                 if value < row.get(host, math.inf):
                     row[host] = value
+                    edits.append((src, host, value))
                 into[host].add(src)
     for k, (host, group, lift, height) in enumerate(merged):
-        row = rows[host]
-        if row:
-            exit_height = min(row.values()) + lift
-        else:
-            del rows[host]
-            changed[host] = None
-            exit_height = math.inf
-        exits[host] = exit_height
+        exits[host] = exit_height = min(rows[host].values(), default=math.inf) + lift
         merged[k] = host, group, lift, exit_height, height
-    return (merged, changed), components
+    return (merged, edits), components
 
 
 def _patch(level: PartitionLevel, record) -> PartitionLevel:
     """The level after ``level``, from its round's change record: the
     absorbed slots go, each host takes its new class, lift, exit and merge
-    height, and the replaced rows take their slots.  Every other row object
-    is ``level``'s own."""
-    groups, changed = record
+    height, and the edits are applied.  A row is copied the first time an
+    edit lands on it; every other row object is ``level``'s own."""
+    groups, edits = record
     members, rows = dict(level.members), dict(level.rows)
     lifts, exits = dict(level.lifts), dict(level.exits)
     keys, formed = level.keys, {}
@@ -456,11 +451,15 @@ def _patch(level: PartitionLevel, record) -> PartitionLevel:
                 lifts.pop(slot, None)
         members[host] = _union(parts, keys)
         lifts[host], exits[host], formed[host] = lift, exit_height, height
-    for slot, row in changed.items():
+    copied = {}
+    for slot, dst, value in edits:
+        row = copied.get(slot)
         if row is None:
-            del rows[slot]
+            row = copied[slot] = rows[slot] = dict(rows[slot])
+        if value is None:
+            row.pop(dst, None)
         else:
-            rows[slot] = row
+            row[dst] = value
     return PartitionLevel(level.index + 1, members, rows, lifts, exits, formed, level.scale, keys)
 
 
@@ -481,7 +480,7 @@ def advance(level: PartitionLevel) -> tuple[PartitionLevel, tuple[StateSet, ...]
     """
     if level.is_terminal:
         raise AlreadyTerminal("the partition is already the whole space")
-    rows = dict(level.rows)
+    rows = {slot: dict(row) for slot, row in level.rows.items()}
     record, components = _round(rows, dict(level.lifts), dict(level.exits), _in_edges(rows), level.members)
     after = _patch(level, record)
     return after, _block_order(level, components), _minimal(after)
@@ -489,16 +488,17 @@ def advance(level: PartitionLevel) -> tuple[PartitionLevel, tuple[StateSet, ...]
 
 class RunRecords:
     """What ``run_decomposition`` keeps (module docstring).  ``names`` are
-    the states by id; ``start`` is round 0's ``(rows, exits)``, copied
-    before the run changes the live ones in place; ``rounds`` holds each
-    round's change record, as ``_round`` returns it.  The
+    the states by id; ``start`` is round 0's ``(rows, exits)``, each row
+    copied, since the run edits the live ones in place; ``rounds`` holds
+    each round's change record, as ``_round`` returns it.  The
     hierarchy is kept in lists by class id: ``size``, ``first`` (the
     smallest state id), ``exit`` and ``merge`` (heights in int units), with
     ``children``, the constituents' ids of each formed class."""
 
     def __init__(self, names, rows: SlotRows, exits: dict):
         n = len(names)
-        self.names, self.start, self.rounds = names, (dict(rows), dict(exits)), []
+        self.names, self.rounds = names, []
+        self.start = {slot: dict(row) for slot, row in rows.items()}, dict(exits)
         self.size, self.first, self.children = [1] * n, list(range(n)), {}
         self.exit = list(exits.values())
         self.merge = list(self.exit)  # a singleton merges at its exit height

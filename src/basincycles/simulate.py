@@ -318,7 +318,8 @@ def _walk_chains(jumps, start_idx, target_mask, sec_idx, max_steps, seed, replic
     probability ``leave``, so one draw covers every holding step and the
     clock keeps the exact law of the step chain.  The second picks the
     destination from the neighbour CDF.  A replica whose next arrival would
-    pass ``max_steps`` is censored there.
+    pass ``max_steps`` is censored there.  The start lies outside the
+    target: ``_run_chains`` has already answered a start in the target.
 
     Returns (tau, censored, sec) arrays; ``sec[r]`` is the first step at
     which replica r stood on the secondary state (-1 if never, tracked only
@@ -331,10 +332,6 @@ def _walk_chains(jumps, start_idx, target_mask, sec_idx, max_steps, seed, replic
 
     if sec_idx is not None and sec_idx == start_idx:
         sec[:] = 0
-    if target_mask[start_idx]:
-        tau[:] = 0
-        censored[:] = False
-        return tau, censored, sec
 
     seed = _mask64(seed)
     gens = [np.random.default_rng([seed, r]) for r in range(replicas)]

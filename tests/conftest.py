@@ -421,6 +421,68 @@ def retrace(trace, edit):
     return DecompositionTrace(trace.iterations, trace.scale, trace.records)
 
 
+# tampers ``tamper(records, level, big, single)`` for the round that forms
+# ``level``, a class slot and a singleton slot (``_fresh_with_single``); each
+# edits the records that verify reads, not a view built from them
+
+
+def _fresh_with_single(trace):
+    """The first round that forms a non-singleton class with a singleton
+    class on its boundary: (that round's level, the class's slot, the
+    singleton's slot).  On fig1 this is round 1, {c,d,e,f} and {b}."""
+    for level in trace.levels[1:]:
+        formed = sorted(level.formed, key=lambda slot: level.keys[level.members[slot]])
+        for big in (slot for slot in formed if len(level.members[slot]) > 1):
+            for single in sorted(level.rows.get(big, ())):
+                if len(level.members[single]) == 1:
+                    return level, big, single
+    raise AssertionError("no fresh class with a singleton neighbour")
+
+
+def _group(records, index, host):
+    """Round ``index``'s groups, the position among them of the group
+    hosted at ``host``, and the id of the class that group forms."""
+    groups = records.rounds[index - 1][0]
+    k = next(k for k, group in enumerate(groups) if group[0] == host)
+    earlier = sum(len(record[0]) for record in records.rounds[: index - 1])
+    return groups, k, len(records.names) + earlier + k
+
+
+def _bump_group(field):
+    """A tamper that bumps one field of the picked class's group: 2 is the
+    host's lift, 3 its exit height and 4 its merge height."""
+
+    def bump(records, level, big, single):
+        groups, k, _ = _group(records, level.index, big)
+        group = list(groups[k])
+        group[field] += 1
+        groups[k] = tuple(group)
+
+    return bump
+
+
+_bump_exit, _bump_merge = _bump_group(3), _bump_group(4)
+
+
+def _bump_cost(records, level, big, single):
+    # one more edit in the round: the class's cost to the singleton, bumped
+    records.rounds[level.index - 1][1].append((big, single, level.rows[big][single] + 1))
+
+
+def _drop_from_last(state):
+    """A tamper that drops the slot of ``state`` from the last round's
+    group: that state's class lives on beside the rest of the space."""
+
+    def drop(records, level, big, single):
+        groups = records.rounds[-1][0]
+        (host, slots, *heights), = groups
+        slot = records.names.index(state)
+        assert slot in slots and slot != host
+        groups[0] = (host, [s for s in slots if s != slot], *heights)
+
+    return drop
+
+
 def reference_verify(landscape):
     """The verifier as it was when it compared member frozensets: every class
     of every round is looked up by its members in ``tree.node`` and every big

@@ -20,9 +20,21 @@ from basincycles import (
 from basincycles import equivalence
 from basincycles.equivalence import report_to_dict
 from basincycles.errors import TooLarge
+from basincycles.graphcycles import level_to_dict
 from basincycles.pathcycles import boundary_floor
 
-from conftest import DATA, FIG1_PATH, grid_text, retrace
+from conftest import (
+    DATA,
+    FIG1_PATH,
+    _bump_cost,
+    _bump_exit,
+    _bump_merge,
+    _drop_from_last,
+    _fresh_with_single,
+    _group,
+    grid_text,
+    retrace,
+)
 
 E = Energy.from_int
 
@@ -204,32 +216,10 @@ FAULT_INPUTS = [FIG1_PATH, DATA / "grid8-e2.json"]
 RECORDS = ("classes_are_cycles", "boundary_costs_ok", "exit_heights_ok", "merge_heights_ok")
 
 
-def _fresh_with_single(trace):
-    """The first round that forms a non-singleton class with a singleton
-    class on its boundary: (that round's level, the class's slot, the
-    singleton's slot).  On fig1 this is round 1, {c,d,e,f} and {b}."""
-    for level in trace.levels[1:]:
-        formed = sorted(level.formed, key=lambda slot: level.keys[level.members[slot]])
-        for big in (slot for slot in formed if len(level.members[slot]) > 1):
-            for single in sorted(level.rows.get(big, ())):
-                if len(level.members[single]) == 1:
-                    return level, big, single
-    raise AssertionError("no fresh class with a singleton neighbour")
-
-
-def _group(records, index, host):
-    """Round ``index``'s groups, the position among them of the group
-    hosted at ``host``, and the id of the class that group forms."""
-    groups = records.rounds[index - 1][0]
-    k = next(k for k, group in enumerate(groups) if group[0] == host)
-    earlier = sum(len(record[0]) for record in records.rounds[: index - 1])
-    return groups, k, len(records.names) + earlier + k
-
-
 def _verify_tampered(monkeypatch, path, tamper):
-    """Run verify on the landscape at ``path`` with ``tamper(records, index,
+    """Run verify on the landscape at ``path`` with ``tamper(records, level,
     big, single)`` applied to the records of the trace it computes, for the
-    round ``index``, class slot and singleton slot ``_fresh_with_single``
+    round's level, class slot and singleton slot ``_fresh_with_single``
     picks.  Returns the report, that round's index and its class."""
     original = equivalence.run_decomposition
     picked = []
@@ -238,7 +228,7 @@ def _verify_tampered(monkeypatch, path, tamper):
         def edit(trace):
             level, big, single = _fresh_with_single(trace)
             picked.append((level.index, level.members[big]))
-            tamper(trace.records, level.index, big, single)
+            tamper(trace.records, level, big, single)
 
         return retrace(original(landscape, *args, **kwargs), edit)
 
@@ -246,30 +236,6 @@ def _verify_tampered(monkeypatch, path, tamper):
     report = verify_equivalence(load_landscape(path.read_text()))
     assert not report.ok
     return (report, *picked[0])
-
-
-# each tamper edits the records that verify reads, not a view built from them
-
-
-def _bump_group(field):
-    """A tamper that bumps one field of the picked class's group: 2 is the
-    host's lift, 3 its exit height and 4 its merge height."""
-
-    def bump(records, index, big, single):
-        groups, k, _ = _group(records, index, big)
-        group = list(groups[k])
-        group[field] += 1
-        groups[k] = tuple(group)
-
-    return bump
-
-
-_bump_exit, _bump_merge = _bump_group(3), _bump_group(4)
-
-
-def _bump_cost(records, index, big, single):
-    # the row the round put in the class's slot, edited in place
-    records.rounds[index - 1][1][big][single] += 1
 
 
 @pytest.mark.parametrize("path", FAULT_INPUTS, ids=lambda p: p.name)
@@ -293,8 +259,8 @@ def test_tampered_round_fails_its_condition(monkeypatch, path, tamper, record):
 
 @pytest.mark.parametrize("path", FAULT_INPUTS, ids=lambda p: p.name)
 def test_tampered_trace_heights_are_violations(monkeypatch, path):
-    def bump_heights(records, index, big, single):
-        v = _group(records, index, big)[2]
+    def bump_heights(records, level, big, single):
+        v = _group(records, level.index, big)[2]
         records.exit[v] += 1
         records.merge[v] += 1
 
@@ -302,20 +268,6 @@ def test_tampered_trace_heights_are_violations(monkeypatch, path):
     assert [c for c, _, _ in report.he_violations] == [big]
     assert [c for c, _, _ in report.hm_violations] == [big]
     assert all(record.ok for record in report.conditions)
-
-
-def _drop_from_last(state):
-    """A tamper that drops the slot of ``state`` from the last round's
-    group: that state's class lives on beside the rest of the space."""
-
-    def drop(records, index, big, single):
-        groups = records.rounds[-1][0]
-        (host, slots, *heights), = groups
-        slot = records.names.index(state)
-        assert slot in slots and slot != host
-        groups[0] = (host, [s for s in slots if s != slot], *heights)
-
-    return drop
 
 
 @pytest.mark.parametrize("path, state", [(FIG1_PATH, "a"), (DATA / "grid8-e2.json", "r7c0")], ids=["fig1", "grid8-e2"])
@@ -391,6 +343,21 @@ def test_verify_replays_no_level(monkeypatch):
     built = {name for name, value in vars(traces[0]).items() if value is not None}
     assert not built & {"levels", "cycles", "exit_heights", "merge_heights", "_replayed"}
     assert calls == []
+
+
+def test_verify_leaves_the_records_as_they_were(monkeypatch):
+    # verify applies the edits to its own copy of round 0's rows, so the
+    # levels replayed from the same records after it read as before it
+    L = load_landscape((DATA / "grid8-e1000.json").read_text())
+    trace = run_decomposition(L)
+
+    def replayed():
+        return [level_to_dict(level) for level in retrace(trace, lambda _: None).levels]
+
+    before = replayed()
+    monkeypatch.setattr(equivalence, "run_decomposition", lambda landscape: trace)
+    assert verify_equivalence(L).ok
+    assert replayed() == before
 
 
 def test_verify_builds_no_tree_views(monkeypatch):

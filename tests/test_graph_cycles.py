@@ -522,7 +522,7 @@ def test_plain_export_matches_the_levels(data):
 def test_run_and_export_hold_no_snapshots():
     # the run keeps its change records and the hierarchy, not a level per
     # round, and the plain export replays none: peaks under tracemalloc
-    # are about 7.6 MB for the run and 12 MB with the export, against 47
+    # are about 2.8 MB for the run and 7.8 MB with the export, against 47
     # and 51 MB when every round was stored as a level
     L = load_landscape(grid_text(40, 1000, 1))
     L.numbering()
@@ -538,6 +538,41 @@ def test_run_and_export_hold_no_snapshots():
     assert peak < 24_000_000
 
 
+def test_records_hold_entry_edits_not_rows():
+    # a round records each entry it set or dropped as (slot, destination,
+    # value or None), and no row object: the run retains about 4.8 MB under
+    # tracemalloc, against 19.9 MB when each round kept its new rows
+    L = load_landscape(grid_text(60, 1000, 1))
+    L.numbering()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trace = run_decomposition(L)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 8_000_000
+    for _, edits in trace.records.rounds:
+        assert isinstance(edits, list)
+        for slot, dst, value in edits:
+            assert type(slot) is int and type(dst) is int
+            assert value is None or type(value) is int
+
+
+def test_advance_leaves_its_level_as_it_was():
+    # the round edits its own copy of the rows, so the level it started from
+    # reads as before, row objects included
+    L = load_landscape(grid_text(8, 5, 2))
+    level = initial_level(L)
+    while not level.is_terminal:
+        rows = {slot: dict(row) for slot, row in level.rows.items()}
+        objects = dict(level.rows)
+        after = advance(level)[0]
+        assert level.rows == rows
+        assert all(level.rows[slot] is row for slot, row in objects.items())
+        level = after
+
+
 def test_repr_and_equality_build_no_view(fig1):
     # a trace's repr shows its round count and scale, and two traces are
     # equal only when they are one; neither replays a level
@@ -551,7 +586,7 @@ def test_repr_and_equality_build_no_view(fig1):
 
 def test_verify_holds_no_snapshots():
     # verify applies the run's change records to one live round state and
-    # replays no level: its peak under tracemalloc is about 8.5 MB, little
+    # replays no level: its peak under tracemalloc is about 3.8 MB, little
     # above the run's, against 48.8 MB when it replayed every level
     L = load_landscape(grid_text(40, 1000, 1))
     L.numbering()

@@ -11,14 +11,18 @@ from basincycles import equivalence, load_landscape, random_landscape, verify_eq
 from basincycles.equivalence import report_to_dict
 from basincycles.landscape import exterior_boundary
 
-from conftest import DATA, FIG1_PATH, draw_landscape, reference_verify, retrace
-from test_equivalence import (
+from conftest import (
+    DATA,
+    FIG1_PATH,
     _bump_cost,
     _bump_exit,
     _bump_group,
     _bump_merge,
     _drop_from_last,
     _fresh_with_single,
+    draw_landscape,
+    reference_verify,
+    retrace,
 )
 
 # ``fuzz`` builds landscape i of a campaign from this seed
@@ -74,7 +78,7 @@ def test_matches_the_reference_on_a_tampered_trace(monkeypatch, path, tamper):
 
     def edit(landscape, trace):
         level, big, single = _fresh_with_single(trace)
-        tamper(trace.records, level.index, big, single)
+        tamper(trace.records, level, big, single)
 
     _tamper(monkeypatch, edit)
     assert not _same_report(load_landscape(path.read_text()))["ok"]
@@ -82,8 +86,9 @@ def test_matches_the_reference_on_a_tampered_trace(monkeypatch, path, tamper):
 
 def _scramble(seed):
     """A tamper that makes one to three random edits to the records: a cost
-    bumped or dropped in place (so in every round that holds the row), a row
-    replaced in one round's changed rows, a group's lift, exit or merge
+    they hold, in a round-0 row or set by one round's edit, bumped or
+    dropped (so in every round until an edit sets it again), one more edit
+    in a round bumping a cost of a live row, a group's lift, exit or merge
     height bumped, a class's exit or merge height bumped, or a slot dropped
     from a group or moved to another group of its round.  A slot leaves
     only a group of three or more, so every group still joins two live
@@ -96,23 +101,26 @@ def _scramble(seed):
         for _ in range(rng.randint(1, 3)):
             edit = rng.randrange(9)
             index = rng.randrange(1, len(records.rounds) + 1)
-            groups, changed = records.rounds[index - 1]
-            if edit < 3:
-                if edit < 2:  # a row the records hold
-                    rows = [*records.start[0].values(), *changed.values()]
-                else:  # a live row of the round
-                    rows = list(levels[index].rows.values())
-                row = rng.choice([row for row in rows if row] or [None])
-                if row is None:
+            groups, edits = records.rounds[index - 1]
+            if edit < 2:  # a cost the records hold: a round-0 entry or a set edit
+                held = [(row, dst) for row in records.start[0].values() for dst in sorted(row)]
+                held += [(edits, k) for k, (_, _, value) in enumerate(edits) if value is not None]
+                if not held:
                     continue
-                dst = rng.choice(sorted(row))
-                if edit == 0:
-                    row[dst] += rng.choice((-1, 1))
-                elif edit == 1:
-                    del row[dst]
+                where, key = rng.choice(held)
+                if where is edits:
+                    slot, dst, value = edits[key]
+                    edits[key] = slot, dst, (value + rng.choice((-1, 1)) if edit == 0 else None)
+                elif edit == 0:
+                    where[key] += rng.choice((-1, 1))
                 else:
-                    slot = next(slot for slot, live in levels[index].rows.items() if live is row)
-                    changed[slot] = {**row, dst: row[dst] + 1}
+                    del where[key]
+            elif edit == 2:  # a live row of the round
+                slot = rng.choice([slot for slot, row in levels[index].rows.items() if row] or [None])
+                if slot is None:
+                    continue
+                dst = rng.choice(sorted(levels[index].rows[slot]))
+                edits.append((slot, dst, levels[index].rows[slot][dst] + 1))
             elif edit < 6:  # 3 the host's lift, 4 its exit, 5 its merge height
                 k = rng.randrange(len(groups))
                 group = list(groups[k])
@@ -152,11 +160,12 @@ def test_matches_the_reference_on_scrambled_traces(monkeypatch, first):
 
 @pytest.mark.parametrize("path", list(BAD), ids=lambda p: p.name)
 def test_matches_the_reference_when_a_failing_pair_loses_its_singleton(monkeypatch, path):
-    # a failing pair fails until its singleton merges or gets a new row;
-    # from then on it holds, and it is no longer read
+    # a failing pair fails until its singleton merges; from then on it
+    # holds, and it is no longer read
     def edit(landscape, trace):
         level, big, single = _fresh_with_single(trace)
-        level.rows[single][big] += 1  # the singleton's row object, edited in place
+        # one more edit in the round: the singleton's cost to the class, bumped
+        trace.records.rounds[level.index - 1][1].append((single, big, level.rows[single][big] + 1))
 
     _tamper(monkeypatch, edit)
     report = _same_report(load_landscape(path.read_text()))
@@ -182,13 +191,13 @@ def _reformed_with_new_state(landscape, trace):
 
 @pytest.mark.parametrize("name", FIXTURES[1:])
 def test_matches_the_reference_when_a_reformed_class_reaches_a_new_state(monkeypatch, name):
-    # with the cost to it dropped from the class's row, and its own row kept
-    # from the round before, only the boundary says that the pair is read now
+    # with the cost to it dropped from the class's row, and no edit of the
+    # round on its own row, only the boundary says that the pair is read now
     def edit(landscape, trace):
-        before, level, slot, single = _reformed_with_new_state(landscape, trace)
-        changed = trace.records.rounds[level.index - 1][1]
-        del changed[slot][single]
-        changed[single] = before.rows[single]
+        _, level, slot, single = _reformed_with_new_state(landscape, trace)
+        edits = trace.records.rounds[level.index - 1][1]
+        edits[:] = [(src, dst, value) for src, dst, value in edits if src != single]
+        edits.append((slot, single, None))
 
     _tamper(monkeypatch, edit)
     assert not _same_report(_fixture(name))["ok"]
@@ -200,7 +209,7 @@ def test_matches_the_reference_when_a_reformed_class_is_lifted(monkeypatch, name
     # pairs is read again
     def edit(landscape, trace):
         _, level, slot, single = _reformed_with_new_state(landscape, trace)
-        _bump_group(2)(trace.records, level.index, slot, single)
+        _bump_group(2)(trace.records, level, slot, single)
 
     _tamper(monkeypatch, edit)
     assert not _same_report(_fixture(name))["ok"]
@@ -221,16 +230,16 @@ def _living_pair(trace):
 @pytest.mark.parametrize("name", FIXTURES[1:])
 @pytest.mark.parametrize("whose", ["class", "singleton"])
 def test_matches_the_reference_when_a_row_is_replaced_for_one_round(monkeypatch, name, whose):
-    # a new row object with one cost of the pair bumped, and the old one put
-    # back in the next round: only the row says that the pair is read again,
-    # in that round and in the next
+    # an edit bumping one cost of the pair, and one putting the old value
+    # back first in the next round: only the edits say that the pair is read
+    # again, in that round and in the next
     def edit(landscape, trace):
         level, big, single = _living_pair(trace)
         src, dst = (big, single) if whose == "class" else (single, big)
-        row, rounds = level.rows[src], trace.records.rounds
-        rounds[level.index - 1][1][src] = {**row, dst: row[dst] + 1}
-        if level.index < len(rounds):
-            rounds[level.index][1].setdefault(src, row)
+        value, rounds = level.rows[src][dst], trace.records.rounds
+        rounds[level.index - 1][1].append((src, dst, value + 1))
+        if level.index < len(rounds) and src in trace.levels[level.index + 1].rows:
+            rounds[level.index][1].insert(0, (src, dst, value))
 
     _tamper(monkeypatch, edit)
     assert not _same_report(_fixture(name))["ok"]
