@@ -29,25 +29,26 @@ int *slot*.  A new class takes the slot of its constituent with the most
 row entries, the host, so the rows pointing into the host and the host's
 own row keep their slot.  The host's lift (merge height minus the host's
 exit height) joins its row's lazy offset: a row stores its costs minus its
-slot's lift.  Only the other constituents' entries are folded in one by
-one, and only the rows with an entry into one of them, which a reverse
-index of in-edges finds, are relabelled to the host's slot.  So a big
-class that absorbs a small one pays for the small one's edges, not for its
-own boundary.
+slot's lift.  Only the other constituents' rows are read, each once.  A
+row holds an entry exactly where its destination's row holds one back:
+the seed costs are finite exactly on connected pairs, and a merge keeps
+that symmetric.  So each entry of an absorbed row folds into the host's
+row, and a destination that lives on has its entry back relabelled to the
+host's slot.  A big class that absorbs a small one pays for the small
+one's edges, not for its own boundary.
 
 ``run_decomposition`` keeps one live round state, edited in place: each
-slot's row, lift, exit and class id, and the reverse index.  Each round
-appends one change record: its merge groups (host plus constituents) with
-each host's new lift, exit and merge height, and its edits, each entry it
-set or dropped in a living row as ``(slot, destination, value or None)``,
-in the order it made them; a record holds no row object.  The hierarchy
-is int records, like the path tree's: leaf ``i`` is state ``i``, formed
-classes are ``n, n + 1, ...`` in formation order, and ``RunRecords``
-keeps each class's size, smallest state id, children, and exit and merge
-heights.  The plain export renders each cycle's entry as JSON text
-straight from the records, its members from one depth-first leaf order
-(``pathcycles.leaf_layout``), so a run builds no class set, sort key or
-``Energy`` height.
+slot's row, lift, exit and class id.  Each round appends one change
+record: its merge groups (host plus constituents) with each host's new
+lift, exit and merge height, and its edits, each entry it set or dropped
+in a living row as ``(slot, destination, value or None)``, in the order it
+made them; a record holds no row object.  The hierarchy is int records,
+like the path tree's: leaf ``i`` is state ``i``, formed classes are ``n,
+n + 1, ...`` in formation order, and ``RunRecords`` keeps each class's
+size, smallest state id, children, and exit and merge heights.  The plain
+export renders each cycle's entry as JSON text straight from the records,
+its members from one depth-first leaf order (``pathcycles.leaf_layout``),
+so a run builds no class set, sort key or ``Energy`` height.
 
 ``equivalence.verify_equivalence`` reads the records alone: it applies
 each round's record to a live state of its own, editing its rows in place
@@ -90,12 +91,14 @@ from .errors import (
 from .landscape import HeightTexts, Landscape, Rendered, StateSet, parsed
 from .pathcycles import leaf_layout, sorted_slices
 
-SlotRows = dict  # slot -> {slot -> int units minus the source's lift}, finite entries only
+SlotRows = dict  # slot -> {slot -> int units minus the source's lift}, finite and symmetric in support
 
 
 def _validate_seed(landscape: Landscape, costs: Mapping) -> dict[tuple[int, int], int]:
     """A generic seed must be finite exactly on the q-positive ordered pairs
-    and nonnegative there, as the numbering's adjacency says.  Returns its
+    and nonnegative there, as the numbering's adjacency says.  The adjacency
+    is symmetric, so this rule makes the finite costs symmetric in support,
+    as the Metropolis seed's are, which ``_round`` relies on.  Returns its
     finite costs in int units, keyed by id pair."""
     names, index, _, adjacency = landscape.numbering()
     expected = {(i, j) for i, nbrs in enumerate(adjacency) for j in nbrs}
@@ -356,19 +359,12 @@ def _block_order(level: PartitionLevel, components: list) -> tuple[StateSet, ...
     return tuple(sorted(blocks, key=keys.__getitem__))
 
 
-def _in_edges(rows: SlotRows) -> dict:
-    """Each slot's sources: the slots whose rows hold an entry into it."""
-    into: dict = {}
-    for src, row in rows.items():
-        for dst in row:
-            into.setdefault(dst, set()).add(src)
-    return into
-
-
-def _round(rows: SlotRows, lifts: dict, exits: dict, into: dict, starts: Iterable[int]):
+def _round(rows: SlotRows, lifts: dict, exits: dict, starts: Iterable[int]):
     """One round of the recursion on a live state, searched from ``starts``.
-    ``rows``, ``lifts``, ``exits`` and their reverse index ``into`` are
-    brought up to the next round in place.
+    ``rows``, ``lifts`` and ``exits`` are brought up to the next round in
+    place.  Each absorbed slot's row is read once: the rows are symmetric in
+    support (``_validate_seed``), so the living slots with an entry into it
+    are the living destinations of its own row.
 
     Returns the round's change record, ``(groups, edits)``, and every
     component the search found.  ``groups`` lists each merge as ``(host,
@@ -401,32 +397,25 @@ def _round(rows: SlotRows, lifts: dict, exits: dict, into: dict, starts: Iterabl
                 continue
             shift = lifts.get(slot, 0) + height - exits[slot] - lift
             for dst, value in rows.pop(slot).items():
-                into[dst].discard(slot)
-                dst = host_of.get(dst, dst)
-                if dst != host:
+                target = host_of.get(dst, dst)
+                if target == dst:
+                    # a living row keeps its value into the absorbed slot
+                    # under the host's slot; the host drops it
+                    back = rows[dst]
+                    stored = back.pop(slot)
+                    edits.append((dst, slot, None))
+                    if dst != host and stored < back.get(host, math.inf):
+                        back[host] = stored
+                        edits.append((dst, host, stored))
+                if target != host:
                     value += shift
-                    if value < row.get(dst, math.inf):
-                        row[dst] = value
-                        edits.append((host, dst, value))
-                    into[dst].add(host)
+                    if value < row.get(target, math.inf):
+                        row[target] = value
+                        edits.append((host, target, value))
             del exits[slot]
             lifts.pop(slot, None)
         lifts[host] = lift
         merged.append((host, group, lift, height))
-    # a living row keeps its values and relabels its entries into absorbed
-    # slots to their host, and a host drops its entries into its own group
-    for slot, host in host_of.items():
-        if slot == host:
-            continue
-        for src in into.pop(slot):
-            row = rows[src]
-            value = row.pop(slot)
-            edits.append((src, slot, None))
-            if src != host:
-                if value < row.get(host, math.inf):
-                    row[host] = value
-                    edits.append((src, host, value))
-                into[host].add(src)
     for k, (host, group, lift, height) in enumerate(merged):
         exits[host] = exit_height = min(rows[host].values(), default=math.inf) + lift
         merged[k] = host, group, lift, exit_height, height
@@ -481,7 +470,7 @@ def advance(level: PartitionLevel) -> tuple[PartitionLevel, tuple[StateSet, ...]
     if level.is_terminal:
         raise AlreadyTerminal("the partition is already the whole space")
     rows = {slot: dict(row) for slot, row in level.rows.items()}
-    record, components = _round(rows, dict(level.lifts), dict(level.exits), _in_edges(rows), level.members)
+    record, components = _round(rows, dict(level.lifts), dict(level.exits), level.members)
     after = _patch(level, record)
     return after, _block_order(level, components), _minimal(after)
 
@@ -606,13 +595,12 @@ def run_decomposition(landscape: Landscape, seed_costs=None) -> DecompositionTra
     rounds, size, first, children = records.rounds, records.size, records.first, records.children
     exit_units, merge_units = records.exit, records.merge
     lifts: dict = {}
-    into = _in_edges(rows)
     cls = list(range(len(names)))  # slot -> the id of its class
     fresh: Iterable[int] = range(len(names))
     while len(exits) > 1:
         if len(rounds) >= len(names):
             raise NonTermination("recursion exceeded the state count")
-        record, _ = _round(rows, lifts, exits, into, fresh)
+        record, _ = _round(rows, lifts, exits, fresh)
         rounds.append(record)
         fresh = []
         for host, group, _, exit_height, height in record[0]:

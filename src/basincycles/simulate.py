@@ -31,7 +31,8 @@ window and visit checks require ``beta > 0`` like every analysis path.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
+import operator
+from contextlib import contextmanager, suppress
 from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -66,6 +67,14 @@ def _exp(x: float) -> float:
         return math.inf
 
 
+def _integral(name: str, value) -> int:
+    """``value`` as an int: integral and not a bool, as numpy ints are."""
+    with suppress(TypeError):
+        if not isinstance(value, bool):
+            return operator.index(value)
+    raise InvalidSpec(f"{name} must be an integer, got {value!r}")
+
+
 def _subseed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1, np.uint64)[0])
 
@@ -86,9 +95,9 @@ class SimulationSpec:
     def validate(self) -> None:
         if not (math.isfinite(self.beta) and self.beta >= 0):
             raise InvalidSpec(f"beta must be finite and >= 0, got {self.beta}")
-        if not 1 <= self.max_steps <= _MAX_STEPS:
+        if not 1 <= _integral("max_steps", self.max_steps) <= _MAX_STEPS:
             raise InvalidSpec(f"max_steps must lie in [1, 2**63 - 1], got {self.max_steps}")
-        if self.replicas < 1:
+        if _integral("replicas", self.replicas) < 1:
             raise InvalidSpec("replicas must be at least 1")
         if not self.landscape.has_state(self.start):
             raise InvalidSpec(f"unknown start state {self.start!r}")

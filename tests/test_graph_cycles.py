@@ -771,6 +771,12 @@ def _assert_rounds_match_reference(L, seed_costs=None):
     want, blocks = _reference_rounds(L, seed_costs)
     assert len(trace.levels) == len(want)
     for level, (classes, cost, exit_, merge) in zip(trace.levels, want):
+        # a living row holds an entry exactly where its destination's row
+        # holds one back, which each round relies on
+        rows = level.rows
+        for s in level.members:
+            for d in rows.get(s, ()):
+                assert d in level.members and s in rows[d], (level.index, s, d)
         assert level.classes == tuple(sorted(classes, key=set_key))
         assert level.cost_units == cost
         assert level.exit_units == exit_

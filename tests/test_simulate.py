@@ -276,6 +276,12 @@ def test_invalid_specs(fig1):
         simulate_hitting_time(SimulationSpec(**{**good, "max_steps": 0}))
     with pytest.raises(InvalidSpec):
         simulate_hitting_time(SimulationSpec(**{**good, "replicas": 0}))
+    # counts must be integral and not bool; numpy ints pass
+    for key, value in [("max_steps", 10.5), ("replicas", True), ("replicas", 2.5), ("max_steps", True)]:
+        with pytest.raises(InvalidSpec):
+            simulate_hitting_time(SimulationSpec(**{**good, key: value}))
+    spec = SimulationSpec(**{**good, "max_steps": np.int64(10), "replicas": np.int32(5)})
+    assert simulate_hitting_time(spec) == simulate_hitting_time(SimulationSpec(**good))
     with pytest.raises(InvalidSpec):
         simulate_hitting_time(SimulationSpec(**{**good, "start": "zz"}))
     with pytest.raises(InvalidSpec):
