@@ -591,15 +591,23 @@ def metropolis_costs(landscape: Landscape) -> dict[tuple[str, str], Energy]:
 
 class TransitionMatrix:
     """The Metropolis kernel as its positive off-diagonal entries and jump
-    tables; row ``i`` is id ``i`` of ``Landscape.numbering``."""
+    tables; row ``i`` is id ``i`` of ``Landscape.numbering``.
 
-    __slots__ = ("states", "_index", "_off", "_tables")
+    ``_laws`` holds the sampler's first-hit laws on this kernel, one per
+    transient set, with their dyadic powers (``simulate._law``).  They are
+    built on first use and freed with the kernel, so every sampler call on
+    one kernel, within one command under ``simulate.sharing_kernels``,
+    reads the same law.
+    """
+
+    __slots__ = ("states", "_index", "_off", "_tables", "_laws")
 
     def __init__(self, states: tuple[str, ...], index: dict, off: dict, tables: tuple):
         self.states = states
         self._index = index
         self._off = off
         self._tables = tables
+        self._laws: dict = {}
 
     def prob(self, x: str, y: str) -> float:
         """0.0 for a non-edge; the diagonal is ``1 - leave[x]``."""

@@ -567,6 +567,63 @@ def reference_jumps(landscape, beta):
     return leave, nbr, cdf
 
 
+def reference_first_hit(kernel, transient, origin, absorb, u_time, u_land, budget):
+    """The inversion draw as ``simulate._first_hit`` made it when each call
+    built its own law: ``Q``, ``R`` and every dyadic power are built from
+    ``kernel`` for this call, the diagonals are set with
+    ``np.fill_diagonal``, and the budget is tested inside the descent, so a
+    row takes step ``2^k`` only while it fits.  ``transient`` is
+    ``simulate._transient(nbr, origin, absorb)``.  The sampler must return
+    the same ``(t, landed)`` bit for bit.
+    """
+    leave, nbr, _ = kernel.jumps()
+    off = kernel._off
+    pos = {x: a for a, x in enumerate(transient)}
+    exits = sorted({y for x in transient for y in nbr[x].tolist() if absorb[y]})
+    col = {y: b for b, y in enumerate(exits)}
+    Q = np.zeros((len(transient), len(transient)))
+    R = np.zeros((len(transient), len(exits)))
+    for x in transient:
+        a = pos[x]
+        Q[a, a] = 1.0 - leave[x]
+        for y in set(nbr[x].tolist()) - {x}:
+            p = off[x, y]
+            if absorb[y]:
+                R[a, col[y]] = p
+            else:
+                Q[a, pos[y]] = p
+
+    levels = int(budget.max()).bit_length()
+    hits, powers = [R.sum(axis=1)], [Q]
+    for _ in range(1, levels):
+        M, h = powers[-1], hits[-1]
+        hits.append(h + M @ h)
+        M = M @ M
+        np.fill_diagonal(M, 0.0)
+        np.fill_diagonal(M, np.maximum(1.0 - (M.sum(axis=1) + hits[-1]), 0.0))
+        powers.append(M)
+
+    t = np.zeros(u_time.size, dtype=np.int64)
+    cdf = np.zeros(u_time.size)
+    mass = np.zeros((u_time.size, len(transient)))
+    mass[:, pos[origin]] = 1.0
+    for k in range(levels - 1, -1, -1):
+        ahead = cdf + mass @ hits[k]
+        go = ((1 << k) <= budget - t) & (ahead < u_time)
+        if go.any():
+            mass[go] = mass[go] @ powers[k]
+            cdf[go] = ahead[go]
+            t[go] += 1 << k
+
+    landed = np.full(u_time.size, -1, dtype=np.intp)
+    hit = t < budget
+    if hit.any():
+        weight = np.cumsum(mass[hit] @ R, axis=1)
+        pick = (weight < u_land[hit, None] * weight[:, -1:]).sum(axis=1)
+        landed[hit] = np.array(exits)[np.minimum(pick, len(exits) - 1)]
+    return t, landed
+
+
 def ks_two_sample(a, b):
     """The two-sample Kolmogorov-Smirnov statistic of ``a`` and ``b`` and its
     asymptotic p-value: Kolmogorov's series at Stephens' corrected

@@ -13,8 +13,10 @@ from basincycles import (
     SimulationSpec,
     check_exit_window,
     check_visit_before_exit,
+    enumerate_path_cycles,
     make_landscape,
     metropolis_kernel,
+    random_landscape,
     simulate_hitting_time,
 )
 from basincycles import simulate
@@ -25,7 +27,7 @@ from basincycles.errors import (
     NotACycle,
     StateOutsideCycle,
 )
-from basincycles.landscape import transition_matrix
+from basincycles.landscape import exterior_boundary, transition_matrix
 from basincycles.simulate import (
     _DENSE_BYTES,
     _MAX_STEP_CAP,
@@ -34,7 +36,13 @@ from basincycles.simulate import (
     default_exit_steps,
 )
 
-from conftest import FIG1_PATH, dense_kernel, ks_two_sample, make_fig1_shuffled
+from conftest import (
+    FIG1_PATH,
+    dense_kernel,
+    ks_two_sample,
+    make_fig1_shuffled,
+    reference_first_hit,
+)
 
 
 def test_beta_zero_geometric_diagnostic(two_state):
@@ -276,11 +284,14 @@ def test_invalid_specs(fig1):
         simulate_hitting_time(SimulationSpec(**{**good, "max_steps": 0}))
     with pytest.raises(InvalidSpec):
         simulate_hitting_time(SimulationSpec(**{**good, "replicas": 0}))
-    # counts must be integral and not bool; numpy ints pass
-    for key, value in [("max_steps", 10.5), ("replicas", True), ("replicas", 2.5), ("max_steps", True)]:
+    # counts and the seed must be integral and not bool; numpy ints pass
+    for key, value in [("max_steps", 10.5), ("replicas", True), ("replicas", 2.5),
+                       ("max_steps", True), ("seed", True), ("seed", 2.5)]:
         with pytest.raises(InvalidSpec):
             simulate_hitting_time(SimulationSpec(**{**good, key: value}))
-    spec = SimulationSpec(**{**good, "max_steps": np.int64(10), "replicas": np.int32(5)})
+    spec = SimulationSpec(
+        **{**good, "max_steps": np.int64(10), "replicas": np.int32(5), "seed": np.int64(1)}
+    )
     assert simulate_hitting_time(spec) == simulate_hitting_time(SimulationSpec(**good))
     with pytest.raises(InvalidSpec):
         simulate_hitting_time(SimulationSpec(**{**good, "start": "zz"}))
@@ -386,6 +397,41 @@ def test_shared_kernels_are_keyed_by_landscape_identity(fig1):
         assert other is not kernel and other.states == fig1.numbering()[0]
         assert simulate._kernel(fig1, 3.0) is not kernel
     assert simulate._kernel(fig1, 2.0) is not kernel
+
+
+def test_simulate_command_builds_two_laws_per_beta(monkeypatch, capsys):
+    # the exit window from i and the visit check's second phase, from j,
+    # both run on T = {i, j} absorbed at {h, k} and share one law; the first
+    # phase, from i absorbed at {h, j, k}, runs on T = {i}
+    built = []
+
+    class Counting(simulate._Law):
+        def __init__(self, kernel, transient):
+            built.append(tuple(kernel.states[x] for x in transient))
+            super().__init__(kernel, transient)
+
+    monkeypatch.setattr(simulate, "_Law", Counting)
+    for start in (["--start", "i"], []):
+        built.clear()
+        argv = ["simulate", str(FIG1_PATH), "--cycle", "i,j", "--betas", "2,3",
+                "--replicas", "20", "--seed", "7", "--visit", "j", *start]
+        assert main(argv) == 0
+        assert built == [("i", "j"), ("i", "j"), ("i",), ("i",)]
+    capsys.readouterr()
+
+
+def test_shared_laws_give_the_rows_of_fresh_kernels(fig1):
+    def rows():
+        exits = check_exit_window(fig1, {"i", "j"}, [2.0, 3.0], 1.0, 200, 7)
+        visits = [
+            check_visit_before_exit(fig1, {"i", "j"}, start, "j", [2.0, 3.0], 1.0, 200, 7)
+            for start in "ij"
+        ]
+        return exits, visits
+
+    with simulate.sharing_kernels():
+        shared = rows()
+    assert shared == rows()
 
 
 def test_degenerate_window_reduces_to_upper_bound(fig1):
@@ -545,6 +591,95 @@ def test_dense_path_memory_at_the_byte_budget():
     assert not censored.any()
     rows = 200 * 228 * 8
     assert 228**2 * 20 * 8 <= peak <= _DENSE_BYTES + 4 * rows
+
+
+def test_kept_laws_memory_at_the_byte_budget():
+    # at two betas in one block, the exit window from s0 and the visit check
+    # through s100 keep two laws per kernel: T = s0..s227, which the exit
+    # window and the second visit phase share (8.3 MB of powers), and
+    # T = s0..s99.  Each law fits the byte budget, so the block holds at
+    # most laws x _DENSE_BYTES besides the descent's rows, and closing the
+    # block frees them with the kernels.
+    landscape = _tilted_chain(229)
+    landscape.numbering()
+    sizes, powers = [], 0
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with simulate.sharing_kernels():
+            for beta in (1.0, 2.0):
+                kernel = simulate._kernel(landscape, beta)
+                for visit in (None, "s100"):
+                    args = (*_chain_args(kernel, "s0", {"s228"}, visit), 10**6)
+                    assert not _run_chains(kernel, *args, 9, 200)[1].any()
+                for law in kernel._laws.values():
+                    sizes.append(len(law.pos))
+                    powers += sum(M.nbytes for M in law.powers)
+            del kernel, law
+            peak = tracemalloc.get_traced_memory()[1]
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert sorted(sizes) == [100, 100, 228, 228]
+    assert powers == 2 * (228**2 + 100**2) * 20 * 8
+    rows = 200 * 228 * 8
+    assert powers <= peak <= len(sizes) * _DENSE_BYTES + 4 * rows
+    # what stays is less than the smallest law's powers
+    assert after - before < 100**2 * 20 * 8
+
+
+BUDGETS = [0, 1, 2**5 - 1, 2**5, 2**12 - 1, 2**12, 2**63 - 1]
+
+
+def _assert_first_hits_match(kernel, origin, target, rng, rows=200):
+    """``_first_hit`` on one law, extended budget by budget in ascending
+    order, against the reference on scalar and per-row budgets; then the
+    extended law against one built at once."""
+    origin, absorb, _ = _chain_args(kernel, origin, target, None)
+    transient = simulate._transient(kernel.jumps()[1], origin, absorb)
+    law = simulate._Law(kernel, transient)
+    for top in BUDGETS:
+        per_row = rng.integers(0, top, size=rows, endpoint=True)
+        per_row[0] = top
+        for budget in (np.int64(top), per_row):
+            u_time, u_land = 1.0 - rng.random((2, rows))
+            got = simulate._first_hit(law, origin, u_time, u_land, budget)
+            ref = reference_first_hit(kernel, transient, origin, absorb, u_time, u_land, budget)
+            np.testing.assert_array_equal(got[0], ref[0])
+            np.testing.assert_array_equal(got[1], ref[1])
+    whole = simulate._Law(kernel, transient)
+    whole.extend(len(law.powers))
+    for ours, theirs in zip(law.powers + law.hits, whole.powers + whole.hits, strict=True):
+        np.testing.assert_array_equal(ours, theirs)
+
+
+@pytest.mark.parametrize("beta", [0.5, 2.0, 3.0])
+def test_first_hit_matches_the_reference_on_fig1(fig1, beta):
+    # both visit phases of {i, j} and of {c, d, e, f}
+    kernel = transition_matrix(fig1, beta)
+    rng = np.random.default_rng(11)
+    for members, start, visit in (("ij", "i", "j"), ("cdef", "c", "f")):
+        target = exterior_boundary(fig1, fig1.subset(members))
+        _assert_first_hits_match(kernel, start, target | {visit}, rng)
+        _assert_first_hits_match(kernel, visit, target, rng)
+
+
+def test_first_hit_matches_the_reference_on_random_cycles():
+    # every cycle short of the whole space, from its first member with its
+    # last as the visit state
+    rng = np.random.default_rng(12)
+    for seed in range(8):
+        landscape = random_landscape(seed=300 + seed, min_states=3, max_states=9)
+        kernel = transition_matrix(landscape, 1.5)
+        for members in enumerate_path_cycles(landscape).member_sets():
+            if len(members) == len(landscape.states):
+                continue
+            ordered = sorted(members)
+            start, visit = ordered[0], ordered[-1]
+            target = exterior_boundary(landscape, members)
+            if start != visit:
+                _assert_first_hits_match(kernel, start, target | {visit}, rng)
+            _assert_first_hits_match(kernel, visit, target, rng)
 
 
 def test_large_beta_mean_at_the_int64_step_cap(fig1):
