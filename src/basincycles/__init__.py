@@ -27,21 +27,13 @@ from .landscape import (
     TransitionMatrix,
     dumps_landscape,
     exterior_boundary,
-    ground,
-    is_connected_subset,
     load_landscape,
     make_landscape,
-    metropolis_costs,
-    metropolis_kernel,
 )
 from .pathcycles import (
     CycleNode,
     CycleTree,
-    depth,
     enumerate_path_cycles,
-    is_path_cycle,
-    resistance_height,
-    sublevel_component,
 )
 from .simulate import (
     HittingTimeStats,
@@ -72,22 +64,14 @@ __all__ = [
     "brute_force_path_cycles",
     "check_exit_window",
     "check_visit_before_exit",
-    "depth",
     "dumps_landscape",
     "enumerate_path_cycles",
     "exterior_boundary",
-    "ground",
     "initial_level",
-    "is_connected_subset",
-    "is_path_cycle",
     "load_landscape",
     "make_landscape",
-    "metropolis_costs",
-    "metropolis_kernel",
     "random_landscape",
-    "resistance_height",
     "run_decomposition",
     "simulate_hitting_time",
-    "sublevel_component",
     "verify_equivalence",
 ]

@@ -10,9 +10,11 @@ rendered.  The file is opened only once the input is loaded and the result
 computed, so invalid input exits 2 whatever ``--out`` names.  A file that
 cannot be opened or written is a usage error, with nothing on stdout; a
 write that fails part-way may leave a partial file, as one whole-text write
-already could.  There is no temporary file renamed into place: the rename
-would replace a ``/dev/stdout``, ``/dev/null`` or FIFO given as ``--out``
-instead of writing to it.
+already could.  A stdout that cannot be written, a full device or a pipe
+whose reader has gone, is the same usage error: one line on stderr and exit
+1, with no traceback.  There is no temporary file renamed into place: the
+rename would replace a ``/dev/stdout``, ``/dev/null`` or FIFO given as
+``--out`` instead of writing to it.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import os
 import sys
 from pathlib import Path
 
@@ -62,16 +65,24 @@ def _read_landscape(path: str) -> Landscape:
 @contextlib.contextmanager
 def _output(path):
     """A ``write`` that sends each piece to the file ``path`` as it comes,
-    or to stdout when there is none.  A file that cannot be opened or
-    written is a usage error."""
-    if not path:
-        yield sys.stdout.write
-        return
+    or to stdout when there is none, flushed at the end.  A file or stdout
+    that cannot be opened or written is a usage error.  A failed stdout is
+    first pointed at the null device, so the interpreter's last flush of
+    what it still buffers cannot fail again on the way out."""
     try:
-        with open(path, "w", encoding="utf-8") as handle:
-            yield handle.write
+        if path:
+            with open(path, "w", encoding="utf-8") as handle:
+                yield handle.write
+        else:
+            yield sys.stdout.write
+            sys.stdout.flush()
     except OSError as exc:
-        raise UsageError(f"cannot write {str(path)!r}: {exc}") from exc
+        if path:
+            raise UsageError(f"cannot write {str(path)!r}: {exc}") from exc
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise UsageError(f"cannot write stdout: {exc}") from exc
 
 
 def _emit_doc(doc: dict, out_path):

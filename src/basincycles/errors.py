@@ -45,10 +45,6 @@ class ForeignState(BasincyclesError):
     """A state set references a state outside its landscape."""
 
 
-class LevelBelowStart(BasincyclesError):
-    """A sub-level query used a cutoff below the start state's energy."""
-
-
 class NotACycle(BasincyclesError):
     """The given state set is not a cycle of the landscape."""
 
@@ -59,10 +55,6 @@ class NonpositiveBeta(BasincyclesError):
 
 class TooLarge(BasincyclesError):
     """The landscape exceeds the size guard of an exhaustive scan."""
-
-
-class UnknownClass(BasincyclesError):
-    """A partition query referenced a class not present in the level."""
 
 
 class AlreadyTerminal(BasincyclesError):

@@ -86,7 +86,6 @@ from .errors import (
     AlreadyTerminal,
     MalformedInput,
     NonTermination,
-    UnknownClass,
 )
 from .landscape import HeightTexts, Landscape, Rendered, StateSet, parsed
 from .pathcycles import leaf_layout, sorted_slices
@@ -552,20 +551,6 @@ class DecompositionTrace:
     @cached_property
     def merge_heights(self) -> dict:
         return self._replayed[3]
-
-    def cycle_set(self) -> frozenset:
-        return frozenset(self.cycles)
-
-    def maximal_proper(self, members: Iterable[str]) -> tuple[StateSet, ...]:
-        """The maximal cycles strictly contained in the given cycle: the
-        classes it was merged from in the round that formed it."""
-        target = frozenset(members)
-        if target not in self.exit_heights:
-            raise UnknownClass(f"{sorted(target)} is not a cycle of this trace")
-        for before, step in zip(self.levels, self.merges):
-            if target in step.minimal:
-                return tuple(cls for cls in before.classes if cls <= target)
-        return ()
 
 
 def run_decomposition(landscape: Landscape, seed_costs=None) -> DecompositionTrace:

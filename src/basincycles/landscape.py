@@ -108,9 +108,9 @@ class Landscape:
     :meth:`units`, :meth:`energy`, :meth:`rate`, :meth:`neighbors` and
     :meth:`edge_pairs` read the numbering through its index.  The
     path-cycle sweep and both exports, the rounds' ``_start`` and seed
-    check, ``verify``, ``metropolis_costs`` and the kernel all read the ids,
-    so no result depends on the order a document lists its states in; only
-    the exhaustive oracle keeps an order of its own."""
+    check, ``verify`` and the kernel all read the ids, so no result depends
+    on the order a document lists its states in; only the exhaustive oracle
+    keeps an order of its own."""
 
     __slots__ = ("states", "scale", "edge_count", "_ids", "_given", "_default")
 
@@ -560,33 +560,7 @@ def exterior_boundary(landscape: Landscape, members: Iterable[str]) -> StateSet:
     return frozenset(out)
 
 
-def ground(landscape: Landscape, members: Iterable[str]) -> StateSet:
-    """The states of the set attaining its minimal energy."""
-    inside = landscape.subset(members)
-    floor = min(map(landscape.units, inside))
-    return frozenset(x for x in inside if landscape.units(x) == floor)
-
-
-def is_connected_subset(landscape: Landscape, members: Iterable[str]) -> bool:
-    """True iff every pair of members is joined by a path inside the set."""
-    inside = landscape.subset(members)
-    seen = reach([next(iter(inside))], lambda x: inside.intersection(landscape.neighbors(x)))
-    return len(seen) == len(inside)
-
-
 # -- Metropolis kernel ---------------------------------------------------------
-
-
-def metropolis_costs(landscape: Landscape) -> dict[tuple[str, str], Energy]:
-    """Seed costs on ordered connected pairs: the positive part of the
-    energy climb, ``max(0, units[j] - units[i])`` on the numbering's ids,
-    as ``Energy`` views of the climb's units."""
-    names, _, units, adjacency = landscape.numbering()
-    return {
-        (names[i], names[j]): Energy(max(0, units[j] - units[i]), landscape.scale)
-        for i, nbrs in enumerate(adjacency)
-        for j in nbrs
-    }
 
 
 class TransitionMatrix:
@@ -632,8 +606,9 @@ class TransitionMatrix:
 
 
 def transition_matrix(landscape: Landscape, beta: float) -> TransitionMatrix:
-    """The Metropolis kernel for any finite ``beta >= 0``, in O(edges);
-    ``beta = 0`` is the sampler's diagnostic mode."""
+    """The Metropolis kernel, off-diagonal entries
+    ``q(x,y) * exp(-beta * (H(y) - H(x))^+)``, for any finite ``beta >= 0``,
+    in O(edges); ``beta = 0`` is the sampler's diagnostic mode."""
     if not (math.isfinite(beta) and beta >= 0):
         raise NonpositiveBeta(f"beta must be finite and >= 0, got {beta}")
     names, index, units, adjacency = landscape.numbering()
@@ -666,11 +641,3 @@ def transition_matrix(landscape: Landscape, beta: float) -> TransitionMatrix:
         cdf = np.cumsum(mass, axis=1) / leave[:, None]
     cdf[np.arange(width) >= (degree - 1)[:, None]] = 1.0
     return TransitionMatrix(names, index, off, (leave, nbr, cdf))
-
-
-def metropolis_kernel(landscape: Landscape, beta: float) -> TransitionMatrix:
-    """The Metropolis chain at inverse temperature ``beta > 0``: off-diagonal
-    entries ``q(x,y) * exp(-beta * (H(y) - H(x))^+)``."""
-    if beta <= 0:
-        raise NonpositiveBeta(f"beta must be > 0, got {beta}")
-    return transition_matrix(landscape, beta)

@@ -33,52 +33,13 @@ from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator
 
 from .energy import Energy, from_units
-from .errors import LevelBelowStart, NotACycle
-from .landscape import HeightTexts, Landscape, Rendered, StateSet, exterior_boundary
-from .landscape import is_connected_subset, parsed, reach
+from .errors import NotACycle
+from .landscape import HeightTexts, Landscape, Rendered, StateSet, parsed
 
 
 def set_key(members: Iterable[str]) -> tuple[str, ...]:
     """Canonical sort key for a state set."""
     return tuple(sorted(members))
-
-
-def _floor_units(landscape: Landscape, members: Iterable[str]):
-    """Minimal units on the exterior boundary; ``math.inf`` for the whole space."""
-    return min(map(landscape.units, exterior_boundary(landscape, members)), default=math.inf)
-
-
-def boundary_floor(landscape: Landscape, members: StateSet) -> Energy:
-    """Minimal energy on the exterior boundary; INFINITY for the whole space."""
-    return from_units(_floor_units(landscape, members), landscape.scale)
-
-
-def is_path_cycle(landscape: Landscape, members: Iterable[str]) -> bool:
-    """Singleton, or connected with max energy strictly below the boundary floor."""
-    inside = landscape.subset(members)
-    if len(inside) == 1:
-        return True
-    if not is_connected_subset(landscape, inside):
-        return False
-    return max(map(landscape.units, inside)) < _floor_units(landscape, inside)
-
-
-def sublevel_component(landscape: Landscape, start: str, cutoff) -> StateSet:
-    """States reachable from ``start`` along paths at energy <= ``cutoff``.
-
-    Always a cycle (possibly the singleton).  Cutoffs between two landscape
-    energy values behave like the largest value not above them.
-    """
-    level = landscape.energy_value(cutoff)
-    if level.units < landscape.units(start):
-        raise LevelBelowStart(
-            f"cutoff {level} below the energy of {start!r} ({landscape.energy(start)})"
-        )
-
-    def below(x):
-        return [y for y in landscape.neighbors(x) if landscape.units(y) <= level.units]
-
-    return frozenset(reach([start], below))
 
 
 class CycleNode:
@@ -242,24 +203,6 @@ def sorted_slices(leaves: list, lo: list, hi: list, order: Iterable[int]):
     for v in order:
         work[lo[v] : hi[v]] = ids = sorted(work[lo[v] : hi[v]])
         yield v, ids
-
-
-def depth(landscape: Landscape, members: Iterable[str]) -> Energy:
-    """Boundary floor minus internal minimum; INFINITY for the whole space."""
-    inside = landscape.subset(members)
-    if not is_path_cycle(landscape, inside):
-        raise NotACycle(f"{sorted(inside)} is not a path cycle")
-    low = min(map(landscape.units, inside))
-    return from_units(_floor_units(landscape, inside) - low, landscape.scale)
-
-
-def resistance_height(landscape: Landscape, members: Iterable[str]) -> Energy:
-    """Internal maximum minus internal minimum."""
-    inside = landscape.subset(members)
-    if not is_path_cycle(landscape, inside):
-        raise NotACycle(f"{sorted(inside)} is not a path cycle")
-    heights = list(map(landscape.units, inside))
-    return Energy(max(heights) - min(heights), landscape.scale)
 
 
 # -- export --------------------------------------------------------------------

@@ -46,7 +46,6 @@ import numpy as np
 from .energy import Energy
 from .errors import InvalidSpec, NonpositiveBeta, NotACycle, StateOutsideCycle
 from .landscape import Landscape, StateSet, exterior_boundary, reach, transition_matrix
-from .pathcycles import depth, resistance_height
 
 _MAX_STEP_CAP = 1_000_000_000
 _MAX_STEPS = 2**63 - 1  # step counts are int64
@@ -503,23 +502,37 @@ def _kernel(landscape: Landscape, beta: float):
 
 def _check_arguments(
     landscape: Landscape, members: Iterable[str], beta_list: Sequence[float], epsilon: float
-) -> tuple[StateSet, list[float], Energy, Energy]:
+) -> tuple[StateSet, list[float], Energy, Energy, StateSet]:
     """The arguments both law checks share, in this order: a nontrivial path
-    cycle with an exit, a finite ``epsilon > 0`` and finite betas > 0.  Returns the cycle,
-    the distinct betas in ascending order, and the cycle's depth and resistance."""
+    cycle with an exit, a finite ``epsilon > 0`` and finite betas > 0.
+
+    The cycle is checked in one pass: its states' units give its internal
+    minimum and maximum, one walk of its exterior boundary gives the
+    boundary floor, and ``reach`` within the set tests that it is
+    connected.  Returns the cycle, the distinct betas in ascending order,
+    the cycle's depth and resistance, and its exterior boundary, which is
+    the exit target."""
     cycle = landscape.subset(members)
-    gamma, gamma_tilde = depth(landscape, cycle), resistance_height(landscape, cycle)
-    if gamma.is_infinite:
+    heights = list(map(landscape.units, cycle))
+    low, high = min(heights), max(heights)
+    boundary = exterior_boundary(landscape, cycle)
+    floor = min(map(landscape.units, boundary), default=math.inf)
+    reached = reach([next(iter(cycle))], lambda x: cycle.intersection(landscape.neighbors(x)))
+    # a path cycle: connected, and a singleton or its maximum below the floor
+    if len(reached) < len(cycle) or (len(cycle) > 1 and high >= floor):
+        raise NotACycle(f"{sorted(cycle)} is not a path cycle")
+    if floor == math.inf:
         raise InvalidSpec("the cycle is the whole state space and has no exit")
     # nontrivial: the internal maximum lies below the boundary floor
-    if gamma.units <= gamma_tilde.units:
+    if high >= floor:
         raise NotACycle(f"{sorted(cycle)} is a trivial cycle (no exit barrier)")
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise InvalidSpec(f"epsilon must be finite and positive, got {epsilon}")
     for beta in beta_list:
         if not (math.isfinite(beta) and beta > 0):
             raise NonpositiveBeta(f"beta must be finite and > 0, got {beta}")
-    return cycle, sorted(set(float(b) for b in beta_list)), gamma, gamma_tilde
+    betas, scale = sorted(set(float(b) for b in beta_list)), landscape.scale
+    return cycle, betas, Energy(floor - low, scale), Energy(high - low, scale), boundary
 
 
 def default_exit_steps(beta: float, cycle_depth: Energy) -> int:
@@ -557,8 +570,7 @@ def check_exit_window(
     max_steps: Optional[int] = None,
 ) -> list[ExitWindowCheck]:
     """Fraction of exits inside the predicted window, per beta and start."""
-    cycle, betas, cycle_depth, _ = _check_arguments(landscape, cycle, beta_list, epsilon)
-    target = exterior_boundary(landscape, cycle)
+    cycle, betas, cycle_depth, _, target = _check_arguments(landscape, cycle, beta_list, epsilon)
     if starts is None:
         starts = sorted(cycle)
     else:
@@ -621,11 +633,10 @@ def check_visit_before_exit(
 ) -> list[VisitBeforeExitCheck]:
     """Per-beta fraction of chains that visit ``visit`` before the exterior
     boundary and before the resistance-scale time bound."""
-    cycle, betas, _, resistance = _check_arguments(landscape, cycle, beta_list, epsilon)
+    cycle, betas, _, resistance, target = _check_arguments(landscape, cycle, beta_list, epsilon)
     for s, what in ((start, "start"), (visit, "visit")):
         if s not in cycle:
             raise StateOutsideCycle(f"{what} state {s!r} is outside the cycle")
-    target = exterior_boundary(landscape, cycle)
 
     results = []
     for bi, beta in enumerate(betas):
@@ -659,4 +670,3 @@ def check_visit_before_exit(
             )
         )
     return results
-

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from basincycles import DEFAULT_SCALE, equivalence, load_landscape, make_landscape
+from basincycles import DEFAULT_SCALE, Energy, equivalence, load_landscape, make_landscape
 from basincycles.energy import from_units, parse_exact
 from basincycles.equivalence import ConditionRecord, EquivalenceReport
 from basincycles.errors import (
@@ -97,6 +97,39 @@ def components(landscape, members):
     for x in members:
         groups.setdefault(find(x), set()).add(x)
     return list(groups.values())
+
+
+def floor_units(landscape, members):
+    """The least energy units on the exterior boundary of ``members``;
+    ``math.inf`` for the whole space."""
+    return min(map(landscape.units, exterior_boundary(landscape, members)), default=math.inf)
+
+
+def is_cycle(landscape, members):
+    """The definition of a path cycle: a singleton, or one component whose
+    maximum lies strictly below the floor of its exterior boundary."""
+    members = frozenset(members)
+    return len(members) == 1 or (
+        len(components(landscape, members)) == 1
+        and max(map(landscape.units, members)) < floor_units(landscape, members)
+    )
+
+
+def sublevel(landscape, start, level):
+    """The component of ``start`` among the states at most ``level`` units."""
+    below = [x for x in landscape.states if landscape.units(x) <= level]
+    return frozenset(next(c for c in components(landscape, below) if start in c))
+
+
+def metropolis_seed(landscape):
+    """The Metropolis seed costs keyed by ordered name pair: the positive
+    part of the climb along each edge, in both directions."""
+    costs = {}
+    for x, y in landscape.edge_pairs():
+        hx, hy = landscape.units(x), landscape.units(y)
+        costs[x, y] = Energy(max(0, hy - hx), landscape.scale)
+        costs[y, x] = Energy(max(0, hx - hy), landscape.scale)
+    return costs
 
 
 def grid_text(side: int, max_energy: int, seed: int) -> str:
@@ -493,7 +526,7 @@ def reference_verify(landscape):
     trace = equivalence.run_decomposition(landscape)
 
     path_sets = tree.member_sets()
-    graph_sets = trace.cycle_set()
+    graph_sets = frozenset(trace.cycles)
     graph_only = sorted(graph_sets - path_sets, key=set_key)
     path_only = sorted(path_sets - graph_sets, key=set_key)
 

@@ -4,7 +4,9 @@ import errno
 import json
 import math
 import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,7 @@ from basincycles.cli import main
 from conftest import FIG1_PATH
 
 FIG1 = str(FIG1_PATH)
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -429,6 +432,46 @@ def test_full_device_out_is_usage_error(capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("usage error: cannot write '/dev/full': ")
+
+
+def _validate_into(stdout):
+    """Run ``validate`` on fig1 in a fresh process whose stdout is ``stdout``
+    and block-buffered, so the first write only fills the buffer and the
+    failure comes at a flush.  Returns the exit code and stderr."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    env.pop("PYTHONUNBUFFERED", None)
+    done = subprocess.run(
+        [sys.executable, "-m", "basincycles.cli", "validate", FIG1],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        env=env,
+        text=True,
+        timeout=60,
+    )
+    return done.returncode, done.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
+def test_full_device_stdout_is_usage_error():
+    with open("/dev/full", "w") as full:
+        code, err = _validate_into(full)
+    assert code == 1
+    assert "Traceback" not in err
+    assert err.splitlines() == [err.rstrip("\n")]
+    assert err.startswith("usage error: cannot write stdout: [Errno 28]")
+
+
+def test_closed_pipe_stdout_is_usage_error():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # no reader: every write fails with EPIPE
+    try:
+        code, err = _validate_into(write_end)
+    finally:
+        os.close(write_end)
+    assert code == 1
+    assert "Traceback" not in err
+    assert err.splitlines() == [err.rstrip("\n")]
+    assert err.startswith("usage error: cannot write stdout: [Errno 32]")
 
 
 def test_invalid_input_with_unwritable_out_exits_2(tmp_path, capsys):

@@ -6,10 +6,9 @@ import pytest
 from fractions import Fraction
 from hypothesis import example, given, strategies as st
 
-from basincycles import Energy, INFINITY, make_landscape
+from basincycles import Energy, INFINITY, enumerate_path_cycles, make_landscape
 from basincycles.energy import format_exact, from_units, parse_exact, parse_units
 from basincycles.errors import MalformedInput, ScaleOverflow
-from basincycles.pathcycles import boundary_floor
 
 
 def test_parse_whole_and_decimal():
@@ -61,7 +60,7 @@ def test_one_infinity(fig1):
     assert INFINITY.units == math.inf
     assert from_units(math.inf, 100) is INFINITY
     assert from_units(-7, 100) == Energy(-7, 100)
-    assert boundary_floor(fig1, frozenset(fig1.states)) is INFINITY
+    assert enumerate_path_cycles(fig1).root.depth is INFINITY
 
 
 def test_mixed_scales_rejected():

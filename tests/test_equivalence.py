@@ -10,7 +10,6 @@ from basincycles import (
     Energy,
     brute_force_path_cycles,
     enumerate_path_cycles,
-    is_path_cycle,
     load_landscape,
     make_landscape,
     random_landscape,
@@ -21,7 +20,6 @@ from basincycles import equivalence
 from basincycles.equivalence import report_to_dict
 from basincycles.errors import TooLarge
 from basincycles.graphcycles import level_to_dict
-from basincycles.pathcycles import boundary_floor
 
 from conftest import (
     DATA,
@@ -32,7 +30,9 @@ from conftest import (
     _drop_from_last,
     _fresh_with_single,
     _group,
+    floor_units,
     grid_text,
+    is_cycle,
     retrace,
 )
 
@@ -158,9 +158,9 @@ def test_structured_family(family):
     assert report.cycle_count == len(tree)
     # the tree that verify reads, against the definitions verify does not compute
     for node in tree.nodes:
-        assert is_path_cycle(L, node.members)
-        floor = boundary_floor(L, node.members)
-        assert max(node.depth.units, 0) == max(floor.units - min(map(L.units, node.members)), 0)
+        assert is_cycle(L, node.members)
+        floor = floor_units(L, node.members)
+        assert max(node.depth.units, 0) == max(floor - min(map(L.units, node.members)), 0)
 
 
 @pytest.mark.parametrize("side", [30, 100])

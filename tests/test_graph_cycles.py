@@ -16,14 +16,12 @@ from basincycles import (
     initial_level,
     load_landscape,
     make_landscape,
-    metropolis_costs,
     random_landscape,
     run_decomposition,
 )
 from basincycles.errors import (
     AlreadyTerminal,
     MalformedInput,
-    UnknownClass,
 )
 from basincycles import cli, graphcycles
 from basincycles.cli import main
@@ -33,7 +31,14 @@ from basincycles.graphcycles import MergeStep, PartitionLevel, trace_to_dict
 from basincycles.landscape import reach
 from basincycles.pathcycles import set_key
 
-from conftest import DATA, components, draw_landscape, grid_text, make_fig1_shuffled
+from conftest import (
+    DATA,
+    components,
+    draw_landscape,
+    grid_text,
+    make_fig1_shuffled,
+    metropolis_seed,
+)
 
 E = Energy.from_int
 _units = attrgetter("units")
@@ -170,12 +175,13 @@ def test_run_decomposition_fig1(fig1):
         fs("cdefghij"),
         fs("abcdefghijk"),
     }
-    assert trace.cycle_set() == expected
+    assert frozenset(trace.cycles) == expected
     assert trace.exit_heights[fs("abcdefghijk")] is INFINITY
     assert trace.merge_heights[fs("abcdefghijk")] == E(5)
-    assert trace.maximal_proper(fs("hij")) == (fs("h"), fs("ij"))
-    with pytest.raises(UnknownClass):
-        trace.maximal_proper(fs("de"))
+    # {h, i, j} forms in the round from the level where {h} and {i, j} live
+    (before,) = [b for b, step in zip(trace.levels, trace.merges) if fs("hij") in step.minimal]
+    assert tuple(c for c in before.classes if c <= fs("hij")) == (fs("h"), fs("ij"))
+    assert fs("de") not in trace.exit_heights
 
 
 def test_single_state_landscape():
@@ -286,22 +292,22 @@ def test_generic_seed_hierarchy(data):
 def test_seed_cost_validation(fig1):
     with pytest.raises(MalformedInput):
         run_decomposition(fig1, seed_costs={("a", "c"): E(1)})
-    bad = metropolis_costs(fig1)
+    bad = metropolis_seed(fig1)
     bad[("a", "b")] = Energy(-5, fig1.scale)
     with pytest.raises(MalformedInput):
         run_decomposition(fig1, seed_costs=bad)
-    partial = metropolis_costs(fig1)
+    partial = metropolis_seed(fig1)
     del partial[("a", "b")]
     with pytest.raises(MalformedInput):
         run_decomposition(fig1, seed_costs=partial)
 
 
 def test_metropolis_seed_matches_table(fig1):
-    costs = metropolis_costs(fig1)
-    assert costs[("a", "b")] == E(3)
-    assert costs[("b", "a")] == E(0)
-    assert ("a", "c") not in costs
-    assert len(costs) == 20
+    costs = initial_level(fig1).cost
+    assert costs[fs("a")][fs("b")] == E(3)
+    assert costs[fs("b")][fs("a")] == E(0)
+    assert fs("c") not in costs[fs("a")]
+    assert sum(map(len, costs.values())) == 20
 
 
 @settings(max_examples=100, deadline=None)
@@ -373,8 +379,12 @@ def test_heights_recorded_at_formation_match_definitions():
             assert trace.exit_heights == exit_heights
             assert trace.merge_heights == merge_heights
             assert trace.cycles == tuple(sorted(exit_heights, key=lambda c: (len(c), set_key(c))))
+            merged_from = {}  # each merged class -> the classes of the round that formed it
+            for before, step in zip(trace.levels, trace.merges):
+                for cyc in step.minimal:
+                    merged_from[cyc] = tuple(c for c in before.classes if c <= cyc)
             for cyc in trace.cycles:
-                assert trace.maximal_proper(cyc) == maximal[cyc]
+                assert merged_from.get(cyc, ()) == maximal[cyc]
 
 
 @settings(max_examples=100, deadline=None)
@@ -729,7 +739,7 @@ def _reference_rounds(L, seed_costs=None):
     of the module docstring on frozenset-keyed rows, and each round's
     zero-cost groups' member unions in class order: each round re-maps every
     row, and the groups come from pairwise reachability."""
-    costs = metropolis_costs(L) if seed_costs is None else seed_costs
+    costs = metropolis_seed(L) if seed_costs is None else seed_costs
     cost = {}
     for (x, y), value in costs.items():
         if not value.is_infinite:

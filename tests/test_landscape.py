@@ -19,15 +19,10 @@ from basincycles import (
     Energy,
     dumps_landscape,
     exterior_boundary,
-    ground,
     initial_level,
-    is_connected_subset,
     load_landscape,
     make_landscape,
-    metropolis_costs,
-    metropolis_kernel,
     random_landscape,
-    sublevel_component,
 )
 from basincycles.errors import (
     AsymmetricEdge,
@@ -51,11 +46,11 @@ from basincycles.landscape import (
 
 from conftest import (
     FIG1_PATH,
-    components,
     dense_kernel,
     draw_landscape,
     grid_text,
     make_fig1_shuffled,
+    metropolis_seed,
     reference_jumps,
     reference_landscape,
 )
@@ -177,8 +172,7 @@ def test_float_energy_rejected():
 # every entry point that takes an exact energy from a caller
 ENERGY_ENTRIES = {
     "energy_value": lambda L, v: L.energy_value(v),
-    "sublevel_component": lambda L, v: sublevel_component(L, "i", v),
-    "seed_costs": lambda L, v: initial_level(L, {**metropolis_costs(L), ("a", "b"): v}),
+    "seed_costs": lambda L, v: initial_level(L, {**metropolis_seed(L), ("a", "b"): v}),
 }
 
 
@@ -608,18 +602,6 @@ def test_exterior_boundary(fig1):
         exterior_boundary(fig1, {"zz"})
 
 
-def test_ground(fig1):
-    assert ground(fig1, {"c", "d", "e", "f"}) == {"c"}
-    assert ground(fig1, {"d", "e", "f"}) == {"d", "e", "f"}
-    assert ground(fig1, {"i"}) == {"i"}
-
-
-def test_is_connected_subset(fig1):
-    assert is_connected_subset(fig1, {"c", "d", "e", "f"})
-    assert not is_connected_subset(fig1, {"a", "c"})
-    assert is_connected_subset(fig1, {"g"})
-
-
 def test_boundary_disjoint_with_edge_into_set():
     rng = random.Random(7)
     for i in range(40):
@@ -631,45 +613,9 @@ def test_boundary_disjoint_with_edge_into_set():
             assert any(L.rate(y, x) > 0 for x in members)
 
 
-def test_connectivity_matches_brute_force(fig1):
-    # reachability oracle over every subset of up to 4 states plus a
-    # random batch of larger ones
-    states = sorted(fig1.states)
-
-    def oracle(members):
-        members = set(members)
-        first = next(iter(members))
-        seen = {first}
-        frontier = [first]
-        while frontier:
-            cur = frontier.pop()
-            for other in members:
-                if other not in seen and fig1.rate(cur, other) > 0:
-                    seen.add(other)
-                    frontier.append(other)
-        return seen == members
-
-    for size in (1, 2, 3, 4):
-        for combo in combinations(states, size):
-            assert is_connected_subset(fig1, combo) == oracle(combo)
-    rng = random.Random(99)
-    for _ in range(300):
-        combo = rng.sample(states, rng.randint(5, 11))
-        assert is_connected_subset(fig1, combo) == oracle(combo)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.data())
-def test_is_connected_subset_matches_union_find(data):
-    L = draw_landscape(data)
-    for _ in range(5):
-        members = data.draw(st.sets(st.sampled_from(sorted(L.states)), min_size=1))
-        assert is_connected_subset(L, members) == (len(components(L, members)) == 1)
-
-
 def test_kernel_two_state_values(two_state):
     beta = math.log(2.0)
-    kern = metropolis_kernel(two_state, beta)
+    kern = transition_matrix(two_state, beta)
     assert kern.prob("x", "y") == pytest.approx(0.25)
     assert kern.prob("y", "x") == pytest.approx(0.5)
     assert kern.prob("x", "x") == pytest.approx(0.75)
@@ -679,13 +625,13 @@ def test_kernel_two_state_values(two_state):
 def test_kernel_flat_landscape_beta_free():
     L = make_landscape({"x": 3, "y": 3, "z": 3}, [("x", "y"), ("y", "z"), ("x", "z")])
     for beta in (0.5, 2.0, 9.0):
-        kern = metropolis_kernel(L, beta)
+        kern = transition_matrix(L, beta)
         assert kern.prob("x", "y") == pytest.approx(float(L.rate("x", "y")))
         assert kern.prob("z", "y") == pytest.approx(float(L.rate("z", "y")))
 
 
 def test_kernel_no_edge_means_zero(fig1):
-    assert metropolis_kernel(fig1, 2.0).prob("e", "g") == 0.0
+    assert transition_matrix(fig1, 2.0).prob("e", "g") == 0.0
 
 
 def test_jump_tables(fig1):
@@ -715,7 +661,7 @@ def test_jump_tables(fig1):
 def test_jump_tables_leave_survives_cancellation(fig1):
     # at beta 40 the holding probability rounds to exactly 1, but the
     # off-diagonal sum keeps i's exit rate
-    kern = metropolis_kernel(fig1, 40.0)
+    kern = transition_matrix(fig1, 40.0)
     i = kern.states.index("i")
     leave, nbr, _ = kern.jumps()
     assert 1.0 - dense_kernel(kern)[i, i] == 0.0
@@ -733,7 +679,7 @@ def test_jump_tables_single_state():
 
 def test_kernel_rows_and_entries(fig1):
     for beta in (0.3, 1.0, 4.0):
-        matrix = dense_kernel(metropolis_kernel(fig1, beta))
+        matrix = dense_kernel(transition_matrix(fig1, beta))
         sums = matrix.sum(axis=1)
         assert np.allclose(sums, 1.0, atol=1e-12)
         assert (matrix >= 0).all() and (matrix <= 1).all()
@@ -741,21 +687,15 @@ def test_kernel_rows_and_entries(fig1):
 
 def test_kernel_detailed_balance(fig1):
     beta = 1.7
-    kern = metropolis_kernel(fig1, beta)
+    kern = transition_matrix(fig1, beta)
+    seed = initial_level(fig1).cost_units
     for x, y in fig1.edge_pairs():
         hx, hy = fig1.energy(x), fig1.energy(y)
         # exact form: the climbed-to level is the max of the two energies
-        assert hx.units + metropolis_costs(fig1)[(x, y)].units == max(hx.units, hy.units)
+        assert hx.units + seed[frozenset(x)][frozenset(y)] == max(hx.units, hy.units)
         lhs = math.exp(-beta * hx.to_float()) * kern.prob(x, y)
         rhs = math.exp(-beta * hy.to_float()) * kern.prob(y, x)
         assert lhs == pytest.approx(rhs, rel=1e-12)
-
-
-def test_kernel_rejects_nonpositive_beta(fig1):
-    with pytest.raises(NonpositiveBeta):
-        metropolis_kernel(fig1, 0.0)
-    with pytest.raises(NonpositiveBeta):
-        metropolis_kernel(fig1, -1.0)
 
 
 @pytest.mark.parametrize(
@@ -763,13 +703,12 @@ def test_kernel_rejects_nonpositive_beta(fig1):
 )
 def test_kernel_rejects_nonfinite_beta(fig1, beta):
     # at beta = inf a zero climb gives inf * 0 = NaN on the edge
-    for build in (transition_matrix, metropolis_kernel):
-        with pytest.raises(NonpositiveBeta):
-            build(fig1, beta)
+    with pytest.raises(NonpositiveBeta):
+        transition_matrix(fig1, beta)
 
 
 def test_kernel_prob_of_an_unknown_state_is_foreign(fig1):
-    kern = metropolis_kernel(fig1, 1.0)
+    kern = transition_matrix(fig1, 1.0)
     for x, y in (("a", "zz"), ("zz", "a"), ("zz", "zz")):
         with pytest.raises(ForeignState):
             kern.prob(x, y)
@@ -856,16 +795,14 @@ def test_random_landscapes_validate():
 
 def test_one_climb_in_units(fig1, monkeypatch):
     # the seed, its validation and the kernel compute the int-unit climb on
-    # the numbering's ids; ``metropolis_costs`` only wraps it in ``Energy``
-    # views, in id order
+    # the numbering's ids; a seed given as ``Energy`` values by name is the
+    # same round 0
     climbs = {
         (x, y): max(0, fig1.units(y) - fig1.units(x))
         for x in sorted(fig1.states)
         for y in fig1.neighbors(x)
     }
-    assert metropolis_costs(fig1) == {pair: Energy(u, fig1.scale) for pair, u in climbs.items()}
-    assert list(metropolis_costs(fig1)) == list(climbs)
-    assert initial_level(fig1, metropolis_costs(fig1)) == initial_level(fig1)
+    assert initial_level(fig1, metropolis_seed(fig1)) == initial_level(fig1)
     made = []
     original = Energy.__init__
 

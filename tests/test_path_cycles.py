@@ -1,4 +1,4 @@
-"""Path-cycle predicates, the sweep enumeration, and the cycle tree."""
+"""The sweep enumeration and the cycle tree, against the definitions."""
 
 import json
 import random
@@ -11,28 +11,24 @@ from basincycles import (
     Energy,
     INFINITY,
     brute_force_path_cycles,
-    depth,
     enumerate_path_cycles,
-    ground,
-    is_path_cycle,
     load_landscape,
     make_landscape,
-    resistance_height,
-    sublevel_component,
 )
 from basincycles.energy import from_units
-from basincycles.errors import LevelBelowStart, NotACycle
+from basincycles.errors import NotACycle
 from basincycles.landscape import dumps_json
-from basincycles.pathcycles import boundary_floor, set_key, tree_to_dict, tree_to_dot
+from basincycles.pathcycles import set_key, tree_to_dict, tree_to_dot
 
 from conftest import (
     DATA,
     FIG1_PATH,
-    components,
     draw_landscape,
+    floor_units,
     grid_text,
     make_fig1_shuffled,
     reference_tree,
+    sublevel,
 )
 
 FIG1_CYCLES = (
@@ -72,14 +68,14 @@ def test_sweep_tree_matches_definitions(data):
             assert node.parent is None and node is tree.root
         keys = [set_key(child.members) for child in node.children]
         assert keys == sorted(keys)
-        floor = boundary_floor(L, node.members)
-        low = L.energy(min(node.members, key=L.units))
-        high = L.energy(max(node.members, key=L.units))
-        assert (node.low, node.high, node.floor) == (low.units, high.units, floor.units)
-        assert node.depth == from_units(floor.units - low.units, L.scale)
-        assert node.resistance == Energy(high.units - low.units, L.scale)
-        assert node.ground == ground(L, node.members)
-        assert node.nontrivial == (len(node.members) > 1 or high.units < floor.units)
+        floor = floor_units(L, node.members)
+        low = min(map(L.units, node.members))
+        high = max(map(L.units, node.members))
+        assert (node.low, node.high, node.floor) == (low, high, floor)
+        assert node.depth == from_units(floor - low, L.scale)
+        assert node.resistance == Energy(high - low, L.scale)
+        assert node.ground == {x for x in node.members if L.units(x) == low}
+        assert node.nontrivial == (len(node.members) > 1 or high < floor)
 
 
 def _assert_matches_reference_tree(L):
@@ -131,43 +127,6 @@ def test_sweep_retains_memory_linear_in_the_states():
     assert retained < 5_000_000
 
 
-def test_is_path_cycle(fig1):
-    assert is_path_cycle(fig1, {"c", "d", "e", "f"})
-    assert not is_path_cycle(fig1, {"d", "e", "f"})
-    assert is_path_cycle(fig1, {"k"})
-    assert not is_path_cycle(fig1, {"a", "c"})  # disconnected
-
-
-def test_sublevel_component(fig1):
-    assert sublevel_component(fig1, "e", 2) == frozenset("cdef")
-    assert sublevel_component(fig1, "i", 0) == {"i"}
-    assert sublevel_component(fig1, "i", 5) == frozenset("abcdefghijk")
-    # cutoffs between landscape levels act like the level below them
-    assert sublevel_component(fig1, "i", "0.5") == {"i"}
-    assert sublevel_component(fig1, "e", "2.9") == frozenset("cdef")
-    assert sublevel_component(fig1, "b", "inf") == frozenset("abcdefghijk")
-    with pytest.raises(LevelBelowStart):
-        sublevel_component(fig1, "b", 2)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.data())
-def test_sublevel_component_is_the_component_below_the_cutoff(data):
-    L = draw_landscape(data)
-    states = sorted(L.states)
-    for _ in range(5):
-        x = data.draw(st.sampled_from(states))
-        low = L.energy(x).units // L.scale
-        cutoff = data.draw(st.integers(low, 7) | st.integers(low, 6).map(lambda c: f"{c}.5"))
-        level = L.energy_value(cutoff)
-        comp = sublevel_component(L, x, cutoff)
-        assert x in comp
-        assert all(L.energy(y).units <= level.units for y in comp)
-        assert len(components(L, comp)) == 1
-        for y in comp:
-            assert all(z in comp or L.energy(z).units > level.units for z in L.neighbors(y))
-
-
 def test_fig1_enumeration(fig1):
     tree = enumerate_path_cycles(fig1)
     assert tree.member_sets() == set(FIG1_CYCLES)
@@ -181,16 +140,15 @@ def test_two_state_enumeration(two_state):
 
 
 def test_depth_and_resistance(fig1):
-    assert depth(fig1, {"i", "j"}) == Energy.from_int(3)
-    assert resistance_height(fig1, {"i", "j"}) == Energy.from_int(1)
-    assert depth(fig1, {"h", "i", "j"}) == Energy.from_int(4)
-    assert resistance_height(fig1, {"h", "i", "j"}) == Energy.from_int(3)
-    assert resistance_height(fig1, {"g"}) == Energy.from_int(0)
-    assert depth(fig1, frozenset("abcdefghijk")) is INFINITY
+    tree = enumerate_path_cycles(fig1)
+    assert tree.node({"i", "j"}).depth == Energy.from_int(3)
+    assert tree.node({"i", "j"}).resistance == Energy.from_int(1)
+    assert tree.node({"h", "i", "j"}).depth == Energy.from_int(4)
+    assert tree.node({"h", "i", "j"}).resistance == Energy.from_int(3)
+    assert tree.node({"g"}).resistance == Energy.from_int(0)
+    assert tree.node(frozenset("abcdefghijk")).depth is INFINITY
     with pytest.raises(NotACycle):
-        depth(fig1, {"d", "e", "f"})
-    with pytest.raises(NotACycle):
-        resistance_height(fig1, {"d", "e", "f"})
+        tree.node({"d", "e", "f"})
 
 
 def test_tree_structure(fig1):
@@ -272,12 +230,12 @@ def test_level_set_characterization(fig1):
     for node in tree.nodes:
         if len(node.members) == 1:
             continue
-        top = fig1.energy(max(node.members, key=fig1.units))
+        top = max(map(fig1.units, node.members))
         for x in node.members:
-            if fig1.energy(x) == top:
-                assert sublevel_component(fig1, x, top) == node.members
+            if fig1.units(x) == top:
+                assert sublevel(fig1, x, top) == node.members
         for x in node.members:
-            assert sublevel_component(fig1, x, fig1.energy(x)) <= node.members
+            assert sublevel(fig1, x, fig1.units(x)) <= node.members
 
 
 def test_node_count_bound():

@@ -4,24 +4,27 @@ import math
 import random
 import time
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from basincycles import (
     Energy,
     SimulationSpec,
+    brute_force_path_cycles,
     check_exit_window,
     check_visit_before_exit,
     enumerate_path_cycles,
     make_landscape,
-    metropolis_kernel,
     random_landscape,
     simulate_hitting_time,
 )
 from basincycles import simulate
 from basincycles.cli import main
 from basincycles.errors import (
+    ForeignState,
     InvalidSpec,
     NonpositiveBeta,
     NotACycle,
@@ -39,9 +42,11 @@ from basincycles.simulate import (
 from conftest import (
     FIG1_PATH,
     dense_kernel,
+    draw_landscape,
     ks_two_sample,
     make_fig1_shuffled,
     reference_first_hit,
+    reference_tree,
 )
 
 
@@ -67,7 +72,7 @@ def test_beta_zero_chain_matches_linear_system(fig1):
     # non-target states, with Q the kernel restricted to those states
     import numpy as np
 
-    kernel = metropolis_kernel(fig1, 1e-9)  # numerically beta -> 0
+    kernel = transition_matrix(fig1, 1e-9)  # numerically beta -> 0
     states = list(kernel.states)
     keep = [s for s in states if s != "j"]
     idx = [states.index(s) for s in keep]
@@ -107,7 +112,7 @@ def test_exit_mean_matches_linear_system(fig1, beta, exact, replicas):
     # standard error of the mean is about mean / sqrt(N)
     import numpy as np
 
-    kernel = metropolis_kernel(fig1, beta)
+    kernel = transition_matrix(fig1, beta)
     cycle = ["i", "j"]
     A = np.array(
         [[-kernel.prob(x, y) for y in cycle] for x in cycle], dtype=np.float64
@@ -236,7 +241,7 @@ def test_step_law_against_kernel(fig1):
     here = np.full(trials, x, dtype=np.intp)
     landed = np.where(u[:, 0] < leave[x], simulate._land(nbr, cdf, here, u[:, 1]), x)
     counts = np.bincount(landed, minlength=len(tables.states))
-    kernel = metropolis_kernel(fig1, beta)
+    kernel = transition_matrix(fig1, beta)
     for i, state in enumerate(tables.states):
         p = kernel.prob("h", state)
         got = int(counts[i])
@@ -464,6 +469,65 @@ def test_visit_errors(fig1):
         check_visit_before_exit(fig1, {"d", "e"}, "d", "e", [2.0], 1.0, 10, 3)
     with pytest.raises(NonpositiveBeta):
         check_visit_before_exit(fig1, {"i", "j"}, "i", "j", [-2.0], 1.0, 10, 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_cycle_check_matches_the_oracles(data):
+    # the one cycle check outside the sweep accepts exactly the nontrivial
+    # path cycles with an exit, as the exhaustive oracle lists them, and
+    # reads their heights as the reference tree does
+    L = draw_landscape(data)
+    cycles = brute_force_path_cycles(L)
+    nodes = {ref.members: ref for ref in reference_tree(L)}
+    members = data.draw(
+        st.sampled_from(sorted(cycles, key=sorted))
+        | st.sets(st.sampled_from(sorted(L.states)), min_size=1).map(frozenset),
+        label="members",
+    )
+    check = partial(simulate._check_arguments, L, members, [1.0], 1.0)
+    if members not in cycles:
+        with pytest.raises(NotACycle, match="is not a path cycle"):
+            check()
+    elif members == frozenset(L.states):
+        with pytest.raises(InvalidSpec, match="whole state space"):
+            check()
+    elif not nodes[members].nontrivial:
+        with pytest.raises(NotACycle, match="is a trivial cycle"):
+            check()
+    else:
+        ref = nodes[members]
+        cycle, betas, gamma, gamma_tilde, boundary = check()
+        assert (cycle, betas) == (members, [1.0])
+        assert gamma == Energy(ref.floor - ref.low, L.scale)
+        assert gamma_tilde == Energy(ref.high - ref.low, L.scale)
+        assert boundary == exterior_boundary(L, members)
+
+
+@pytest.mark.parametrize(
+    "members, error, message",
+    [
+        ({"a", "c"}, NotACycle, "['a', 'c'] is not a path cycle"),
+        ({"d", "e", "f"}, NotACycle, "['d', 'e', 'f'] is not a path cycle"),
+        (set("abcdefghijk"), InvalidSpec, "the cycle is the whole state space and has no exit"),
+        ({"g"}, NotACycle, "['g'] is a trivial cycle (no exit barrier)"),
+        ({"i", "zz"}, ForeignState, "unknown state 'zz'"),
+    ],
+    ids=["disconnected", "above-the-floor", "whole-space", "trivial", "foreign"],
+)
+def test_cycle_check_errors_on_fig1(fig1, capsys, members, error, message):
+    with pytest.raises(error) as raised:
+        check_exit_window(fig1, members, [1.0], 1.0, 10, 1)
+    assert str(raised.value) == message
+    with pytest.raises(error) as raised:
+        check_visit_before_exit(fig1, members, "i", "j", [1.0], 1.0, 10, 1)
+    assert str(raised.value) == message
+    argv = ["simulate", str(FIG1_PATH), "--cycle", ",".join(sorted(members)), "--betas", "1",
+            "--seed", "1"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: {error.__name__}: {message}\n"
 
 
 def test_visit_determinism(fig1):
