@@ -15,6 +15,10 @@ whose reader has gone, is the same usage error: one line on stderr and exit
 1, with no traceback.  There is no temporary file renamed into place: the
 rename would replace a ``/dev/stdout``, ``/dev/null`` or FIFO given as
 ``--out`` instead of writing to it.
+
+No command but ``simulate`` loads numpy: the cycle commands are exact
+integer work, and numpy is imported only where the kernel is built and
+sampled.
 """
 
 from __future__ import annotations

@@ -36,8 +36,6 @@ from bisect import bisect_left
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
-import numpy as np
-
 from .energy import DEFAULT_SCALE, Energy, format_exact, from_units, parse_exact, parse_units
 from .errors import (
     AsymmetricEdge,
@@ -561,6 +559,10 @@ def exterior_boundary(landscape: Landscape, members: Iterable[str]) -> StateSet:
 
 
 # -- Metropolis kernel ---------------------------------------------------------
+#
+# numpy is imported inside ``transition_matrix``, not at module level: every
+# command loads a landscape, but only ``simulate`` builds a kernel, so the
+# others never pay numpy's import time and memory.
 
 
 class TransitionMatrix:
@@ -591,8 +593,9 @@ class TransitionMatrix:
             raise ForeignState(f"unknown state {exc.args[0]!r}") from None
         return 1.0 - float(self._tables[0][i]) if i == j else self._off.get((i, j), 0.0)
 
-    def jumps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The jump chain's per-state tables ``(leave, nbr, cdf)``, as stored.
+    def jumps(self) -> tuple:
+        """The jump chain's per-state numpy arrays ``(leave, nbr, cdf)``, as
+        stored.
 
         ``leave[x]``: the probability of leaving ``x`` in one step, the sum of
         the row's off-diagonal entries clamped to 1 (one minus a holding
@@ -609,6 +612,7 @@ def transition_matrix(landscape: Landscape, beta: float) -> TransitionMatrix:
     """The Metropolis kernel, off-diagonal entries
     ``q(x,y) * exp(-beta * (H(y) - H(x))^+)``, for any finite ``beta >= 0``,
     in O(edges); ``beta = 0`` is the sampler's diagnostic mode."""
+    import numpy as np
     if not (math.isfinite(beta) and beta >= 0):
         raise NonpositiveBeta(f"beta must be finite and >= 0, got {beta}")
     names, index, units, adjacency = landscape.numbering()

@@ -30,6 +30,12 @@ So results depend on the landscape, not on its declaration order, and on
 
 ``beta = 0`` is accepted only by the raw sampler as a diagnostic mode; the
 window and visit checks require ``beta > 0`` like every analysis path.
+
+numpy is imported inside the functions that build or sample the kernel,
+not at module level.  The package and ``cli`` import this module, and the
+cycle commands never touch a float array, so a process that does not
+sample does not pay numpy's import time and memory; after the first call,
+each import is one ``sys.modules`` lookup.
 """
 
 from __future__ import annotations
@@ -40,8 +46,6 @@ from contextlib import contextmanager, suppress
 from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
-
-import numpy as np
 
 from .energy import Energy
 from .errors import InvalidSpec, NonpositiveBeta, NotACycle, StateOutsideCycle
@@ -79,6 +83,7 @@ def _integral(name: str, value) -> int:
 
 
 def _subseed(*parts: int) -> int:
+    import numpy as np
     return int(np.random.SeedSequence(list(parts)).generate_state(1, np.uint64)[0])
 
 
@@ -143,6 +148,7 @@ class HittingTimeStats:
 
 
 def _summarize(beta, taus, censored, window, secondary) -> HittingTimeStats:
+    import numpy as np
     taus = np.asarray(taus)
     censored = np.asarray(censored)
     alive = taus[~censored]
@@ -207,6 +213,7 @@ class _Law:
     __slots__ = ("pos", "exits", "R", "hits", "powers", "_diag")
 
     def __init__(self, kernel, transient):
+        import numpy as np
         leave, nbr, _ = kernel.jumps()
         off = kernel._off  # (row, column) index pairs -> the positive entries
         self.pos = pos = {x: a for a, x in enumerate(transient)}
@@ -229,6 +236,7 @@ class _Law:
 
     def extend(self, levels: int) -> None:
         """Hold at least ``levels`` powers and absorption sums."""
+        import numpy as np
         hits, powers = self.hits, self.powers
         while len(powers) < levels:
             M, h = powers[-1], hits[-1]
@@ -271,6 +279,7 @@ def _first_hit(law, origin, u_time, u_land, budget):
     Returns ``(t, landed)``: ``landed`` is the state entered at step
     ``t + 1``, or -1 for a censored row.
     """
+    import numpy as np
     levels = int(budget.max()).bit_length()
     law.extend(levels)
     t = np.zeros(u_time.size, dtype=np.int64)
@@ -316,6 +325,7 @@ def _run_chains(kernel, start_idx, target_mask, sec_idx, max_steps, seed, replic
     which replica r stood on the secondary state (0 if it starts there, -1
     if never, tracked only up to the target hit).
     """
+    import numpy as np
     tau = np.full(replicas, max_steps, dtype=np.int64)
     censored = np.ones(replicas, dtype=bool)
     sec = np.full(replicas, -1, dtype=np.int64)
@@ -376,6 +386,7 @@ def _walk_chains(jumps, start_idx, target_mask, sec_idx, max_steps, seed, replic
     which replica r stood on the secondary state (-1 if never, tracked only
     up to the target hit).
     """
+    import numpy as np
     leave, nbr, cdf = jumps
     tau = np.full(replicas, max_steps, dtype=np.int64)
     censored = np.ones(replicas, dtype=bool)
@@ -449,6 +460,7 @@ def simulate_hitting_time(
 def _sample(spec: SimulationSpec, kernel, window) -> HittingTimeStats:
     """``simulate_hitting_time`` for a validated ``spec`` on its ``kernel``;
     ``check_exit_window`` builds one kernel per beta for all its starts."""
+    import numpy as np
     index = kernel._index
     target_mask = np.zeros(len(kernel.states), dtype=bool)
     for s in spec.target:

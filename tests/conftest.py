@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import random
 import re
 from fractions import Fraction
@@ -28,6 +29,7 @@ from basincycles.pathcycles import enumerate_path_cycles, set_key
 
 DATA = Path(__file__).parent / "data"
 FIG1_PATH = DATA / "fig1.json"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 # the 11-state chain fixture: energies a..k = 2,5,1,2,2,2,4,3,0,1,5
 FIG1_ENERGIES = dict(zip("abcdefghijk", [2, 5, 1, 2, 2, 2, 4, 3, 0, 1, 5]))
@@ -130,6 +132,40 @@ def metropolis_seed(landscape):
         costs[x, y] = Energy(max(0, hy - hx), landscape.scale)
         costs[y, x] = Energy(max(0, hx - hy), landscape.scale)
     return costs
+
+
+def fresh_env() -> dict:
+    """The environment for a fresh ``sys.executable`` that imports this
+    checkout's package, with stdout block-buffered."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def ising_torus(rows: int, cols: int):
+    """Single-spin-flip Ising on a ``rows`` x ``cols`` torus, both at least 3
+    so that each site has four distinct neighbours, with J = 1 and h = 3/2:
+    ``H(s) = -(J/2) sum_<xy> s_x s_y - (h/2) sum_x s_x``.  Both halves are
+    whole quarters, so the landscape is at scale 4.  A state is its spins in
+    row-major order as ``+`` and ``-``; each edge flips one spin and takes
+    the default rate."""
+    sites = rows * cols
+    bonds = [(r * cols + c, r * cols + (c + 1) % cols) for r in range(rows) for c in range(cols)]
+    bonds += [(r * cols + c, (r + 1) % rows * cols + c) for r in range(rows) for c in range(cols)]
+    names = ["".join("+" if bits >> k & 1 else "-" for k in range(sites)) for bits in range(1 << sites)]
+    energies = {}
+    for bits, name in enumerate(names):
+        spin = [1 if bits >> k & 1 else -1 for k in range(sites)]
+        # quarters: -(1/2) s_x s_y is -2 s_x s_y, and -(3/4) s_x is -3 s_x
+        units = -2 * sum(spin[x] * spin[y] for x, y in bonds) - 3 * sum(spin)
+        energies[name] = Energy(units, 4)
+    edges = [
+        (name, names[bits | 1 << k])
+        for bits, name in enumerate(names)
+        for k in range(sites)
+        if not bits >> k & 1
+    ]
+    return make_landscape(energies, edges, scale=4)
 
 
 def grid_text(side: int, max_energy: int, seed: int) -> str:

@@ -6,16 +6,14 @@ import math
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 from basincycles.cli import main
 
-from conftest import FIG1_PATH
+from conftest import FIG1_PATH, fresh_env
 
 FIG1 = str(FIG1_PATH)
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -438,13 +436,11 @@ def _validate_into(stdout):
     """Run ``validate`` on fig1 in a fresh process whose stdout is ``stdout``
     and block-buffered, so the first write only fills the buffer and the
     failure comes at a flush.  Returns the exit code and stderr."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
-    env.pop("PYTHONUNBUFFERED", None)
     done = subprocess.run(
         [sys.executable, "-m", "basincycles.cli", "validate", FIG1],
         stdout=stdout,
         stderr=subprocess.PIPE,
-        env=env,
+        env=fresh_env(),
         text=True,
         timeout=60,
     )

@@ -33,6 +33,7 @@ from conftest import (
     floor_units,
     grid_text,
     is_cycle,
+    ising_torus,
     retrace,
 )
 
@@ -380,3 +381,60 @@ def test_verify_builds_no_tree_views(monkeypatch):
         monkeypatch.setattr(module, "exterior_boundary", forbidden, raising=False)
     assert verify_equivalence(load_landscape((DATA / "grid8-e1000.json").read_text())).ok
     assert trees[0]._nodes is None and trees[0]._by_members is None
+
+
+def _barrier_units(landscape, state):
+    """V(state) in int units: ``high`` of the smallest node of the sweep tree
+    that holds ``state`` and a state below it, less the state's energy."""
+    tree = enumerate_path_cycles(landscape)
+    leaf = landscape.numbering()[1][state]
+    v = leaf
+    while tree.low[v] >= tree.low[leaf]:
+        v = tree.parent[v]
+    return tree.high[v] - tree.low[leaf]
+
+
+def test_ising_3x3_torus():
+    """Ising on the 3 x 3 torus (512 states), J = 1 and h = 3/2: V(all minus)
+    is 3, twelve units at scale 4.
+
+    Flipping a set A of spins of the all-minus state costs J|dA| - h|A|,
+    with dA the bonds from A to the rest.  A state with one plus spin sits
+    4 - 3/2 = 5/2 above all-minus.  One with two sits at least 6 - 3 = 3
+    above it, the domino, since two spins share at most one bond.  A flip
+    changes the count of plus spins by one, so every path down to a lower
+    state passes a state with two: V >= 3.  The path one spin (5/2),
+    domino (3), the wrapped row of three (6 - 9/2 = 3/2), a spin of the
+    next row (8 - 6 = 2), a second (8 - 15/2 = 1/2), that row closed
+    (6 - 9 = -3) never passes 3, so V = 3.
+
+    In infinite volume the critical droplet is the domino with a
+    protuberance, 8 - 9/2 = 7/2, as Gamma = 4 J lc - h (lc^2 - lc + 1) with
+    lc = ceil(2J/h) = 2 gives.  The torus is only 3 wide, so the third spin
+    closes a wrapped row instead, and the barrier is the domino's 3: a
+    finite-size effect."""
+    L = ising_torus(3, 3)
+    assert verify_equivalence(L).ok
+    assert _barrier_units(L, "-" * 9) == 12
+
+
+def test_ising_3x4_torus():
+    """Ising on the 3 x 4 torus (4,096 states), J = 1 and h = 3/2: V(all
+    minus) is 3, twelve units at scale 4.
+
+    Flipping a set A of spins of the all-minus state costs J|dA| - h|A|.
+    As on the 3 x 3 torus, every state with one plus spin sits at 5/2 and
+    every state with two at least at the domino's 6 - 3 = 3, and a flip
+    changes the count of plus spins by one, so V >= 3.  The columns are 3
+    long and wrap: one spin (5/2), a vertical domino (3), the closed column
+    (6 - 9/2 = 3/2), a spin of the next column (8 - 6 = 2), a second
+    (8 - 15/2 = 1/2), the 3 x 2 band, whose boundary is the 6 bonds on its
+    two sides (6 - 9 = -3), never passes 3, so V = 3.
+
+    Infinite volume gives Gamma = 7/2, the domino with a protuberance
+    (lc = ceil(2J/h) = 2); here the third spin closes a column of 3 at 3/2
+    instead, and the barrier is the domino's 3: the finite-size effect of
+    the 3 x 3 torus, along the short direction."""
+    L = ising_torus(3, 4)
+    assert verify_equivalence(L).ok
+    assert _barrier_units(L, "-" * 12) == 12

@@ -16,6 +16,8 @@ of quietly costing a large share of its run time.
 import hashlib
 import json
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -24,7 +26,7 @@ from basincycles.graphcycles import run_decomposition, trace_to_dict
 from basincycles.landscape import load_landscape
 from basincycles.pathcycles import enumerate_path_cycles, tree_to_dict
 
-from conftest import DATA, FIG1_PATH, grid_text
+from conftest import DATA, FIG1_PATH, fresh_env, grid_text
 
 GOLDEN = DATA / "golden"
 
@@ -118,6 +120,20 @@ def _check_golden(capsys, source, argv, name):
 @pytest.mark.parametrize("argv, name", CASES, ids=[name for _, name in CASES])
 def test_fig1_output_matches_golden(capsys, argv, name):
     _check_golden(capsys, FIG1_PATH, argv, name)
+
+
+def test_simulate_golden_in_a_fresh_process():
+    # conftest imports numpy into this process first, so only a fresh one
+    # runs ``simulate`` with numpy first imported inside the command
+    (command, *flags), name = CASES[-1]
+    done = subprocess.run(
+        [sys.executable, "-m", "basincycles.cli", command, str(FIG1_PATH), *flags],
+        capture_output=True,
+        env=fresh_env(),
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == (GOLDEN / name).read_bytes()
 
 
 @pytest.mark.parametrize("source, argv, name", GRID_CASES, ids=[name for _, _, name in GRID_CASES])
