@@ -16,6 +16,11 @@ whose reader has gone, is the same usage error: one line on stderr and exit
 rename would replace a ``/dev/stdout``, ``/dev/null`` or FIFO given as
 ``--out`` instead of writing to it.
 
+An energy past ``energy.MAX_UNITS`` (2**1000 units of ``1/scale``) is an
+input validation failure, exit 2 with one line on stderr, like any malformed
+document: the exact rounds and the sampler's floats keep their sums inside
+float range only below it.
+
 No command but ``simulate`` loads numpy: the cycle commands are exact
 integer work, and numpy is imported only where the kernel is built and
 sampled.

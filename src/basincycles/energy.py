@@ -7,8 +7,13 @@ cost, flat plateaus), which is why floats are banned everywhere outside the
 Monte Carlo sampler.
 
 ``math.inf`` is the one infinity: it stands for the cost between
-disconnected sets and for minima over empty sets, and it compares and adds
-exactly against ints.  ``INFINITY`` is its ``Energy`` (``INFINITY.units`` is
+disconnected sets and for minima over empty sets.  It compares exactly
+against any int, and adds exactly against an int below float range (about
+2**1024), past which ``int + math.inf`` raises ``OverflowError``.  So the
+loader and a generic seed reject any energy or cost beyond ``MAX_UNITS``
+(2**1000 units): the rounds' costs and heights are sums of a few
+differences of such values and stay far inside float range, as does
+``Energy.to_float``.  ``INFINITY`` is its ``Energy`` (``INFINITY.units`` is
 ``math.inf``), and ``from_units`` is the one way back from units, mapping
 ``math.inf`` to ``INFINITY`` itself.  ``Energy`` only parses, formats and
 serves the public views.
@@ -22,6 +27,7 @@ from fractions import Fraction
 from .errors import MalformedInput, ScaleOverflow
 
 DEFAULT_SCALE = 1_000_000
+MAX_UNITS = 2**1000  # the largest |units| of an input energy or seed cost
 
 
 def parse_exact(text: str) -> Fraction:

@@ -48,7 +48,12 @@ n + 1, ...`` in formation order, and ``RunRecords`` keeps each class's
 size, smallest state id, children, and exit and merge heights.  The plain
 export renders each cycle's entry as JSON text straight from the records,
 its members from one depth-first leaf order (``pathcycles.leaf_layout``),
-so a run builds no class set, sort key or ``Energy`` height.
+so a run builds no class set, sort key or ``Energy`` height.  The
+singletons come first in class order, by id, and each fills the entry
+template straight from its name; only the formed classes' slices are
+sorted.  Round 0 and the search each run in one frame: each Metropolis row
+and its exit are built in one loop over the ids, and no state, edge or
+entry calls a Python function.
 
 ``equivalence.verify_equivalence`` reads the records alone: it applies
 each round's record to a live state of its own, editing its rows in place
@@ -81,7 +86,7 @@ from functools import cached_property, partial
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, Mapping, Optional
 
-from .energy import Energy, from_units
+from .energy import MAX_UNITS, Energy, from_units
 from .errors import (
     AlreadyTerminal,
     MalformedInput,
@@ -95,10 +100,11 @@ SlotRows = dict  # slot -> {slot -> int units minus the source's lift}, finite a
 
 def _validate_seed(landscape: Landscape, costs: Mapping) -> dict[tuple[int, int], int]:
     """A generic seed must be finite exactly on the q-positive ordered pairs
-    and nonnegative there, as the numbering's adjacency says.  The adjacency
-    is symmetric, so this rule makes the finite costs symmetric in support,
-    as the Metropolis seed's are, which ``_round`` relies on.  Returns its
-    finite costs in int units, keyed by id pair."""
+    and nonnegative there, as the numbering's adjacency says, and at most
+    ``MAX_UNITS`` units, as an energy is.  The adjacency is symmetric, so
+    this rule makes the finite costs symmetric in support, as the Metropolis
+    seed's are, which ``_round`` relies on.  Returns its finite costs in int
+    units, keyed by id pair."""
     names, index, _, adjacency = landscape.numbering()
     expected = {(i, j) for i, nbrs in enumerate(adjacency) for j in nbrs}
     out = {}
@@ -111,6 +117,8 @@ def _validate_seed(landscape: Landscape, costs: Mapping) -> dict[tuple[int, int]
             raise MalformedInput(f"seed cost on non-edge pair ({x!r}, {y!r})")
         if value.units < 0:
             raise MalformedInput(f"negative seed cost on ({x!r}, {y!r}): {value}")
+        if value.units > MAX_UNITS:
+            raise MalformedInput(f"seed cost on ({x!r}, {y!r}) is past 2**1000 units")
         out[pair] = value.units
     missing = expected - out.keys()
     if missing:
@@ -251,13 +259,22 @@ def _start(landscape: Landscape, seed_costs) -> tuple:
     and adjacency give the Metropolis climbs."""
     names, _, height, adjacency = landscape.numbering()
     rows: SlotRows = {}
-    if seed_costs is None:
+    if seed_costs is None:  # each row and its exit in one loop, in id order
+        exits = {}
         for i, nbrs in enumerate(adjacency):
+            least = math.inf
             if nbrs:
-                rows[i] = {j: max(0, height[j] - height[i]) for j in nbrs}
-    else:
-        for (i, j), units in _validate_seed(landscape, seed_costs).items():
-            rows.setdefault(i, {})[j] = units
+                h, row = height[i], {}
+                for j in nbrs:
+                    d = height[j] - h
+                    row[j] = d = d if d > 0 else 0
+                    if d < least:
+                        least = d
+                rows[i] = row
+            exits[i] = least
+        return names, rows, exits
+    for (i, j), units in _validate_seed(landscape, seed_costs).items():
+        rows.setdefault(i, {})[j] = units
     exits = {i: min(rows[i].values()) if i in rows else math.inf for i in range(len(names))}
     return names, rows, exits
 
@@ -493,8 +510,11 @@ class RunRecords:
 
     def order(self) -> list[int]:
         """The class ids by (size, smallest state id): two classes of one
-        size are disjoint, so this is the order by sorted members."""
-        return sorted(range(len(self.size)), key=list(zip(self.size, self.first)).__getitem__)
+        size are disjoint, so this is the order by sorted members.  The
+        singletons come first, by id, since every formed class merges two
+        or more."""
+        n, key = len(self.names), list(zip(self.size, self.first))
+        return list(range(n)) + sorted(range(n, len(key)), key=key.__getitem__)
 
 
 def _replay(records: RunRecords, scale: int) -> tuple:
@@ -618,13 +638,18 @@ def cycle_entries(records: RunRecords, scale: int, newline: str) -> Iterator[str
     ``newline``'s depth, from the records: its members from the sorted
     slices of one depth-first leaf order, and its exit and merge heights.
     Each name is encoded once, each height text built once per distinct
-    value."""
+    value.  The singletons come first in class order, by id, and each fills
+    the template straight from its name; only the formed classes' slices
+    are sorted."""
     template, item = _CYCLE.replace("\n", newline), "," + newline + "    "
+    encoded = list(map(encode_basestring_ascii, records.names))
     # a list's __getitem__ maps about twice as fast as a tuple's
-    name, text = list(map(encode_basestring_ascii, records.names)).__getitem__, HeightTexts(scale)
-    lo, hi, leaves = leaf_layout(records.size, records.children, len(records.names))
+    name, text, n = encoded.__getitem__, HeightTexts(scale), len(encoded)
     exit_units, merge_units = records.exit, records.merge
-    for v, ids in sorted_slices(leaves, lo, hi, records.order()):
+    for v, single in enumerate(encoded):
+        yield template % (single, text[exit_units[v]], text[merge_units[v]])
+    lo, hi, leaves = leaf_layout(records.size, records.children, n)
+    for v, ids in sorted_slices(leaves, lo, hi, records.order()[n:]):
         yield template % (item.join(map(name, ids)), text[exit_units[v]], text[merge_units[v]])
 
 

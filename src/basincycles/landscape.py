@@ -36,7 +36,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
-from .energy import DEFAULT_SCALE, Energy, format_exact, from_units, parse_exact, parse_units
+from .energy import DEFAULT_SCALE, MAX_UNITS, Energy, format_exact, from_units, parse_exact, parse_units
 from .errors import (
     AsymmetricEdge,
     DisconnectedGraph,
@@ -261,8 +261,9 @@ def _build(raw_states: list, raw_edges, scale) -> Landscape:
                         u = parsed[value] = parse_units(value, scale)
                 else:
                     u = _exact_units(value, scale)
-                if u == math.inf:
-                    raise MalformedInput(f"energy of {sid!r} must be finite")
+                if abs(u) > MAX_UNITS:  # infinite, or past the bound
+                    why = "must be finite" if u == math.inf else "is past 2**1000 units"
+                    raise MalformedInput(f"energy of {sid!r} {why}")
                 declared[sid] = u
             except ValidationError as exc:
                 fault = exc

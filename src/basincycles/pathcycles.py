@@ -23,6 +23,13 @@ a slice of one depth-first leaf order, so all members take O(n).
 views built on first read.  ``node()`` and ``member_sets()`` serve the API and
 the tests; ``verify`` no longer reads them, since it resolves each class to a
 node id on the int records.
+
+The sweep, like the graph-cycle rounds' search, runs in one frame: the
+union-find ``find`` is inlined with path halving, so no state, edge or union
+calls a Python function.  ``order`` lists the leaves first, by id, and
+``node_entries`` fills each leaf's entry straight from the template (a leaf
+is its own member and ground, and flat); only the formed nodes' slices are
+sorted.
 """
 
 from __future__ import annotations
@@ -132,51 +139,83 @@ def enumerate_path_cycles(landscape: Landscape) -> CycleTree:
     _, _, units, adjacency = landscape.numbering()
     n = len(units)
     by_level: dict[int, list[int]] = {}
-    for i, u in enumerate(units):
-        by_level.setdefault(u, []).append(i)
+    floor = []  # each leaf's lowest neighbour
+    for i, nbrs in enumerate(adjacency):
+        u = units[i]
+        same = by_level.get(u)
+        if same is None:
+            by_level[u] = [i]
+        else:
+            same.append(i)
+        least = math.inf
+        for j in nbrs:
+            if units[j] < least:
+                least = units[j]
+        floor.append(least)
     low, high, parent = list(units), list(units), [None] * n
-    floor = [min([units[j] for j in nbrs], default=math.inf) for nbrs in adjacency]
     size, first = [1] * n, list(range(n))  # smallest ids order disjoint sets as sorted members
     children: dict[int, list[int]] = {}
-    uf = list(range(n))  # union-find over state ids
+    uf = list(range(n))  # union-find over state ids, each find inlined with path halving
     top: dict[int, int] = {}  # union-find root -> its component's largest cycle
     active = [False] * n
-
-    def find(x: int) -> int:  # with path halving
-        while uf[x] != x:
-            uf[x] = x = uf[uf[x]]
-        return x
 
     for level in sorted(by_level):
         fresh = by_level[level]
         # the level's states and the components below the level they touch
-        joined = set(fresh).union(find(j) for s in fresh for j in adjacency[s] if active[j])
+        joined = set(fresh)
+        for s in fresh:
+            for j in adjacency[s]:
+                if active[j]:
+                    while uf[j] != j:
+                        uf[j] = j = uf[uf[j]]
+                    joined.add(j)
         for s in fresh:
             active[s] = True
         for s in fresh:  # all states of this energy join before any component is judged
-            for j in filter(active.__getitem__, adjacency[s]):
-                uf[find(j)] = find(s)
+            r = s
+            while uf[r] != r:  # s's root stays a root while its neighbours join it
+                uf[r] = r = uf[uf[r]]
+            for j in adjacency[s]:
+                if active[j]:
+                    while uf[j] != j:
+                        uf[j] = j = uf[uf[j]]
+                    uf[j] = r
         groups: dict[int, list[int]] = {}
         for old in joined:
-            groups.setdefault(find(old), []).append(top.pop(old, old))  # a fresh state is its leaf
+            r = old
+            while uf[r] != r:
+                uf[r] = r = uf[uf[r]]
+            group = groups.get(r)
+            if group is None:
+                groups[r] = [top.pop(old, old)]  # a fresh state is its leaf
+            else:
+                group.append(top.pop(old, old))
         for root, group in groups.items():
             top[root] = group[0]
             if len(group) > 1:  # a node formed at the level, the floor of its non-singleton children
                 v = top[root] = len(low)
-                low.append(min(low[c] for c in group))
-                high.append(level)
-                floor.append(math.inf)
-                parent.append(None)
-                size.append(sum(size[c] for c in group))
-                first.append(min(first[c] for c in group))
+                least, total, smallest = math.inf, 0, n
                 for c in group:
                     parent[c] = v
                     if c >= n:
                         floor[c] = level
+                    if low[c] < least:
+                        least = low[c]
+                    total += size[c]
+                    if first[c] < smallest:
+                        smallest = first[c]
+                low.append(least)
+                high.append(level)
+                floor.append(math.inf)
+                parent.append(None)
+                size.append(total)
+                first.append(smallest)
                 children[v] = sorted(group, key=first.__getitem__)
 
     lo, hi, leaves = leaf_layout(size, children, n)
-    order = sorted(range(len(low)), key=lambda v: (size[v], first[v]))
+    # the leaves first, by id, then the formed nodes by (size, smallest id)
+    order = list(range(n))
+    order += sorted(range(n, len(low)), key=list(zip(size, first)).__getitem__)
     return CycleTree(landscape, low, high, floor, parent, children, lo, hi, leaves, order)
 
 
@@ -226,30 +265,42 @@ def node_entries(tree: CycleTree, newline: str) -> Iterator[str]:
     ``newline``'s depth: its members and ground states in name order, its
     depth ``gamma`` and resistance ``gamma_tilde``, and its parent's position
     in tree order (null for the root).  Each name is encoded once, each
-    height text built once per distinct value.  A node's ground is its
-    children's grounds at its own ``low``; ``order`` renders the children
-    first, and each child's list is dropped when its parent takes it."""
+    height text built once per distinct value.  The leaves come first in
+    ``order``, by id, and each fills the template straight from its name
+    (it is its own member and ground, and flat).  A formed node's ground is
+    its children's grounds at its own ``low``; ``order`` renders the
+    children first, and each formed child's list is dropped when its parent
+    takes it."""
     template, item = _NODE.replace("\n", newline), "," + newline + "    "
+    encoded = list(map(encode_basestring_ascii, tree.names))
     # a list's __getitem__ maps about twice as fast as a tuple's
-    name = list(map(encode_basestring_ascii, tree.names)).__getitem__
-    text, children = HeightTexts(tree.scale), tree.children
+    name = encoded.__getitem__
+    text, children, n = HeightTexts(tree.scale), tree.children, len(encoded)
+    low, high, floor, parent = tree.low, tree.high, tree.floor, tree.parent
     position = {v: k for k, v in enumerate(tree.order)}
-    grounds: dict[int, list[int]] = {}  # rendered node -> its ground ids, until its parent's turn
-    for v, ids in sorted_slices(tree.leaves, tree.lo, tree.hi, tree.order):
-        low = tree.low[v]
-        ground = [] if v in children else [v]  # a leaf is its own state
-        for c in children.get(v, ()):
-            part = grounds.pop(c)
-            if tree.low[c] == low:
-                ground += part
+    flat = text[0]
+    for v, leaf in enumerate(encoded):
+        yield template % (leaf, text[floor[v] - low[v]], flat, leaf, position.get(parent[v], "null"))
+    grounds: dict[int, list[int]] = {}  # formed node -> its ground ids, until its parent's turn
+    for v, ids in sorted_slices(tree.leaves, tree.lo, tree.hi, tree.order[n:]):
+        least = low[v]
+        ground = []
+        for c in children[v]:
+            if c < n:
+                if low[c] == least:
+                    ground.append(c)
+            else:
+                part = grounds.pop(c)
+                if low[c] == least:
+                    ground += part
         ground.sort()
         grounds[v] = ground
         yield template % (
             item.join(map(name, ids)),
-            text[tree.floor[v] - low],
-            text[tree.high[v] - low],
+            text[floor[v] - least],
+            text[high[v] - least],
             item.join(map(name, ground)),
-            position.get(tree.parent[v], "null"),
+            position.get(parent[v], "null"),
         )
 
 

@@ -277,6 +277,8 @@ def reference_landscape(text):
         u = _reference_units(value, scale)
         if u == math.inf:
             raise MalformedInput(f"energy of {sid!r} must be finite")
+        if abs(u) > 2**1000:
+            raise MalformedInput(f"energy of {sid!r} is past 2**1000 units")
         states.append(sid)
         units[sid] = u
 

@@ -92,6 +92,46 @@ def test_hostile_input_exit_2(tmp_path, capsys, name):
     assert err.count("\n") == 1
 
 
+_EVERY_COMMAND = [
+    ["validate"], ["path-cycles"], ["path-cycles", "--dot"], ["graph-cycles"],
+    ["graph-cycles", "--iterations"], ["verify"], ["export-tree"],
+    ["simulate", "--cycle", "a", "--betas", "1,2", "--seed", "1", "--replicas", "20",
+     "--max-steps", "10000"],
+]
+
+
+def _chain(tmp_path, *energies):
+    path = tmp_path / "chain.json"
+    states = [{"id": s, "energy": e} for s, e in zip("abcd", energies)]
+    edges = [[x, y] for x, y in zip("abc", "bcd"[: len(energies) - 1])]
+    path.write_text(json.dumps({"states": states, "edges": edges}))
+    return str(path)
+
+
+@pytest.mark.parametrize("energies", [("3e308", "4e308", "3e308"), ("0", "1e400", "0")])
+@pytest.mark.parametrize("command", _EVERY_COMMAND, ids=" ".join)
+def test_energies_past_the_bound_exit_2(tmp_path, capsys, energies, command):
+    # int units beyond float range overflowed against math.inf in the rounds
+    # and in Energy.to_float; the loader rejects anything past 2**1000 units
+    path = _chain(tmp_path, *energies)
+    code, out, err = run_cli(capsys, command[0], path, *command[1:])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("MalformedInput: ") and "past 2**1000 units" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", _EVERY_COMMAND, ids=" ".join)
+def test_energies_near_the_bound_pass_every_command(tmp_path, capsys, command):
+    # 1e290 is 1e296 units at the default scale, inside the bound; small
+    # barriers between huge energies keep the simulation feasible
+    big = 10**290
+    path = _chain(tmp_path, "1e290", str(big + 2), str(big + 1), "-1e290")
+    code, out, err = run_cli(capsys, command[0], path, *command[1:])
+    assert (code, err) == (0, "")
+    assert out
+
+
 def test_missing_file_exit_2(capsys):
     code, _, err = run_cli(capsys, "validate", "no-such-file.json")
     assert code == 2

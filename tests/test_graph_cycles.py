@@ -300,6 +300,13 @@ def test_seed_cost_validation(fig1):
     del partial[("a", "b")]
     with pytest.raises(MalformedInput):
         run_decomposition(fig1, seed_costs=partial)
+    # a cost past 2**1000 units would overflow against math.inf in the rounds
+    huge = metropolis_seed(fig1)
+    huge[("a", "b")] = Energy(2**1000 + 1, fig1.scale)
+    with pytest.raises(MalformedInput, match="past 2"):
+        run_decomposition(fig1, seed_costs=huge)
+    huge[("a", "b")] = Energy(2**1000, fig1.scale)
+    assert run_decomposition(fig1, seed_costs=huge).iterations == run_decomposition(fig1).iterations
 
 
 def test_metropolis_seed_matches_table(fig1):

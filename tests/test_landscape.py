@@ -45,6 +45,7 @@ from basincycles.landscape import (
 )
 
 from conftest import (
+    DATA,
     FIG1_PATH,
     dense_kernel,
     draw_landscape,
@@ -264,7 +265,7 @@ def test_load_pauses_the_collector_and_restores_the_callers_state(monkeypatch, e
 
 FAULTS = [
     None, "duplicate", "unknown", "self", "range", "conflict", "mixed", "row",
-    "disconnected", "infinite", "unrepresentable", "digits", "inexact", "scale",
+    "disconnected", "infinite", "huge", "unrepresentable", "digits", "inexact", "scale",
     "empty", "rate", "entry",
 ]
 
@@ -324,6 +325,10 @@ def _documents(draw, max_faults=1):
             states.append({"id": "zz", "energy": 0})
         elif fault == "infinite":
             states[-1]["energy"] = draw(st.sampled_from(["inf", " inf "]))
+        elif fault == "huge":  # past float range, or either side of 2**1000 units
+            states[-1]["energy"] = draw(st.sampled_from([
+                "3e308", "-4e308", "1e400", f"{2**1000}/{scale}", f"-{2**1000 + 1}/{scale}",
+            ]))
         elif fault == "unrepresentable":
             states[-1]["energy"] = draw(st.sampled_from(["1/3", "0.0000001", "1/7"]))
         elif fault == "digits":
@@ -793,16 +798,25 @@ def test_random_landscapes_validate():
             assert sum(L.rate(s, t) for t in L.neighbors(s)) <= 1
 
 
-def test_one_climb_in_units(fig1, monkeypatch):
+@pytest.fixture(scope="session")
+def grids8():
+    return [load_landscape((DATA / f"grid8-{e}.json").read_text(encoding="utf-8")) for e in ("e2", "e1000")]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_one_climb_in_units(fig1, grids8, data):
     # the seed, its validation and the kernel compute the int-unit climb on
     # the numbering's ids; a seed given as ``Energy`` values by name is the
-    # same round 0
+    # same round 0 as the one loop that builds the Metropolis rows and exits,
+    # on fig1, both 8x8 grids and drawn landscapes
+    for L in (fig1, *grids8, draw_landscape(data)):
+        assert initial_level(L, metropolis_seed(L)) == initial_level(L)
     climbs = {
         (x, y): max(0, fig1.units(y) - fig1.units(x))
         for x in sorted(fig1.states)
         for y in fig1.neighbors(x)
     }
-    assert initial_level(fig1, metropolis_seed(fig1)) == initial_level(fig1)
     made = []
     original = Energy.__init__
 
@@ -810,8 +824,9 @@ def test_one_climb_in_units(fig1, monkeypatch):
         made.append(args)
         original(self, *args, **kwargs)
 
-    monkeypatch.setattr(Energy, "__init__", counting)
-    level = initial_level(fig1)
-    assert level.cost_units[frozenset("a")][frozenset("b")] == climbs[("a", "b")]
-    transition_matrix(fig1, 2.0)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(Energy, "__init__", counting)
+        level = initial_level(fig1)
+        assert level.cost_units[frozenset("a")][frozenset("b")] == climbs[("a", "b")]
+        transition_matrix(fig1, 2.0)
     assert made == []

@@ -91,6 +91,20 @@ def _assert_matches_reference_tree(L):
         assert (None if node.parent is None else index[node.parent]) == ref.parent
         assert [index[child] for child in node.children] == ref.children
     assert index[tree.root] == len(expected) - 1
+    # the export renders the leaves straight from the template and only the
+    # formed nodes from sorted slices and merged grounds; the reference
+    # builds every node's sets by name
+    want = [
+        {
+            "members": sorted(ref.members),
+            "gamma": str(from_units(ref.floor - ref.low, L.scale)),
+            "gamma_tilde": str(Energy(ref.high - ref.low, L.scale)),
+            "ground": sorted(ref.ground),
+            "parent_index": ref.parent,
+        }
+        for ref in expected
+    ]
+    assert tree_to_dict(tree)["nodes"] == want
 
 
 @settings(max_examples=150, deadline=None)
@@ -106,6 +120,7 @@ def test_sweep_matches_the_reference_tree(data):
         pytest.param(lambda: (DATA / "grid8-e2.json").read_text(encoding="utf-8"), id="grid8-e2"),
         pytest.param(lambda: (DATA / "grid8-e1000.json").read_text(encoding="utf-8"), id="grid8-e1000"),
         *(pytest.param(lambda s=s: grid_text(12, 2, s), id=f"grid12-e2-s{s}") for s in (1, 2, 3)),
+        pytest.param(lambda: '{"states": [{"id": "a", "energy": "3"}]}', id="one-state"),
     ],
 )
 def test_fixed_inputs_match_the_reference_tree(text):
