@@ -224,8 +224,8 @@ def _resolve(ids: list, size: int, node: list, parts: dict, tree: CycleTree):
 def _check_rounds(landscape: Landscape, records: RunRecords, tree: CycleTree) -> tuple:
     """Every round's conditions, on one live round state: slot -> row, lift,
     exit and class id.  Each change record is applied to it as
-    ``graphcycles._patch`` applies it to a level, but in place, on a copy
-    of round 0's rows, and with no member set; the checks then visit only
+    ``graphcycles._patch`` applies it to a level, but in place, on round
+    0's rows and exits, and with no member set; the checks then visit only
     the record's groups and the pairs its edits touched.  Each group joins
     at least two live slots, its host among them, as ``graphcycles._round``
     makes them.
@@ -239,6 +239,10 @@ def _check_rounds(landscape: Landscape, records: RunRecords, tree: CycleTree) ->
     singleton ``a``'s row at a checked big slot ``b``, and ``(a, b)`` for an
     edit on big slot ``a``'s row at a state ``b`` on its boundary.  A
     failing pair is read every round.
+
+    Consumes ``records.start``: its rows and exits become the live state
+    and are left at the last round's, so the run's levels can no longer be
+    replayed from ``records``.  ``verify_equivalence`` owns its run.
 
     Returns the conditions, each class id's node (None when the class is no
     path cycle) and the constituents of each class without a node."""
@@ -279,8 +283,7 @@ def _check_rounds(landscape: Landscape, records: RunRecords, tree: CycleTree) ->
             if not bad:
                 del failing[big]
 
-    rows = {slot: dict(row) for slot, row in records.start[0].items()}
-    exits = dict(records.start[1])
+    rows, exits = records.start
     lifts: dict = {}
     cls = list(range(n))  # slot -> the id of its class, for the live slots
     node = list(range(n))  # class id -> its tree node; leaf i is state i
@@ -359,7 +362,8 @@ def _check_rounds(landscape: Landscape, records: RunRecords, tree: CycleTree) ->
 
 def verify_equivalence(landscape: Landscape) -> EquivalenceReport:
     """Compare the two cycle families and their height functionals on one
-    landscape (Metropolis seed), from the run's records."""
+    landscape (Metropolis seed), from the records of a run it owns, whose
+    round 0 the checks consume."""
     tree = enumerate_path_cycles(landscape)
     records = run_decomposition(landscape).records
     conditions, node, parts = _check_rounds(landscape, records, tree)

@@ -3,6 +3,7 @@ import math
 import os
 import random
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -34,6 +35,38 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # the 11-state chain fixture: energies a..k = 2,5,1,2,2,2,4,3,0,1,5
 FIG1_ENERGIES = dict(zip("abcdefghijk", [2, 5, 1, 2, 2, 2, 4, 3, 0, 1, 5]))
 FIG1_EDGES = list(zip("abcdefghij", "bcdefghijk"))
+
+
+def _children() -> set:
+    """The ids of this process's child processes, zombies included: each
+    process whose parent field in ``/proc/<pid>/stat`` is this one.  Where
+    there is no ``/proc``, the live ``multiprocessing`` children."""
+    if not os.path.isdir("/proc"):
+        mp = sys.modules.get("multiprocessing")
+        return {p.pid for p in mp.active_children()} if mp else set()
+    me, found = os.getpid(), set()
+    for entry in os.scandir("/proc"):
+        if not entry.name.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry.name}/stat", "rb") as handle:
+                stat = handle.read()
+        except OSError:  # it exited since the scan
+            continue
+        # the name in parentheses may hold spaces; the parent id is the
+        # second field after it
+        if int(stat[stat.rindex(b")") + 2 :].split()[1]) == me:
+            found.add(int(entry.name))
+    return found
+
+
+@pytest.fixture(autouse=True)
+def no_leftover_children():
+    """Fail a test that leaves a child process behind it."""
+    before = _children()
+    yield
+    left = _children() - before
+    assert not left, f"child processes left running: {sorted(left)}"
 
 
 @pytest.fixture(scope="session")

@@ -545,6 +545,121 @@ def test_unwritable_failure_dir_is_usage_error(capsys, tmp_path, monkeypatch):
     assert err.count("\n") == 1
 
 
+# ``fuzz`` splits a campaign into up to one range per available CPU, each of
+# at least 64 landscapes; these pin the CPU count through the affinity mask
+ONE_CPU, FOUR_CPUS = {0}, {0, 1, 2, 3}
+
+
+def _use_cpus(monkeypatch, cpus):
+    import basincycles.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod.os, "sched_getaffinity", lambda pid: cpus)
+
+
+def _failing_report(landscape):
+    from basincycles.equivalence import EquivalenceReport
+
+    return EquivalenceReport(
+        set_equal=False,
+        graph_only=[frozenset(("s0",))],
+        path_only=[],
+        he_violations=[],
+        hm_violations=[],
+    )
+
+
+@pytest.mark.parametrize(
+    "seed, count, cpus",
+    [(3, 400, FOUR_CPUS), (17, 400, FOUR_CPUS), (2024, 400, FOUR_CPUS), (5, 203, {0, 1, 2})],
+)
+def test_fuzz_in_processes_matches_one_process(capsys, monkeypatch, seed, count, cpus):
+    import basincycles.cli as cli_mod
+    from basincycles.equivalence import verify_equivalence
+
+    checked = []  # this process's landscapes; a worker appends to its own copy
+
+    def counted(landscape):
+        checked.append(landscape)
+        return verify_equivalence(landscape)
+
+    monkeypatch.setattr(cli_mod, "verify_equivalence", counted)
+    runs = []
+    for mask in (ONE_CPU, cpus):
+        _use_cpus(monkeypatch, mask)
+        checked.clear()
+        code, out, err = run_cli(capsys, "fuzz", "--count", str(count), "--seed", str(seed))
+        runs.append((code, out, err, len(checked)))
+    (code, out, err, alone), (code_k, out_k, err_k, first) = runs
+    assert code == code_k == 0 and err == err_k == ""
+    assert out_k == out
+    # this process checked only the first of len(cpus) ranges
+    assert alone == count and first == count // len(cpus)
+
+
+def test_fuzz_failures_in_processes(capsys, tmp_path, monkeypatch):
+    import basincycles.cli as cli_mod
+
+    # the forked workers inherit the patched verifier
+    monkeypatch.setattr(cli_mod, "verify_equivalence", _failing_report)
+    runs = {}
+    for name, cpus in (("one", ONE_CPU), ("four", FOUR_CPUS)):
+        _use_cpus(monkeypatch, cpus)
+        target = tmp_path / name
+        target.mkdir()
+        argv = ["fuzz", "--count", "200", "--seed", "9", "--failure-dir", str(target)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3 and err == ""
+        doc = json.loads(out)
+        assert [f["index"] for f in doc["failures"]] == list(range(200))
+        for failure in doc["failures"]:
+            path = target / f"fuzz-failure-9-{failure['index']}.json"
+            assert path.read_text() == json.dumps(failure["landscape"], indent=2) + "\n"
+        assert len(list(target.iterdir())) == 200
+        runs[name] = out
+    assert runs["four"] == runs["one"]
+
+    missing = tmp_path / "missing"  # still split over four CPUs
+    code, out, err = run_cli(
+        capsys, "fuzz", "--count", "200", "--seed", "9", "--failure-dir", str(missing)
+    )
+    assert code == 1 and out == ""
+    first = missing / "fuzz-failure-9-0.json"
+    assert err.startswith(f"usage error: cannot write {str(first)!r}: ")
+    assert err.count("\n") == 1
+
+
+def test_fuzz_worker_error_is_the_one_process_error(capsys, tmp_path, monkeypatch):
+    import multiprocessing
+
+    import basincycles.cli as cli_mod
+    from basincycles.equivalence import random_landscape
+    from basincycles.errors import TooLarge
+
+    # landscape 150 lies in the last of three ranges, a worker's; every
+    # other one fails, so a failure file written before the error would show
+    drawn = []
+
+    def drawing(seed, **shape):
+        drawn.append(seed)
+        return random_landscape(seed=seed, **shape)
+
+    def verify(landscape):
+        if drawn[-1] == 9 * 1_000_003 + 150:
+            raise TooLarge("landscape 150 is over the guard")
+        return _failing_report(landscape)
+
+    monkeypatch.setattr(cli_mod, "random_landscape", drawing)
+    monkeypatch.setattr(cli_mod, "verify_equivalence", verify)
+    runs = []
+    for cpus in (ONE_CPU, FOUR_CPUS):
+        _use_cpus(monkeypatch, cpus)
+        argv = ["fuzz", "--count", "200", "--seed", "9", "--failure-dir", str(tmp_path)]
+        runs.append(run_cli(capsys, *argv))
+        assert multiprocessing.active_children() == []
+    assert runs[0] == runs[1] == (1, "", "TooLarge: landscape 150 is over the guard\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_byte_determinism(capsys):
     argv = [
         "simulate",

@@ -19,7 +19,6 @@ from basincycles import (
 from basincycles import equivalence
 from basincycles.equivalence import report_to_dict
 from basincycles.errors import TooLarge
-from basincycles.graphcycles import level_to_dict
 
 from conftest import (
     DATA,
@@ -289,14 +288,18 @@ def test_verify_reads_the_rounds_in_units(monkeypatch):
     # verify compares the int units each round stores on its slots, so it
     # builds none of the rounds' Energy views and no view keyed by class
     original = equivalence.run_decomposition
-    traces = []
+    traces, starts = [], []
 
     def capture(landscape, *args, **kwargs):
         traces.append(original(landscape, *args, **kwargs))
+        rows, exits = traces[-1].records.start
+        starts.append(({slot: dict(row) for slot, row in rows.items()}, dict(exits)))
         return traces[-1]
 
     monkeypatch.setattr(equivalence, "run_decomposition", capture)
     assert verify_equivalence(load_landscape((DATA / "grid8-e1000.json").read_text())).ok
+    # verify consumed round 0; put it back so that the levels replay
+    traces[0].records.start = starts[0]
     views = {"cost", "exit_height", "renormalized", "merge_height"}
     views |= {"classes", "cost_units", "exit_units", "merge_units"}
     for level in traces[0].levels:
@@ -346,19 +349,18 @@ def test_verify_replays_no_level(monkeypatch):
     assert calls == []
 
 
-def test_verify_leaves_the_records_as_they_were(monkeypatch):
-    # verify applies the edits to its own copy of round 0's rows, so the
-    # levels replayed from the same records after it read as before it
-    L = load_landscape((DATA / "grid8-e1000.json").read_text())
+@pytest.mark.parametrize("name", ["fig1.json", "grid8-e2.json", "grid8-e1000.json"])
+def test_verify_consumes_round_0_of_its_own_run(monkeypatch, name):
+    # verify owns its run: it applies the edits to round 0's rows and exits
+    # in place, with no copy, and leaves them at the last round's
+    L = load_landscape((DATA / name).read_text())
     trace = run_decomposition(L)
-
-    def replayed():
-        return [level_to_dict(level) for level in retrace(trace, lambda _: None).levels]
-
-    before = replayed()
+    rows, exits = trace.records.start
     monkeypatch.setattr(equivalence, "run_decomposition", lambda landscape: trace)
     assert verify_equivalence(L).ok
-    assert replayed() == before
+    assert trace.records.start[0] is rows and trace.records.start[1] is exits
+    last = run_decomposition(L).levels[-1]
+    assert (rows, exits) == (last.rows, last.exits)
 
 
 def test_verify_builds_no_tree_views(monkeypatch):

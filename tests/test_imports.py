@@ -1,5 +1,6 @@
 """What importing the package loads and exposes: numpy only with the
-kernel, and annotations that resolve without it."""
+kernel, multiprocessing only for a campaign split across processes, and
+annotations that resolve without numpy."""
 
 import functools
 import importlib
@@ -30,23 +31,25 @@ COMMANDS = [
 ]
 
 # run in a fresh process, since conftest has imported numpy into this one:
-# whether numpy is loaded after the imports and after each command
-_WHICH_LOAD_NUMPY = """
+# whether numpy and multiprocessing are loaded after the imports and after
+# each command
+_WHICH_LOAD = """
 import json, sys
 import basincycles
 from basincycles import cli
 commands, out = json.loads(sys.argv[1]), sys.argv[2]
-loaded = ["numpy" in sys.modules]
+modules = ("numpy", "multiprocessing")
+loaded = [[name in sys.modules for name in modules]]
 for argv in commands:
     assert cli.main(argv + ["--out", out]) == 0, argv
-    loaded.append("numpy" in sys.modules)
+    loaded.append([name in sys.modules for name in modules])
 print(json.dumps(loaded))
 """
 
 
 def test_only_simulate_loads_numpy(tmp_path):
     done = subprocess.run(
-        [sys.executable, "-c", _WHICH_LOAD_NUMPY, json.dumps(COMMANDS), str(tmp_path / "out")],
+        [sys.executable, "-c", _WHICH_LOAD, json.dumps(COMMANDS), str(tmp_path / "out")],
         capture_output=True,
         env=fresh_env(),
         text=True,
@@ -55,7 +58,8 @@ def test_only_simulate_loads_numpy(tmp_path):
     assert done.returncode == 0, done.stderr
     steps = ["import"] + [" ".join(argv[:1] + argv[2:]) for argv in COMMANDS]
     loaded = dict(zip(steps, json.loads(done.stdout)))
-    assert loaded == {step: step.startswith("simulate") for step in steps}
+    # a five-landscape campaign is one range, checked in this process
+    assert loaded == {step: [step.startswith("simulate"), False] for step in steps}
 
 
 MODULES = sorted(module.name for module in pkgutil.iter_modules(basincycles.__path__))
