@@ -22,11 +22,14 @@ document: the exact rounds and the sampler's floats keep their sums inside
 float range only below it.
 
 ``fuzz`` checks its campaign in up to one process per available CPU: this
-one and a forked pool, each over a contiguous range of at least 64
-landscape indices.  Its stdout and failure files are byte-identical to a
+one and forked children, each over a contiguous range of at least 64
+landscape indices, each child reporting its records or its exception over
+its own pipe.  Its stdout and failure files are byte-identical to a
 one-process run, and the failure files are written after the campaign, in
-index order.  No worker outlives the command.  Only a campaign split this
-way loads ``multiprocessing``.
+index order.  A worker's exception is re-raised here as it is; a worker
+that dies without a whole result, killed by a signal say, is one stderr
+line and exit 1.  No worker outlives the command.  No command loads
+``multiprocessing``, and only a campaign split this way loads ``pickle``.
 
 No command but ``simulate`` loads numpy: the cycle commands are exact
 integer work, and numpy is imported only where the kernel is built and
@@ -48,6 +51,7 @@ from .equivalence import random_landscape, report_to_dict, verify_equivalence
 from .errors import (
     BasincyclesError,
     ValidationError,
+    WorkerFailed,
 )
 from .graphcycles import run_decomposition, trace_document
 from .landscape import Landscape, landscape_to_dict, load_landscape, write_json
@@ -207,32 +211,93 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _fuzz_worker(shape: tuple, start: int, stop: int, read: int, write: int):
+    """The body of a forked worker over the pipe ``read``/``write``: pickle
+    ``(True, records)`` of ``_fuzz_range(shape, start, stop)``, or ``(False,
+    exception)``, into ``write``.  An exception that cannot make the round
+    trip through pickle is sent as a ``WorkerFailed`` with its type name and
+    message.  The worker leaves only through ``os._exit``, so it never
+    returns into the caller's frames, runs no ``atexit`` handler and flushes
+    no stdio buffer inherited from the parent; it exits 0 only once the
+    whole result is written."""
+    code = 1
+    try:
+        import pickle
+
+        os.close(read)
+        try:
+            data = pickle.dumps((True, _fuzz_range(shape, start, stop)))
+        except Exception as exc:
+            try:
+                data = pickle.dumps((False, exc))
+                pickle.loads(data)
+            except Exception:
+                where = f"the worker for landscapes {start} to {stop - 1}"
+                stand_in = WorkerFailed(f"{where} raised {type(exc).__name__}: {exc}")
+                data = pickle.dumps((False, stand_in))
+        with open(write, "wb") as pipe:
+            pipe.write(data)
+        code = 0
+    finally:
+        os._exit(code)
+
+
 def _fuzz_campaign(shape: tuple, count: int) -> list:
     """``_fuzz_range`` over the whole campaign, split into up to one
     contiguous range per available CPU, each of at least
     ``_FUZZ_PER_PROCESS`` landscapes.  This process checks the first range
-    and a forked pool the others; the records are joined in range order,
-    which is index order, so the result is the one-process result.  The
-    campaign stays in this process when there is one range, when fork is
-    not available, or when another thread is alive, which a fork could
-    deadlock.  Leaving the pool's block terminates and joins its workers,
-    whether the ranges finished or one of them raised."""
+    and one forked ``_fuzz_worker`` each of the others; their pipes are read
+    and the workers reaped in range order, which is index order, so the
+    records and the first exception are the one-process ones.  A worker
+    that exits without a whole result is a ``WorkerFailed`` naming its
+    range and how it ended.  Whatever raises here, every worker not yet
+    reaped is killed and reaped, and every pipe closed.  The campaign stays
+    in this process when there is one range, when there is no ``os.fork``,
+    or when another thread is alive, which a fork could deadlock."""
     k = min(_cpus(), count // _FUZZ_PER_PROCESS)
-    if k > 1 and threading.active_count() == 1:
-        import multiprocessing
+    if k <= 1 or threading.active_count() > 1 or not hasattr(os, "fork"):
+        return _fuzz_range(shape, 0, count)
+    import pickle
+    import signal
 
-        if "fork" in multiprocessing.get_all_start_methods():
-            bounds = [count * j // k for j in range(k + 1)]
-            with multiprocessing.get_context("fork").Pool(k - 1) as pool:
-                rest = [
-                    pool.apply_async(_fuzz_range, (shape, start, stop))
-                    for start, stop in zip(bounds[1:-1], bounds[2:])
-                ]
-                failures = _fuzz_range(shape, 0, bounds[1])
-                for result in rest:
-                    failures += result.get()
-            return failures
-    return _fuzz_range(shape, 0, count)
+    bounds = [count * j // k for j in range(k + 1)]
+    ranges = list(zip(bounds[1:-1], bounds[2:]))
+    pids, reads = [], []  # a reaped worker's pid is None
+    try:
+        for start, stop in ranges:
+            read, write = os.pipe()
+            reads.append(read)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _fuzz_worker(shape, start, stop, read, write)
+            finally:
+                os.close(write)
+            pids.append(pid)
+        failures = _fuzz_range(shape, 0, bounds[1])
+        for j, (start, stop) in enumerate(ranges):
+            with open(reads[j], "rb", closefd=False) as pipe:
+                data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pids[j], 0)[1])
+            pids[j] = None
+            if code:
+                how = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
+                raise WorkerFailed(
+                    f"the worker for landscapes {start} to {stop - 1} "
+                    f"ended without a result ({how})"
+                )
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            failures += value
+        return failures
+    finally:
+        for pid in pids:
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        for read in reads:
+            os.close(read)
 
 
 def _cmd_fuzz(args) -> int:

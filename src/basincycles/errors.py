@@ -71,3 +71,8 @@ class InvalidSpec(BasincyclesError):
 
 class StateOutsideCycle(BasincyclesError):
     """A simulation start or visit state lies outside the given cycle."""
+
+
+class WorkerFailed(BasincyclesError):
+    """A forked ``fuzz`` worker sent back no result or no exception that
+    could cross the pipe: it was killed, or what it raised cannot be pickled."""

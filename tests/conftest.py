@@ -1,9 +1,9 @@
+import glob
 import json
 import math
 import os
 import random
 import re
-import sys
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -38,25 +38,25 @@ FIG1_EDGES = list(zip("abcdefghij", "bcdefghijk"))
 
 
 def _children() -> set:
-    """The ids of this process's child processes, zombies included: each
-    process whose parent field in ``/proc/<pid>/stat`` is this one.  Where
-    there is no ``/proc``, the live ``multiprocessing`` children."""
-    if not os.path.isdir("/proc"):
-        mp = sys.modules.get("multiprocessing")
-        return {p.pid for p in mp.active_children()} if mp else set()
-    me, found = os.getpid(), set()
-    for entry in os.scandir("/proc"):
-        if not entry.name.isdigit():
-            continue
+    """The ids of this process's child processes, zombies included, read
+    from ``/proc/self/task/*/children``, which lists each of its threads'
+    children.  Where the kernel has no such file, a presence probe through
+    ``os.waitpid(-1, os.WNOHANG)``: the id of an exited child, which the
+    probe reaps, ``{0}`` while only running children are left, and nothing
+    when there is no child."""
+    tasks = glob.glob("/proc/self/task/*/children")
+    if not tasks:
         try:
-            with open(f"/proc/{entry.name}/stat", "rb") as handle:
-                stat = handle.read()
-        except OSError:  # it exited since the scan
+            return {os.waitpid(-1, os.WNOHANG)[0]}
+        except ChildProcessError:
+            return set()
+    found = set()
+    for path in tasks:
+        try:
+            with open(path, "rb") as handle:
+                found.update(map(int, handle.read().split()))
+        except OSError:  # the thread exited since the glob
             continue
-        # the name in parentheses may hold spaces; the parent id is the
-        # second field after it
-        if int(stat[stat.rindex(b")") + 2 :].split()[1]) == me:
-            found.add(int(entry.name))
     return found
 
 

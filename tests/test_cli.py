@@ -4,6 +4,7 @@ import errno
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 
@@ -628,15 +629,16 @@ def test_fuzz_failures_in_processes(capsys, tmp_path, monkeypatch):
     assert err.count("\n") == 1
 
 
-def test_fuzz_worker_error_is_the_one_process_error(capsys, tmp_path, monkeypatch):
-    import multiprocessing
-
+# landscape 10 lies in this process's range and raises while the workers
+# run; landscape 150 lies in the last of three ranges, a worker's
+@pytest.mark.parametrize("index", [10, 150])
+def test_fuzz_worker_error_is_the_one_process_error(capsys, tmp_path, monkeypatch, index):
     import basincycles.cli as cli_mod
     from basincycles.equivalence import random_landscape
     from basincycles.errors import TooLarge
 
-    # landscape 150 lies in the last of three ranges, a worker's; every
-    # other one fails, so a failure file written before the error would show
+    # every other landscape fails, so a failure file written before the
+    # error would show; the autouse fixture checks that no child is left
     drawn = []
 
     def drawing(seed, **shape):
@@ -644,8 +646,8 @@ def test_fuzz_worker_error_is_the_one_process_error(capsys, tmp_path, monkeypatc
         return random_landscape(seed=seed, **shape)
 
     def verify(landscape):
-        if drawn[-1] == 9 * 1_000_003 + 150:
-            raise TooLarge("landscape 150 is over the guard")
+        if drawn[-1] == 9 * 1_000_003 + index:
+            raise TooLarge(f"landscape {index} is over the guard")
         return _failing_report(landscape)
 
     monkeypatch.setattr(cli_mod, "random_landscape", drawing)
@@ -655,9 +657,126 @@ def test_fuzz_worker_error_is_the_one_process_error(capsys, tmp_path, monkeypatc
         _use_cpus(monkeypatch, cpus)
         argv = ["fuzz", "--count", "200", "--seed", "9", "--failure-dir", str(tmp_path)]
         runs.append(run_cli(capsys, *argv))
-        assert multiprocessing.active_children() == []
-    assert runs[0] == runs[1] == (1, "", "TooLarge: landscape 150 is over the guard\n")
+    assert runs[0] == runs[1] == (1, "", f"TooLarge: landscape {index} is over the guard\n")
     assert list(tmp_path.iterdir()) == []
+
+
+def _fresh(script, *args):
+    """Run ``script`` in a fresh interpreter in its own session, so that a
+    hang is a failure and not a stalled suite: the whole process group is
+    killed when it overruns.  Returns the exit code, stdout and stderr."""
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script, *args],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=fresh_env(),
+        text=True,
+        start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail(f"{args} still running after 60 s")
+    return proc.returncode, out, err
+
+
+# a split campaign of 200 landscapes over four CPUs whose worker for
+# landscapes 133 to 199 dies at landscape 150: SIGKILLed, raising an
+# exception that holds a lambda and so cannot be pickled, or raising one
+# that pickles but cannot be rebuilt from its arguments; or, to interrupt,
+# this process is interrupted at landscape 10 while that worker sleeps
+_DYING_WORKER = """
+import os, signal, sys, time
+from basincycles import cli
+from basincycles.equivalence import random_landscape, verify_equivalence
+
+how = sys.argv[1]
+cli.os.sched_getaffinity = lambda pid: {0, 1, 2, 3}
+drawn = []
+
+def drawing(seed, **shape):
+    drawn.append(seed)
+    return random_landscape(seed=seed, **shape)
+
+class Held(Exception):
+    def __init__(self):
+        super().__init__("holds a lambda")
+        self.hook = lambda: None
+
+class Pair(Exception):
+    def __init__(self, first, second):
+        super().__init__(f"{first} {second}")
+
+def verify(landscape):
+    if how == "interrupt" and drawn[-1] == 9 * 1_000_003 + 10:
+        raise KeyboardInterrupt
+    if drawn[-1] == 9 * 1_000_003 + 150:
+        if how == "interrupt":
+            time.sleep(600)
+        if how == "kill":
+            os.kill(os.getpid(), signal.SIGKILL)
+        raise Held() if how == "unpicklable" else Pair("takes", "two")
+    return verify_equivalence(landscape)
+
+cli.random_landscape, cli.verify_equivalence = drawing, verify
+try:
+    code = cli.main(["fuzz", "--count", "200", "--seed", "9"])
+except KeyboardInterrupt:
+    code = 130
+try:
+    os.waitpid(-1, os.WNOHANG)
+    print("a child is left")
+except ChildProcessError:
+    pass
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize(
+    "how, line",
+    [
+        ("kill", "ended without a result (killed by signal 9)"),
+        ("unpicklable", "raised Held: holds a lambda"),
+        ("unloadable", "raised Pair: takes two"),
+    ],
+)
+def test_fuzz_dead_worker_is_one_error_line(how, line):
+    code, out, err = _fresh(_DYING_WORKER, how)
+    assert (code, out) == (1, "")
+    assert err == f"WorkerFailed: the worker for landscapes 133 to 199 {line}\n"
+
+
+def test_fuzz_interrupt_kills_the_workers():
+    # the sleeping worker is killed and reaped, not waited for
+    assert _fresh(_DYING_WORKER, "interrupt") == (130, "", "")
+
+
+# bytes buffered on stdout and an atexit handler, both before the fork
+_FORK_HYGIENE = """
+import atexit, sys
+from basincycles import cli
+
+cli.os.sched_getaffinity = lambda pid: {0, 1, 2, 3}
+
+def note():
+    with open(sys.argv[1], "a") as handle:
+        handle.write("exit\\n")
+
+atexit.register(note)
+sys.stdout.write("#")
+sys.exit(cli.main(["fuzz", "--count", "256", "--seed", "5"]))
+"""
+
+
+def test_fuzz_workers_flush_nothing_and_run_no_atexit(tmp_path):
+    notes = tmp_path / "notes"
+    code, out, err = _fresh(_FORK_HYGIENE, str(notes))
+    assert (code, err) == (0, "")
+    assert out[0] == "#" and "#" not in out[1:]
+    assert json.loads(out[1:])["count"] == 256
+    assert notes.read_text() == "exit\n"
 
 
 def test_byte_determinism(capsys):

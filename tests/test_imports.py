@@ -1,6 +1,6 @@
 """What importing the package loads and exposes: numpy only with the
-kernel, multiprocessing only for a campaign split across processes, and
-annotations that resolve without numpy."""
+kernel, pickle only for a campaign split across processes, multiprocessing
+never, and annotations that resolve without numpy."""
 
 import functools
 import importlib
@@ -27,18 +27,20 @@ COMMANDS = [
     ["graph-cycles", FIG1, "--iterations"],
     ["verify", FIG1],
     ["fuzz", "--count", "5", "--seed", "1"],
+    ["fuzz", "--count", "256", "--seed", "1"],
     ["simulate", FIG1, "--cycle", "i,j", "--betas", "2", "--replicas", "10", "--seed", "1"],
 ]
 
 # run in a fresh process, since conftest has imported numpy into this one:
-# whether numpy and multiprocessing are loaded after the imports and after
-# each command
+# whether numpy, multiprocessing and pickle are loaded after the imports and
+# after each command, with four CPUs in the affinity mask
 _WHICH_LOAD = """
 import json, sys
 import basincycles
 from basincycles import cli
+cli.os.sched_getaffinity = lambda pid: {0, 1, 2, 3}
 commands, out = json.loads(sys.argv[1]), sys.argv[2]
-modules = ("numpy", "multiprocessing")
+modules = ("numpy", "multiprocessing", "pickle")
 loaded = [[name in sys.modules for name in modules]]
 for argv in commands:
     assert cli.main(argv + ["--out", out]) == 0, argv
@@ -58,8 +60,13 @@ def test_only_simulate_loads_numpy(tmp_path):
     assert done.returncode == 0, done.stderr
     steps = ["import"] + [" ".join(argv[:1] + argv[2:]) for argv in COMMANDS]
     loaded = dict(zip(steps, json.loads(done.stdout)))
-    # a five-landscape campaign is one range, checked in this process
-    assert loaded == {step: [step.startswith("simulate"), False] for step in steps}
+    # a five-landscape campaign is one range, checked in this process; one
+    # of 256 is split into four ranges, three of them in forked workers,
+    # which loads pickle for the rest of the process
+    split = steps.index("fuzz 256 --seed 1")
+    assert loaded == {
+        step: [step.startswith("simulate"), False, j >= split] for j, step in enumerate(steps)
+    }
 
 
 MODULES = sorted(module.name for module in pkgutil.iter_modules(basincycles.__path__))
