@@ -42,6 +42,18 @@ CASES = [
     (("graph-cycles",), "graph-cycles.json"),
     (("graph-cycles", "--iterations"), "graph-cycles-iterations.json"),
     (("verify",), "verify.json"),
+    # every start of a four-state cycle, visit rows start-major after the
+    # beta-major exit rows, in JSON and in the TSV layout
+    (
+        ("simulate", "--cycle", "c,d,e,f", "--betas", "1,2", "--replicas", "300",
+         "--seed", "5", "--visit", "c"),
+        "simulate-cdef.json",
+    ),
+    (
+        ("simulate", "--cycle", "c,d,e,f", "--betas", "1,2", "--replicas", "300",
+         "--seed", "5", "--visit", "c", "--tsv"),
+        "simulate-cdef.tsv",
+    ),
     # pins the sampler's draw stream: a change to it shows up as a diff
     (
         ("simulate", "--cycle", "i,j", "--betas", "2,3", "--replicas", "200",
