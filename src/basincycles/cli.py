@@ -56,12 +56,13 @@ from .errors import (
 from .graphcycles import run_decomposition, trace_document
 from .landscape import Landscape, landscape_to_dict, load_landscape, write_json
 from .pathcycles import enumerate_path_cycles, tree_document, tree_to_dot
+from .simulate import check_laws
 
-# the commands write ``tree_document`` and ``trace_document``; the plain-list
-# exports stay importable here, where perfbench/layers.py wraps them by name
+# perfbench/layers.py wraps these by name; the commands call ``tree_document``,
+# ``trace_document`` and ``check_laws`` instead
 from .graphcycles import trace_to_dict  # noqa: F401
 from .pathcycles import tree_to_dict  # noqa: F401
-from .simulate import check_exit_window, check_visit_before_exit, sharing_kernels
+from .simulate import check_exit_window, check_visit_before_exit  # noqa: F401
 
 _HEADER = f"basincycles {__version__}"
 
@@ -333,33 +334,17 @@ def _cmd_simulate(args) -> int:
     betas = _parse_betas(args.betas)
     try:
         cycle = landscape.subset(members)
-        starts = [args.start] if args.start else None
-        with sharing_kernels():
-            exit_rows = check_exit_window(
-                landscape,
-                cycle,
-                betas,
-                args.epsilon,
-                args.replicas,
-                args.seed,
-                starts=starts,
-                max_steps=args.max_steps,
-            )
-            visit_rows = []
-            if args.visit:
-                for start in starts or sorted(cycle):
-                    visit_rows.extend(
-                        check_visit_before_exit(
-                            landscape,
-                            cycle,
-                            start,
-                            args.visit,
-                            betas,
-                            args.epsilon,
-                            args.replicas,
-                            args.seed,
-                        )
-                    )
+        exit_rows, visit_rows = check_laws(
+            landscape,
+            cycle,
+            betas,
+            args.epsilon,
+            args.replicas,
+            args.seed,
+            starts=[args.start] if args.start else None,
+            visit=args.visit or None,
+            max_steps=args.max_steps,
+        )
     except BasincyclesError as exc:
         raise UsageError(f"{type(exc).__name__}: {exc}") from exc
 

@@ -572,9 +572,8 @@ class TransitionMatrix:
 
     ``_laws`` holds the sampler's first-hit laws on this kernel, one per
     transient set, with their dyadic powers (``simulate._law``).  They are
-    built on first use and freed with the kernel, so every sampler call on
-    one kernel, within one command under ``simulate.sharing_kernels``,
-    reads the same law.
+    built on first use, shared by every sampler call on the kernel, and
+    freed with it.
     """
 
     __slots__ = ("states", "_index", "_off", "_tables", "_laws")

@@ -1,6 +1,7 @@
 """What importing the package loads and exposes: numpy only with the
 kernel, pickle only for a campaign split across processes, multiprocessing
-never, and annotations that resolve without numpy."""
+never, annotations that resolve without numpy, and every name that the
+benchmark's tracer wraps."""
 
 import functools
 import importlib
@@ -13,7 +14,7 @@ import typing
 
 import basincycles
 
-from conftest import FIG1_PATH, fresh_env
+from conftest import FIG1_PATH, SRC, fresh_env
 
 FIG1 = str(FIG1_PATH)
 
@@ -100,3 +101,14 @@ def test_every_annotation_resolves():
     assert basincycles.TransitionMatrix.jumps in functions
     for function in functions:
         typing.get_type_hints(function)
+
+
+def test_every_perfbench_target_resolves(monkeypatch):
+    # perfbench/layers.py looks each target up by name on every traced pass,
+    # so a deleted or renamed one fails the benchmark, whose own tests do not
+    # run with this suite
+    monkeypatch.syspath_prepend(str(SRC.parent))
+    layers = importlib.import_module("perfbench.layers")
+    assert len(layers.TARGETS) >= 16
+    for module, name, _ in layers.TARGETS:
+        assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"

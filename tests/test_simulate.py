@@ -1,9 +1,9 @@
 """Monte Carlo sampler: stream contract, diagnostics, law checks."""
 
 import math
-import random
 import time
 import tracemalloc
+import weakref
 from functools import partial
 
 import numpy as np
@@ -44,7 +44,6 @@ from conftest import (
     dense_kernel,
     draw_landscape,
     ks_two_sample,
-    make_fig1_shuffled,
     reference_first_hit,
     reference_tree,
 )
@@ -372,6 +371,35 @@ def test_whole_space_cycle_is_rejected_before_any_kernel(fig1, monkeypatch, caps
     assert built == []
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--visit", "k"], "StateOutsideCycle: visit state 'k' is outside the cycle"),
+        (["--start", "a"], "StateOutsideCycle: start 'a' is outside the cycle"),
+        (["--replicas", "0"], "InvalidSpec: replicas must be at least 1"),
+        (["--max-steps", "0"], "InvalidSpec: max_steps must lie in [1, 2**63 - 1], got 0"),
+    ],
+    ids=["visit", "start", "replicas", "max-steps"],
+)
+def test_simulate_arguments_are_rejected_before_any_kernel(monkeypatch, capsys, extra, message):
+    # every argument is checked before the first beta's kernel is built, so
+    # a bad --visit is not reported only after every exit row was sampled
+    built = []
+
+    def counting(landscape, beta):
+        built.append(beta)
+        return transition_matrix(landscape, beta)
+
+    monkeypatch.setattr(simulate, "transition_matrix", counting)
+    argv = ["simulate", str(FIG1_PATH), "--cycle", "i,j", "--betas", "2,3", "--replicas", "20",
+            "--seed", "7", *extra]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: {message}\n"
+    assert built == []
+
+
 def test_simulate_command_builds_one_kernel_per_beta(monkeypatch, capsys):
     # the exit window and the visit check, for every start, share the kernels
     built = []
@@ -390,24 +418,10 @@ def test_simulate_command_builds_one_kernel_per_beta(monkeypatch, capsys):
     capsys.readouterr()
 
 
-def test_shared_kernels_are_keyed_by_landscape_identity(fig1):
-    # an equal landscape in another state order is another key, whose
-    # kernel is built on the same numbering
-    shuffled = make_fig1_shuffled(random.Random(3))
-    assert shuffled == fig1 and shuffled.states != fig1.states
-    with simulate.sharing_kernels():
-        kernel = simulate._kernel(fig1, 2.0)
-        assert simulate._kernel(fig1, 2.0) is kernel
-        other = simulate._kernel(shuffled, 2.0)
-        assert other is not kernel and other.states == fig1.numbering()[0]
-        assert simulate._kernel(fig1, 3.0) is not kernel
-    assert simulate._kernel(fig1, 2.0) is not kernel
-
-
 def test_simulate_command_builds_two_laws_per_beta(monkeypatch, capsys):
-    # the exit window from i and the visit check's second phase, from j,
-    # both run on T = {i, j} absorbed at {h, k} and share one law; the first
-    # phase, from i absorbed at {h, j, k}, runs on T = {i}
+    # at each beta, the exit window from i and the visit check's second
+    # phase, from j, both run on T = {i, j} absorbed at {h, k} and share one
+    # law; the first phase, from i absorbed at {h, j, k}, runs on T = {i}
     built = []
 
     class Counting(simulate._Law):
@@ -421,22 +435,24 @@ def test_simulate_command_builds_two_laws_per_beta(monkeypatch, capsys):
         argv = ["simulate", str(FIG1_PATH), "--cycle", "i,j", "--betas", "2,3",
                 "--replicas", "20", "--seed", "7", "--visit", "j", *start]
         assert main(argv) == 0
-        assert built == [("i", "j"), ("i", "j"), ("i",), ("i",)]
+        assert built == [("i", "j"), ("i",), ("i", "j"), ("i",)]
     capsys.readouterr()
 
 
 def test_shared_laws_give_the_rows_of_fresh_kernels(fig1):
-    def rows():
-        exits = check_exit_window(fig1, {"i", "j"}, [2.0, 3.0], 1.0, 200, 7)
-        visits = [
-            check_visit_before_exit(fig1, {"i", "j"}, start, "j", [2.0, 3.0], 1.0, 200, 7)
-            for start in "ij"
+    # the combined call shares each beta's kernel and laws among its rows;
+    # the single checks build their own, and every row is the same
+    for starts in (None, ["j"]):
+        exits, visits = simulate.check_laws(
+            fig1, {"i", "j"}, [3.0, 2.0], 1.0, 200, 7, starts=starts, visit="j"
+        )
+        assert exits == check_exit_window(fig1, {"i", "j"}, [3.0, 2.0], 1.0, 200, 7, starts)
+        assert visits == [
+            row
+            for start in starts or "ij"
+            for row in check_visit_before_exit(fig1, {"i", "j"}, start, "j", [2.0, 3.0], 1.0, 200, 7)
         ]
-        return exits, visits
-
-    with simulate.sharing_kernels():
-        shared = rows()
-    assert shared == rows()
+    assert simulate.check_laws(fig1, {"i", "j"}, [2.0], 1.0, 20, 7)[1] == []
 
 
 def test_degenerate_window_reduces_to_upper_bound(fig1):
@@ -657,39 +673,39 @@ def test_dense_path_memory_at_the_byte_budget():
     assert 228**2 * 20 * 8 <= peak <= _DENSE_BYTES + 4 * rows
 
 
-def test_kept_laws_memory_at_the_byte_budget():
-    # at two betas in one block, the exit window from s0 and the visit check
-    # through s100 keep two laws per kernel: T = s0..s227, which the exit
-    # window and the second visit phase share (8.3 MB of powers), and
-    # T = s0..s99.  Each law fits the byte budget, so the block holds at
-    # most laws x _DENSE_BYTES besides the descent's rows, and closing the
-    # block frees them with the kernels.
+def test_law_checks_hold_one_betas_laws_at_a_time(monkeypatch):
+    # on s1..s228, the exit window from s1 runs on T = s1..s228, whose 20
+    # powers at 10^6 steps take 8.3 MB, and the visit check through s100
+    # adds T = s1..s99.  Two betas' laws would hold at least twice the
+    # first; the loop frees each beta's laws before the next, and keeps none
+    bound = 2 * 228**2 * 20 * 8
+    laws = []
+
+    class Tracked(simulate._Law):
+        def __init__(self, kernel, transient):
+            super().__init__(kernel, transient)
+            laws.append(weakref.ref(self))
+
+    monkeypatch.setattr(simulate, "_Law", Tracked)
     landscape = _tilted_chain(229)
     landscape.numbering()
-    sizes, powers = [], 0
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        with simulate.sharing_kernels():
-            for beta in (1.0, 2.0):
-                kernel = simulate._kernel(landscape, beta)
-                for visit in (None, "s100"):
-                    args = (*_chain_args(kernel, "s0", {"s228"}, visit), 10**6)
-                    assert not _run_chains(kernel, *args, 9, 200)[1].any()
-                for law in kernel._laws.values():
-                    sizes.append(len(law.pos))
-                    powers += sum(M.nbytes for M in law.powers)
-            del kernel, law
-            peak = tracemalloc.get_traced_memory()[1]
-        after = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert sorted(sizes) == [100, 100, 228, 228]
-    assert powers == 2 * (228**2 + 100**2) * 20 * 8
-    rows = 200 * 228 * 8
-    assert powers <= peak <= len(sizes) * _DENSE_BYTES + 4 * rows
-    # what stays is less than the smallest law's powers
-    assert after - before < 100**2 * 20 * 8
+    cycle = [f"s{i}" for i in range(1, 229)]
+    for visit in (None, "s100"):
+        laws.clear()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            exits, visits = simulate.check_laws(
+                landscape, cycle, [0.02, 0.03, 0.04], 1.0, 200, 9,
+                starts=["s1"], visit=visit, max_steps=10**6,
+            )
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(exits) == 3 and len(visits) == (3 if visit else 0)
+        assert len(laws) == (6 if visit else 3)
+        assert 228**2 * 20 * 8 <= peak < bound
+        assert all(law() is None for law in laws)
 
 
 BUDGETS = [0, 1, 2**5 - 1, 2**5, 2**12 - 1, 2**12, 2**63 - 1]
