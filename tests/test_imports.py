@@ -109,6 +109,6 @@ def test_every_perfbench_target_resolves(monkeypatch):
     # run with this suite
     monkeypatch.syspath_prepend(str(SRC.parent))
     layers = importlib.import_module("perfbench.layers")
-    assert len(layers.TARGETS) >= 16
+    assert layers.TARGETS
     for module, name, _ in layers.TARGETS:
         assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"

@@ -676,8 +676,10 @@ def test_dense_path_memory_at_the_byte_budget():
 def test_law_checks_hold_one_betas_laws_at_a_time(monkeypatch):
     # on s1..s228, the exit window from s1 runs on T = s1..s228, whose 20
     # powers at 10^6 steps take 8.3 MB, and the visit check through s100
-    # adds T = s1..s99.  Two betas' laws would hold at least twice the
-    # first; the loop frees each beta's laws before the next, and keeps none
+    # adds T = s1..s99; betas this small keep the visit budget under 10^6
+    # steps, so every set inverts.  Two betas' laws would hold at least
+    # twice the first; the loop frees each beta's laws before the next, and
+    # keeps none after the call
     bound = 2 * 228**2 * 20 * 8
     laws = []
 
