@@ -485,7 +485,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--start", help="start state (default: every cycle member)")
     p.add_argument("--visit", help="also check visits to this state before exit")
-    p.add_argument("--max-steps", type=int, help="override the censoring threshold")
+    p.add_argument(
+        "--max-steps",
+        type=int,
+        help="override the censoring threshold; also caps the visit check's budget, "
+        "exp(beta*(resistance+epsilon)) steps",
+    )
     p.add_argument("--tsv", action="store_true", help="plot-ready tab-separated output")
     add_common(p)
     p.set_defaults(func=_cmd_simulate)

@@ -296,6 +296,12 @@ def _check_rounds(landscape: Landscape, records: RunRecords, tree: CycleTree) ->
     orphans = 0  # live classes with no node
     conditions = [ConditionRecord(0, True, True, not wrong, True)]
     for index, (groups, edits) in enumerate(records.rounds, 1):
+        for slot, dst, value in edits:  # before the absorbed rows go, as in ``_patch``
+            if value is None:
+                rows[slot].pop(dst, None)
+            else:
+                rows[slot][dst] = value
+
         formed = []  # (host, node, merge height)
         for host, slots, lift, exit_height, height in groups:
             ids = []
@@ -327,12 +333,6 @@ def _check_rounds(landscape: Landscape, records: RunRecords, tree: CycleTree) ->
             formed.append((host, v, height))
 
         moved = edits if checked else ()  # an edit can move only a pair read before
-        for slot, dst, value in edits:
-            if value is None:
-                rows[slot].pop(dst, None)
-            else:
-                rows[slot][dst] = value
-
         full = set()  # the big slots whose every pair is read this round
         for host, v, _ in formed:
             if v is not None and v >= n:

@@ -5,10 +5,12 @@ Starting from the partition into singletons with the Metropolis seed cost
 
 1. takes each class's exit height, its cheapest outgoing cost; a step that
    costs exactly that has zero renormalized cost,
-2. groups classes that reach each other through zero-renormalized-cost paths
-   (strongly connected components of the zero-cost digraph),
-3. merges exactly the groups with no zero-cost escape into another group
-   (the minimal groups); every other class lives on as it was,
+2. finds the minimal groups: the sets of classes that reach each other
+   through zero-renormalized-cost paths and have no zero-cost step out of
+   the set (the closed, or sink, strongly connected components of the
+   zero-cost digraph),
+3. merges each minimal group into one class; every other class lives on
+   as it was,
 4. gives each new class its merge height (the largest exit height among its
    constituents) and its cost row: towards each other class, the cheapest
    constituent cost lifted by the merge height minus that constituent's
@@ -22,9 +24,12 @@ subcycles are the classes that round merged, so the hierarchy is never
 rebuilt by comparing classes pairwise.
 
 A round does only the work the previous round's merges made.  Its search
-(step 2) is one Tarjan pass started from the classes the previous round
-formed, every singleton in round 0, since every minimal group contains one
-(``run_decomposition`` proves it).  The rounds name each live class by an
+(step 2) walks from the classes the previous round formed, every singleton
+in round 0, since every minimal group contains one (``run_decomposition``
+proves it).  Each walk stops at the first group it completes, which is
+minimal, or at the first class an earlier walk of the round settled, so the
+search builds no group that does not merge (``_round``).  Each group is
+folded as soon as it is found.  The rounds name each live class by an
 int *slot*.  A new class takes the slot of its constituent with the most
 row entries, the host, so the rows pointing into the host and the host's
 own row keep their slot.  The host's lift (merge height minus the host's
@@ -42,18 +47,20 @@ slot's row, lift, exit and class id.  Each round appends one change
 record: its merge groups (host plus constituents) with each host's new
 lift, exit and merge height, and its edits, each entry it set or dropped
 in a living row as ``(slot, destination, value or None)``, in the order it
-made them; a record holds no row object.  The hierarchy is int records,
-like the path tree's: leaf ``i`` is state ``i``, formed classes are ``n,
-n + 1, ...`` in formation order, and ``RunRecords`` keeps each class's
-size, smallest state id, children, and exit and merge heights.  The plain
-export renders each cycle's entry as JSON text straight from the records,
-its members from one depth-first leaf order (``pathcycles.leaf_layout``),
-so a run builds no class set, sort key or ``Energy`` height.  The
-singletons come first in class order, by id, and each fills the entry
-template straight from its name; only the formed classes' slices are
-sorted.  Round 0 and the search each run in one frame: each Metropolis row
-and its exit are built in one loop over the ids, and no state, edge or
-entry calls a Python function.
+made them.  A later group of the round can absorb an edited slot, so the
+edits apply before the absorbed slots go.  A record holds no row object.
+The hierarchy is int records, like the path tree's: leaf ``i`` is state
+``i``, formed classes are ``n, n + 1, ...`` in formation order, and
+``RunRecords`` keeps each class's size, smallest state id, children, and
+exit and merge heights.  The plain export renders each cycle's entry as
+JSON text straight from the records, its members from one depth-first
+leaf order (``pathcycles.leaf_layout``), so a run builds no class set,
+sort key or ``Energy`` height.  The singletons come first in class order,
+by id, and each fills the entry template straight from its name; only the
+formed classes' slices are sorted.  Round 0 runs in one frame, and so
+does each round's search and fold: each Metropolis row and its exit are
+built in one loop over the ids, and no state, edge or entry calls a
+Python function.
 
 ``equivalence.verify_equivalence`` reads the records alone: it applies
 each round's record to a live state of its own, editing its rows in place
@@ -64,9 +71,11 @@ kept.  ``levels`` starts from the round-0 state the run kept and patches
 each level with its round's record into the next, with no second search
 and no second fold; consecutive levels share every row object no edit
 touched.  Each class's member frozenset and sort key are built there,
-once, the key by merging its constituents'.  ``advance`` runs one round on
-a copy of a level's state, searched from every class, and applies the same
-patch.
+once, the key by merging its constituents'.  ``advance`` runs the same
+round on a copy of a level's state, searched from every class, and applies
+the same patch.  Only the views that print every zero-cost group, a merge
+step's ``blocks`` and ``advance``'s, search for every strongly connected
+component (``_zero_components``).
 
 The rounds compute on plain ints, like the rest of the package: every cost
 and height is a count of ``1/scale`` energy units, with ``math.inf`` as the
@@ -239,8 +248,9 @@ class MergeStep:
 
     ``level`` is the partition the round started from.  ``blocks``, every
     strongly connected group of its zero-cost digraph, is read only by the
-    ``--iterations`` export and the API, so it is searched for when first
-    read.
+    ``--iterations`` export and the API.  The round itself searches only for
+    the minimal groups (``_round``), so ``blocks`` is searched for with
+    ``_zero_components`` on ``level`` when first read.
     """
 
     level: PartitionLevel = field(repr=False)
@@ -297,10 +307,13 @@ def _zero_components(
     """Tarjan's strongly connected components of the zero-cost digraph over
     the slots reachable from ``starts``, each with whether a member has a
     zero-cost step out of it.  The set searched is closed under steps, so
-    these are components of the whole digraph.  The walk is its own, not
-    ``reach``, since it numbers the slots (see ``landscape``); it runs in
-    one frame, so visiting a slot calls no Python function.  A slot's zero
-    steps are the entries of its row at its exit height less its lift."""
+    these are components of the whole digraph.  Only the views that print
+    every component read them, ``MergeStep.blocks`` and ``advance``; a
+    round searches for the components with no step out alone (``_round``).
+    The walk is its own, not ``reach``, since it numbers the slots (see
+    ``landscape``); it runs in one frame, so visiting a slot calls no Python
+    function.  A slot's zero steps are the entries of its row at its exit
+    height less its lift."""
     number: dict = {}
     low: dict = {}
     steps: dict = {}
@@ -375,87 +388,133 @@ def _block_order(level: PartitionLevel, components: list) -> tuple[StateSet, ...
     return tuple(sorted(blocks, key=keys.__getitem__))
 
 
-def _round(rows: SlotRows, lifts: dict, exits: dict, starts: Iterable[int]):
+def _round(
+    rows: SlotRows, lifts: dict, exits: dict, starts: Iterable[int], number: list, low: list
+) -> tuple:
     """One round of the recursion on a live state, searched from ``starts``.
     ``rows``, ``lifts`` and ``exits`` are brought up to the next round in
-    place.  Each absorbed slot's row is read once: the rows are symmetric in
-    support (``_validate_seed``), so the living slots with an entry into it
-    are the living destinations of its own row.
+    place.  The search and the fold run in this one frame, and the search
+    finds only the minimal groups.  ``number`` and ``low`` are scratch
+    lists indexed by slot, which a run keeps across its rounds so that a
+    round costs nothing for the slots it does not enter: ``number`` holds
+    -1 for every slot on entry and is left so.
 
-    Returns the round's change record, ``(groups, edits)``, and every
-    component the search found.  ``groups`` lists each merge as ``(host,
-    slots, lift, exit, height)``: the host's new lift, exit and merge height
-    after the slots of its group, host included.  ``edits`` lists each entry
-    the round set or dropped in a living row, as ``(slot, destination, value
-    or None)``, in the order it made them; the absorbed slots' rows go with
-    their slots.
+    A walk follows the zero steps with Tarjan's low-links from each start
+    that no earlier walk of this round has settled.  The first component it
+    completes is a minimal group: until then no component of the walk has
+    completed and no settled slot has been touched, so every slot the walk
+    has entered is still on its path.  A step from the component to a slot
+    entered before the component's root would have lowered the root's
+    low-link, and every slot entered after the root is in the component, so
+    every step out of the component stays inside it.  The walk stops there,
+    or at the first settled slot it steps onto, and every slot it entered
+    is then settled.  A settled slot outside a group reaches a group it is
+    not in, since each slot on a walk's path reaches the slot the walk
+    stopped at, so it is in no minimal group.  A walk that enters a minimal
+    group cannot leave it, so it completes the group first.  Hence every
+    minimal group that holds a start (``run_decomposition``) is found.
+
+    Each group is folded as soon as it is found.  Each absorbed slot's row
+    is read once: the rows are symmetric in support (``_validate_seed``), so
+    the living slots with an entry into it are the living destinations of
+    its own row.  The host's exit is set at once: a later group only moves
+    an entry of the host's row to its own host's slot at no higher value,
+    so the row's minimum stays.  That move is also all a later walk sees of
+    the group: a step into it becomes a step onto its settled host.
+
+    Returns the round's change record, ``(groups, edits)``.  ``groups``
+    lists each merge as ``(host, slots, lift, exit, height)``: the host's
+    new lift, exit and merge height after the slots of its group, host
+    included.  ``edits`` lists each entry the round set or dropped in a
+    living row, as ``(slot, destination, value or None)``, in the order it
+    made them; the absorbed slots' rows go with their slots, after the edits
+    (``_patch``), since a later group can absorb a slot edited before.
     """
-    components = _zero_components(rows, lifts, exits, starts)
-    host_of = {}  # merged slot -> the slot of its new class
-    groups = []
-    for group, escapes in components:
-        if not escapes:
-            host = max(group, key=lambda slot: len(rows[slot]))
-            groups.append((host, group))
-            for slot in group:
-                host_of[slot] = host
+    entered = []  # every slot this round's walks entered, each at its number
+    groups, edits = [], []
+    for root in starts:
+        if number[root] >= 0:
+            continue
+        base = len(entered)  # the slots numbered below ``base`` are settled
+        frames = []
+        slot, todo = root, None
+        while slot is not None:
+            if todo is None:  # enter ``slot``
+                number[slot] = low[slot] = len(entered)
+                entered.append(slot)
+                least = exits[slot] - lifts.get(slot, 0)
+                todo = iter([dst for dst, value in rows[slot].items() if value == least])
+            for nxt in todo:
+                k = number[nxt]
+                if k < 0:
+                    frames.append((slot, todo))
+                    slot, todo = nxt, None
+                    break
+                if k < base:  # a settled slot: this walk holds no minimal group
+                    slot = None
+                    break
+                if k < low[slot]:  # on the path
+                    low[slot] = k
+            else:  # every step of ``slot`` is done
+                if low[slot] == number[slot]:
+                    break
+                child_low = low[slot]
+                slot, todo = frames.pop()
+                if child_low < low[slot]:
+                    low[slot] = child_low
+        if slot is None:
+            continue
 
-    edits = []
-    merged = []  # (host, slots, lift, height), the exit filled in below
-    # each destination keeps its cheapest lifted cost; the host's own
-    # entries keep their stored values under the host's new lift
-    for host, group in groups:
-        height = max(exits[slot] for slot in group)
+        # fold the group, the slots entered from ``slot`` on
+        first = number[slot]
+        group = entered[first:]
+        sizes = [len(rows[member]) for member in group]
+        host = group[sizes.index(max(sizes))]
+        height = max([exits[member] for member in group])
         lift = lifts.get(host, 0) + height - exits[host]
         row = rows[host]
-        for slot in group:
-            if slot == host:
+        # each destination keeps its cheapest lifted cost; the host's own
+        # entries keep their stored values under the host's new lift
+        for member in group:
+            if member == host:
                 continue
-            shift = lifts.get(slot, 0) + height - exits[slot] - lift
-            for dst, value in rows.pop(slot).items():
-                target = host_of.get(dst, dst)
-                if target == dst:
-                    # a living row keeps its value into the absorbed slot
-                    # under the host's slot; the host drops it
+            shift = lifts.pop(member, 0) + height - exits.pop(member) - lift
+            for dst, value in rows.pop(member).items():
+                if number[dst] < first:  # ``dst`` lives on
+                    # its row keeps its value into the absorbed slot under
+                    # the host's slot
                     back = rows[dst]
-                    stored = back.pop(slot)
-                    edits.append((dst, slot, None))
-                    if dst != host and stored < back.get(host, math.inf):
+                    stored = back.pop(member)
+                    edits.append((dst, member, None))
+                    if stored < back.get(host, math.inf):
                         back[host] = stored
                         edits.append((dst, host, stored))
-                if target != host:
                     value += shift
-                    if value < row.get(target, math.inf):
-                        row[target] = value
-                        edits.append((host, target, value))
-            del exits[slot]
-            lifts.pop(slot, None)
+                    if value < row.get(dst, math.inf):
+                        row[dst] = value
+                        edits.append((host, dst, value))
+                elif dst == host:  # the host drops its entry
+                    del row[member]
+                    edits.append((host, member, None))
         lifts[host] = lift
-        merged.append((host, group, lift, height))
-    for k, (host, group, lift, height) in enumerate(merged):
-        exits[host] = exit_height = min(rows[host].values(), default=math.inf) + lift
-        merged[k] = host, group, lift, exit_height, height
-    return (merged, edits), components
+        exits[host] = exit_height = min(row.values(), default=math.inf) + lift
+        groups.append((host, group, lift, exit_height, height))
+    for slot in entered:
+        number[slot] = -1
+    return groups, edits
 
 
 def _patch(level: PartitionLevel, record) -> PartitionLevel:
-    """The level after ``level``, from its round's change record: the
-    absorbed slots go, each host takes its new class, lift, exit and merge
-    height, and the edits are applied.  A row is copied the first time an
-    edit lands on it; every other row object is ``level``'s own."""
+    """The level after ``level``, from its round's change record: the edits
+    are applied, then the absorbed slots go and each host takes its new
+    class, lift, exit and merge height.  The edits come first since a slot
+    can be edited before a later group of its round absorbs it.  A row is
+    copied the first time an edit lands on it; every other row object is
+    ``level``'s own."""
     groups, edits = record
     members, rows = dict(level.members), dict(level.rows)
     lifts, exits = dict(level.lifts), dict(level.exits)
     keys, formed = level.keys, {}
-    for host, group, lift, exit_height, height in groups:
-        parts = []
-        for slot in group:
-            parts.append(members[slot])
-            if slot != host:
-                del members[slot], rows[slot], exits[slot]
-                lifts.pop(slot, None)
-        members[host] = _union(parts, keys)
-        lifts[host], exits[host], formed[host] = lift, exit_height, height
     copied = {}
     for slot, dst, value in edits:
         row = copied.get(slot)
@@ -465,6 +524,15 @@ def _patch(level: PartitionLevel, record) -> PartitionLevel:
             row.pop(dst, None)
         else:
             row[dst] = value
+    for host, group, lift, exit_height, height in groups:
+        parts = []
+        for slot in group:
+            parts.append(members[slot])
+            if slot != host:
+                del members[slot], rows[slot], exits[slot]
+                lifts.pop(slot, None)
+        members[host] = _union(parts, keys)
+        lifts[host], exits[host], formed[host] = lift, exit_height, height
     return PartitionLevel(level.index + 1, members, rows, lifts, exits, formed, level.scale, keys)
 
 
@@ -478,17 +546,23 @@ def _merge_step(before: PartitionLevel, after: PartitionLevel) -> MergeStep:
 
 
 def advance(level: PartitionLevel) -> tuple[PartitionLevel, tuple[StateSet, ...], tuple[StateSet, ...]]:
-    """One round of the recursion, searched from every class.
+    """One round of the recursion, searched from every class: ``_round``
+    on a copy of ``level``'s state, the run's one round path.
 
     Returns the next level together with the merge groups and the minimal
-    merge groups of this round.
+    merge groups of this round.  The round finds the minimal groups alone,
+    so the merge groups, every strongly connected component of the
+    zero-cost digraph, are searched for on ``level`` as
+    ``MergeStep.blocks`` searches for them.
     """
     if level.is_terminal:
         raise AlreadyTerminal("the partition is already the whole space")
     rows = {slot: dict(row) for slot, row in level.rows.items()}
-    record, components = _round(rows, dict(level.lifts), dict(level.exits), level.members)
+    size = max(level.members) + 1
+    record = _round(rows, dict(level.lifts), dict(level.exits), level.members, [-1] * size, [0] * size)
     after = _patch(level, record)
-    return after, _block_order(level, components), _minimal(after)
+    step = _merge_step(level, after)
+    return after, step.blocks, step.minimal
 
 
 class RunRecords:
@@ -602,10 +676,11 @@ def run_decomposition(landscape: Landscape, seed_costs=None) -> DecompositionTra
     lifts: dict = {}
     cls = list(range(len(names)))  # slot -> the id of its class
     fresh: Iterable[int] = range(len(names))
+    number, low = [-1] * len(names), [0] * len(names)
     while len(exits) > 1:
         if len(rounds) >= len(names):
             raise NonTermination("recursion exceeded the state count")
-        record, _ = _round(rows, lifts, exits, fresh)
+        record = _round(rows, lifts, exits, fresh, number, low)
         rounds.append(record)
         fresh = []
         for host, group, _, exit_height, height in record[0]:

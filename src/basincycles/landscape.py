@@ -21,9 +21,9 @@ and safe to share between threads.
 ``reach`` is the package's one graph walk; every connectivity question calls
 it with its own step function.  Two walks stay apart on purpose: the bitmask
 flood fill of ``brute_force_path_cycles``, because the oracle must share no
-code with what it checks, and the Tarjan search of the graph-cycle rounds,
-which numbers each class in depth-first order and keeps its low link, and
-so needs more than the set of classes reached.
+code with what it checks, and the Tarjan walks of the graph-cycle rounds
+and of their views, which number each class in depth-first order and keep
+its low link, and so need more than the set of classes reached.
 """
 
 from __future__ import annotations

@@ -572,7 +572,11 @@ def check_laws(
     default) and, given ``visit``, the visit check from each of them, in one
     loop over beta.  Returns ``(exit_rows, visit_rows)``: the rows of
     ``check_exit_window``, and those of ``check_visit_before_exit`` for each
-    start in sorted order, one start after the other."""
+    start in sorted order, one start after the other.
+
+    ``max_steps``, when given, censors the exit window there and caps the
+    visit check's step budget, ``exp(beta * (resistance + epsilon))``, at
+    it: a visit past ``max_steps`` is not counted."""
     checked = _check_arguments(landscape, cycle, beta_list, epsilon)
     starts = list(checked[0] if starts is None else starts)
     for s in starts:
@@ -588,7 +592,8 @@ def check_laws(
 def _check_laws(landscape, checked, epsilon, replicas, seed, starts, visit_starts, visit, max_steps):
     """The loop behind the law checks, on ``checked`` from
     ``_check_arguments``: the exit window from each of ``starts``, the visit
-    check of ``visit`` from each of ``visit_starts``.  Each pass validates
+    check of ``visit`` from each of ``visit_starts``, each censored at
+    ``max_steps`` when it is given (``check_laws``).  Each pass validates
     one beta's specs, builds its kernel, samples its rows on it, and drops
     it with its laws: the rows on one transient set share its law, and no
     law outlives its beta.  A spec's validity does not depend on beta, so a
@@ -600,6 +605,7 @@ def _check_laws(landscape, checked, epsilon, replicas, seed, starts, visit_start
         window = (_exp(beta * (gamma - epsilon)), _exp(beta * (gamma + epsilon)))
         bound = _exp(beta * (resistance.to_float() + epsilon))
         steps = max_steps if max_steps is not None else default_exit_steps(beta, depth)
+        visit_steps = _steps(bound) if max_steps is None else min(_steps(bound), max_steps)
         common = dict(landscape=landscape, beta=beta, target=target, replicas=replicas)
         exits = [
             SimulationSpec(start=start, max_steps=steps, seed=_subseed(seed, 1, bi, si), **common)
@@ -609,7 +615,7 @@ def _check_laws(landscape, checked, epsilon, replicas, seed, starts, visit_start
             SimulationSpec(
                 start=start,
                 secondary_target=visit,
-                max_steps=_steps(bound),
+                max_steps=visit_steps,
                 seed=_subseed(seed, 2, bi),
                 **common,
             )

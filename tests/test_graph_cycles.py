@@ -629,6 +629,67 @@ def test_merge_following_rounds_match_advance_on_the_golden_inputs(name):
     _assert_rounds_match_advance(load_landscape((DATA / f"{name}.json").read_text()))
 
 
+def _round_groups(level, starts):
+    """The slot sets that ``_round`` merges on a copy of ``level``'s state,
+    searched from ``starts``."""
+    rows = {slot: dict(row) for slot, row in level.rows.items()}
+    size = max(level.members) + 1
+    groups, _ = graphcycles._round(
+        rows, dict(level.lifts), dict(level.exits), starts, [-1] * size, [0] * size
+    )
+    found = [frozenset(slots) for _, slots, _, _, _ in groups]
+    assert len(set(found)) == len(found)
+    return set(found)
+
+
+def _assert_round_finds_the_closed_components(L, seed_costs=None):
+    # the round searches only for the components with no zero-cost step
+    # out; from every class, and from the classes the round before formed
+    # alone, it finds exactly those ``_zero_components`` flags
+    levels, _ = _advance_all(L, seed_costs)
+    fresh = list(levels[0].members)
+    for level, after in zip(levels, levels[1:]):
+        search = graphcycles._zero_components
+        components = search(level.rows, level.lifts, level.exits, level.members)
+        closed = {frozenset(group) for group, escapes in components if not escapes}
+        assert closed
+        assert _round_groups(level, list(level.members)) == closed
+        assert _round_groups(level, fresh) == closed
+        fresh = list(after.formed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_round_finds_exactly_the_closed_components(data):
+    L = draw_landscape(data)
+    for seed_costs in (None, _generic_seed(data, L, top=6)):
+        _assert_round_finds_the_closed_components(L, seed_costs)
+
+
+@pytest.mark.parametrize("name", ["fig1", "grid8-e2", "grid8-e1000"])
+def test_round_finds_exactly_the_closed_components_on_the_golden_inputs(name):
+    _assert_round_finds_the_closed_components(load_landscape((DATA / f"{name}.json").read_text()))
+
+
+@pytest.mark.parametrize(
+    "name, golden", [("fig1", ""), ("grid8-e2", "grid8-e2-"), ("grid8-e1000", "grid8-e1000-")]
+)
+def test_the_run_never_searches_every_component(monkeypatch, capsys, name, golden):
+    # ``run_decomposition``, and so ``verify_equivalence`` and plain
+    # ``graph-cycles``, give their golden bytes with the full search gone;
+    # ``--iterations`` prints every component, through ``MergeStep.blocks``
+    def refuse(*args):
+        raise AssertionError("the full zero-cost search ran")
+
+    monkeypatch.setattr(graphcycles, "_zero_components", refuse)
+    source = str(DATA / f"{name}.json")
+    for command in ("graph-cycles", "verify"):
+        assert main([command, source]) == 0
+        assert capsys.readouterr().out == (DATA / "golden" / f"{golden}{command}.json").read_text()
+    with pytest.raises(AssertionError, match="full zero-cost search"):
+        main(["graph-cycles", source, "--iterations"])
+
+
 @pytest.fixture
 def block_reads(monkeypatch):
     """The merge steps whose ``blocks`` were read."""

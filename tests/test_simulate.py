@@ -710,6 +710,28 @@ def test_law_checks_hold_one_betas_laws_at_a_time(monkeypatch):
         assert all(law() is None for law in laws)
 
 
+def test_visit_check_is_capped_at_max_steps(fig1):
+    # on s1..s228 at beta 1 the visit budget exp(beta * (resistance +
+    # epsilon)) is capped at 10^9 steps, and a set that large runs the jump
+    # chain, which would walk on from s100 for up to that many; a given
+    # max_steps caps the visit check as it censors the exit window
+    landscape = _tilted_chain(229)
+    cycle = [f"s{i}" for i in range(1, 229)]
+    started = time.perf_counter()
+    _, (row,) = simulate.check_laws(
+        landscape, cycle, [1.0], 1.0, 10, 9, starts=["s1"], visit="s100", max_steps=1000
+    )
+    assert time.perf_counter() - started < 10.0
+    assert row.bound > 10**9
+    assert max(row.stats.samples) == 1000 and row.stats.censored_count
+    # on fig1 the visit bound at beta 3 is e^6, about 403 steps, so a cap
+    # of 40,000 leaves the visit rows as they are without one
+    args = (fig1, ["i", "j"], [2.0, 3.0], 1.0, 250, 7)
+    capped = simulate.check_laws(*args, starts=["i"], visit="j", max_steps=40_000)[1]
+    assert capped == simulate.check_laws(*args, starts=["i"], visit="j")[1]
+    assert max(row.bound for row in capped) < 404
+
+
 BUDGETS = [0, 1, 2**5 - 1, 2**5, 2**12 - 1, 2**12, 2**63 - 1]
 
 
